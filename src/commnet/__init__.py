@@ -5,7 +5,15 @@ logs, measures message-weighted degree prominence and its day-to-day
 stability, fits power-law degree distributions, generates synthetic reference
 networks, and runs failure/attack tolerance experiments.
 """
-from .centrality import DegreeMap, RankList, degree, degree_share, top_k
+from .centrality import (
+    DegreeMap,
+    DegreeTable,
+    RankList,
+    degree,
+    degree_share,
+    degree_table,
+    top_k,
+)
 from .dynamics import (
     CorrelationSeries,
     DegreeSeries,
@@ -74,6 +82,7 @@ __all__ = [
     "DailySnapshot",
     "DegreeHistogram",
     "DegreeMap",
+    "DegreeTable",
     "DegreeSeries",
     "ERParams",
     "HubCorpusParams",
@@ -99,6 +108,7 @@ __all__ = [
     "daily_vs_aggregate_consistency",
     "degree",
     "degree_share",
+    "degree_table",
     "fit_mle",
     "fit_mle_sweep",
     "fit_ols",

@@ -15,6 +15,7 @@ import datetime as dt
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
 from .ingest import LogFormatConfig, parse_edge_log, write_edge_log
-from .pipeline import PipelineConfig, format_columns, run
+from .pipeline import ROBUSTNESS_KINDS, PipelineConfig, run, write_robustness_curve
 from .robustness import RemovalStrategy, robustness_curve
 from .temporal import UndirectedGraph, aggregate, build_snapshots, undirected_projection
 
@@ -326,9 +327,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     if not graph.nodes:
         raise InsufficientDataError("graph has no nodes")
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for kind in (s.strip() for s in args.strategies.split(",")):
-        if kind not in ("random", "targeted"):
+        if kind not in ROBUSTNESS_KINDS:
             raise ConfigError(f"unknown strategy {kind!r}")
         strategy = RemovalStrategy(
             kind, seed=args.seed, adaptive=not args.static_targeted
@@ -339,25 +339,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             args.steps,
             compute_path_length=not args.no_path_length,
         )
-        path = out_dir / f"robustness_{kind}.dat"
-        path.write_text(
-            format_columns(
-                (
-                    "fraction_removed",
-                    "giant_component_fraction",
-                    "average_path_length",
-                ),
-                [
-                    (
-                        p.fraction_removed,
-                        p.giant_component_fraction,
-                        p.average_path_length,
-                    )
-                    for p in curve.points
-                ],
-            ),
-            encoding="utf-8",
-        )
+        path = write_robustness_curve(out_dir, kind, map(asdict, curve.points))
         print(f"wrote {path}")
     return EXIT_OK
 

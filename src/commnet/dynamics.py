@@ -3,6 +3,7 @@
 Day-to-day correlation of degree vectors, per-node degree series with a
 coefficient-of-variation stability classification, and overlap statistics
 between top-k rank lists (pairwise across days, and daily versus aggregate).
+Every analysis reads the same node x day degree table (centrality.DegreeTable).
 """
 from __future__ import annotations
 
@@ -11,11 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .centrality import DegreeMap, RankList, degree, top_k
-from .errors import UnknownNodeError
-from .temporal import AggregateGraph, DailySnapshot
+from .centrality import DegreeTable, RankList, top_k
 
 
 class Stability(str, Enum):
@@ -116,10 +115,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 
 def consecutive_day_correlation(
-    snapshots: Sequence[DailySnapshot],
-    direction: str = "out",
-    *,
-    active_only: bool = False,
+    table: DegreeTable, *, active_only: bool = False
 ) -> CorrelationSeries:
     """Correlate degree vectors of each consecutive day pair.
 
@@ -128,49 +124,30 @@ def consecutive_day_correlation(
     Pairs where either day is empty are flagged excluded rather than
     correlated against an all-zero vector.
     """
-    if len(snapshots) < 2:
+    if len(table.values) < 2:
         raise ValueError("need at least 2 snapshots")
-    registry = sorted(set().union(*(s.nodes for s in snapshots)))
-    maps = [degree(s, direction).values for s in snapshots]
+    rows = table.values.tolist()
     pairs: list[PairCorrelation] = []
-    for t in range(len(snapshots) - 1):
-        a, b = snapshots[t], snapshots[t + 1]
-        if a.is_empty or b.is_empty:
+    for t in range(len(rows) - 1):
+        a, b = rows[t], rows[t + 1]
+        if not any(a) or not any(b):
             pairs.append(PairCorrelation(t, t + 1, None, excluded=True))
             continue
         if active_only:
-            nodes = [u for u in registry if maps[t][u] > 0 or maps[t + 1][u] > 0]
-        else:
-            nodes = registry
-        if len(nodes) < 2:
+            a, b = zip(*((x, y) for x, y in zip(a, b) if x > 0 or y > 0))
+        if len(a) < 2:
             pairs.append(PairCorrelation(t, t + 1, None))
             continue
-        r = pearson([maps[t][u] for u in nodes], [maps[t + 1][u] for u in nodes])
-        pairs.append(PairCorrelation(t, t + 1, r))
+        pairs.append(PairCorrelation(t, t + 1, pearson(a, b)))
     policy = "active-union" if active_only else "full-registry"
     return CorrelationSeries(tuple(pairs), policy)
 
 
-def node_series(
-    snapshots: Sequence[DailySnapshot],
-    node: int,
-    direction: str = "out",
-) -> DegreeSeries:
+def node_series(table: DegreeTable, node: int) -> DegreeSeries:
     """Per-day degree values of one node, zeros for inactive and empty days."""
-    if not snapshots:
+    if len(table.values) == 0:
         raise ValueError("need at least 1 snapshot")
-    if node not in snapshots[0].nodes:
-        raise UnknownNodeError(f"node {node} is not in the registry")
-    values = []
-    for snap in snapshots:
-        total = 0
-        for (u, v), mult in snap.edges.items():
-            if direction != "in" and u == node:
-                total += mult
-            if direction != "out" and v == node:
-                total += mult
-        values.append(total)
-    return DegreeSeries(node, direction, tuple(values))
+    return DegreeSeries(node, table.direction, tuple(table.column(node).tolist()))
 
 
 def classify_stability(s: DegreeSeries, cv_threshold: float = 1.0) -> Stability:
@@ -188,27 +165,21 @@ def rank_overlap(a: RankList, b: RankList) -> OverlapResult:
     return OverlapResult(a.k, len(a.node_ids & b.node_ids))
 
 
-def _daily_orderings(
-    snapshots: Iterable[DailySnapshot], direction: str
-) -> list[list[int]]:
+def _daily_orderings(table: DegreeTable) -> list[list[int]]:
     """Full positive-degree ranking per non-empty day; top-k lists are prefixes."""
     orderings = []
-    for snap in snapshots:
-        if snap.is_empty:
-            continue
-        values = degree(snap, direction).values
+    for row in table.values.tolist():
+        # the sort is stable, so equal degrees keep ascending node id
         ranked = sorted(
-            (node for node, deg in values.items() if deg > 0),
-            key=lambda u: (-values[u], u),
+            (j for j, deg in enumerate(row) if deg > 0), key=lambda j: -row[j]
         )
-        orderings.append(ranked)
+        if ranked:
+            orderings.append([table.nodes[j] for j in ranked])
     return orderings
 
 
 def overlap_vs_k(
-    snapshots: Sequence[DailySnapshot],
-    k_values: Sequence[int],
-    direction: str = "out",
+    table: DegreeTable, k_values: Sequence[int]
 ) -> dict[int, float | None]:
     """Mean pairwise top-k overlap percentage across all non-empty day pairs.
 
@@ -216,7 +187,7 @@ def overlap_vs_k(
     """
     if not k_values or list(k_values) != sorted(k_values) or k_values[0] < 1:
         raise ValueError("k_values must be positive, ascending")
-    orderings = _daily_orderings(snapshots, direction)
+    orderings = _daily_orderings(table)
     result: dict[int, float | None] = {}
     for k in k_values:
         tops = [frozenset(o[:k]) for o in orderings]
@@ -229,10 +200,7 @@ def overlap_vs_k(
 
 
 def daily_vs_aggregate_consistency(
-    snapshots: Sequence[DailySnapshot],
-    agg: AggregateGraph,
-    k: int,
-    direction: str = "out",
+    table: DegreeTable, k: int
 ) -> tuple[OverlapResult, dict[int, int]]:
     """Compare the k most-frequent daily-top nodes against the aggregate top-k.
 
@@ -243,11 +211,9 @@ def daily_vs_aggregate_consistency(
     if k < 1:
         raise ValueError("k must be >= 1")
     freq: Counter[int] = Counter()
-    for snap in snapshots:
-        if snap.is_empty:
-            continue
-        freq.update(top_k(degree(snap, direction), k).node_ids)
+    for ranked in _daily_orderings(table):
+        freq.update(ranked[:k])
     ordered = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     daily_ids = {node for node, _ in ordered[:k]}
-    agg_ids = top_k(degree(agg, direction), k).node_ids
+    agg_ids = top_k(table.aggregate_map(), k).node_ids
     return OverlapResult(k, len(daily_ids & agg_ids)), dict(ordered)

@@ -10,6 +10,7 @@ stream.
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -65,14 +66,22 @@ class IngestReport:
         return len(self.malformed_rows)
 
 
+_UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
+_EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_SECOND = dt.timedelta(seconds=1)
+
+
 def _parse_timestamp(raw: str, fmt: str) -> int:
     if fmt == "unix":
+        if not _UNIX_SECONDS.fullmatch(raw):
+            raise ValueError(f"not unix seconds: {raw!r}")
         return int(raw)
     text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
     parsed = dt.datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=dt.timezone.utc)
-    return int(parsed.timestamp())
+    # floor, so a fractional instant before the epoch stays in the earlier second
+    return (parsed - _EPOCH_UTC) // _SECOND
 
 
 def parse_edge_log(

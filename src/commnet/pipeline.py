@@ -7,8 +7,12 @@ top-k frequency, per-day fits, robustness curves). Output is deterministic for
 a fixed config: any wall-clock information goes to run_info.json, which is the
 single file excluded from the byte-for-byte determinism contract.
 
-Files are written atomically (temp then rename) and partial outputs are
-removed if a run fails midway.
+All files of a run are first written to a staging directory inside the
+output directory. Only when every file is written does the run swap them in,
+name by name, replacing the previous run's files of the same names (see
+OWNED_NAMES) and leaving every other file in the directory alone. A run that
+fails midway removes its staging directory and leaves the previous outputs
+untouched.
 """
 from __future__ import annotations
 
@@ -16,8 +20,10 @@ import datetime as dt
 import json
 import math
 import os
+import shutil
 import statistics
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +37,6 @@ from .errors import (
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import IngestReport, LogFormatConfig, parse_edge_log
 from .temporal import (
-    DailySnapshot,
     TemporalEdgeStream,
     aggregate,
     build_snapshots,
@@ -40,6 +45,20 @@ from .temporal import (
 
 REPORT_SCHEMA_VERSION = 1
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
+ROBUSTNESS_KINDS = ("random", "targeted")
+# every name a run writes in its output directory; a rerun replaces them all
+OWNED_NAMES = (
+    "report.json",
+    RUN_INFO_FILENAME,
+    "correlation_series.dat",
+    "degree_distribution_aggregate.dat",
+    "overlap_vs_k.dat",
+    "top_frequency.dat",
+    "per_day_fits.dat",
+    *(f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS),
+    "day_distributions",
+    "hub_series",
+)
 
 
 @dataclass(frozen=True)
@@ -87,40 +106,31 @@ class PipelineConfig:
 
 @dataclass
 class Report:
-    """Assembled analysis results, JSON-serializable via to_dict()."""
+    """Assembled analysis results, JSON-serializable via to_dict().
+
+    The analysis sections default to their empty values, so a report built
+    from the four header fields alone is the empty-window report.
+    """
 
     config: dict
     window: dict
     corpus: dict
     labels: dict | None
-    daily_fits: list[dict]
-    aggregate_fit: dict | None
-    correlation: dict | None
-    overlap_vs_k: list[dict]
-    consistency: dict | None
-    top_frequency: list[dict]
-    concentration: dict | None
-    stability: list[dict]
-    robustness: dict
-    sections_empty: bool
+    daily_fits: list[dict] = field(default_factory=list)
+    aggregate_fit: dict | None = None
+    correlation: dict | None = None
+    overlap_vs_k: list[dict] = field(default_factory=list)
+    consistency: dict | None = None
+    top_frequency: list[dict] = field(default_factory=list)
+    concentration: dict | None = None
+    stability: list[dict] = field(default_factory=list)
+    robustness: dict = field(default_factory=dict)
+    sections_empty: bool = True
 
     def to_dict(self) -> dict:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "config": self.config,
-            "window": self.window,
-            "corpus": self.corpus,
-            "labels": self.labels,
-            "daily_fits": self.daily_fits,
-            "aggregate_fit": self.aggregate_fit,
-            "correlation": self.correlation,
-            "overlap_vs_k": self.overlap_vs_k,
-            "consistency": self.consistency,
-            "top_frequency": self.top_frequency,
-            "concentration": self.concentration,
-            "stability": self.stability,
-            "robustness": self.robustness,
-            "sections_empty": self.sections_empty,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
         }
 
 
@@ -185,11 +195,11 @@ def _ingest_dict(report: IngestReport) -> dict:
     }
 
 
-def _fit_dicts(degrees: Sequence[int], h_source, target: str, xmin: int) -> dict:
+def _fit_dicts(dmap: centrality.DegreeMap, target: str, xmin: int) -> dict:
     """OLS and MLE fits for one day or the aggregate; None where unfittable."""
     out: dict = {"ols": None, "mle": None}
     try:
-        hist = powerlaw.histogram(h_source)
+        hist = powerlaw.histogram(dmap)
         fit = powerlaw.fit_ols(hist, target=target, xmin=xmin)
         out["ols"] = {
             "gamma": fit.gamma,
@@ -200,7 +210,7 @@ def _fit_dicts(degrees: Sequence[int], h_source, target: str, xmin: int) -> dict
     except (EmptyHistogramError, InsufficientSupportError):
         pass
     try:
-        fit = powerlaw.fit_mle_sweep([d for d in degrees if d >= 1])
+        fit = powerlaw.fit_mle_sweep([d for d in dmap.values.values() if d >= 1])
         out["mle"] = {
             "gamma": fit.gamma,
             "ks_statistic": fit.ks_statistic,
@@ -243,52 +253,31 @@ def run(cfg: PipelineConfig) -> Report:
     )
 
     if not non_empty:
-        report = Report(
-            config=_config_echo(cfg),
-            window=window,
-            corpus=corpus,
-            labels=labels,
-            daily_fits=[],
-            aggregate_fit=None,
-            correlation=None,
-            overlap_vs_k=[],
-            consistency=None,
-            top_frequency=[],
-            concentration=None,
-            stability=[],
-            robustness={},
-            sections_empty=True,
-        )
-        _emit_all(report, [], None, cfg)
+        report = Report(_config_echo(cfg), window, corpus, labels)
+        _emit_all(report, cfg)
         return report
 
-    day_maps = [centrality.degree(s, cfg.direction) for s in snapshots]
+    table = centrality.degree_table(snapshots, cfg.direction)
 
     daily_fits = []
-    for snap, dmap in zip(snapshots, day_maps):
+    for t, snap in enumerate(snapshots):
         if snap.is_empty:
             continue
-        fits = _fit_dicts(
-            list(dmap.values.values()), dmap, cfg.fit_target, cfg.fit_xmin
-        )
-        active = sum(1 for v in dmap.values.values() if v > 0)
+        dmap = table.day_map(t)
         daily_fits.append(
             {
                 "day": snap.day_index,
                 "date": snap.date.isoformat(),
-                "active_nodes": active,
+                "active_nodes": sum(1 for v in dmap.values.values() if v > 0),
                 "messages": snap.message_count,
-                **fits,
+                **_fit_dicts(dmap, cfg.fit_target, cfg.fit_xmin),
             }
         )
 
-    agg = aggregate(snapshots)
-    agg_map = centrality.degree(agg, cfg.direction)
-    aggregate_fit = _fit_dicts(
-        list(agg_map.values.values()), agg_map, cfg.fit_target, cfg.fit_xmin
-    )
+    agg_map = table.aggregate_map()
+    aggregate_fit = _fit_dicts(agg_map, cfg.fit_target, cfg.fit_xmin)
 
-    series = dynamics.consecutive_day_correlation(snapshots, cfg.direction) \
+    series = dynamics.consecutive_day_correlation(table) \
         if len(snapshots) >= 2 else None
     correlation = None
     if series is not None:
@@ -308,11 +297,11 @@ def run(cfg: PipelineConfig) -> Report:
             "median_r": statistics.median(defined) if defined else None,
         }
 
-    overlap = dynamics.overlap_vs_k(snapshots, cfg.k_values, cfg.direction)
+    overlap = dynamics.overlap_vs_k(table, cfg.k_values)
     overlap_rows = [{"k": k, "mean_overlap": v} for k, v in overlap.items()]
 
     consistency_result, freq_table = dynamics.daily_vs_aggregate_consistency(
-        snapshots, agg, cfg.k, cfg.direction
+        table, cfg.k
     )
     consistency = {
         "k": consistency_result.k,
@@ -330,10 +319,8 @@ def run(cfg: PipelineConfig) -> Report:
     }
 
     stability = []
-    hub_series: list[dynamics.DegreeSeries] = []
     for node, _ in top.entries:
-        ns = dynamics.node_series(snapshots, node, cfg.direction)
-        hub_series.append(ns)
+        ns = dynamics.node_series(table, node)
         stability.append(
             {
                 "node": node,
@@ -343,22 +330,15 @@ def run(cfg: PipelineConfig) -> Report:
             }
         )
 
-    projected = undirected_projection(agg)
+    projected = undirected_projection(aggregate(snapshots))
     robustness_section: dict = {}
-    for kind in ("random", "targeted"):
+    for kind in ROBUSTNESS_KINDS:
         strategy = robust.RemovalStrategy(kind, seed=cfg.seed)
         curve = robust.robustness_curve(projected, strategy, cfg.robustness_steps)
         robustness_section[kind] = {
             "seed": cfg.seed,
             "adaptive": strategy.adaptive,
-            "points": [
-                {
-                    "fraction_removed": pt.fraction_removed,
-                    "giant_component_fraction": pt.giant_component_fraction,
-                    "average_path_length": pt.average_path_length,
-                }
-                for pt in curve.points
-            ],
+            "points": [asdict(pt) for pt in curve.points],
         }
 
     report = Report(
@@ -377,7 +357,7 @@ def run(cfg: PipelineConfig) -> Report:
         robustness=robustness_section,
         sections_empty=False,
     )
-    _emit_all(report, snapshots, agg_map, cfg, day_maps=day_maps, hub_series=hub_series)
+    _emit_all(report, cfg, table)
     return report
 
 
@@ -403,12 +383,9 @@ def format_columns(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines)
 
 
-def _atomic_write(path: Path, content: str, created: list[Path]) -> None:
+def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
-    created.append(path)
+    path.write_text(content, encoding="utf-8")
 
 
 def _distribution_rows(hist: powerlaw.DegreeHistogram) -> list[tuple]:
@@ -423,78 +400,79 @@ def _distribution_rows(hist: powerlaw.DegreeHistogram) -> list[tuple]:
 _DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
 
 
+def _distribution(dmap: centrality.DegreeMap) -> str:
+    try:
+        rows = _distribution_rows(powerlaw.histogram(dmap))
+    except EmptyHistogramError:
+        rows = []
+    return format_columns(_DIST_HEADER, rows)
+
+
+_CURVE_HEADER = ("fraction_removed", "giant_component_fraction", "average_path_length")
+
+
+def write_robustness_curve(output_dir: Path, kind: str, points: Iterable[dict]) -> Path:
+    """Write robustness_<kind>.dat: one row per curve point, keyed as in the report."""
+    path = output_dir / f"robustness_{kind}.dat"
+    rows = [[p[column] for column in _CURVE_HEADER] for p in points]
+    _write(path, format_columns(_CURVE_HEADER, rows))
+    return path
+
+
 def emit_plot_data(
     report: Report,
     output_dir: Path,
-    *,
-    snapshots: Sequence[DailySnapshot] = (),
-    aggregate_map: centrality.DegreeMap | None = None,
-    day_maps: Sequence[centrality.DegreeMap] = (),
-    hub_series: Sequence[dynamics.DegreeSeries] = (),
-    created: list[Path] | None = None,
-) -> list[Path]:
+    table: centrality.DegreeTable | None = None,
+) -> None:
     """Write one columnar plot-data file per report section; empty sections
-    produce header-only files."""
-    created = created if created is not None else []
-
+    produce header-only files. Degree distributions and hub series are read
+    from the run's degree table (None for an empty window)."""
     corr_rows: list[tuple] = []
     if report.correlation:
         for p in report.correlation["pairs"]:
             corr_rows.append((p["day_a"], p["day_b"], p["r"]))
-    _atomic_write(
+    _write(
         output_dir / "correlation_series.dat",
         format_columns(("day_a", "day_b", "r"), corr_rows),
-        created,
     )
 
-    agg_rows: list[tuple] = []
-    if aggregate_map is not None:
-        try:
-            agg_rows = _distribution_rows(powerlaw.histogram(aggregate_map))
-        except EmptyHistogramError:
-            agg_rows = []
-    _atomic_write(
+    _write(
         output_dir / "degree_distribution_aggregate.dat",
-        format_columns(_DIST_HEADER, agg_rows),
-        created,
+        _distribution(table.aggregate_map())
+        if table is not None
+        else format_columns(_DIST_HEADER, []),
     )
 
-    for snap, dmap in zip(snapshots, day_maps):
-        if snap.is_empty:
-            continue
-        try:
-            rows = _distribution_rows(powerlaw.histogram(dmap))
-        except EmptyHistogramError:
-            rows = []
-        _atomic_write(
-            output_dir / "day_distributions" / f"day_{snap.day_index:04d}.dat",
-            format_columns(_DIST_HEADER, rows),
-            created,
-        )
+    if table is not None:
+        for t, row in enumerate(table.values):
+            if row.any():
+                _write(
+                    output_dir / "day_distributions" / f"day_{t:04d}.dat",
+                    _distribution(table.day_map(t)),
+                )
+        for entry in report.concentration["top"]:
+            node = entry["node"]
+            _write(
+                output_dir / "hub_series" / f"node_{node}.dat",
+                format_columns(
+                    ("day", "degree"), list(enumerate(table.column(node).tolist()))
+                ),
+            )
 
-    for ns in hub_series:
-        _atomic_write(
-            output_dir / "hub_series" / f"node_{ns.node}.dat",
-            format_columns(("day", "degree"), list(enumerate(ns.values))),
-            created,
-        )
-
-    _atomic_write(
+    _write(
         output_dir / "overlap_vs_k.dat",
         format_columns(
             ("k", "mean_overlap"),
             [(row["k"], row["mean_overlap"]) for row in report.overlap_vs_k],
         ),
-        created,
     )
 
-    _atomic_write(
+    _write(
         output_dir / "top_frequency.dat",
         format_columns(
             ("node", "days_in_top_k"),
             [(row["node"], row["days"]) for row in report.top_frequency],
         ),
-        created,
     )
 
     fit_rows = []
@@ -512,76 +490,47 @@ def emit_plot_data(
                 mle.get("n_tail"),
             )
         )
-    _atomic_write(
+    _write(
         output_dir / "per_day_fits.dat",
         format_columns(
             ("day", "gamma_ols", "r_squared", "gamma_mle", "ks", "xmin", "n_tail"),
             fit_rows,
         ),
-        created,
     )
 
     for kind, section in report.robustness.items():
-        _atomic_write(
-            output_dir / f"robustness_{kind}.dat",
-            format_columns(
-                (
-                    "fraction_removed",
-                    "giant_component_fraction",
-                    "average_path_length",
-                ),
-                [
-                    (
-                        p["fraction_removed"],
-                        p["giant_component_fraction"],
-                        p["average_path_length"],
-                    )
-                    for p in section["points"]
-                ],
-            ),
-            created,
-        )
-    return created
+        write_robustness_curve(output_dir, kind, section["points"])
 
 
 def _emit_all(
     report: Report,
-    snapshots: Sequence[DailySnapshot],
-    aggregate_map: centrality.DegreeMap | None,
     cfg: PipelineConfig,
-    *,
-    day_maps: Sequence[centrality.DegreeMap] = (),
-    hub_series: Sequence[dynamics.DegreeSeries] = (),
+    table: centrality.DegreeTable | None = None,
 ) -> None:
-    created: list[Path] = []
+    """Stage every file of the run, then swap the staged names into place."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".commnet-", dir=out))
     try:
-        _atomic_write(
-            Path(cfg.output_dir) / "report.json",
+        new, old = stage / "new", stage / "old"
+        _write(
+            new / "report.json",
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            created,
         )
-        emit_plot_data(
-            report,
-            Path(cfg.output_dir),
-            snapshots=snapshots,
-            aggregate_map=aggregate_map,
-            day_maps=day_maps,
-            hub_series=hub_series,
-            created=created,
-        )
+        emit_plot_data(report, new, table)
         run_info = {
             "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "note": "wall-clock metadata; excluded from determinism guarantees",
         }
-        _atomic_write(
-            Path(cfg.output_dir) / RUN_INFO_FILENAME,
+        _write(
+            new / RUN_INFO_FILENAME,
             json.dumps(run_info, indent=2, sort_keys=True) + "\n",
-            created,
         )
-    except BaseException:
-        for path in created:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+        old.mkdir()
+        for name in OWNED_NAMES:
+            if (out / name).exists():
+                os.replace(out / name, old / name)
+            if (new / name).exists():
+                os.replace(new / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)

@@ -135,7 +135,7 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
     snaps = cn.build_snapshots(stream)
     assert len(snaps) == 131
 
-    series = cn.consecutive_day_correlation(snaps, "out")
+    series = cn.consecutive_day_correlation(cn.degree_table(snaps, "out"))
     median_r = statistics.median(series.defined_values)
     assert median_r > 0.8
 
@@ -156,7 +156,9 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
     assert abs(control_median) < 0.2
 
     agg = cn.aggregate(snaps)
-    consistency, _ = cn.daily_vs_aggregate_consistency(snaps, agg, 10)
+    consistency, _ = cn.daily_vs_aggregate_consistency(
+        cn.degree_table(snaps, "out"), 10
+    )
     assert consistency.count == 10
 
     dmap = cn.degree(agg, "out")
@@ -195,7 +197,7 @@ def test_criterion_6_hand_oracle_equivalence(
             assert abs(share - brute.degree_share(values, k)) < tol
 
     # consecutive-day correlations
-    series = cn.consecutive_day_correlation(micro_snapshots, "out")
+    series = cn.consecutive_day_correlation(cn.degree_table(micro_snapshots, "out"))
     expected_rs = brute.consecutive_correlations("out")
     assert len(series.pairs) == len(expected_rs)
     for pair, expected in zip(series.pairs, expected_rs):
@@ -204,7 +206,7 @@ def test_criterion_6_hand_oracle_equivalence(
 
     # node series statistics and CV for every node
     for node in range(5):
-        ns = cn.node_series(micro_snapshots, node, "out")
+        ns = cn.node_series(cn.degree_table(micro_snapshots, "out"), node)
         assert list(ns.values) == brute.node_values(node, "out")
         mean, std, cv = brute.series_stats(ns.values)
         assert abs(ns.mean - mean) < tol
@@ -221,13 +223,13 @@ def test_criterion_6_hand_oracle_equivalence(
                 la = cn.top_k(cn.DegreeMap(brute.degrees(a, "out"), "out"), k)
                 lb = cn.top_k(cn.DegreeMap(brute.degrees(b, "out"), "out"), k)
                 assert cn.rank_overlap(la, lb).count == brute.overlap_count(a, b, k)
-        table = cn.overlap_vs_k(micro_snapshots, [k])
+        table = cn.overlap_vs_k(cn.degree_table(micro_snapshots, "out"), [k])
         assert abs(table[k] - brute.mean_overlap(k)) < tol
 
     # daily/aggregate consistency and the frequency table
     for k in (1, 2, 3):
         result, freq = cn.daily_vs_aggregate_consistency(
-            micro_snapshots, micro_aggregate, k
+            cn.degree_table(micro_snapshots, "out"), k
         )
         assert result.count == brute.consistency_count(k)
         assert freq == brute.top_frequency(k)
@@ -241,7 +243,7 @@ def test_criterion_7_closed_form_spot_checks():
         values = [0] * n
         values[1] = 7
         series = cn.node_series(
-            [
+            cn.degree_table([
                 cn.DailySnapshot(
                     i,
                     brute.BASE_DATE,
@@ -249,7 +251,7 @@ def test_criterion_7_closed_form_spot_checks():
                     frozenset({0, 1}),
                 )
                 for i in range(n)
-            ],
+            ]),
             0,
         )
         assert series.cv == pytest.approx(math.sqrt(n - 1), rel=1e-12)

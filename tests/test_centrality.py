@@ -33,11 +33,6 @@ def test_empty_snapshot_all_zeros():
     assert d.values == {0: 0, 1: 0, 2: 0}
 
 
-def test_unweighted_counts_neighbors():
-    d = degree(SNAP, "out", weighted=False)
-    assert d.values == {0: 2, 1: 0, 2: 0}
-
-
 def test_bad_direction():
     with pytest.raises(ValueError):
         degree(SNAP, "sideways")

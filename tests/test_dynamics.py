@@ -15,6 +15,7 @@ from commnet import (
     classify_stability,
     consecutive_day_correlation,
     daily_vs_aggregate_consistency,
+    degree_table,
     node_series,
     overlap_vs_k,
     pearson,
@@ -88,7 +89,7 @@ def test_identical_days_correlate_perfectly():
     nodes = {0, 1, 2}
     s0 = snap(0, {(0, 1): 2, (1, 2): 1}, nodes)
     s1 = snap(1, {(0, 1): 2, (1, 2): 1}, nodes)
-    series = consecutive_day_correlation([s0, s1])
+    series = consecutive_day_correlation(degree_table([s0, s1]))
     assert series.pairs[0].r == pytest.approx(1.0)
     assert series.policy == "full-registry"
 
@@ -98,7 +99,7 @@ def test_rank_inversion_matches_hand_computation():
     nodes = {0, 1, 2, 3, 4}
     s0 = snap(0, {(0, 2): 1, (1, 2): 2}, nodes)
     s1 = snap(1, {(0, 2): 2, (1, 2): 1}, nodes)
-    series = consecutive_day_correlation([s0, s1])
+    series = consecutive_day_correlation(degree_table([s0, s1]))
     expected = brute.pearson([1, 2, 0, 0, 0], [2, 1, 0, 0, 0])
     assert series.pairs[0].r == pytest.approx(expected)
     assert series.pairs[0].r < 1.0
@@ -109,18 +110,18 @@ def test_empty_day_excluded():
     s0 = snap(0, {(0, 1): 1}, nodes)
     s1 = snap(1, {}, nodes)
     s2 = snap(2, {(0, 1): 3}, nodes)
-    series = consecutive_day_correlation([s0, s1, s2])
+    series = consecutive_day_correlation(degree_table([s0, s1, s2]))
     assert [p.excluded for p in series.pairs] == [True, True]
     assert series.values == ()
     with pytest.raises(ValueError):
-        consecutive_day_correlation([s0])
+        consecutive_day_correlation(degree_table([s0]))
 
 
 def test_zero_variance_pair_flagged_undefined():
     nodes = {0, 1}
     s0 = snap(0, {(0, 1): 1, (1, 0): 1}, nodes)  # both out-degrees equal
     s1 = snap(1, {(0, 1): 2}, nodes)
-    series = consecutive_day_correlation([s0, s1])
+    series = consecutive_day_correlation(degree_table([s0, s1]))
     assert series.pairs[0].r is None
     assert not series.pairs[0].excluded
 
@@ -129,7 +130,7 @@ def test_active_only_policy():
     nodes = {0, 1, 2, 3}
     s0 = snap(0, {(0, 1): 1, (1, 0): 2}, nodes)
     s1 = snap(1, {(0, 1): 2, (1, 0): 1}, nodes)
-    series = consecutive_day_correlation([s0, s1], active_only=True)
+    series = consecutive_day_correlation(degree_table([s0, s1]), active_only=True)
     assert series.policy == "active-union"
     # restricted to {0, 1}: vectors (1,2) and (2,1)
     assert series.pairs[0].r == pytest.approx(-1.0)
@@ -142,7 +143,7 @@ def test_planted_hubs_correlate_and_shuffle_control_does_not():
         )
     )
     snaps = cn.build_snapshots(stream)
-    series = consecutive_day_correlation(snaps)
+    series = consecutive_day_correlation(degree_table(snaps))
     assert statistics.median(series.defined_values) > 0.8
     registry = sorted(snaps[0].nodes)
     vecs = [[cn.degree(s, "out").values[u] for u in registry] for s in snaps]
@@ -164,7 +165,7 @@ def test_planted_hubs_correlate_and_shuffle_control_does_not():
 def test_absent_node_series():
     nodes = {0, 1, 9}
     snaps = [snap(i, {(0, 1): 1}, nodes) for i in range(4)]
-    series = node_series(snaps, 9)
+    series = node_series(degree_table(snaps), 9)
     assert series.values == (0, 0, 0, 0)
     assert series.mean == 0
     assert series.cv is None
@@ -174,7 +175,7 @@ def test_absent_node_series():
 def test_constant_series_cv_zero():
     nodes = {0, 1}
     snaps = [snap(i, {(0, 1): 5}, nodes) for i in range(10)]
-    series = node_series(snaps, 0)
+    series = node_series(degree_table(snaps), 0)
     assert series.values == (5,) * 10
     assert series.cv == 0.0
     assert classify_stability(series) is Stability.STABLE
@@ -188,7 +189,7 @@ def test_spike_series_hand_values():
         snap(2, {(0, 1): 12}, nodes),
         snap(3, {}, nodes),
     ]
-    series = node_series(snaps, 0)
+    series = node_series(degree_table(snaps), 0)
     assert series.values == (0, 0, 12, 0)
     assert series.mean == pytest.approx(3.0)
     assert series.stddev == pytest.approx(math.sqrt(27), abs=1e-9)
@@ -198,7 +199,7 @@ def test_spike_series_hand_values():
 def test_unknown_node():
     snaps = [snap(0, {(0, 1): 1}, {0, 1})]
     with pytest.raises(UnknownNodeError):
-        node_series(snaps, 77)
+        node_series(degree_table(snaps), 77)
 
 
 def test_one_hot_series_is_fluctuating():
@@ -268,7 +269,7 @@ def test_overlap_vs_k_identical_days():
     nodes = {0, 1, 2, 3}
     edges = {(0, 1): 4, (1, 2): 3, (2, 3): 2, (3, 0): 1}
     snaps = [snap(i, edges, nodes) for i in range(3)]
-    result = overlap_vs_k(snaps, [1, 2, 4])
+    result = overlap_vs_k(degree_table(snaps), [1, 2, 4])
     assert all(v == pytest.approx(1.0) for v in result.values())
 
 
@@ -276,21 +277,21 @@ def test_overlap_vs_k_disjoint_days():
     nodes = set(range(8))
     s0 = snap(0, {(0, 1): 3, (2, 3): 1}, nodes)
     s1 = snap(1, {(4, 5): 2, (6, 7): 1}, nodes)
-    result = overlap_vs_k([s0, s1], [1, 2])
+    result = overlap_vs_k(degree_table([s0, s1]), [1, 2])
     assert result == {1: 0.0, 2: 0.0}
 
 
 def test_overlap_vs_k_single_day_is_undefined():
     snaps = [snap(0, {(0, 1): 1}, {0, 1})]
-    assert overlap_vs_k(snaps, [1]) == {1: None}
+    assert overlap_vs_k(degree_table(snaps), [1]) == {1: None}
 
 
 def test_overlap_vs_k_validation():
     snaps = [snap(0, {(0, 1): 1}, {0, 1})]
     with pytest.raises(ValueError):
-        overlap_vs_k(snaps, [3, 2])
+        overlap_vs_k(degree_table(snaps), [3, 2])
     with pytest.raises(ValueError):
-        overlap_vs_k(snaps, [0, 2])
+        overlap_vs_k(degree_table(snaps), [0, 2])
 
 
 def test_overlap_nested_prefix_corpus_non_decreasing():
@@ -299,7 +300,7 @@ def test_overlap_nested_prefix_corpus_non_decreasing():
     nodes = set(range(10))
     edges = {(u, (u + 1) % 10): 10 - u for u in range(10)}
     snaps = [snap(i, edges, nodes) for i in range(4)]
-    result = overlap_vs_k(snaps, [2, 4, 8])
+    result = overlap_vs_k(degree_table(snaps), [2, 4, 8])
     values = [result[k] for k in (2, 4, 8)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -313,7 +314,7 @@ def test_overlap_increases_with_k_on_hub_corpus():
         )
     )
     snaps = cn.build_snapshots(stream)
-    result = overlap_vs_k(snaps, [5, 10, 20])
+    result = overlap_vs_k(degree_table(snaps), [5, 10, 20])
     assert result[5] < result[10] < result[20]
 
 
@@ -325,18 +326,15 @@ def test_overlap_increases_with_k_on_hub_corpus():
 def test_single_day_consistency_is_total():
     nodes = {0, 1, 2}
     snaps = [snap(0, {(0, 1): 3, (1, 2): 1}, nodes)]
-    agg = cn.aggregate(snaps)
-    result, freq = daily_vs_aggregate_consistency(snaps, agg, 2)
+    result, freq = daily_vs_aggregate_consistency(degree_table(snaps), 2)
     assert result.count == 2
     assert result.percentage == 1.0
     assert freq == {0: 1, 1: 1}
 
 
-def test_consistency_frequency_table(micro_snapshots, micro_aggregate):
-    result, freq = daily_vs_aggregate_consistency(
-        micro_snapshots, micro_aggregate, 2
-    )
+def test_consistency_frequency_table(micro_snapshots):
+    result, freq = daily_vs_aggregate_consistency(degree_table(micro_snapshots), 2)
     assert freq == brute.top_frequency(2)
     assert result.count == brute.consistency_count(2)
     with pytest.raises(ValueError):
-        daily_vs_aggregate_consistency(micro_snapshots, micro_aggregate, 0)
+        daily_vs_aggregate_consistency(degree_table(micro_snapshots), 0)

@@ -192,6 +192,6 @@ def test_hub_corpus_all_hubs_is_symmetric():
     snaps = cn.build_snapshots(stream)
     classes = set()
     for node in sorted(stream.node_registry):
-        series = cn.node_series(snaps, node)
+        series = cn.node_series(cn.degree_table(snaps), node)
         classes.add(cn.classify_stability(series))
     assert len(classes) == 1

@@ -42,6 +42,13 @@ def test_bad_timestamp_recorded_with_line_number():
     )
     assert report.malformed_rows == ((2, "bad timestamp 'not-a-date'"),)
     assert report.accepted == 1
+    # unix seconds are ASCII [+-]?[0-9]+ only, not whatever int() accepts
+    stream, report = parse(
+        "a,b,-5\na,b,+7\na,b,1_000\na,b,\u0661\u0662\na,b,1.0\n".encode(),
+        malformed_threshold=0.9,
+    )
+    assert [e.timestamp for e in stream] == [-5, 7]
+    assert [line for line, _ in report.malformed_rows] == [3, 4, 5]
 
 
 def test_wrong_column_count():
@@ -83,6 +90,12 @@ def test_iso8601_timestamps():
     )
     # both instants are 60 seconds past midnight UTC
     assert [e.timestamp for e in stream] == [60, 60]
+    # fractional seconds floor, also before the epoch
+    stream, _ = parse(
+        b"a,b,1969-12-31T23:59:59.5Z\nb,a,1970-01-01T00:00:00.5Z\n", cfg
+    )
+    assert [e.timestamp for e in stream] == [-1, 0]
+    assert cn.build_snapshots(stream)[0].date.isoformat() == "1969-12-31"
 
 
 def test_sorts_and_preserves_tie_order():
