@@ -9,7 +9,6 @@ from .centrality import (
     DegreeMap,
     DegreeTable,
     RankList,
-    degree,
     degree_share,
     degree_table,
     top_k,
@@ -39,7 +38,6 @@ from .generators import (
 from .ingest import (
     IngestReport,
     LogFormatConfig,
-    merge_streams,
     parse_edge_log,
     write_edge_log,
 )
@@ -63,23 +61,19 @@ from .robustness import (
     robustness_curve,
 )
 from .temporal import (
-    AggregateGraph,
-    DailySnapshot,
-    TemporalEdge,
+    DayWindow,
     TemporalEdgeStream,
     UndirectedGraph,
-    aggregate,
-    build_snapshots,
+    slice_days,
     undirected_projection,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateGraph",
     "BAParams",
     "CorrelationSeries",
-    "DailySnapshot",
+    "DayWindow",
     "DegreeHistogram",
     "DegreeMap",
     "DegreeTable",
@@ -97,16 +91,12 @@ __all__ = [
     "RobustnessCurve",
     "RobustnessPoint",
     "Stability",
-    "TemporalEdge",
     "TemporalEdgeStream",
     "UndirectedGraph",
-    "aggregate",
     "average_path_length",
-    "build_snapshots",
     "classify_stability",
     "consecutive_day_correlation",
     "daily_vs_aggregate_consistency",
-    "degree",
     "degree_share",
     "degree_table",
     "fit_mle",
@@ -119,12 +109,12 @@ __all__ = [
     "giant_component_fraction",
     "histogram",
     "log_bin",
-    "merge_streams",
     "node_series",
     "overlap_vs_k",
     "parse_edge_log",
     "pearson",
     "rank_overlap",
+    "slice_days",
     "robustness_curve",
     "top_k",
     "undirected_projection",

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import UnknownNodeError
-from .temporal import AggregateGraph, DailySnapshot
+from .temporal import DayWindow, TemporalEdgeStream
 
 VALID_DIRECTIONS = ("out", "in", "total")
 
@@ -45,20 +45,6 @@ class RankList:
         return len(self.entries)
 
 
-def degree(g: DailySnapshot | AggregateGraph, direction: str = "out") -> DegreeMap:
-    """Message-weighted degree of every registered node in a snapshot or
-    aggregate graph: a pair with multiplicity m contributes m."""
-    if direction not in VALID_DIRECTIONS:
-        raise ValueError(f"direction must be one of {VALID_DIRECTIONS}")
-    values: dict[int, int] = {u: 0 for u in g.nodes}
-    for (u, v), mult in g.edges.items():
-        if direction != "in":
-            values[u] += mult
-        if direction != "out":
-            values[v] += mult
-    return DegreeMap(values, direction)
-
-
 @dataclass(frozen=True)
 class DegreeTable:
     """Degree of every registered node on every day.
@@ -89,15 +75,31 @@ class DegreeTable:
 
 
 def degree_table(
-    snapshots: Sequence[DailySnapshot], direction: str = "out"
+    stream: TemporalEdgeStream, window: DayWindow, direction: str = "out"
 ) -> DegreeTable:
-    """One row per snapshot, built from one ``degree`` call per day."""
-    nodes = tuple(sorted(set().union(*(s.nodes for s in snapshots))))
-    values = np.zeros((len(snapshots), len(nodes)), dtype=np.int64)
-    for t, snap in enumerate(snapshots):
-        day = degree(snap, direction).values
-        values[t] = [day.get(u, 0) for u in nodes]
-    return DegreeTable(nodes, values, direction)
+    """Message-weighted degree of every registered node on every window day:
+    a message counts once for its sender (out), once for its recipient (in),
+    or once for each (total). One ``bincount`` over (day, node) cells."""
+    if direction not in VALID_DIRECTIONS:
+        raise ValueError(f"direction must be one of {VALID_DIRECTIONS}")
+    if len(window.day) != len(stream):
+        raise ValueError("window was not sliced from this stream")
+    nodes = stream.node_registry
+    ends = {
+        "out": (stream.senders,),
+        "in": (stream.recipients,),
+        "total": (stream.senders, stream.recipients),
+    }[direction]
+    # registry ids may have gaps, so map each id to its column by position
+    cells = np.concatenate(
+        [window.day * len(nodes) + np.searchsorted(nodes, end) for end in ends]
+    )
+    values = np.bincount(cells, minlength=window.length * len(nodes))
+    return DegreeTable(
+        tuple(nodes.tolist()),
+        values.astype(np.int64, copy=False).reshape(window.length, len(nodes)),
+        direction,
+    )
 
 
 def top_k(d: DegreeMap, k: int, *, include_zeros: bool = False) -> RankList:

@@ -28,9 +28,15 @@ from .errors import (
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
 from .ingest import LogFormatConfig, parse_edge_log, write_edge_log
-from .pipeline import ROBUSTNESS_KINDS, PipelineConfig, run, write_robustness_curve
+from .pipeline import (
+    ROBUSTNESS_KINDS,
+    PipelineConfig,
+    run,
+    write_robustness_curve,
+    write_staged,
+)
 from .robustness import RemovalStrategy, robustness_curve
-from .temporal import UndirectedGraph, aggregate, build_snapshots, undirected_projection
+from .temporal import UndirectedGraph, undirected_projection
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +77,6 @@ def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--header", action="store_true", help="first line is a header row"
     )
-    parser.add_argument("--collapse-duplicates", action="store_true")
     parser.add_argument("--malformed-threshold", type=float, default=0.01)
 
 
@@ -109,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="write the normalized (sorted, deduped) log here"
     )
     _add_format_args(p_ingest)
+    p_ingest.add_argument("--collapse-duplicates", action="store_true")
 
     p_analyze = sub.add_parser("analyze", help="run the full pipeline")
     src = p_analyze.add_mutually_exclusive_group(required=True)
@@ -119,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze a generated planted-hub corpus instead of a log",
     )
     _add_format_args(p_analyze)
+    p_analyze.add_argument("--collapse-duplicates", action="store_true")
     p_analyze.add_argument("--nodes", type=int, default=151)
     p_analyze.add_argument("--days", type=int, default=131)
     p_analyze.add_argument("--hubs", type=int, default=10)
@@ -216,8 +223,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "malformed": report.malformed,
         "duplicates_collapsed": report.duplicates_collapsed,
         "nodes": len(stream.node_registry),
-        "first_timestamp": stream.edges[0].timestamp if stream.edges else None,
-        "last_timestamp": stream.edges[-1].timestamp if stream.edges else None,
+        "first_timestamp": int(stream.timestamps[0]) if len(stream) else None,
+        "last_timestamp": int(stream.timestamps[-1]) if len(stream) else None,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -305,9 +312,15 @@ def _read_edge_list(path: str) -> UndirectedGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise IngestError(f"line {line_no}: expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            raise IngestError(
+                f"line {line_no}: expected two integer ids 'u v', got {line!r}"
+            ) from None
+        if u == v:
+            raise IngestError(f"line {line_no}: self-edge on node {u}")
+        edges.append((u, v))
     return UndirectedGraph(edges)
 
 
@@ -320,27 +333,37 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             stream, _ = parse_edge_log(
                 fh, cfg, malformed_threshold=args.malformed_threshold
             )
-        snapshots = build_snapshots(stream)
-        if not snapshots:
+        if not len(stream):
             raise InsufficientDataError("message log is empty")
-        graph = undirected_projection(aggregate(snapshots))
+        graph = undirected_projection(stream)
     if not graph.nodes:
         raise InsufficientDataError("graph has no nodes")
     out_dir = _output_dir(args)
+    curves = {}
     for kind in (s.strip() for s in args.strategies.split(",")):
         if kind not in ROBUSTNESS_KINDS:
             raise ConfigError(f"unknown strategy {kind!r}")
         strategy = RemovalStrategy(
             kind, seed=args.seed, adaptive=not args.static_targeted
         )
-        curve = robustness_curve(
+        curves[kind] = robustness_curve(
             graph,
             strategy,
             args.steps,
             compute_path_length=not args.no_path_length,
         )
-        path = write_robustness_curve(out_dir, kind, map(asdict, curve.points))
-        print(f"wrote {path}")
+
+    def write(stage: Path) -> None:
+        for kind, curve in curves.items():
+            write_robustness_curve(stage, kind, map(asdict, curve.points))
+
+    # a rerun replaces both curve files, so one strategy's old curve never
+    # survives beside a new run of the other
+    write_staged(
+        out_dir, [f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS], write
+    )
+    for kind in curves:
+        print(f"wrote {out_dir / f'robustness_{kind}.dat'}")
     return EXIT_OK
 
 

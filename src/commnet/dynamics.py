@@ -125,7 +125,7 @@ def consecutive_day_correlation(
     correlated against an all-zero vector.
     """
     if len(table.values) < 2:
-        raise ValueError("need at least 2 snapshots")
+        raise ValueError("need at least 2 days")
     rows = table.values.tolist()
     pairs: list[PairCorrelation] = []
     for t in range(len(rows) - 1):
@@ -146,7 +146,7 @@ def consecutive_day_correlation(
 def node_series(table: DegreeTable, node: int) -> DegreeSeries:
     """Per-day degree values of one node, zeros for inactive and empty days."""
     if len(table.values) == 0:
-        raise ValueError("need at least 1 snapshot")
+        raise ValueError("need at least 1 day")
     return DegreeSeries(node, table.direction, tuple(table.column(node).tolist()))
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .temporal import (
     SECONDS_PER_DAY,
-    TemporalEdge,
     TemporalEdgeStream,
     UndirectedGraph,
     date_to_day,
@@ -190,7 +189,7 @@ def generate_hub_corpus(p: HubCorpusParams) -> TemporalEdgeStream:
     origin_day = date_to_day(p.start_date)
     rates = np.full(p.nodes, p.background_rate, dtype=float)
     rates[: p.hubs] = p.hub_rate
-    edges: list[TemporalEdge] = []
+    days: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for d in range(p.days):
         day_start = (origin_day + d) * SECONDS_PER_DAY
         counts = rng.poisson(rates)
@@ -202,8 +201,8 @@ def generate_hub_corpus(p: HubCorpusParams) -> TemporalEdgeStream:
         # shift draws at or above the sender so recipients are uniform over others
         recipients = np.where(recipients >= senders, recipients + 1, recipients)
         stamps = day_start + rng.integers(0, SECONDS_PER_DAY, size=total)
-        for idx in np.argsort(stamps, kind="stable"):
-            edges.append(
-                TemporalEdge(int(senders[idx]), int(recipients[idx]), int(stamps[idx]))
-            )
-    return TemporalEdgeStream(edges)
+        order = np.argsort(stamps, kind="stable")
+        days.append((senders[order], recipients[order], stamps[order]))
+    if not days:
+        return TemporalEdgeStream([], [], [])
+    return TemporalEdgeStream(*(np.concatenate(column) for column in zip(*days)))

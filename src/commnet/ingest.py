@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import datetime as dt
 import re
+from array import array
 from dataclasses import dataclass
 from typing import BinaryIO
 
+import numpy as np
+
 from .errors import IngestError
-from .temporal import TemporalEdge, TemporalEdgeStream
+from .temporal import TemporalEdgeStream
 
 _COLUMNS = ("sender", "recipient", "timestamp")
 
@@ -69,13 +72,17 @@ class IngestReport:
 _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
 _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _SECOND = dt.timedelta(seconds=1)
+_INT64 = range(-(2**63), 2**63)
 
 
 def _parse_timestamp(raw: str, fmt: str) -> int:
     if fmt == "unix":
         if not _UNIX_SECONDS.fullmatch(raw):
             raise ValueError(f"not unix seconds: {raw!r}")
-        return int(raw)
+        value = int(raw)
+        if value not in _INT64:
+            raise ValueError(f"unix seconds outside the int64 range: {raw!r}")
+        return value
     text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
     parsed = dt.datetime.fromisoformat(text)
     if parsed.tzinfo is None:
@@ -112,7 +119,9 @@ def parse_edge_log(
     rows_read = 0
     self_loops = 0
     malformed: list[tuple[int, str]] = []
-    pending: list[tuple[int, str, str]] = []  # (timestamp, sender, recipient)
+    # accepted rows in input order; names get provisional ids by input order
+    stamps, senders, recipients = array("q"), array("q"), array("q")
+    provisional: dict[str, int] = {}
 
     for line_no, raw in enumerate(data.split(b"\n"), start=1):
         if cfg.has_header and line_no == 1:
@@ -145,7 +154,9 @@ def parse_edge_log(
         if sender == recipient:
             self_loops += 1
             continue
-        pending.append((ts, sender, recipient))
+        stamps.append(ts)
+        senders.append(provisional.setdefault(sender, len(provisional)))
+        recipients.append(provisional.setdefault(recipient, len(provisional)))
 
     if rows_read and len(malformed) / rows_read > malformed_threshold:
         preview = ", ".join(str(ln) for ln, _ in malformed[:5])
@@ -154,71 +165,32 @@ def parse_edge_log(
             f"(threshold {malformed_threshold:g}); first bad lines: {preview}"
         )
 
-    pending.sort(key=lambda row: row[0])  # list.sort is stable: ties keep input order
-
+    # one (timestamp, sender, recipient) row per message; ties keep input order
+    columns = (stamps, senders, recipients)
+    rows = np.stack([np.frombuffer(c, dtype=np.int64) for c in columns], axis=1)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
     collapsed = 0
     if collapse_duplicates:
-        seen: set[tuple[int, str, str]] = set()
-        kept: list[tuple[int, str, str]] = []
-        for row in pending:
-            if row in seen:
-                collapsed += 1
-                continue
-            seen.add(row)
-            kept.append(row)
-        pending = kept
+        _, first = np.unique(rows, axis=0, return_index=True)
+        collapsed = len(rows) - len(first)
+        rows = rows[np.sort(first)]
 
-    ids: dict[str, int] = {}
-    labels: dict[int, str] = {}
-
-    def intern(name: str) -> int:
-        node = ids.get(name)
-        if node is None:
-            node = len(ids)
-            ids[name] = node
-            labels[node] = name
-        return node
-
-    edges = [TemporalEdge(intern(s), intern(r), ts) for ts, s, r in pending]
-    stream = TemporalEdgeStream(edges, labels=labels)
-    report = IngestReport(rows_read, len(edges), self_loops, tuple(malformed), collapsed)
+    # dense ids by first appearance in sorted order, sender before recipient
+    _, first = np.unique(rows[:, 1:].ravel(), return_index=True)
+    appearance = rows[:, 1:].ravel()[np.sort(first)]
+    dense = np.empty(len(provisional), dtype=np.int64)
+    dense[appearance] = np.arange(len(appearance))
+    names = list(provisional)
+    stream = TemporalEdgeStream(
+        dense[rows[:, 1]],
+        dense[rows[:, 2]],
+        rows[:, 0],
+        labels={i: names[p] for i, p in enumerate(appearance.tolist())},
+    )
+    report = IngestReport(
+        rows_read, len(stream), self_loops, tuple(malformed), collapsed
+    )
     return stream, report
-
-
-def merge_streams(streams: list[TemporalEdgeStream]) -> TemporalEdgeStream:
-    """Merge streams parsed from separate sources into one sorted stream.
-
-    Rows are matched by their original identifiers (falling back to the
-    stringified id when a stream has no labels) and re-interned into a fresh
-    dense id space. The merge re-sorts; timestamp ties keep source order, then
-    in-stream order, matching what parsing the concatenated sources would do.
-    """
-    rows: list[tuple[int, str, str]] = []
-    for stream in streams:
-        labels = stream.labels or {}
-        for e in stream.edges:
-            rows.append(
-                (
-                    e.timestamp,
-                    labels.get(e.sender, str(e.sender)),
-                    labels.get(e.recipient, str(e.recipient)),
-                )
-            )
-    rows.sort(key=lambda row: row[0])
-
-    ids: dict[str, int] = {}
-    labels_out: dict[int, str] = {}
-
-    def intern(name: str) -> int:
-        node = ids.get(name)
-        if node is None:
-            node = len(ids)
-            ids[name] = node
-            labels_out[node] = name
-        return node
-
-    edges = [TemporalEdge(intern(s), intern(r), ts) for ts, s, r in rows]
-    return TemporalEdgeStream(edges, labels=labels_out)
 
 
 def write_edge_log(
@@ -229,19 +201,20 @@ def write_edge_log(
     """Serialize a stream back to the delimited log format (inverse of parse)."""
     cfg = cfg or LogFormatConfig()
     labels = stream.labels or {}
-    lines: list[str] = []
-    if cfg.has_header:
-        lines.append(cfg.delimiter.join(cfg.columns))
-    for e in stream.edges:
-        if cfg.timestamp_format == "unix":
-            ts = str(e.timestamp)
-        else:
-            ts = dt.datetime.fromtimestamp(e.timestamp, tz=dt.timezone.utc).isoformat()
-        fields = {
-            "sender": labels.get(e.sender, str(e.sender)),
-            "recipient": labels.get(e.recipient, str(e.recipient)),
-            "timestamp": ts,
-        }
-        lines.append(cfg.delimiter.join(fields[c] for c in cfg.columns))
+    name = {u: labels.get(u, str(u)) for u in stream.node_registry.tolist()}
+    if cfg.timestamp_format == "unix":
+        stamps = list(map(str, stream.timestamps.tolist()))
+    else:
+        stamps = [
+            dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).isoformat()
+            for ts in stream.timestamps.tolist()
+        ]
+    fields = {
+        "sender": [name[u] for u in stream.senders.tolist()],
+        "recipient": [name[u] for u in stream.recipients.tolist()],
+        "timestamp": stamps,
+    }
+    lines = [cfg.delimiter.join(cfg.columns)] if cfg.has_header else []
+    lines.extend(map(cfg.delimiter.join, zip(*(fields[c] for c in cfg.columns))))
     lines.append("")  # trailing newline
     sink.write("\n".join(lines).encode("utf-8"))

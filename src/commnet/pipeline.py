@@ -25,7 +25,9 @@ import statistics
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import centrality, dynamics, powerlaw, robustness as robust
 from .errors import (
@@ -36,12 +38,7 @@ from .errors import (
 )
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import IngestReport, LogFormatConfig, parse_edge_log
-from .temporal import (
-    TemporalEdgeStream,
-    aggregate,
-    build_snapshots,
-    undirected_projection,
-)
+from .temporal import TemporalEdgeStream, slice_days, undirected_projection
 
 REPORT_SCHEMA_VERSION = 1
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
@@ -195,19 +192,32 @@ def _ingest_dict(report: IngestReport) -> dict:
     }
 
 
-def _fit_dicts(dmap: centrality.DegreeMap, target: str, xmin: int) -> dict:
-    """OLS and MLE fits for one day or the aggregate; None where unfittable."""
+def _histogram(dmap: centrality.DegreeMap) -> powerlaw.DegreeHistogram | None:
+    try:
+        return powerlaw.histogram(dmap)
+    except EmptyHistogramError:
+        return None
+
+
+def _fit_dicts(
+    dmap: centrality.DegreeMap,
+    hist: powerlaw.DegreeHistogram | None,
+    target: str,
+    xmin: int,
+) -> dict:
+    """OLS (on the histogram) and MLE fits for one day or the aggregate;
+    None where unfittable."""
     out: dict = {"ols": None, "mle": None}
     try:
-        hist = powerlaw.histogram(dmap)
-        fit = powerlaw.fit_ols(hist, target=target, xmin=xmin)
-        out["ols"] = {
-            "gamma": fit.gamma,
-            "r_squared": fit.r_squared,
-            "xmin": fit.xmin,
-            "target": target,
-        }
-    except (EmptyHistogramError, InsufficientSupportError):
+        if hist is not None:
+            fit = powerlaw.fit_ols(hist, target=target, xmin=xmin)
+            out["ols"] = {
+                "gamma": fit.gamma,
+                "r_squared": fit.r_squared,
+                "xmin": fit.xmin,
+                "target": target,
+            }
+    except InsufficientSupportError:
         pass
     try:
         fit = powerlaw.fit_mle_sweep([d for d in dmap.values.values() if d >= 1])
@@ -227,17 +237,18 @@ def run(cfg: PipelineConfig) -> Report:
     cfg.validate()
     stream, source = _acquire_stream(cfg)
 
-    snapshots = build_snapshots(
+    window = slice_days(
         stream,
         cfg.window_start,
         num_days=cfg.window_days,
         tz_offset_seconds=cfg.tz_offset_seconds,
     )
-    non_empty = [s for s in snapshots if not s.is_empty]
+    messages = window.message_counts()
+    non_empty = np.flatnonzero(messages).tolist()
 
-    window = {
-        "start": snapshots[0].date.isoformat() if snapshots else None,
-        "days": len(snapshots),
+    window_info = {
+        "start": window.date(0).isoformat() if window.length else None,
+        "days": window.length,
         "non_empty_days": len(non_empty),
         "tz_offset_seconds": cfg.tz_offset_seconds,
     }
@@ -253,32 +264,35 @@ def run(cfg: PipelineConfig) -> Report:
     )
 
     if not non_empty:
-        report = Report(_config_echo(cfg), window, corpus, labels)
+        report = Report(_config_echo(cfg), window_info, corpus, labels)
         _emit_all(report, cfg)
         return report
 
-    table = centrality.degree_table(snapshots, cfg.direction)
+    table = centrality.degree_table(stream, window, cfg.direction)
 
+    # one histogram per non-empty day and one for the aggregate feed both the
+    # OLS fits and the distribution files
+    day_hists: list[powerlaw.DegreeHistogram | None] = [None] * window.length
     daily_fits = []
-    for t, snap in enumerate(snapshots):
-        if snap.is_empty:
-            continue
+    for t in non_empty:
         dmap = table.day_map(t)
+        day_hists[t] = _histogram(dmap)
         daily_fits.append(
             {
-                "day": snap.day_index,
-                "date": snap.date.isoformat(),
-                "active_nodes": sum(1 for v in dmap.values.values() if v > 0),
-                "messages": snap.message_count,
-                **_fit_dicts(dmap, cfg.fit_target, cfg.fit_xmin),
+                "day": t,
+                "date": window.date(t).isoformat(),
+                "active_nodes": int(np.count_nonzero(table.values[t])),
+                "messages": int(messages[t]),
+                **_fit_dicts(dmap, day_hists[t], cfg.fit_target, cfg.fit_xmin),
             }
         )
 
     agg_map = table.aggregate_map()
-    aggregate_fit = _fit_dicts(agg_map, cfg.fit_target, cfg.fit_xmin)
+    agg_hist = _histogram(agg_map)
+    aggregate_fit = _fit_dicts(agg_map, agg_hist, cfg.fit_target, cfg.fit_xmin)
 
     series = dynamics.consecutive_day_correlation(table) \
-        if len(snapshots) >= 2 else None
+        if window.length >= 2 else None
     correlation = None
     if series is not None:
         defined = series.defined_values
@@ -330,7 +344,7 @@ def run(cfg: PipelineConfig) -> Report:
             }
         )
 
-    projected = undirected_projection(aggregate(snapshots))
+    projected = undirected_projection(stream)
     robustness_section: dict = {}
     for kind in ROBUSTNESS_KINDS:
         strategy = robust.RemovalStrategy(kind, seed=cfg.seed)
@@ -343,7 +357,7 @@ def run(cfg: PipelineConfig) -> Report:
 
     report = Report(
         config=_config_echo(cfg),
-        window=window,
+        window=window_info,
         corpus=corpus,
         labels=labels,
         daily_fits=daily_fits,
@@ -357,7 +371,7 @@ def run(cfg: PipelineConfig) -> Report:
         robustness=robustness_section,
         sections_empty=False,
     )
-    _emit_all(report, cfg, table)
+    _emit_all(report, cfg, table, day_hists, agg_hist)
     return report
 
 
@@ -400,11 +414,8 @@ def _distribution_rows(hist: powerlaw.DegreeHistogram) -> list[tuple]:
 _DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
 
 
-def _distribution(dmap: centrality.DegreeMap) -> str:
-    try:
-        rows = _distribution_rows(powerlaw.histogram(dmap))
-    except EmptyHistogramError:
-        rows = []
+def _distribution(hist: powerlaw.DegreeHistogram | None) -> str:
+    rows = _distribution_rows(hist) if hist is not None else []
     return format_columns(_DIST_HEADER, rows)
 
 
@@ -423,10 +434,13 @@ def emit_plot_data(
     report: Report,
     output_dir: Path,
     table: centrality.DegreeTable | None = None,
+    day_hists: Sequence[powerlaw.DegreeHistogram | None] = (),
+    agg_hist: powerlaw.DegreeHistogram | None = None,
 ) -> None:
     """Write one columnar plot-data file per report section; empty sections
-    produce header-only files. Degree distributions and hub series are read
-    from the run's degree table (None for an empty window)."""
+    produce header-only files. Hub series are read from the run's degree
+    table (None for an empty window), degree distributions from the run's
+    per-day histograms (None for an empty day) and aggregate histogram."""
     corr_rows: list[tuple] = []
     if report.correlation:
         for p in report.correlation["pairs"]:
@@ -436,20 +450,15 @@ def emit_plot_data(
         format_columns(("day_a", "day_b", "r"), corr_rows),
     )
 
-    _write(
-        output_dir / "degree_distribution_aggregate.dat",
-        _distribution(table.aggregate_map())
-        if table is not None
-        else format_columns(_DIST_HEADER, []),
-    )
+    _write(output_dir / "degree_distribution_aggregate.dat", _distribution(agg_hist))
+    for t, hist in enumerate(day_hists):
+        if hist is not None:
+            _write(
+                output_dir / "day_distributions" / f"day_{t:04d}.dat",
+                _distribution(hist),
+            )
 
     if table is not None:
-        for t, row in enumerate(table.values):
-            if row.any():
-                _write(
-                    output_dir / "day_distributions" / f"day_{t:04d}.dat",
-                    _distribution(table.day_map(t)),
-                )
         for entry in report.concentration["top"]:
             node = entry["node"]
             _write(
@@ -502,22 +511,46 @@ def emit_plot_data(
         write_robustness_curve(output_dir, kind, section["points"])
 
 
-def _emit_all(
-    report: Report,
-    cfg: PipelineConfig,
-    table: centrality.DegreeTable | None = None,
+def write_staged(
+    output_dir: Path, names: Iterable[str], write: Callable[[Path], None]
 ) -> None:
-    """Stage every file of the run, then swap the staged names into place."""
-    out = Path(cfg.output_dir)
+    """Let ``write`` fill a staging directory inside ``output_dir``, then
+    swap each of ``names`` into place: a previous file or directory of that
+    name is replaced, or removed when the new run did not write it. Other
+    files in ``output_dir`` are left alone; if ``write`` fails, nothing in
+    ``output_dir`` changes."""
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".commnet-", dir=out))
     try:
         new, old = stage / "new", stage / "old"
+        new.mkdir()
+        write(new)
+        old.mkdir()
+        for name in names:
+            if (out / name).exists():
+                os.replace(out / name, old / name)
+            if (new / name).exists():
+                os.replace(new / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _emit_all(
+    report: Report,
+    cfg: PipelineConfig,
+    table: centrality.DegreeTable | None = None,
+    day_hists: Sequence[powerlaw.DegreeHistogram | None] = (),
+    agg_hist: powerlaw.DegreeHistogram | None = None,
+) -> None:
+    """Stage every file of the run, then swap the names it owns into place."""
+
+    def write(new: Path) -> None:
         _write(
             new / "report.json",
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
         )
-        emit_plot_data(report, new, table)
+        emit_plot_data(report, new, table, day_hists, agg_hist)
         run_info = {
             "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "note": "wall-clock metadata; excluded from determinism guarantees",
@@ -526,11 +559,5 @@ def _emit_all(
             new / RUN_INFO_FILENAME,
             json.dumps(run_info, indent=2, sort_keys=True) + "\n",
         )
-        old.mkdir()
-        for name in OWNED_NAMES:
-            if (out / name).exists():
-                os.replace(out / name, old / name)
-            if (new / name).exists():
-                os.replace(new / name, out / name)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+
+    write_staged(cfg.output_dir, OWNED_NAMES, write)

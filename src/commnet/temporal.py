@@ -1,17 +1,22 @@
 """Temporal communication-graph model.
 
-Message events are bucketed into calendar-day snapshots, which aggregate into
-a single multigraph over the observation window. Day boundaries are half-open
-intervals [00:00:00, 24:00:00) of the configured clock (UTC plus an optional
-fixed offset). All containers are immutable after construction and safe to
-share across concurrent readers.
+A message stream is held as three aligned int64 columns (sender, recipient,
+timestamp) sorted by timestamp. Slicing it into calendar days gives one day
+index per message over a contiguous window; daily and aggregate quantities
+are computed from those arrays in vectorized passes. Day boundaries are
+half-open intervals [00:00:00, 24:00:00) of the configured clock (UTC plus an
+optional fixed offset). Streams, windows and graphs are immutable after
+construction (their arrays are not writeable) and safe to share across
+concurrent readers.
 """
 from __future__ import annotations
 
 import datetime as dt
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import OrderingError, WindowError
 
@@ -19,8 +24,9 @@ SECONDS_PER_DAY = 86_400
 _EPOCH = dt.date(1970, 1, 1)
 
 
-def day_number(timestamp: int, tz_offset_seconds: int = 0) -> int:
-    """Epoch-day index of a unix timestamp under the configured fixed offset."""
+def day_number(timestamp, tz_offset_seconds: int = 0):
+    """Epoch-day index of a unix timestamp (or an array of them) under the
+    configured fixed offset."""
     # floor division implements the half-open day convention exactly
     return (timestamp + tz_offset_seconds) // SECONDS_PER_DAY
 
@@ -33,101 +39,132 @@ def date_to_day(d: dt.date) -> int:
     return (d - _EPOCH).days
 
 
-@dataclass(frozen=True)
-class TemporalEdge:
-    """One message event, sender to recipient, at a UTC instant (unix seconds)."""
-
-    sender: int
-    recipient: int
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        if self.sender == self.recipient:
-            raise ValueError(f"self-loop edge on node {self.sender}")
+def _frozen(values: ArrayLike) -> np.ndarray:
+    """A read-only int64 copy."""
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 class TemporalEdgeStream:
-    """Timestamp-ordered message events plus the registry of every node seen.
+    """Timestamp-ordered message events as columns, plus the node registry.
 
-    The registry is exactly the union of senders and recipients. ``labels``
-    optionally maps dense node ids back to the source identifiers they were
-    assigned from.
+    Message ``i`` goes from ``senders[i]`` to ``recipients[i]`` at
+    ``timestamps[i]`` (unix seconds). ``node_registry`` is the sorted union of
+    senders and recipients. ``labels`` optionally maps dense node ids back to
+    the source identifiers they were assigned from.
     """
 
-    __slots__ = ("edges", "node_registry", "labels")
+    __slots__ = ("senders", "recipients", "timestamps", "node_registry", "labels")
 
     def __init__(
         self,
-        edges: Iterable[TemporalEdge],
+        senders: ArrayLike,
+        recipients: ArrayLike,
+        timestamps: ArrayLike,
         labels: Mapping[int, str] | None = None,
     ) -> None:
-        edge_tuple = tuple(edges)
-        last = None
-        for i, e in enumerate(edge_tuple):
-            if last is not None and e.timestamp < last:
-                raise OrderingError(
-                    f"edge {i} breaks timestamp order ({e.timestamp} < {last})"
-                )
-            last = e.timestamp
-        registry: set[int] = set()
-        for e in edge_tuple:
-            registry.add(e.sender)
-            registry.add(e.recipient)
-        self.edges = edge_tuple
-        self.node_registry = frozenset(registry)
+        self.senders = _frozen(senders)
+        self.recipients = _frozen(recipients)
+        self.timestamps = _frozen(timestamps)
+        if not len(self.senders) == len(self.recipients) == len(self.timestamps):
+            raise ValueError("sender, recipient and timestamp columns differ in length")
+        back = np.flatnonzero(np.diff(self.timestamps) < 0)
+        if back.size:
+            i = int(back[0]) + 1
+            raise OrderingError(
+                f"edge {i} breaks timestamp order "
+                f"({self.timestamps[i]} < {self.timestamps[i - 1]})"
+            )
+        loops = np.flatnonzero(self.senders == self.recipients)
+        if loops.size:
+            raise ValueError(f"self-loop edge on node {self.senders[loops[0]]}")
+        self.node_registry = _frozen(np.union1d(self.senders, self.recipients))
         self.labels = dict(labels) if labels is not None else None
 
     def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self) -> Iterator[TemporalEdge]:
-        return iter(self.edges)
+        return len(self.timestamps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalEdgeStream):
             return NotImplemented
-        return self.edges == other.edges and self.labels == other.labels
+        return (
+            np.array_equal(self.senders, other.senders)
+            and np.array_equal(self.recipients, other.recipients)
+            and np.array_equal(self.timestamps, other.timestamps)
+            and self.labels == other.labels
+        )
 
     def __repr__(self) -> str:
         return (
-            f"TemporalEdgeStream({len(self.edges)} edges, "
+            f"TemporalEdgeStream({len(self)} edges, "
             f"{len(self.node_registry)} nodes)"
         )
 
 
-@dataclass(frozen=True)
-class DailySnapshot:
-    """Directed multigraph of one calendar day.
+@dataclass(frozen=True, eq=False)
+class DayWindow:
+    """A stream sliced into ``length`` contiguous calendar days.
 
-    ``edges`` maps (sender, recipient) to its message count for the day.
-    ``nodes`` is the parent stream's full registry, so degree maps can carry
-    zero entries for inactive nodes.
+    ``day[i]`` is the window day (0 .. length-1) of message ``i``; window day
+    0 is epoch day ``origin``. Days without messages stay in the window, so
+    the day index is contiguous.
     """
 
-    day_index: int
-    date: dt.date
-    edges: Mapping[tuple[int, int], int]
-    nodes: frozenset[int]
+    day: np.ndarray  # int64, one entry per message, not writeable
+    origin: int
+    length: int
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
+    def date(self, day: int) -> dt.date:
+        return day_date(self.origin + day)
 
-    @property
-    def message_count(self) -> int:
-        return sum(self.edges.values())
+    def message_counts(self) -> np.ndarray:
+        """Messages per window day."""
+        return np.bincount(self.day, minlength=self.length)
 
 
-@dataclass(frozen=True)
-class AggregateGraph:
-    """Union of daily snapshots: multiplicities summed over the whole window."""
+def slice_days(
+    stream: TemporalEdgeStream,
+    day_origin: dt.date | None = None,
+    *,
+    num_days: int | None = None,
+    tz_offset_seconds: int = 0,
+) -> DayWindow:
+    """Assign every message of a stream to a calendar day of one window.
 
-    edges: Mapping[tuple[int, int], int]
-    nodes: frozenset[int]
+    The window runs from ``day_origin`` (default: the first edge's day)
+    through the last edge's day, or through ``day_origin + num_days - 1`` when
+    ``num_days`` is given. An empty stream gives an empty window unless
+    ``num_days`` is set, which then needs ``day_origin``.
 
-    @property
-    def message_count(self) -> int:
-        return sum(self.edges.values())
+    Raises WindowError if an edge falls before ``day_origin`` or past the end
+    of an explicit ``num_days`` window.
+    """
+    if num_days is not None and num_days < 1:
+        raise ValueError("num_days must be >= 1")
+
+    day = day_number(stream.timestamps, tz_offset_seconds)
+    if not len(day):
+        if num_days is None:
+            return DayWindow(_frozen(day), 0, 0)
+        if day_origin is None:
+            raise ValueError("day_origin is required to window an empty stream")
+        return DayWindow(_frozen(day), date_to_day(day_origin), num_days)
+
+    first_day, last_day = int(day[0]), int(day[-1])
+    origin = first_day if day_origin is None else date_to_day(day_origin)
+    if origin > first_day:
+        raise WindowError(
+            f"day_origin {day_date(origin)} is after the first edge's day "
+            f"{day_date(first_day)}"
+        )
+    end_day = last_day if num_days is None else origin + num_days - 1
+    if last_day > end_day:
+        raise WindowError(
+            f"edges extend to {day_date(last_day)}, past the "
+            f"{num_days}-day window ending {day_date(end_day)}"
+        )
+    return DayWindow(_frozen(day - origin), origin, end_day - origin + 1)
 
 
 class UndirectedGraph:
@@ -169,76 +206,13 @@ class UndirectedGraph:
         return f"UndirectedGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
 
-def build_snapshots(
-    stream: TemporalEdgeStream,
-    day_origin: dt.date | None = None,
-    *,
-    num_days: int | None = None,
-    tz_offset_seconds: int = 0,
-) -> list[DailySnapshot]:
-    """Slice a stream into one snapshot per calendar day.
-
-    Days run from ``day_origin`` (default: the first edge's day) through the
-    last edge's day, or through ``day_origin + num_days - 1`` when ``num_days``
-    is given. Days without messages are materialized as empty snapshots so the
-    day index stays contiguous.
-
-    Raises WindowError if an edge falls before ``day_origin`` or past the end
-    of an explicit ``num_days`` window.
-    """
-    if num_days is not None and num_days < 1:
-        raise ValueError("num_days must be >= 1")
-
-    if not stream.edges:
-        if num_days is None:
-            return []
-        if day_origin is None:
-            raise ValueError("day_origin is required to window an empty stream")
-        origin = date_to_day(day_origin)
-        return [
-            DailySnapshot(i, day_date(origin + i), {}, stream.node_registry)
-            for i in range(num_days)
-        ]
-
-    first_day = day_number(stream.edges[0].timestamp, tz_offset_seconds)
-    last_day = day_number(stream.edges[-1].timestamp, tz_offset_seconds)
-    origin = first_day if day_origin is None else date_to_day(day_origin)
-    if origin > first_day:
-        raise WindowError(
-            f"day_origin {day_date(origin)} is after the first edge's day "
-            f"{day_date(first_day)}"
-        )
-    end_day = last_day if num_days is None else origin + num_days - 1
-    if last_day > end_day:
-        raise WindowError(
-            f"edges extend to {day_date(last_day)}, past the "
-            f"{num_days}-day window ending {day_date(end_day)}"
-        )
-
-    buckets: dict[int, Counter[tuple[int, int]]] = {}
-    for e in stream.edges:
-        idx = day_number(e.timestamp, tz_offset_seconds) - origin
-        buckets.setdefault(idx, Counter())[(e.sender, e.recipient)] += 1
-
-    return [
-        DailySnapshot(
-            i, day_date(origin + i), dict(buckets.get(i, {})), stream.node_registry
-        )
-        for i in range(end_day - origin + 1)
-    ]
-
-
-def aggregate(snapshots: Iterable[DailySnapshot]) -> AggregateGraph:
-    """Union of snapshots; multiplicity of each pair is the sum across days."""
-    totals: Counter[tuple[int, int]] = Counter()
-    nodes: set[int] = set()
-    for snap in snapshots:
-        totals.update(snap.edges)
-        nodes |= snap.nodes
-    return AggregateGraph(dict(totals), frozenset(nodes))
-
-
-def undirected_projection(g: AggregateGraph | DailySnapshot) -> UndirectedGraph:
+def undirected_projection(stream: TemporalEdgeStream) -> UndirectedGraph:
     """Collapse directions and multiplicities: {u,v} present iff any message passed."""
-    pairs = {(u, v) if u < v else (v, u) for (u, v) in g.edges}
-    return UndirectedGraph(pairs, nodes=g.nodes)
+    nodes = stream.node_registry
+    lo = np.searchsorted(nodes, np.minimum(stream.senders, stream.recipients))
+    hi = np.searchsorted(nodes, np.maximum(stream.senders, stream.recipients))
+    pairs = np.unique(lo * len(nodes) + hi)
+    return UndirectedGraph(
+        zip(nodes[pairs // len(nodes)].tolist(), nodes[pairs % len(nodes)].tolist()),
+        nodes=nodes.tolist(),
+    )

@@ -24,12 +24,7 @@ def micro_stream():
 
 
 @pytest.fixture(scope="session")
-def micro_snapshots(micro_stream):
-    snaps = cn.build_snapshots(micro_stream)
-    assert len(snaps) == brute.N_DAYS
-    return snaps
-
-
-@pytest.fixture(scope="session")
-def micro_aggregate(micro_snapshots):
-    return cn.aggregate(micro_snapshots)
+def micro_window(micro_stream):
+    window = cn.slice_days(micro_stream)
+    assert window.length == brute.N_DAYS
+    return window

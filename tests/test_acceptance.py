@@ -14,6 +14,7 @@ from scipy import stats
 
 import commnet as cn
 from commnet.pipeline import RUN_INFO_FILENAME, PipelineConfig, run
+from commnet.temporal import SECONDS_PER_DAY, date_to_day
 
 from . import brute
 
@@ -132,18 +133,19 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
             nodes=151, days=131, hubs=10, hub_rate=40.0, background_rate=1.0, seed=0
         )
     )
-    snaps = cn.build_snapshots(stream)
-    assert len(snaps) == 131
+    window = cn.slice_days(stream)
+    assert window.length == 131
+    table = cn.degree_table(stream, window, "out")
 
-    series = cn.consecutive_day_correlation(cn.degree_table(snaps, "out"))
+    series = cn.consecutive_day_correlation(table)
     median_r = statistics.median(series.defined_values)
     assert median_r > 0.8
 
     # identity-shuffled control: permute node identity per day, destroying
     # cross-day alignment while preserving each day's degree multiset
-    registry = sorted(snaps[0].nodes)
+    registry = list(table.nodes)
     vectors = [
-        [cn.degree(s, "out").values[u] for u in registry] for s in snaps
+        [table.day_map(t).values[u] for u in registry] for t in range(window.length)
     ]
     rng = np.random.default_rng(1234)
     control = []
@@ -155,13 +157,10 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
     control_median = statistics.median(control)
     assert abs(control_median) < 0.2
 
-    agg = cn.aggregate(snaps)
-    consistency, _ = cn.daily_vs_aggregate_consistency(
-        cn.degree_table(snaps, "out"), 10
-    )
+    consistency, _ = cn.daily_vs_aggregate_consistency(table, 10)
     assert consistency.count == 10
 
-    dmap = cn.degree(agg, "out")
+    dmap = table.aggregate_map()
     share = cn.degree_share(dmap, cn.top_k(dmap, 10))
     assert share >= 0.5
 
@@ -174,17 +173,16 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
     )
 
 
-def test_criterion_6_hand_oracle_equivalence(
-    micro_stream, micro_snapshots, micro_aggregate
-):
+def test_criterion_6_hand_oracle_equivalence(micro_stream, micro_window):
     tol = 1e-9
 
     # degrees: every direction, every day, plus the aggregate
     for direction in ("out", "in", "total"):
-        for day, snap in enumerate(micro_snapshots):
-            got = cn.degree(snap, direction).values
+        table = cn.degree_table(micro_stream, micro_window, direction)
+        for day in range(micro_window.length):
+            got = table.day_map(day).values
             assert got == brute.degrees(day, direction), (direction, day)
-        agg_map = cn.degree(micro_aggregate, direction).values
+        agg_map = table.aggregate_map().values
         assert agg_map == brute.degrees(None, direction)
 
     # top-k rank lists and degree shares
@@ -197,7 +195,9 @@ def test_criterion_6_hand_oracle_equivalence(
             assert abs(share - brute.degree_share(values, k)) < tol
 
     # consecutive-day correlations
-    series = cn.consecutive_day_correlation(cn.degree_table(micro_snapshots, "out"))
+    series = cn.consecutive_day_correlation(
+        cn.degree_table(micro_stream, micro_window, "out")
+    )
     expected_rs = brute.consecutive_correlations("out")
     assert len(series.pairs) == len(expected_rs)
     for pair, expected in zip(series.pairs, expected_rs):
@@ -206,7 +206,7 @@ def test_criterion_6_hand_oracle_equivalence(
 
     # node series statistics and CV for every node
     for node in range(5):
-        ns = cn.node_series(cn.degree_table(micro_snapshots, "out"), node)
+        ns = cn.node_series(cn.degree_table(micro_stream, micro_window, "out"), node)
         assert list(ns.values) == brute.node_values(node, "out")
         mean, std, cv = brute.series_stats(ns.values)
         assert abs(ns.mean - mean) < tol
@@ -223,13 +223,15 @@ def test_criterion_6_hand_oracle_equivalence(
                 la = cn.top_k(cn.DegreeMap(brute.degrees(a, "out"), "out"), k)
                 lb = cn.top_k(cn.DegreeMap(brute.degrees(b, "out"), "out"), k)
                 assert cn.rank_overlap(la, lb).count == brute.overlap_count(a, b, k)
-        table = cn.overlap_vs_k(cn.degree_table(micro_snapshots, "out"), [k])
+        table = cn.overlap_vs_k(
+            cn.degree_table(micro_stream, micro_window, "out"), [k]
+        )
         assert abs(table[k] - brute.mean_overlap(k)) < tol
 
     # daily/aggregate consistency and the frequency table
     for k in (1, 2, 3):
         result, freq = cn.daily_vs_aggregate_consistency(
-            cn.degree_table(micro_snapshots, "out"), k
+            cn.degree_table(micro_stream, micro_window, "out"), k
         )
         assert result.count == brute.consistency_count(k)
         assert freq == brute.top_frequency(k)
@@ -242,16 +244,12 @@ def test_criterion_7_closed_form_spot_checks():
     for n in (4, 131):
         values = [0] * n
         values[1] = 7
+        day_1 = (date_to_day(brute.BASE_DATE) + 1) * SECONDS_PER_DAY
+        stream = cn.TemporalEdgeStream([0] * 7, [1] * 7, [day_1] * 7)
         series = cn.node_series(
-            cn.degree_table([
-                cn.DailySnapshot(
-                    i,
-                    brute.BASE_DATE,
-                    {(0, 1): 7} if i == 1 else {},
-                    frozenset({0, 1}),
-                )
-                for i in range(n)
-            ]),
+            cn.degree_table(
+                stream, cn.slice_days(stream, brute.BASE_DATE, num_days=n)
+            ),
             0,
         )
         assert series.cv == pytest.approx(math.sqrt(n - 1), rel=1e-12)

@@ -2,15 +2,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commnet import DailySnapshot, DegreeMap, degree, degree_share, top_k
+from commnet import (
+    DegreeMap,
+    TemporalEdgeStream,
+    degree_share,
+    degree_table,
+    slice_days,
+    top_k,
+)
 from commnet.temporal import day_date
 
 
-def snap(edges, nodes):
-    return DailySnapshot(0, day_date(0), edges, frozenset(nodes))
+def degree(edges, direction, *, day=0, num_days=1):
+    """Degree map of window day ``day`` when all messages {(u, v): count}
+    fall on day 0 of a ``num_days`` window."""
+    pairs = [pair for pair, count in edges.items() for _ in range(count)]
+    stream = TemporalEdgeStream(
+        [u for u, _ in pairs], [v for _, v in pairs], [0] * len(pairs)
+    )
+    window = slice_days(stream, day_date(0), num_days=num_days)
+    return degree_table(stream, window, direction).day_map(day)
 
 
-SNAP = snap({(0, 1): 2, (0, 2): 1}, {0, 1, 2})
+SNAP = {(0, 1): 2, (0, 2): 1}
 
 
 def test_out_degree_counts_messages():
@@ -29,7 +43,7 @@ def test_total_degree():
 
 
 def test_empty_snapshot_all_zeros():
-    d = degree(snap({}, {0, 1, 2}), "out")
+    d = degree(SNAP, "out", day=1, num_days=2)
     assert d.values == {0: 0, 1: 0, 2: 0}
 
 
@@ -74,11 +88,13 @@ def test_degree_share_rejects_foreign_rank_list():
         degree_share(d, top_k(other, 1))
 
 
-def test_degree_conservation(micro_snapshots):
-    for s in micro_snapshots:
-        out = degree(s, "out")
-        inn = degree(s, "in")
-        assert out.total == inn.total == s.message_count
+def test_degree_conservation(micro_stream, micro_window):
+    out_table = degree_table(micro_stream, micro_window, "out")
+    in_table = degree_table(micro_stream, micro_window, "in")
+    for t, message_count in enumerate(micro_window.message_counts().tolist()):
+        out = out_table.day_map(t)
+        inn = in_table.day_map(t)
+        assert out.total == inn.total == message_count
 
 
 degree_maps = st.dictionaries(

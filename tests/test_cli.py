@@ -145,13 +145,21 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (out_dir / "report.json").exists()
 
 
-def test_ingest_error_exit_code(tmp_path):
+def test_ingest_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.log"
     bad.write_text("not,even\nclose\n")
     rc = main(["ingest", "--input", str(bad)])
     assert rc == 3
     rc = main(["ingest", "--input", str(tmp_path / "missing.log")])
     assert rc == 3
+    # a bad edge-list line is an ingest error naming the line, whatever is wrong
+    edges = tmp_path / "bad.edges"
+    for line in ("0 1 2", "1 x", "2 2"):
+        edges.write_text(f"0 1\n{line}\n")
+        capsys.readouterr()
+        rc = main(["robustness", "--edges", str(edges), "--output-dir", str(tmp_path)])
+        assert rc == 3, line
+        assert "line 2" in capsys.readouterr().err, line
 
 
 def test_ingest_writes_normalized_log(tmp_path, capsys):
@@ -182,6 +190,23 @@ def test_robustness_on_edge_list(tmp_path):
     assert len(targeted) == 3
     # removing the hub at 20% leaves isolated leaves: giant fraction 1/5
     assert targeted[2].split()[1] == "0.2"
+
+
+def test_robustness_rerun_replaces_both_curves(tmp_path):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n0 2\n0 3\n0 4\n1 2\n")
+    out_dir = tmp_path / "rob"
+    (out_dir / "keep").mkdir(parents=True)
+    args = ["robustness", "--edges", str(edges), "--output-dir", str(out_dir)]
+    assert main([*args, "--steps", "0.0"]) == 0
+    assert (out_dir / "robustness_targeted.dat").exists()
+    assert main([*args, "--strategies", "random", "--steps", "0.0,0.5"]) == 0
+    # the first run's targeted curve is gone, not left beside the new random one
+    assert not (out_dir / "robustness_targeted.dat").exists()
+    assert len((out_dir / "robustness_random.dat").read_text().splitlines()) == 3
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "keep", "robustness_random.dat"
+    ]
 
 
 def test_robustness_from_message_log(tmp_path):

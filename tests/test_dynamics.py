@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import commnet as cn
 from commnet import (
-    DailySnapshot,
     DegreeMap,
+    DegreeTable,
     RankList,
     Stability,
     classify_stability,
@@ -24,13 +24,23 @@ from commnet import (
 )
 from commnet.dynamics import DegreeSeries
 from commnet.errors import UnknownNodeError
-from commnet.temporal import day_date
 
 from . import brute
 
 
 def snap(i, edges, nodes):
-    return DailySnapshot(i, day_date(i), edges, frozenset(nodes))
+    """Day i as a one-row out-degree table over the registry ``nodes``, built
+    directly: these registries include nodes that send and receive nothing."""
+    nodes = tuple(sorted(nodes))
+    row = [sum(m for (u, _), m in edges.items() if u == node) for node in nodes]
+    return DegreeTable(nodes, np.array([row], dtype=np.int64), "out")
+
+
+def days_table(snaps):
+    """Stack one-row day tables, in order, into one window's table."""
+    return DegreeTable(
+        snaps[0].nodes, np.concatenate([s.values for s in snaps]), "out"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +99,7 @@ def test_identical_days_correlate_perfectly():
     nodes = {0, 1, 2}
     s0 = snap(0, {(0, 1): 2, (1, 2): 1}, nodes)
     s1 = snap(1, {(0, 1): 2, (1, 2): 1}, nodes)
-    series = consecutive_day_correlation(degree_table([s0, s1]))
+    series = consecutive_day_correlation(days_table([s0, s1]))
     assert series.pairs[0].r == pytest.approx(1.0)
     assert series.policy == "full-registry"
 
@@ -99,7 +109,7 @@ def test_rank_inversion_matches_hand_computation():
     nodes = {0, 1, 2, 3, 4}
     s0 = snap(0, {(0, 2): 1, (1, 2): 2}, nodes)
     s1 = snap(1, {(0, 2): 2, (1, 2): 1}, nodes)
-    series = consecutive_day_correlation(degree_table([s0, s1]))
+    series = consecutive_day_correlation(days_table([s0, s1]))
     expected = brute.pearson([1, 2, 0, 0, 0], [2, 1, 0, 0, 0])
     assert series.pairs[0].r == pytest.approx(expected)
     assert series.pairs[0].r < 1.0
@@ -110,18 +120,18 @@ def test_empty_day_excluded():
     s0 = snap(0, {(0, 1): 1}, nodes)
     s1 = snap(1, {}, nodes)
     s2 = snap(2, {(0, 1): 3}, nodes)
-    series = consecutive_day_correlation(degree_table([s0, s1, s2]))
+    series = consecutive_day_correlation(days_table([s0, s1, s2]))
     assert [p.excluded for p in series.pairs] == [True, True]
     assert series.values == ()
     with pytest.raises(ValueError):
-        consecutive_day_correlation(degree_table([s0]))
+        consecutive_day_correlation(days_table([s0]))
 
 
 def test_zero_variance_pair_flagged_undefined():
     nodes = {0, 1}
     s0 = snap(0, {(0, 1): 1, (1, 0): 1}, nodes)  # both out-degrees equal
     s1 = snap(1, {(0, 1): 2}, nodes)
-    series = consecutive_day_correlation(degree_table([s0, s1]))
+    series = consecutive_day_correlation(days_table([s0, s1]))
     assert series.pairs[0].r is None
     assert not series.pairs[0].excluded
 
@@ -130,7 +140,7 @@ def test_active_only_policy():
     nodes = {0, 1, 2, 3}
     s0 = snap(0, {(0, 1): 1, (1, 0): 2}, nodes)
     s1 = snap(1, {(0, 1): 2, (1, 0): 1}, nodes)
-    series = consecutive_day_correlation(degree_table([s0, s1]), active_only=True)
+    series = consecutive_day_correlation(days_table([s0, s1]), active_only=True)
     assert series.policy == "active-union"
     # restricted to {0, 1}: vectors (1,2) and (2,1)
     assert series.pairs[0].r == pytest.approx(-1.0)
@@ -142,11 +152,14 @@ def test_planted_hubs_correlate_and_shuffle_control_does_not():
             nodes=60, days=40, hubs=5, hub_rate=30.0, background_rate=1.0, seed=4
         )
     )
-    snaps = cn.build_snapshots(stream)
-    series = consecutive_day_correlation(degree_table(snaps))
+    table = degree_table(stream, cn.slice_days(stream))
+    series = consecutive_day_correlation(table)
     assert statistics.median(series.defined_values) > 0.8
-    registry = sorted(snaps[0].nodes)
-    vecs = [[cn.degree(s, "out").values[u] for u in registry] for s in snaps]
+    registry = list(table.nodes)
+    vecs = [
+        [table.day_map(t).values[u] for u in registry]
+        for t in range(len(table.values))
+    ]
     rng = np.random.default_rng(99)
     control = []
     for a, b in zip(vecs, vecs[1:]):
@@ -165,7 +178,7 @@ def test_planted_hubs_correlate_and_shuffle_control_does_not():
 def test_absent_node_series():
     nodes = {0, 1, 9}
     snaps = [snap(i, {(0, 1): 1}, nodes) for i in range(4)]
-    series = node_series(degree_table(snaps), 9)
+    series = node_series(days_table(snaps), 9)
     assert series.values == (0, 0, 0, 0)
     assert series.mean == 0
     assert series.cv is None
@@ -175,7 +188,7 @@ def test_absent_node_series():
 def test_constant_series_cv_zero():
     nodes = {0, 1}
     snaps = [snap(i, {(0, 1): 5}, nodes) for i in range(10)]
-    series = node_series(degree_table(snaps), 0)
+    series = node_series(days_table(snaps), 0)
     assert series.values == (5,) * 10
     assert series.cv == 0.0
     assert classify_stability(series) is Stability.STABLE
@@ -189,7 +202,7 @@ def test_spike_series_hand_values():
         snap(2, {(0, 1): 12}, nodes),
         snap(3, {}, nodes),
     ]
-    series = node_series(degree_table(snaps), 0)
+    series = node_series(days_table(snaps), 0)
     assert series.values == (0, 0, 12, 0)
     assert series.mean == pytest.approx(3.0)
     assert series.stddev == pytest.approx(math.sqrt(27), abs=1e-9)
@@ -199,7 +212,7 @@ def test_spike_series_hand_values():
 def test_unknown_node():
     snaps = [snap(0, {(0, 1): 1}, {0, 1})]
     with pytest.raises(UnknownNodeError):
-        node_series(degree_table(snaps), 77)
+        node_series(days_table(snaps), 77)
 
 
 def test_one_hot_series_is_fluctuating():
@@ -269,7 +282,7 @@ def test_overlap_vs_k_identical_days():
     nodes = {0, 1, 2, 3}
     edges = {(0, 1): 4, (1, 2): 3, (2, 3): 2, (3, 0): 1}
     snaps = [snap(i, edges, nodes) for i in range(3)]
-    result = overlap_vs_k(degree_table(snaps), [1, 2, 4])
+    result = overlap_vs_k(days_table(snaps), [1, 2, 4])
     assert all(v == pytest.approx(1.0) for v in result.values())
 
 
@@ -277,21 +290,21 @@ def test_overlap_vs_k_disjoint_days():
     nodes = set(range(8))
     s0 = snap(0, {(0, 1): 3, (2, 3): 1}, nodes)
     s1 = snap(1, {(4, 5): 2, (6, 7): 1}, nodes)
-    result = overlap_vs_k(degree_table([s0, s1]), [1, 2])
+    result = overlap_vs_k(days_table([s0, s1]), [1, 2])
     assert result == {1: 0.0, 2: 0.0}
 
 
 def test_overlap_vs_k_single_day_is_undefined():
     snaps = [snap(0, {(0, 1): 1}, {0, 1})]
-    assert overlap_vs_k(degree_table(snaps), [1]) == {1: None}
+    assert overlap_vs_k(days_table(snaps), [1]) == {1: None}
 
 
 def test_overlap_vs_k_validation():
     snaps = [snap(0, {(0, 1): 1}, {0, 1})]
     with pytest.raises(ValueError):
-        overlap_vs_k(degree_table(snaps), [3, 2])
+        overlap_vs_k(days_table(snaps), [3, 2])
     with pytest.raises(ValueError):
-        overlap_vs_k(degree_table(snaps), [0, 2])
+        overlap_vs_k(days_table(snaps), [0, 2])
 
 
 def test_overlap_nested_prefix_corpus_non_decreasing():
@@ -300,7 +313,7 @@ def test_overlap_nested_prefix_corpus_non_decreasing():
     nodes = set(range(10))
     edges = {(u, (u + 1) % 10): 10 - u for u in range(10)}
     snaps = [snap(i, edges, nodes) for i in range(4)]
-    result = overlap_vs_k(degree_table(snaps), [2, 4, 8])
+    result = overlap_vs_k(days_table(snaps), [2, 4, 8])
     values = [result[k] for k in (2, 4, 8)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -313,8 +326,7 @@ def test_overlap_increases_with_k_on_hub_corpus():
             nodes=151, days=60, hubs=25, hub_rate=40.0, background_rate=1.0, seed=0
         )
     )
-    snaps = cn.build_snapshots(stream)
-    result = overlap_vs_k(degree_table(snaps), [5, 10, 20])
+    result = overlap_vs_k(degree_table(stream, cn.slice_days(stream)), [5, 10, 20])
     assert result[5] < result[10] < result[20]
 
 
@@ -326,15 +338,17 @@ def test_overlap_increases_with_k_on_hub_corpus():
 def test_single_day_consistency_is_total():
     nodes = {0, 1, 2}
     snaps = [snap(0, {(0, 1): 3, (1, 2): 1}, nodes)]
-    result, freq = daily_vs_aggregate_consistency(degree_table(snaps), 2)
+    result, freq = daily_vs_aggregate_consistency(days_table(snaps), 2)
     assert result.count == 2
     assert result.percentage == 1.0
     assert freq == {0: 1, 1: 1}
 
 
-def test_consistency_frequency_table(micro_snapshots):
-    result, freq = daily_vs_aggregate_consistency(degree_table(micro_snapshots), 2)
+def test_consistency_frequency_table(micro_stream, micro_window):
+    result, freq = daily_vs_aggregate_consistency(
+        degree_table(micro_stream, micro_window), 2
+    )
     assert freq == brute.top_frequency(2)
     assert result.count == brute.consistency_count(2)
     with pytest.raises(ValueError):
-        daily_vs_aggregate_consistency(degree_table(micro_snapshots), 0)
+        daily_vs_aggregate_consistency(degree_table(micro_stream, micro_window), 0)

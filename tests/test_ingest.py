@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ import commnet as cn
 from commnet import (
     IngestReport,
     LogFormatConfig,
-    TemporalEdge,
     TemporalEdgeStream,
     parse_edge_log,
     write_edge_log,
@@ -47,7 +47,7 @@ def test_bad_timestamp_recorded_with_line_number():
         "a,b,-5\na,b,+7\na,b,1_000\na,b,\u0661\u0662\na,b,1.0\n".encode(),
         malformed_threshold=0.9,
     )
-    assert [e.timestamp for e in stream] == [-5, 7]
+    assert stream.timestamps.tolist() == [-5, 7]
     assert [line for line, _ in report.malformed_rows] == [3, 4, 5]
 
 
@@ -71,7 +71,7 @@ def test_header_and_crlf():
         LogFormatConfig(has_header=True),
     )
     assert report.rows_read == 2
-    assert [e.timestamp for e in stream] == [5, 6]
+    assert stream.timestamps.tolist() == [5, 6]
 
 
 def test_column_order_and_delimiter():
@@ -79,7 +79,7 @@ def test_column_order_and_delimiter():
         columns=("timestamp", "sender", "recipient"), delimiter="\t"
     )
     stream, _ = parse(b"7\tx\ty\n", cfg)
-    assert stream.edges[0] == TemporalEdge(0, 1, 7)
+    assert (stream.senders[0], stream.recipients[0], stream.timestamps[0]) == (0, 1, 7)
     assert stream.labels == {0: "x", 1: "y"}
 
 
@@ -89,18 +89,21 @@ def test_iso8601_timestamps():
         b"a,b,1970-01-01T00:01:00Z\nb,a,1970-01-01T02:01:00+02:00\n", cfg
     )
     # both instants are 60 seconds past midnight UTC
-    assert [e.timestamp for e in stream] == [60, 60]
+    assert stream.timestamps.tolist() == [60, 60]
     # fractional seconds floor, also before the epoch
     stream, _ = parse(
         b"a,b,1969-12-31T23:59:59.5Z\nb,a,1970-01-01T00:00:00.5Z\n", cfg
     )
-    assert [e.timestamp for e in stream] == [-1, 0]
-    assert cn.build_snapshots(stream)[0].date.isoformat() == "1969-12-31"
+    assert stream.timestamps.tolist() == [-1, 0]
+    assert cn.slice_days(stream).date(0).isoformat() == "1969-12-31"
 
 
 def test_sorts_and_preserves_tie_order():
     stream, _ = parse(b"a,b,100\nc,d,50\ne,f,100\ng,h,50\n")
-    pairs = [(stream.labels[e.sender], e.timestamp) for e in stream]
+    pairs = [
+        (stream.labels[s], t)
+        for s, t in zip(stream.senders.tolist(), stream.timestamps.tolist())
+    ]
     assert pairs == [("c", 50), ("g", 50), ("a", 100), ("e", 100)]
 
 
@@ -160,22 +163,6 @@ def test_config_validation():
         LogFormatConfig(timestamp_format="rfc822")
 
 
-def test_merge_matches_concatenated_parse():
-    part_a = b"a,b,100\nc,d,300\n"
-    part_b = b"b,a,100\nd,c,200\n"
-    stream_a, _ = parse(part_a)
-    stream_b, _ = parse(part_b)
-    merged = cn.merge_streams([stream_a, stream_b])
-    combined, _ = parse(part_a + part_b)
-    assert merged == combined
-
-
-def test_merge_empty_and_single():
-    assert len(cn.merge_streams([])) == 0
-    stream, _ = parse(b"a,b,5\n")
-    assert cn.merge_streams([stream]) == stream
-
-
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 rows = st.lists(
     st.tuples(names, names, st.integers(min_value=0, max_value=10**6)).filter(
@@ -193,3 +180,45 @@ def test_round_trip_property(raw):
     write_edge_log(stream, buf)
     reparsed, _ = parse(buf.getvalue())
     assert reparsed == stream
+
+
+names_or_junk = st.one_of(names, st.sampled_from(["", " a", "b ", "é"]))
+stamps = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+    st.sampled_from(["", "x", "1.5", "1_0", "+3", "٣", "1970-01-01T00:00:00Z"]),
+)
+wellformed_row = st.tuples(names, names, st.integers(-(10**12), 10**12)).map(
+    lambda t: f"{t[0]},{t[1]},{t[2]}".encode()
+)
+fuzzy_row = st.lists(st.one_of(names_or_junk, stamps), max_size=5).map(
+    lambda fields: ",".join(fields).encode()
+)
+fuzz_lines = st.lists(
+    st.tuples(
+        st.one_of(wellformed_row, wellformed_row, fuzzy_row, st.binary(max_size=8)),
+        st.booleans(),
+    ).map(lambda t: t[0] + b"\r" * t[1]),  # optional CRLF ending
+    max_size=30,
+)
+
+
+@given(fuzz_lines, st.booleans())
+def test_parse_arbitrary_rows(lines, collapse):
+    # duplicate a prefix so repeated rows are common, not just possible
+    data = b"\n".join(lines + lines[: len(lines) // 3])
+    try:
+        stream, report = parse(
+            data, malformed_threshold=0.5, collapse_duplicates=collapse
+        )
+    except IngestError:
+        return
+    assert report.accepted == len(stream)
+    assert (np.diff(stream.timestamps) >= 0).all()
+    assert not (stream.senders == stream.recipients).any()
+    # dense ids 0..n-1, numbered by first appearance, sender before recipient
+    ends = np.stack([stream.senders, stream.recipients], axis=1).ravel().tolist()
+    first_seen = list(dict.fromkeys(ends))
+    assert first_seen == list(range(len(first_seen)))
+    assert stream.node_registry.tolist() == first_seen
+    assert sorted(stream.labels) == first_seen
+    assert len(set(stream.labels.values())) == len(first_seen)

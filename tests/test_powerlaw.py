@@ -87,11 +87,12 @@ def test_histogram_zero_accounting():
     assert h2.ccdf[0] == pytest.approx(1.0)
 
 
-def test_histogram_invariants(micro_snapshots):
-    from commnet import degree
+def test_histogram_invariants(micro_stream, micro_window):
+    from commnet import degree_table
 
-    for s in micro_snapshots:
-        h = histogram(degree(s, "out"))
+    table = degree_table(micro_stream, micro_window, "out")
+    for t in range(micro_window.length):
+        h = histogram(table.day_map(t))
         assert sum(h.pdf) == pytest.approx(1.0, abs=1e-9)
         assert all(a >= b for a, b in zip(h.ccdf, h.ccdf[1:]))
         assert h.ccdf[0] == pytest.approx(1.0, abs=1e-9)

@@ -1,15 +1,15 @@
 import datetime as dt
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from commnet import (
-    TemporalEdge,
     TemporalEdgeStream,
     UndirectedGraph,
-    aggregate,
-    build_snapshots,
+    degree_table,
+    slice_days,
     undirected_projection,
 )
 from commnet.errors import OrderingError, WindowError
@@ -19,117 +19,128 @@ D1 = date_to_day(dt.date(2001, 3, 5))
 
 
 def _edge(u, v, day, offset):
-    return TemporalEdge(u, v, day * SECONDS_PER_DAY + offset)
+    return u, v, day * SECONDS_PER_DAY + offset
+
+
+def _stream(edges):
+    """Stream from (sender, recipient, timestamp) triples."""
+    edges = list(edges)
+    return TemporalEdgeStream(
+        [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges]
+    )
+
+
+def _day_edges(stream, window, t):
+    """Message count per (sender, recipient) pair on window day t."""
+    on_day = window.day == t
+    pairs = zip(stream.senders[on_day].tolist(), stream.recipients[on_day].tolist())
+    return dict(Counter(pairs))
 
 
 def test_two_day_bucketing():
-    stream = TemporalEdgeStream(
+    stream = _stream(
         [
             _edge(0, 1, D1, 10 * 3600),
             _edge(0, 2, D1, 23 * 3600 + 59 * 60),
             _edge(1, 0, D1 + 1, 60),
         ]
     )
-    snaps = build_snapshots(stream)
-    assert len(snaps) == 2
-    assert [s.message_count for s in snaps] == [2, 1]
-    assert snaps[0].edges == {(0, 1): 1, (0, 2): 1}
-    assert snaps[1].edges == {(1, 0): 1}
-    assert [s.day_index for s in snaps] == [0, 1]
-    assert snaps[0].date == dt.date(2001, 3, 5)
+    window = slice_days(stream)
+    assert window.length == 2
+    assert window.message_counts().tolist() == [2, 1]
+    assert _day_edges(stream, window, 0) == {(0, 1): 1, (0, 2): 1}
+    assert _day_edges(stream, window, 1) == {(1, 0): 1}
+    assert window.day.tolist() == [0, 0, 1]
+    assert window.date(0) == dt.date(2001, 3, 5)
 
 
 def test_empty_stream_window():
-    snaps = build_snapshots(
-        TemporalEdgeStream([]), dt.date(2001, 3, 5), num_days=3
-    )
-    assert len(snaps) == 3
-    assert all(s.is_empty for s in snaps)
-    assert [s.day_index for s in snaps] == [0, 1, 2]
+    window = slice_days(_stream([]), dt.date(2001, 3, 5), num_days=3)
+    assert window.length == 3
+    assert window.message_counts().tolist() == [0, 0, 0]
+    assert [window.date(t) for t in range(3)] == [
+        dt.date(2001, 3, 5), dt.date(2001, 3, 6), dt.date(2001, 3, 7)
+    ]
 
 
 def test_empty_stream_without_window():
-    assert build_snapshots(TemporalEdgeStream([])) == []
+    assert slice_days(_stream([])).length == 0
     with pytest.raises(ValueError):
-        build_snapshots(TemporalEdgeStream([]), num_days=2)
+        slice_days(_stream([]), num_days=2)
 
 
 def test_midnight_edge_goes_to_next_day():
-    stream = TemporalEdgeStream(
+    stream = _stream(
         [_edge(0, 1, D1, 100), _edge(0, 1, D1 + 1, 0)]  # exactly 00:00:00
     )
-    snaps = build_snapshots(stream)
-    assert [s.message_count for s in snaps] == [1, 1]
+    assert slice_days(stream).message_counts().tolist() == [1, 1]
 
 
 def test_unsorted_stream_rejected():
     with pytest.raises(OrderingError):
-        TemporalEdgeStream([_edge(0, 1, D1, 100), _edge(0, 1, D1, 50)])
+        _stream([_edge(0, 1, D1, 100), _edge(0, 1, D1, 50)])
 
 
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
-        TemporalEdge(3, 3, 1000)
+        TemporalEdgeStream([3], [3], [1000])
 
 
 def test_day_origin_after_first_edge():
-    stream = TemporalEdgeStream([_edge(0, 1, D1, 0)])
+    stream = _stream([_edge(0, 1, D1, 0)])
     with pytest.raises(WindowError):
-        build_snapshots(stream, day_date(D1 + 1))
+        slice_days(stream, day_date(D1 + 1))
 
 
 def test_window_too_short():
-    stream = TemporalEdgeStream([_edge(0, 1, D1, 0), _edge(0, 1, D1 + 5, 0)])
+    stream = _stream([_edge(0, 1, D1, 0), _edge(0, 1, D1 + 5, 0)])
     with pytest.raises(WindowError):
-        build_snapshots(stream, day_date(D1), num_days=3)
+        slice_days(stream, day_date(D1), num_days=3)
 
 
 def test_window_pads_trailing_empty_days():
-    stream = TemporalEdgeStream([_edge(0, 1, D1, 0)])
-    snaps = build_snapshots(stream, day_date(D1), num_days=4)
-    assert len(snaps) == 4
-    assert [s.is_empty for s in snaps] == [False, True, True, True]
+    stream = _stream([_edge(0, 1, D1, 0)])
+    window = slice_days(stream, day_date(D1), num_days=4)
+    assert window.length == 4
+    assert (window.message_counts() == 0).tolist() == [False, True, True, True]
 
 
 def test_tz_offset_shifts_bucketing():
     # 23:00 UTC lands on the next local day under a +2h offset
-    stream = TemporalEdgeStream([_edge(0, 1, D1, 23 * 3600)])
-    assert day_number(stream.edges[0].timestamp) == D1
-    assert day_number(stream.edges[0].timestamp, 2 * 3600) == D1 + 1
-    snaps = build_snapshots(stream, tz_offset_seconds=2 * 3600)
-    assert snaps[0].date == day_date(D1 + 1)
+    stream = _stream([_edge(0, 1, D1, 23 * 3600)])
+    assert day_number(stream.timestamps[0]) == D1
+    assert day_number(stream.timestamps[0], 2 * 3600) == D1 + 1
+    window = slice_days(stream, tz_offset_seconds=2 * 3600)
+    assert window.date(0) == day_date(D1 + 1)
 
 
 def test_aggregate_sums_multiplicity():
-    base = frozenset({0, 1})
-    snap = lambda i: __import__("commnet").DailySnapshot(
-        i, day_date(D1 + i), {(0, 1): 2}, base
-    )
-    agg = aggregate([snap(0), snap(1)])
-    assert agg.edges == {(0, 1): 4}
-    assert agg.nodes == base
+    # two days of {(0, 1): 2}; the aggregate degree is the column sum
+    stream = _stream([_edge(0, 1, D1 + i, j) for i in range(2) for j in range(2)])
+    table = degree_table(stream, slice_days(stream), "out")
+    assert table.aggregate_map().values == {0: 4, 1: 0}
+    assert table.nodes == (0, 1)
 
 
 def test_aggregate_identity_and_empty():
-    stream = TemporalEdgeStream([_edge(0, 1, D1, 0), _edge(0, 1, D1, 1)])
-    snaps = build_snapshots(stream)
-    agg = aggregate(snaps)
-    assert agg.edges == dict(snaps[0].edges)
-    empty = aggregate([])
-    assert empty.edges == {} and empty.nodes == frozenset()
+    stream = _stream([_edge(0, 1, D1, 0), _edge(0, 1, D1, 1)])
+    table = degree_table(stream, slice_days(stream), "total")
+    assert table.aggregate_map() == table.day_map(0)
+    empty = degree_table(_stream([]), slice_days(_stream([])))
+    assert empty.aggregate_map().values == {} and empty.nodes == ()
 
 
 def test_undirected_projection():
-    stream = TemporalEdgeStream(
+    stream = _stream(
         [_edge(0, 1, D1, 0), _edge(0, 1, D1, 1), _edge(0, 1, D1, 2), _edge(1, 0, D1, 3)]
     )
-    g = undirected_projection(aggregate(build_snapshots(stream)))
+    g = undirected_projection(stream)
     assert g.edges == frozenset({(0, 1)})
 
-    assert undirected_projection(aggregate([])).edges == frozenset()
+    assert undirected_projection(_stream([])).edges == frozenset()
 
-    stream2 = TemporalEdgeStream([_edge(0, 1, D1, 0), _edge(2, 3, D1, 1)])
-    g2 = undirected_projection(aggregate(build_snapshots(stream2)))
+    stream2 = _stream([_edge(0, 1, D1, 0), _edge(2, 3, D1, 1)])
+    g2 = undirected_projection(stream2)
     assert g2.edges == frozenset({(0, 1), (2, 3)})
 
 
@@ -157,18 +168,46 @@ edges_strategy = st.lists(
 @given(edges_strategy)
 def test_slicing_conserves_messages(raw):
     raw.sort(key=lambda t: t[2])
-    stream = TemporalEdgeStream(
-        [TemporalEdge(u, v, D1 * SECONDS_PER_DAY + ts) for u, v, ts in raw]
-    )
-    snaps = build_snapshots(stream)
-    assert sum(s.message_count for s in snaps) == len(stream)
+    stream = _stream((u, v, D1 * SECONDS_PER_DAY + ts) for u, v, ts in raw)
+    window = slice_days(stream)
+    assert window.message_counts().sum() == len(stream)
     # aggregate equals bucketing the stream into a single bin
-    agg = aggregate(snaps)
-    direct: dict[tuple[int, int], int] = {}
-    for e in stream:
-        direct[(e.sender, e.recipient)] = direct.get((e.sender, e.recipient), 0) + 1
-    assert dict(agg.edges) == direct
+    table = degree_table(stream, window, "out")
+    direct = {u: 0 for u in stream.node_registry.tolist()}
+    for u, _, _ in raw:
+        direct[u] += 1
+    assert table.aggregate_map().values == direct
     # registry invariant under slicing and aggregation
-    for s in snaps:
-        assert s.nodes == stream.node_registry
-    assert agg.nodes == stream.node_registry
+    assert table.nodes == tuple(sorted({u for u, _, _ in raw} | {v for _, v, _ in raw}))
+
+
+def test_stream_columns_are_read_only():
+    stream = _stream([_edge(0, 1, D1, 0)])
+    window = slice_days(stream)
+    for column in (
+        stream.senders, stream.recipients, stream.timestamps,
+        stream.node_registry, window.day,
+    ):
+        with pytest.raises(ValueError):
+            column[0] = 5
+
+
+@given(edges_strategy, st.sampled_from(["out", "in", "total"]))
+def test_degree_table_counts_each_day(raw, direction):
+    # ids 0..8 drawn at random leave gaps in the registry
+    raw.sort(key=lambda t: t[2])
+    stream = _stream((u, v, D1 * SECONDS_PER_DAY + ts) for u, v, ts in raw)
+    window = slice_days(stream)
+    table = degree_table(stream, window, direction)
+    expected = {(t, u): 0 for t in range(window.length) for u in table.nodes}
+    for u, v, ts in raw:
+        t = ts // SECONDS_PER_DAY - window.origin + D1
+        for end, counted in ((u, "in"), (v, "out")):
+            if direction != counted:
+                expected[t, end] += 1
+    got = {
+        (t, u): table.values[t, j]
+        for t in range(window.length)
+        for j, u in enumerate(table.nodes)
+    }
+    assert got == expected
