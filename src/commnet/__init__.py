@@ -43,14 +43,11 @@ from .ingest import (
 )
 from .powerlaw import (
     DegreeHistogram,
-    LogBinnedHistogram,
     PowerLawFit,
     fit_mle,
     fit_mle_sweep,
     fit_ols,
-    fit_ols_binned,
     histogram,
-    log_bin,
 )
 from .robustness import (
     RemovalStrategy,
@@ -81,7 +78,6 @@ __all__ = [
     "ERParams",
     "HubCorpusParams",
     "IngestReport",
-    "LogBinnedHistogram",
     "LogFormatConfig",
     "OverlapResult",
     "PairCorrelation",
@@ -102,13 +98,11 @@ __all__ = [
     "fit_mle",
     "fit_mle_sweep",
     "fit_ols",
-    "fit_ols_binned",
     "generate_ba",
     "generate_er",
     "generate_hub_corpus",
     "giant_component_fraction",
     "histogram",
-    "log_bin",
     "node_series",
     "overlap_vs_k",
     "parse_edge_log",

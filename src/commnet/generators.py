@@ -134,7 +134,7 @@ def generate_er(p: ERParams) -> UndirectedGraph:
         return UndirectedGraph((), nodes=range(p.n))
     picked = _bernoulli_indices(rng, total, p.p)
     i, j = _unrank_pairs(picked, p.n)
-    return UndirectedGraph(zip(i.tolist(), j.tolist()), nodes=range(p.n))
+    return UndirectedGraph(np.column_stack([i, j]), nodes=range(p.n))
 
 
 def _bernoulli_indices(rng: np.random.Generator, total: int, p: float) -> np.ndarray:

@@ -72,7 +72,11 @@ class IngestReport:
 _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
 _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _SECOND = dt.timedelta(seconds=1)
-_INT64 = range(-(2**63), 2**63)
+# unix seconds that have a calendar date (0001-01-01 .. 9999-12-31 UTC)
+_DATED_SECONDS = range(
+    (dt.datetime.min.replace(tzinfo=dt.timezone.utc) - _EPOCH_UTC) // _SECOND,
+    (dt.datetime.max.replace(tzinfo=dt.timezone.utc) - _EPOCH_UTC) // _SECOND + 1,
+)
 
 
 def _parse_timestamp(raw: str, fmt: str) -> int:
@@ -80,15 +84,16 @@ def _parse_timestamp(raw: str, fmt: str) -> int:
         if not _UNIX_SECONDS.fullmatch(raw):
             raise ValueError(f"not unix seconds: {raw!r}")
         value = int(raw)
-        if value not in _INT64:
-            raise ValueError(f"unix seconds outside the int64 range: {raw!r}")
-        return value
-    text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
-    parsed = dt.datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=dt.timezone.utc)
-    # floor, so a fractional instant before the epoch stays in the earlier second
-    return (parsed - _EPOCH_UTC) // _SECOND
+    else:
+        text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
+        parsed = dt.datetime.fromisoformat(text)
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=dt.timezone.utc)
+        # floor, so a fractional instant before the epoch stays in the earlier second
+        value = (parsed - _EPOCH_UTC) // _SECOND
+    if value not in _DATED_SECONDS:
+        raise ValueError(f"timestamp outside 0001-01-01 .. 9999-12-31 UTC: {raw!r}")
+    return value
 
 
 def parse_edge_log(

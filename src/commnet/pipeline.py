@@ -38,7 +38,12 @@ from .errors import (
 )
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import IngestReport, LogFormatConfig, parse_edge_log
-from .temporal import TemporalEdgeStream, slice_days, undirected_projection
+from .temporal import (
+    SECONDS_PER_DAY,
+    TemporalEdgeStream,
+    slice_days,
+    undirected_projection,
+)
 
 REPORT_SCHEMA_VERSION = 1
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
@@ -95,6 +100,8 @@ class PipelineConfig:
             raise ConfigError("fit_target must be 'pdf' or 'ccdf'")
         if self.fit_xmin < 1:
             raise ConfigError("fit_xmin must be >= 1")
+        if abs(self.tz_offset_seconds) >= SECONDS_PER_DAY:
+            raise ConfigError("tz_offset_seconds must lie within one day of 0")
         if self.window_days is not None and self.window_days < 1:
             raise ConfigError("window_days must be >= 1")
         if not self.robustness_steps:

@@ -1,9 +1,8 @@
 """Degree-distribution estimation and power-law fitting.
 
 Builds the empirical pdf and complementary cumulative distribution of a degree
-map, applies geometric (log) binning for variance reduction, and fits the
-heavy tail two ways: ordinary least squares on the log-log relationship
-(mirroring straight-line inspection of log-log plots) and a discrete
+map and fits the heavy tail two ways: ordinary least squares on the log-log
+relationship (mirroring straight-line inspection of log-log plots) and a discrete
 maximum-likelihood estimator with a Kolmogorov-Smirnov distance, optionally
 sweeping the lower cutoff to the KS-optimal choice.
 
@@ -12,7 +11,6 @@ reported as a count.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -90,15 +88,6 @@ class PowerLawFit:
     n_tail: int
 
 
-@dataclass(frozen=True)
-class LogBinnedHistogram:
-    """Geometric binning of a histogram: mass per bin divided by bin width."""
-
-    edges: tuple[float, ...]  # len(bins) + 1, each edge = previous * ratio
-    centers: tuple[float, ...]  # geometric mean of the bin bounds
-    densities: tuple[float, ...]
-
-
 def histogram(d: DegreeMap, *, drop_zeros: bool = True) -> DegreeHistogram:
     """Empirical distribution of a degree map.
 
@@ -112,37 +101,6 @@ def histogram(d: DegreeMap, *, drop_zeros: bool = True) -> DegreeHistogram:
         counts[0] = zeros
         zeros = 0
     return DegreeHistogram.from_counts(counts, zeros_dropped=zeros)
-
-
-def log_bin(h: DegreeHistogram, ratio: float) -> LogBinnedHistogram:
-    """Rebin onto geometric bins [k0, k0*ratio, ...), preserving total mass.
-
-    Only the positive support is binned. The bin value is the pdf mass that
-    fell into the bin divided by the bin width, positioned at the geometric
-    mean of the bounds, so sum(density * width) equals the binned mass.
-    """
-    if ratio <= 1:
-        raise ValueError("ratio must be > 1")
-    positive = [(k, p) for k, p in zip(h.support, h.pdf) if k > 0]
-    if not positive:
-        raise EmptyHistogramError("no positive support to bin")
-    k0 = float(positive[0][0])
-    kmax = float(positive[-1][0])
-    edges = [k0]
-    while edges[-1] <= kmax:
-        edges.append(edges[-1] * ratio)
-    edge_arr = np.array(edges)
-    masses = np.zeros(len(edges) - 1)
-    for k, p in positive:
-        # side="right" puts a value equal to an edge into the bin it opens
-        masses[np.searchsorted(edge_arr, float(k), side="right") - 1] += p
-    widths = edge_arr[1:] - edge_arr[:-1]
-    centers = np.sqrt(edge_arr[1:] * edge_arr[:-1])
-    return LogBinnedHistogram(
-        tuple(edge_arr.tolist()),
-        tuple(centers.tolist()),
-        tuple((masses / widths).tolist()),
-    )
 
 
 def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLawFit:
@@ -203,36 +161,6 @@ def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLaw
         r_squared=r_squared,
         ks_statistic=None,
         n_tail=n_tail,
-    )
-
-
-def fit_ols_binned(binned: LogBinnedHistogram) -> PowerLawFit:
-    """Least-squares line through a log-binned pdf.
-
-    Binning first is the standard cure for single-sample noise in the raw pdf
-    tail; the regression runs over bins with positive mass and gamma is the
-    negated slope of log density against log bin center.
-    """
-    pts = [(c, d) for c, d in zip(binned.centers, binned.densities) if d > 0]
-    if len(pts) < 3:
-        raise InsufficientSupportError(
-            f"need >= 3 occupied bins, have {len(pts)}"
-        )
-    x = np.log(np.array([c for c, _ in pts]))
-    y = np.log(np.array([d for _, d in pts]))
-    xm, ym = x.mean(), y.mean()
-    slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
-    resid = y - (ym + slope * (x - xm))
-    ss_res = float((resid**2).sum())
-    ss_tot = float(((y - ym) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return PowerLawFit(
-        gamma=-slope,
-        xmin=int(math.ceil(binned.edges[0])),
-        method="ols-binned-pdf",
-        r_squared=r_squared,
-        ks_statistic=None,
-        n_tail=0,
     )
 
 

@@ -6,6 +6,11 @@ length within the surviving giant component. Removal is either seeded-random
 or targeted at the highest-degree node; the targeted attack recomputes degrees
 after every removal by default, which is the stronger variant.
 
+A curve builds the graph's symmetric CSR adjacency once and removes nodes by
+clearing an alive mask. Components come from scipy's connected_components on
+the alive rows and columns; adaptive targeting decrements the degrees of the
+removed node's neighbours, read off its CSR row.
+
 All-pairs BFS is exact up to EXACT_PATH_LENGTH_LIMIT nodes; larger components
 use a seeded sample of BFS sources (DEFAULT_PATH_SAMPLE of them), trading a
 standard sampling error for tractability.
@@ -17,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .temporal import UndirectedGraph
 
@@ -59,36 +64,24 @@ class RobustnessCurve:
     points: tuple[RobustnessPoint, ...]
 
 
-def _largest_component(adj: dict[int, set[int]]) -> set[int]:
-    """Largest connected component; ties go to the one holding the smallest id."""
-    seen: set[int] = set()
-    best: set[int] = set()
-    best_key: tuple[int, int] | None = None
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        key = (len(comp), -min(comp))
-        if best_key is None or key > best_key:
-            best, best_key = comp, key
-    return best
+def _largest_component(adj: csr_matrix, alive: np.ndarray) -> np.ndarray:
+    """Positions of the largest component among the ascending positions
+    ``alive``; ties go to the component holding the smallest id."""
+    _, labels = connected_components(adj[alive][:, alive], directed=False)
+    sizes = np.bincount(labels)
+    # alive is ascending, so a label's first index is its smallest id
+    _, first = np.unique(labels, return_index=True)
+    return alive[labels == labels[first[sizes == sizes.max()].min()]]
 
 
 def giant_component_fraction(g: UndirectedGraph, original_n: int) -> float:
     """Largest-component size relative to the pre-removal node count."""
-    if original_n < len(g.nodes):
+    n = len(g.nodes)
+    if original_n < n:
         raise ValueError("original_n is smaller than the current node count")
-    if not g.nodes or original_n == 0:
+    if not n or original_n == 0:
         return 0.0
-    return len(_largest_component(g.adjacency())) / original_n
+    return len(_largest_component(g.adjacency_matrix(), np.arange(n))) / original_n
 
 
 def average_path_length(
@@ -103,35 +96,20 @@ def average_path_length(
     Returns None (undefined) when the largest component has fewer than 2
     nodes; never 0 or an infinity stand-in.
     """
-    if not g.nodes:
+    if not len(g.nodes):
         return None
-    adj = g.adjacency()
-    comp = _largest_component(adj)
+    adj = g.adjacency_matrix()
+    comp = _largest_component(adj, np.arange(len(g.nodes)))
     if len(comp) < 2:
         return None
-    return _mean_distance(adj, comp, exact_limit, sample_size, seed)
+    return _mean_distance(adj[comp][:, comp], exact_limit, sample_size, seed)
 
 
 def _mean_distance(
-    adj: dict[int, set[int]],
-    comp: set[int],
-    exact_limit: int,
-    sample_size: int,
-    seed: int,
+    graph: csr_matrix, exact_limit: int, sample_size: int, seed: int
 ) -> float:
-    nodes = sorted(comp)
-    size = len(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in nodes:
-        iu = index[u]
-        for v in adj[u]:
-            rows.append(iu)
-            cols.append(index[v])
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(size, size)
-    )
+    """Mean distance from the sources to every other node of a connected graph."""
+    size = graph.shape[0]
     if size <= exact_limit:
         sources = np.arange(size)
     else:
@@ -170,21 +148,20 @@ def robustness_curve(
         raise ValueError("fractions must lie in [0, 1)")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("fractions must be strictly increasing")
-    if not g.nodes:
+    n = len(g.nodes)
+    if not n:
         raise ValueError("graph has no nodes")
 
-    nodes = sorted(g.nodes)
-    n = len(nodes)
-    adj = g.adjacency()
-    index = {u: i for i, u in enumerate(nodes)}
-    degrees = np.array([len(adj[u]) for u in nodes], dtype=np.int64)
+    # nodes are addressed by position; positions ascend with node id
+    adj = g.adjacency_matrix()
+    degrees = np.diff(adj.indptr)
+    alive = np.ones(n, dtype=bool)
 
-    order: list[int] | None
+    order: np.ndarray | None
     if strategy.kind == "random":
-        rng = np.random.default_rng(strategy.seed)
-        order = [nodes[i] for i in rng.permutation(n)]
+        order = np.random.default_rng(strategy.seed).permutation(n)
     elif not strategy.adaptive:
-        order = sorted(nodes, key=lambda u: (-len(adj[u]), u))
+        order = np.lexsort((g.nodes, -degrees))
     else:
         order = None  # picked per removal from current degrees
 
@@ -192,24 +169,22 @@ def robustness_curve(
     points: list[RobustnessPoint] = []
     for fraction in steps:
         target = int(fraction * n)
-        while removed < target:
-            if order is not None:
-                u = order[removed]
-            else:
-                # argmax returns the first maximum, i.e. the smallest node id
-                u = nodes[int(np.argmax(degrees))]
-            for v in adj[u]:
-                adj[v].discard(u)
-                degrees[index[v]] -= 1
-            degrees[index[u]] = -1
-            del adj[u]
-            removed += 1
-        comp = _largest_component(adj) if adj else set()
-        giant = len(comp) / n if comp else 0.0
+        if order is not None:
+            alive[order[removed:target]] = False
+        else:
+            for _ in range(removed, target):
+                # argmax returns the first maximum, i.e. the smallest node id;
+                # a removed node's degree stays negative, below every live one
+                u = int(np.argmax(degrees))
+                degrees[adj.indices[adj.indptr[u] : adj.indptr[u + 1]]] -= 1
+                degrees[u] = -1
+                alive[u] = False
+        removed = target
+        comp = _largest_component(adj, np.flatnonzero(alive))
         apl = None
         if compute_path_length and len(comp) >= 2:
             apl = _mean_distance(
-                adj, comp, path_exact_limit, path_sample_size, path_seed
+                adj[comp][:, comp], path_exact_limit, path_sample_size, path_seed
             )
-        points.append(RobustnessPoint(fraction, giant, apl))
+        points.append(RobustnessPoint(fraction, len(comp) / n, apl))
     return RobustnessCurve(strategy, n, tuple(points))

@@ -3,9 +3,11 @@
 A message stream is held as three aligned int64 columns (sender, recipient,
 timestamp) sorted by timestamp. Slicing it into calendar days gives one day
 index per message over a contiguous window; daily and aggregate quantities
-are computed from those arrays in vectorized passes. Day boundaries are
-half-open intervals [00:00:00, 24:00:00) of the configured clock (UTC plus an
-optional fixed offset). Streams, windows and graphs are immutable after
+are computed from those arrays in vectorized passes. The aggregate network
+is a sorted int64 node array plus one ascending int64 array of distinct node
+pairs, read through a CSR adjacency. Day boundaries are half-open intervals
+[00:00:00, 24:00:00) of the configured clock (UTC plus an optional fixed
+offset). Streams, windows and graphs are immutable after
 construction (their arrays are not writeable) and safe to share across
 concurrent readers.
 """
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.typing import ArrayLike
+from scipy.sparse import csr_matrix
 
 from .errors import OrderingError, WindowError
 
@@ -37,6 +40,10 @@ def day_date(day: int) -> dt.date:
 
 def date_to_day(d: dt.date) -> int:
     return (d - _EPOCH).days
+
+
+# epoch days that have a calendar date (0001-01-01 .. 9999-12-31)
+_MIN_DAY, _MAX_DAY = date_to_day(dt.date.min), date_to_day(dt.date.max)
 
 
 def _frozen(values: ArrayLike) -> np.ndarray:
@@ -137,7 +144,8 @@ def slice_days(
     ``num_days`` is given. An empty stream gives an empty window unless
     ``num_days`` is set, which then needs ``day_origin``.
 
-    Raises WindowError if an edge falls before ``day_origin`` or past the end
+    Raises WindowError if an edge falls on a day with no calendar date
+    (outside 0001-01-01 .. 9999-12-31), before ``day_origin`` or past the end
     of an explicit ``num_days`` window.
     """
     if num_days is not None and num_days < 1:
@@ -152,6 +160,9 @@ def slice_days(
         return DayWindow(_frozen(day), date_to_day(day_origin), num_days)
 
     first_day, last_day = int(day[0]), int(day[-1])
+    for d in (first_day, last_day):
+        if not _MIN_DAY <= d <= _MAX_DAY:
+            raise WindowError(f"an edge falls on epoch day {d}, which has no date")
     origin = first_day if day_origin is None else date_to_day(day_origin)
     if origin > first_day:
         raise WindowError(
@@ -168,51 +179,60 @@ def slice_days(
 
 
 class UndirectedGraph:
-    """Simple undirected graph: unordered node pairs, no multiplicity, no self-edges."""
+    """Simple undirected graph: no multiplicity, no self-edges.
+
+    ``nodes`` is the sorted int64 node array, isolates included. ``edges`` is
+    an (m, 2) int64 array of distinct pairs stored as u < v, in ascending
+    order. Both are read-only.
+    """
 
     __slots__ = ("nodes", "edges")
 
-    def __init__(
-        self,
-        edges: Iterable[tuple[int, int]] = (),
-        nodes: Iterable[int] = (),
-    ) -> None:
-        normalized: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-edge on node {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        node_set = set(nodes)
-        for u, v in normalized:
-            node_set.add(u)
-            node_set.add(v)
-        self.edges = frozenset(normalized)
-        self.nodes = frozenset(node_set)
+    def __init__(self, edges: ArrayLike = (), nodes: ArrayLike = ()) -> None:
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise ValueError(f"self-edge on node {pairs[loops[0], 0]}")
+        self.nodes = _frozen(np.union1d(np.array(nodes, dtype=np.int64), pairs))
+        self.edges = _frozen(_distinct_pairs(self.nodes, pairs[:, 0], pairs[:, 1]))
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """Fresh mutable adjacency map covering every node, isolates included."""
-        adj: dict[int, set[int]] = {u: set() for u in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def adjacency_matrix(self) -> csr_matrix:
+        """Symmetric 0/1 adjacency over node positions: row i is ``nodes[i]``,
+        and its length is that node's degree."""
+        n = len(self.nodes)
+        ends = np.searchsorted(self.nodes, self.edges)
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        ones = np.ones(len(rows), dtype=np.int8)
+        return csr_matrix((ones, (rows, cols)), shape=(n, n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return np.array_equal(self.nodes, other.nodes) and np.array_equal(
+            self.edges, other.edges
+        )
 
     def __repr__(self) -> str:
         return f"UndirectedGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
 
+def _distinct_pairs(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distinct unordered pairs as ascending (m, 2) rows with u < v.
+
+    Pairs are deduplicated as one integer key per pair over positions in the
+    sorted ``nodes``, which is several times faster than a row-wise unique.
+    """
+    n = len(nodes)
+    lo = np.searchsorted(nodes, np.minimum(u, v))
+    hi = np.searchsorted(nodes, np.maximum(u, v))
+    keys = np.unique(lo * n + hi)
+    return np.column_stack([nodes[keys // n], nodes[keys % n]])
+
+
 def undirected_projection(stream: TemporalEdgeStream) -> UndirectedGraph:
     """Collapse directions and multiplicities: {u,v} present iff any message passed."""
     nodes = stream.node_registry
-    lo = np.searchsorted(nodes, np.minimum(stream.senders, stream.recipients))
-    hi = np.searchsorted(nodes, np.maximum(stream.senders, stream.recipients))
-    pairs = np.unique(lo * len(nodes) + hi)
     return UndirectedGraph(
-        zip(nodes[pairs // len(nodes)].tolist(), nodes[pairs % len(nodes)].tolist()),
-        nodes=nodes.tolist(),
+        _distinct_pairs(nodes, stream.senders, stream.recipients), nodes
     )

@@ -117,6 +117,14 @@ def test_config_error_exit_code(tmp_path):
         ]
     )
     assert rc == 2
+    for flag, value in (
+        ("--tz-offset-seconds", "9223372036854775000"),
+        ("--k-values", ""),
+    ):
+        rc = main(
+            ["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(tmp_path)]
+        )
+        assert rc == 2, flag
 
 
 def test_missing_output_dir_is_config_error(tmp_path, monkeypatch):
@@ -154,12 +162,32 @@ def test_ingest_error_exit_code(tmp_path, capsys):
     assert rc == 3
     # a bad edge-list line is an ingest error naming the line, whatever is wrong
     edges = tmp_path / "bad.edges"
-    for line in ("0 1 2", "1 x", "2 2"):
+    for line in ("0 1 2", "1 x", "2 2", "1 99999999999999999999"):
         edges.write_text(f"0 1\n{line}\n")
         capsys.readouterr()
         rc = main(["robustness", "--edges", str(edges), "--output-dir", str(tmp_path)])
         assert rc == 3, line
         assert "line 2" in capsys.readouterr().err, line
+
+
+def test_undated_timestamp_is_malformed_row(tmp_path):
+    # a millisecond stamp lands past 9999-12-31: a malformed row, not a crash
+    log = tmp_path / "ms.log"
+    log.write_text("a,b,1000562340\nb,c,1000562341\nc,a,1000562340000\n")
+    out_dir = tmp_path / "out"
+    rc = main(
+        [
+            "analyze",
+            "--input", str(log),
+            "--malformed-threshold", "0.5",
+            "--robustness-steps", "0.0",
+            "--output-dir", str(out_dir),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["corpus"]["source"]["ingest"]["malformed_lines"][0][0] == 3
+    assert report["corpus"]["source"]["ingest"]["malformed"] == 1
 
 
 def test_ingest_writes_normalized_log(tmp_path, capsys):

@@ -11,8 +11,8 @@ from commnet.generators import _unrank_pairs
 
 
 def degrees_of(g: cn.UndirectedGraph) -> dict[int, int]:
-    adj = g.adjacency()
-    return {u: len(adj[u]) for u in g.nodes}
+    degrees = np.diff(g.adjacency_matrix().indptr)
+    return dict(zip(g.nodes.tolist(), degrees.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_ba_max_degree_grows_with_n():
 
 
 def test_er_extremes():
-    assert cn.generate_er(ERParams(n=50, p=0.0, seed=1)).edges == frozenset()
+    assert cn.generate_er(ERParams(n=50, p=0.0, seed=1)).edges.tolist() == []
     full = cn.generate_er(ERParams(n=10, p=1.0, seed=1))
     assert len(full.edges) == 45
 

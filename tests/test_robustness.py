@@ -1,6 +1,10 @@
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import commnet as cn
 from commnet import (
@@ -10,6 +14,7 @@ from commnet import (
     giant_component_fraction,
     robustness_curve,
 )
+from commnet.cli import main
 
 
 def star(leaves: int) -> UndirectedGraph:
@@ -75,7 +80,7 @@ def test_apl_matches_networkx_oracle():
     for seed in (0, 1):
         ba = cn.generate_ba(cn.BAParams(n=120, m=2, seed=seed))
         ours = average_path_length(ba)
-        ref = nx.average_shortest_path_length(nx.Graph(sorted(ba.edges)))
+        ref = nx.average_shortest_path_length(nx.Graph(ba.edges.tolist()))
         assert ours == pytest.approx(ref, rel=1e-12)
 
 
@@ -191,3 +196,124 @@ def test_targeted_attack_beats_random_failure_statistically():
             < random.points[0].giant_component_fraction
         )
     assert wins >= 4
+
+
+# ---------------------------------------------------------------------------
+# networkx reference
+# ---------------------------------------------------------------------------
+
+
+def _nx_graph(g: UndirectedGraph) -> nx.Graph:
+    ref = nx.Graph()
+    ref.add_nodes_from(g.nodes.tolist())
+    ref.add_edges_from(g.edges.tolist())
+    return ref
+
+
+def _nx_giant_and_apl(ref: nx.Graph) -> tuple[int, float | None]:
+    """Largest component (ties to the smallest id) and its mean distance."""
+    comp = max(nx.connected_components(ref), key=lambda c: (len(c), -min(c)))
+    if len(comp) < 2:
+        return len(comp), None
+    return len(comp), nx.average_shortest_path_length(ref.subgraph(comp))
+
+
+def _nx_curve(g: UndirectedGraph, strategy: RemovalStrategy, steps):
+    ref = _nx_graph(g)
+    nodes = sorted(ref)
+    n = len(nodes)
+    if strategy.kind == "random":
+        order = [nodes[i] for i in np.random.default_rng(strategy.seed).permutation(n)]
+    elif not strategy.adaptive:
+        order = sorted(nodes, key=lambda u: (-ref.degree(u), u))
+    else:
+        order = None
+    removed, points = 0, []
+    for fraction in steps:
+        while removed < int(fraction * n):
+            if order is None:
+                u = min(ref, key=lambda u: (-ref.degree(u), u))
+            else:
+                u = order[removed]
+            ref.remove_node(u)
+            removed += 1
+        size, apl = _nx_giant_and_apl(ref)
+        points.append((fraction, size / n, apl))
+    return points
+
+
+@st.composite
+def small_graphs(draw):
+    """Small connected pieces plus isolates on ids with gaps. Piece sizes
+    repeat often, so equal-size components of different shape are common."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    # unique ids in drawn order, so the pieces interleave in id order
+    ids = draw(st.lists(st.integers(-50, 50), min_size=sum(sizes),
+                        max_size=sum(sizes), unique=True))
+    pairs, start = [], 0
+    for size in sizes:
+        piece = ids[start : start + size]
+        start += size
+        # a random spanning tree, then up to two extra edges
+        pairs += [(piece[draw(st.integers(0, i - 1))], piece[i])
+                  for i in range(1, size)]
+        extra = st.tuples(st.sampled_from(piece), st.sampled_from(piece))
+        pairs += [(u, v) for u, v in draw(st.lists(extra, max_size=2)) if u != v]
+    return UndirectedGraph(pairs, nodes=ids)
+
+
+strategies = st.one_of(
+    st.integers(0, 9).map(lambda seed: RemovalStrategy("random", seed=seed)),
+    st.just(RemovalStrategy("targeted")),
+    st.just(RemovalStrategy("targeted", adaptive=False)),
+)
+
+
+def _same(ours, ref):
+    return ours is None and ref is None or ours == pytest.approx(ref, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), strategies)
+def test_curve_and_apl_match_networkx(g, strategy):
+    _, ref_apl = _nx_giant_and_apl(_nx_graph(g))
+    assert _same(average_path_length(g), ref_apl)
+    assert _same(average_path_length(g, exact_limit=3), ref_apl)
+    # one point per removal count
+    steps = [k / len(g.nodes) for k in range(len(g.nodes))]
+    curve = robustness_curve(g, strategy, steps)
+    ref = _nx_curve(g, strategy, steps)
+    assert [p.fraction_removed for p in curve.points] == [f for f, _, _ in ref]
+    assert [p.giant_component_fraction for p in curve.points] == [
+        giant for _, giant, _ in ref
+    ]
+    for point, (_, _, apl) in zip(curve.points, ref):
+        assert _same(point.average_path_length, apl)
+
+
+# SHA-256 of both curve files for `robustness` on generate_ba(n=300, m=3,
+# seed=2), recorded before the graph moved to arrays
+PINNED_BA300 = {
+    "default": {
+        "robustness_random.dat": "fbadeb9ecbf1a00ab42b411f39c738ba2814be61b710141e9b9a179b90d9a4b8",
+        "robustness_targeted.dat": "16018328a07208ac67ff5240b4cc986482ef4055d3981ab01cc140261f96b202",
+    },
+    "static": {
+        "robustness_random.dat": "fbadeb9ecbf1a00ab42b411f39c738ba2814be61b710141e9b9a179b90d9a4b8",
+        "robustness_targeted.dat": "929160665551d610ba86eafffa40a30a4fbb80a6fd00a80bc9630620b2cee8d9",
+    },
+}
+
+
+def test_robustness_bytes_pinned(tmp_path):
+    edges = tmp_path / "ba300.edges"
+    args = ["--n", "300", "--m", "3", "--seed", "2", "--output", str(edges)]
+    assert main(["generate", "ba", *args]) == 0
+    for run, extra in (("default", []), ("static", ["--static-targeted"])):
+        out = tmp_path / run
+        args = ["--edges", str(edges), "--output-dir", str(out), *extra]
+        assert main(["robustness", *args]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        }
+        assert digests == PINNED_BA300[run], run

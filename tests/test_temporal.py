@@ -1,6 +1,7 @@
 import datetime as dt
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,6 +99,15 @@ def test_window_too_short():
         slice_days(stream, day_date(D1), num_days=3)
 
 
+def test_day_without_calendar_date():
+    with pytest.raises(WindowError):
+        slice_days(_stream([(0, 1, 9_000_000_000_000_000_000)]))
+    first_second = date_to_day(dt.date.min) * SECONDS_PER_DAY  # 0001-01-01
+    assert slice_days(_stream([(0, 1, first_second)])).date(0) == dt.date.min
+    with pytest.raises(WindowError):
+        slice_days(_stream([(0, 1, first_second)]), tz_offset_seconds=-1)
+
+
 def test_window_pads_trailing_empty_days():
     stream = _stream([_edge(0, 1, D1, 0)])
     window = slice_days(stream, day_date(D1), num_days=4)
@@ -135,13 +145,13 @@ def test_undirected_projection():
         [_edge(0, 1, D1, 0), _edge(0, 1, D1, 1), _edge(0, 1, D1, 2), _edge(1, 0, D1, 3)]
     )
     g = undirected_projection(stream)
-    assert g.edges == frozenset({(0, 1)})
+    assert g.edges.tolist() == [[0, 1]]
 
-    assert undirected_projection(_stream([])).edges == frozenset()
+    assert undirected_projection(_stream([])).edges.tolist() == []
 
     stream2 = _stream([_edge(0, 1, D1, 0), _edge(2, 3, D1, 1)])
     g2 = undirected_projection(stream2)
-    assert g2.edges == frozenset({(0, 1), (2, 3)})
+    assert g2.edges.tolist() == [[0, 1], [2, 3]]
 
 
 def test_undirected_graph_rejects_self_edges():
@@ -151,8 +161,20 @@ def test_undirected_graph_rejects_self_edges():
 
 def test_undirected_graph_isolates_kept():
     g = UndirectedGraph([(0, 1)], nodes=[5])
-    assert g.nodes == frozenset({0, 1, 5})
-    assert g.adjacency()[5] == set()
+    assert g.nodes.tolist() == [0, 1, 5]
+    assert np.diff(g.adjacency_matrix().indptr).tolist() == [1, 1, 0]
+
+
+def test_undirected_graph_arrays():
+    # pairs in any order and orientation, repeated, on ids with gaps
+    g = UndirectedGraph([(9, 2), (2, 9), (4, 2), (-3, 9)], nodes=[7, 2])
+    assert g.nodes.dtype == g.edges.dtype == np.int64
+    assert g.nodes.tolist() == [-3, 2, 4, 7, 9]
+    assert g.edges.tolist() == [[-3, 9], [2, 4], [2, 9]]
+    assert not g.nodes.flags.writeable and not g.edges.flags.writeable
+    adj = g.adjacency_matrix()
+    assert (adj != adj.T).nnz == 0
+    assert adj.toarray().tolist()[1] == [0, 0, 1, 0, 1]
 
 
 edges_strategy = st.lists(
