@@ -39,6 +39,7 @@ from .errors import (
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import IngestReport, LogFormatConfig, parse_edge_log
 from .temporal import (
+    MAX_WINDOW_DAYS,
     SECONDS_PER_DAY,
     TemporalEdgeStream,
     slice_days,
@@ -102,8 +103,9 @@ class PipelineConfig:
             raise ConfigError("fit_xmin must be >= 1")
         if abs(self.tz_offset_seconds) >= SECONDS_PER_DAY:
             raise ConfigError("tz_offset_seconds must lie within one day of 0")
-        if self.window_days is not None and self.window_days < 1:
-            raise ConfigError("window_days must be >= 1")
+        days = self.window_days
+        if days is not None and not 1 <= days <= MAX_WINDOW_DAYS:
+            raise ConfigError(f"window_days must lie in 1 .. {MAX_WINDOW_DAYS} (100 years)")
         if not self.robustness_steps:
             raise ConfigError("robustness_steps must be non-empty")
 

@@ -11,9 +11,13 @@ clearing an alive mask. Components come from scipy's connected_components on
 the alive rows and columns; adaptive targeting decrements the degrees of the
 removed node's neighbours, read off its CSR row.
 
-All-pairs BFS is exact up to EXACT_PATH_LENGTH_LIMIT nodes; larger components
-use a seeded sample of BFS sources (DEFAULT_PATH_SAMPLE of them), trading a
-standard sampling error for tractability.
+Average path length comes from a level-synchronous, bit-parallel BFS from
+many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
+each source owns one bit of a row of uint64 words per node, and one level
+ORs the frontier words of every node's neighbours. Distances are summed as
+exact integers. Every node is a source up to EXACT_PATH_LENGTH_LIMIT nodes;
+larger components use a seeded sample of sources (DEFAULT_PATH_SAMPLE of
+them), trading a standard sampling error for tractability.
 """
 from __future__ import annotations
 
@@ -22,13 +26,15 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 from .temporal import UndirectedGraph
 
 EXACT_PATH_LENGTH_LIMIT = 50_000
 DEFAULT_PATH_SAMPLE = 1_024
-_BFS_CHUNK = 512  # sources per scipy call, bounds the dense distance block
+# bytes of the gathered neighbour-frontier block of one BFS level; it sets
+# how many 64-source words one sweep carries and so bounds peak memory
+_BFS_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -115,13 +121,26 @@ def _mean_distance(
     else:
         rng = np.random.default_rng(seed)
         sources = np.sort(rng.choice(size, size=min(sample_size, size), replace=False))
-    total = 0.0
-    for start in range(0, len(sources), _BFS_CHUNK):
-        chunk = sources[start : start + _BFS_CHUNK]
-        dist = shortest_path(
-            graph, method="auto", directed=False, unweighted=True, indices=chunk
-        )
-        total += float(dist.sum())  # self-distances contribute 0
+    indptr, indices = graph.indptr, graph.indices
+    sweep = 64 * max(1, _BFS_BLOCK_BYTES // (8 * len(indices)))
+    total = 0
+    for start in range(0, len(sources), sweep):
+        batch = sources[start : start + sweep]
+        bit = np.arange(len(batch), dtype=np.uint64)
+        seen = np.zeros((size, -(-len(batch) // 64)), dtype=np.uint64)
+        seen[batch, bit // 64] = np.uint64(1) << (bit % 64)
+        frontier, level = seen, 0
+        while True:
+            level += 1
+            # the graph is one connected component of >= 2 nodes, so no CSR
+            # row is empty; reduceat would return a wrong value for one
+            reach = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
+            frontier = reach & ~seen
+            found = int(np.bitwise_count(frontier).sum())
+            if not found:
+                break
+            total += level * found
+            seen |= frontier
     return total / (len(sources) * (size - 1))
 
 

@@ -45,6 +45,18 @@ def date_to_day(d: dt.date) -> int:
 # epoch days that have a calendar date (0001-01-01 .. 9999-12-31)
 _MIN_DAY, _MAX_DAY = date_to_day(dt.date.min), date_to_day(dt.date.max)
 
+# the longest window, 100 years: a window holds a days x nodes degree table
+# and one report entry per day, so a log whose dates span the calendar would
+# otherwise run out of memory
+MAX_WINDOW_DAYS = 36_525
+
+
+def _window_too_long(days: int) -> WindowError:
+    return WindowError(
+        f"the window would span {days} days, more than the {MAX_WINDOW_DAYS} "
+        "(100 years) allowed; check the timestamps, --window-start and --window-days"
+    )
+
 
 def _frozen(values: ArrayLike) -> np.ndarray:
     """A read-only int64 copy."""
@@ -146,10 +158,13 @@ def slice_days(
 
     Raises WindowError if an edge falls on a day with no calendar date
     (outside 0001-01-01 .. 9999-12-31), before ``day_origin`` or past the end
-    of an explicit ``num_days`` window.
+    of an explicit ``num_days`` window, or if the window would be longer
+    than MAX_WINDOW_DAYS.
     """
     if num_days is not None and num_days < 1:
         raise ValueError("num_days must be >= 1")
+    if num_days is not None and num_days > MAX_WINDOW_DAYS:
+        raise _window_too_long(num_days)
 
     day = day_number(stream.timestamps, tz_offset_seconds)
     if not len(day):
@@ -170,6 +185,8 @@ def slice_days(
             f"{day_date(first_day)}"
         )
     end_day = last_day if num_days is None else origin + num_days - 1
+    if end_day - origin >= MAX_WINDOW_DAYS:
+        raise _window_too_long(end_day - origin + 1)
     if last_day > end_day:
         raise WindowError(
             f"edges extend to {day_date(last_day)}, past the "

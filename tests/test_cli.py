@@ -120,6 +120,7 @@ def test_config_error_exit_code(tmp_path):
     for flag, value in (
         ("--tz-offset-seconds", "9223372036854775000"),
         ("--k-values", ""),
+        ("--window-days", "36526"),
     ):
         rc = main(
             ["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(tmp_path)]
@@ -188,6 +189,15 @@ def test_undated_timestamp_is_malformed_row(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["corpus"]["source"]["ingest"]["malformed_lines"][0][0] == 3
     assert report["corpus"]["source"]["ingest"]["malformed"] == 1
+
+
+def test_calendar_spanning_log_is_window_error(tmp_path, capsys):
+    # 0001-01-01 and 9999-12-31: a 2.9M-day window is refused before it is built
+    log = tmp_path / "span.log"
+    log.write_text("a,b,-62135596800\nb,a,253402300799\n")
+    rc = main(["analyze", "--input", str(log), "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "--window-days" in capsys.readouterr().err
 
 
 def test_ingest_writes_normalized_log(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commnet as cn
+from commnet import robustness
 from commnet import (
     RemovalStrategy,
     UndirectedGraph,
@@ -92,6 +93,57 @@ def test_apl_sampled_mode_close_to_exact():
     # sampling is seeded, hence repeatable
     again = average_path_length(g, exact_limit=100, sample_size=128, seed=1)
     assert sampled == again
+
+
+# Hypothesis graphs stay under 64 nodes, one word of the bit-parallel BFS.
+# These cross word boundaries (63, 64, 65, 129) and, with the block budget
+# cut down to a few words, sweep boundaries with a final partial word.
+GROWTH_SIZES = (63, 64, 65, 129, 300)
+
+
+@pytest.fixture(scope="module", params=GROWTH_SIZES)
+def growth(request):
+    g = cn.generate_ba(cn.BAParams(n=request.param, m=2, seed=request.param))
+    return g, nx.average_shortest_path_length(nx.Graph(g.edges.tolist()))
+
+
+def _words_per_sweep(monkeypatch, g: UndirectedGraph, words: int | None) -> None:
+    """Cut the BFS block budget of connected ``g`` to ``words`` words a sweep."""
+    if words is not None:
+        nnz = 2 * len(g.edges)
+        monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", words * 8 * nnz)
+
+
+@pytest.mark.parametrize("words", [None, 1, 2, 3])
+def test_apl_across_words_and_sweeps(growth, words, monkeypatch):
+    g, ref = growth
+    _words_per_sweep(monkeypatch, g, words)
+    assert average_path_length(g) == pytest.approx(ref, rel=1e-12)
+
+
+def test_apl_closed_forms():
+    n = 1_000
+    path = UndirectedGraph([(i, i + 1) for i in range(n - 1)])
+    assert average_path_length(path) == (n + 1) / 3  # 999 BFS levels
+    cycle = UndirectedGraph([(i, (i + 1) % n) for i in range(n)])
+    assert average_path_length(cycle) == n * n / (4 * (n - 1))  # n even
+
+
+@pytest.mark.parametrize("words", [None, 1])
+def test_apl_sampled_sources_match_networkx(words, monkeypatch):
+    g = cn.generate_ba(cn.BAParams(n=300, m=2, seed=4))
+    _words_per_sweep(monkeypatch, g, words)
+    # the same seeded draw of 150 source positions as the sampled branch
+    sources = np.sort(
+        np.random.default_rng(5).choice(300, size=150, replace=False)
+    )
+    ref = nx.Graph(g.edges.tolist())
+    total = sum(
+        sum(nx.single_source_shortest_path_length(ref, int(g.nodes[s])).values())
+        for s in sources
+    )
+    ours = average_path_length(g, exact_limit=10, sample_size=150, seed=5)
+    assert ours == total / (150 * 299)
 
 
 # ---------------------------------------------------------------------------
