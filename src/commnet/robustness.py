@@ -33,8 +33,11 @@ from .temporal import UndirectedGraph
 EXACT_PATH_LENGTH_LIMIT = 50_000
 DEFAULT_PATH_SAMPLE = 1_024
 # bytes of the gathered neighbour-frontier block of one BFS level; it sets
-# how many 64-source words one sweep carries and so bounds peak memory
-_BFS_BLOCK_BYTES = 8 << 20
+# how many 64-source words one sweep carries. Small enough that the block and
+# the per-node words stay in a core's L2 cache: a block that spills to the
+# shared cache makes each level wait on memory traffic, slower and far less
+# steady from run to run
+_BFS_BLOCK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -122,21 +125,32 @@ def _mean_distance(
         rng = np.random.default_rng(seed)
         sources = np.sort(rng.choice(size, size=min(sample_size, size), replace=False))
     indptr, indices = graph.indptr, graph.indices
-    sweep = 64 * max(1, _BFS_BLOCK_BYTES // (8 * len(indices)))
+    starts = indptr[:-1]
+    words = min(-(-len(sources) // 64), max(1, _BFS_BLOCK_BYTES // (8 * len(indices))))
+    # one set of buffers serves every level of every sweep, so the loop
+    # allocates nothing; a final partial sweep leaves its spare bits at zero
+    gathered = np.empty((len(indices), words), dtype=np.uint64)
+    seen, reach, frontier = (np.empty((size, words), dtype=np.uint64) for _ in range(3))
+    counts = np.empty((size, words), dtype=np.uint8)
     total = 0
-    for start in range(0, len(sources), sweep):
-        batch = sources[start : start + sweep]
+    for start in range(0, len(sources), 64 * words):
+        batch = sources[start : start + 64 * words]
         bit = np.arange(len(batch), dtype=np.uint64)
-        seen = np.zeros((size, -(-len(batch) // 64)), dtype=np.uint64)
+        seen.fill(0)
         seen[batch, bit // 64] = np.uint64(1) << (bit % 64)
-        frontier, level = seen, 0
+        np.copyto(frontier, seen)
+        level = 0
         while True:
             level += 1
+            # CSR columns are in range; mode "clip" writes straight into out,
+            # where the default "raise" would copy through a temporary
+            np.take(frontier, indices, axis=0, out=gathered, mode="clip")
             # the graph is one connected component of >= 2 nodes, so no CSR
             # row is empty; reduceat would return a wrong value for one
-            reach = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
-            frontier = reach & ~seen
-            found = int(np.bitwise_count(frontier).sum())
+            np.bitwise_or.reduceat(gathered, starts, axis=0, out=reach)
+            np.invert(seen, out=frontier)
+            frontier &= reach
+            found = int(np.bitwise_count(frontier, out=counts).sum())
             if not found:
                 break
             total += level * found
