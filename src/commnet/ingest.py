@@ -2,20 +2,29 @@
 
 Input is one message-recipient event per line with three logical columns
 (sender, recipient, timestamp); multi-recipient messages must arrive
-pre-exploded to one row per recipient. Text is UTF-8, lines end with LF, and a
-trailing CR is stripped. Node ids are dense integers assigned in timestamp
-order of first appearance; the original identifiers are kept as labels on the
-stream.
+pre-exploded to one row per recipient. Text is UTF-8, lines end with LF, a
+trailing CR is stripped, and one UTF-8 byte-order mark at the start of the
+input is ignored. Node ids are dense integers assigned in timestamp order of
+first appearance; the original identifiers are kept as labels on the stream.
+
+The buffer is parsed in chunks of whole lines, about _CHUNK_BYTES each. In a
+chunk, numpy passes over the bytes take every line that is plainly well
+formed (see _fast_lines) and intern its names a chunk at a time. Every other
+line goes, in line order, through _parse_row, the one definition of the row
+rules and the malformed reasons. A line takes the fast path only where
+_parse_row would accept it with the same fields, so the result does not
+depend on which path a line took; IngestReport.fallback_lines counts the
+lines left to _parse_row.
 """
 from __future__ import annotations
 
 import datetime as dt
 import re
-from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestError
 from .temporal import TemporalEdgeStream
@@ -50,6 +59,9 @@ class IngestReport:
     self_loops_dropped: int
     malformed_rows: tuple[tuple[int, str], ...]  # (line number, reason)
     duplicates_collapsed: int = 0
+    # lines the vectorized pass left to the per-line rules; how a row was
+    # parsed never changes the result, so it takes no part in equality
+    fallback_lines: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         total = (
@@ -69,6 +81,10 @@ class IngestReport:
         return len(self.malformed_rows)
 
 
+_BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
+_CHUNK_BYTES = 1 << 18  # the buffer is parsed in runs of whole lines about this long
+_FAST_NAME_BYTES = 64  # longer names are left to the per-line rules
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd; mixes the 8-byte words of a name
 _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
 _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _SECOND = dt.timedelta(seconds=1)
@@ -96,6 +112,141 @@ def _parse_timestamp(raw: str, fmt: str) -> int:
     return value
 
 
+class _Names(dict):
+    """UTF-8 name -> provisional id, numbered by first lookup."""
+
+    def __missing__(self, key: bytes) -> int:
+        self[key] = value = len(self)
+        return value
+
+    def intern(self, words: np.ndarray) -> np.ndarray:
+        """Provisional ids of the names in the rows of a NUL-padded uint64 matrix.
+
+        Rows are grouped by a hash of their words, so only one row per
+        distinct name is looked up; a hash shared by two different names
+        makes an exact sort group them instead.
+        """
+        key = words[:, 0].copy()
+        for column in words.T[1:]:
+            key = key * _HASH_MULTIPLIER + column
+        order = np.argsort(key)
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        rep = order[new]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
+        if not (words[rep][inverse] == words).all():
+            _, rep, inverse = np.unique(
+                words, axis=0, return_index=True, return_inverse=True
+            )
+        names = words[rep].view(f"S{words.itemsize * words.shape[1]}").ravel()
+        ids = np.fromiter(map(self.__getitem__, names.tolist()), np.int64, len(rep))
+        return ids[inverse]
+
+
+def _parse_row(
+    raw: bytes, delimiter: str, fmt: str, where: tuple[int, int, int]
+) -> tuple[int, str, str] | str | None:
+    """The row rules, applied to one line without its LF.
+
+    ``where`` holds the column indices of sender, recipient and timestamp.
+    Returns None for a blank line, the malformed reason for a bad one, and
+    (timestamp, sender, recipient) otherwise.
+    """
+    if raw.endswith(b"\r"):
+        raw = raw[:-1]
+    if not raw:
+        return None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return "invalid utf-8"
+    parts = text.split(delimiter)
+    if len(parts) != 3:
+        return f"expected 3 columns, got {len(parts)}"
+    sender, recipient, ts_raw = (
+        parts[where[0]].strip(), parts[where[1]].strip(), parts[where[2]].strip()
+    )
+    if not sender or not recipient:
+        return "empty sender or recipient"
+    try:
+        return _parse_timestamp(ts_raw, fmt), sender, recipient
+    except ValueError:
+        return f"bad timestamp {ts_raw!r}"
+
+
+def _chunks(data: bytes, start: int):
+    """(start, stop) of consecutive runs of whole lines, about _CHUNK_BYTES each."""
+    while start < len(data):
+        stop = min(start + _CHUNK_BYTES, len(data))
+        if stop < len(data):
+            cut = data.rfind(b"\n", start, stop)
+            if cut < 0:  # a line longer than a chunk
+                cut = data.find(b"\n", stop)
+            stop = cut + 1 if cut >= 0 else len(data)
+        yield start, stop
+        start = stop
+
+
+def _fast_lines(
+    chunk: np.ndarray, starts: np.ndarray, ends: np.ndarray, cfg: LogFormatConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lines of a chunk that are plainly well formed, and their fields.
+
+    A line qualifies when it holds exactly two delimiters, every other byte
+    (less one trailing CR) is printable non-space ASCII, both names are
+    1.._FAST_NAME_BYTES bytes long and the timestamp is [+-]?[0-9]{1,18}
+    with a calendar date. Returns the line indices, their timestamps, and
+    a (2 * lines, words) uint64 matrix holding the sender names and then the
+    recipient names, NUL-padded (no qualifying name contains a NUL).
+    """
+    delimiter = ord(cfg.delimiter)
+    special = np.ones(256, dtype=bool)
+    special[0x21:0x7F] = False
+    special[delimiter] = True
+    marks = np.flatnonzero(special[chunk])
+    first = np.searchsorted(marks, starts)
+    count = np.searchsorted(marks, ends) - first
+    # two delimiters, or two delimiters and the CR just before the LF
+    lines = np.flatnonzero((count == 2) | (count == 3))
+    first, cr = first[lines], count[lines] == 3
+    one, two = marks[first], marks[first + 1]
+    end = ends[lines] - cr
+    ok = (chunk[one] == delimiter) & (chunk[two] == delimiter)
+    third = marks[first[cr] + 2]
+    ok[cr] &= (third == end[cr]) & (chunk[third] == 0x0D)
+    bounds = [(starts[lines], one), (one + 1, two), (two + 1, end)]
+    (s_lo, s_hi), (r_lo, r_hi), (t_lo, t_hi) = (
+        bounds[cfg.columns.index(c)] for c in _COLUMNS
+    )
+
+    # zero bytes on both sides let every field be read as a fixed-width window
+    padded = np.zeros(len(chunk) + 2 * _FAST_NAME_BYTES, dtype=np.uint8)
+    padded[_FAST_NAME_BYTES : _FAST_NAME_BYTES + len(chunk)] = chunk
+
+    # the sign, if any, then 1..18 digits: every such integer fits in int64
+    sign = padded[t_lo + _FAST_NAME_BYTES]
+    digits = t_hi - t_lo - ((sign == ord("+")) | (sign == ord("-")))
+    width = min(int(digits.max(initial=1)), 18)
+    at = t_hi + _FAST_NAME_BYTES - width
+    matrix = sliding_window_view(padded, width)[at] - ord("0")
+    matrix[np.arange(width) < width - digits[:, None]] = 0
+    stamps = matrix @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    stamps[sign == ord("-")] *= -1
+    ok &= (digits >= 1) & (digits <= 18) & (matrix <= 9).all(axis=1)
+    ok &= (stamps >= _DATED_SECONDS.start) & (stamps < _DATED_SECONDS.stop)
+    lo = np.concatenate([s_lo, r_lo])
+    length = np.concatenate([s_hi, r_hi]) - lo
+    ok &= ((length >= 1) & (length <= _FAST_NAME_BYTES)).reshape(2, -1).all(axis=0)
+
+    lo, length = lo[np.tile(ok, 2)], length[np.tile(ok, 2)]
+    width = -(-int(length.max(initial=1)) // 8) * 8
+    names = sliding_window_view(padded, width)[lo + _FAST_NAME_BYTES]
+    names[np.arange(width) >= length[:, None]] = 0
+    return lines[ok], stamps[ok], names.view(np.uint64)
+
+
 def parse_edge_log(
     source: BinaryIO | bytes,
     cfg: LogFormatConfig | None = None,
@@ -116,52 +267,68 @@ def parse_edge_log(
     """
     cfg = cfg or LogFormatConfig()
     data = source.read() if hasattr(source, "read") else bytes(source)
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    line_no = 1  # of the first line of the next chunk
+    if cfg.has_header:
+        header_end = data.find(b"\n", start)
+        start = len(data) if header_end < 0 else header_end + 1
+        line_no = 2
+    # numpy takes the lines it can vouch for; iso8601 stamps and a CR or LF
+    # delimiter leave every line to _parse_row
+    vectorized = cfg.timestamp_format == "unix" and cfg.delimiter not in "\r\n"
+    where = tuple(cfg.columns.index(c) for c in _COLUMNS)
 
-    idx_sender = cfg.columns.index("sender")
-    idx_recipient = cfg.columns.index("recipient")
-    idx_timestamp = cfg.columns.index("timestamp")
-
-    rows_read = 0
-    self_loops = 0
+    rows_read = self_loops = fallback = 0
     malformed: list[tuple[int, str]] = []
-    # accepted rows in input order; names get provisional ids by input order
-    stamps, senders, recipients = array("q"), array("q"), array("q")
-    provisional: dict[str, int] = {}
+    names = _Names()
+    # accepted rows in input order as (timestamp, sender, recipient), with
+    # provisional ids for the names
+    rows = np.empty((data.count(b"\n", start) + 1, 3), dtype=np.int64)
+    filled = 0
+    for lo, hi in _chunks(data, start):
+        chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+        ends = np.flatnonzero(chunk == 0x0A)
+        if chunk[-1] != 0x0A:  # the last line has no LF
+            ends = np.append(ends, len(chunk))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        slow = np.ones(len(ends), dtype=bool)
+        order, block = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
+        if vectorized:
+            lines, stamps, words = _fast_lines(chunk, starts, ends, cfg)
+            slow[lines] = False
+            rows_read += len(lines)
+            senders, recipients = names.intern(words).reshape(2, -1)
+            kept = senders != recipients
+            self_loops += len(lines) - int(np.count_nonzero(kept))
+            order = lines[kept]
+            block = np.stack([stamps, senders, recipients], axis=1)[kept]
 
-    for line_no, raw in enumerate(data.split(b"\n"), start=1):
-        if cfg.has_header and line_no == 1:
-            continue
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        if not raw:
-            continue
-        rows_read += 1
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            malformed.append((line_no, "invalid utf-8"))
-            continue
-        parts = text.split(cfg.delimiter)
-        if len(parts) != 3:
-            malformed.append((line_no, f"expected 3 columns, got {len(parts)}"))
-            continue
-        sender = parts[idx_sender].strip()
-        recipient = parts[idx_recipient].strip()
-        ts_raw = parts[idx_timestamp].strip()
-        if not sender or not recipient:
-            malformed.append((line_no, "empty sender or recipient"))
-            continue
-        try:
-            ts = _parse_timestamp(ts_raw, cfg.timestamp_format)
-        except ValueError:
-            malformed.append((line_no, f"bad timestamp {ts_raw!r}"))
-            continue
-        if sender == recipient:
-            self_loops += 1
-            continue
-        stamps.append(ts)
-        senders.append(provisional.setdefault(sender, len(provisional)))
-        recipients.append(provisional.setdefault(recipient, len(provisional)))
+        # every other line, in line order, through the row rules
+        left = np.flatnonzero(slow)
+        fallback += len(left)
+        slow_order, slow_cells = [], []
+        spans = (starts[left] + lo).tolist(), (ends[left] + lo).tolist()
+        for i, a, b in zip(left.tolist(), *spans):
+            row = _parse_row(data[a:b], cfg.delimiter, cfg.timestamp_format, where)
+            if row is None:
+                continue
+            rows_read += 1
+            if type(row) is str:
+                malformed.append((line_no + i, row))
+            elif row[1] == row[2]:
+                self_loops += 1
+            else:
+                slow_order.append(i)
+                slow_cells += (row[0], names[row[1].encode()], names[row[2].encode()])
+        if slow_order:
+            block = np.concatenate([block, np.reshape(slow_cells, (-1, 3))])
+            at = np.concatenate([order, slow_order])
+            block = block[np.argsort(at, kind="stable")]
+        rows[filled : filled + len(block)] = block
+        filled += len(block)
+        line_no += len(ends)
+        del chunk  # a view keeps the read buffer alive
+    del data  # free the read buffer: the columns below need the memory more
 
     if rows_read and len(malformed) / rows_read > malformed_threshold:
         preview = ", ".join(str(ln) for ln, _ in malformed[:5])
@@ -170,9 +337,8 @@ def parse_edge_log(
             f"(threshold {malformed_threshold:g}); first bad lines: {preview}"
         )
 
-    # one (timestamp, sender, recipient) row per message; ties keep input order
-    columns = (stamps, senders, recipients)
-    rows = np.stack([np.frombuffer(c, dtype=np.int64) for c in columns], axis=1)
+    # one row per message; ties keep input order
+    rows = rows[:filled]
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     collapsed = 0
     if collapse_duplicates:
@@ -181,19 +347,22 @@ def parse_edge_log(
         rows = rows[np.sort(first)]
 
     # dense ids by first appearance in sorted order, sender before recipient
-    _, first = np.unique(rows[:, 1:].ravel(), return_index=True)
-    appearance = rows[:, 1:].ravel()[np.sort(first)]
-    dense = np.empty(len(provisional), dtype=np.int64)
+    endpoints = rows[:, 1:].ravel()
+    first = np.full(len(names), len(endpoints), dtype=np.int64)
+    np.minimum.at(first, endpoints, np.arange(len(endpoints)))
+    seen = np.flatnonzero(first < len(endpoints))
+    appearance = seen[np.argsort(first[seen])]
+    dense = np.empty(len(names), dtype=np.int64)
     dense[appearance] = np.arange(len(appearance))
-    names = list(provisional)
+    keys = list(names)
     stream = TemporalEdgeStream(
         dense[rows[:, 1]],
         dense[rows[:, 2]],
         rows[:, 0],
-        labels={i: names[p] for i, p in enumerate(appearance.tolist())},
+        labels={i: keys[p].decode() for i, p in enumerate(appearance.tolist())},
     )
     report = IngestReport(
-        rows_read, len(stream), self_loops, tuple(malformed), collapsed
+        rows_read, len(stream), self_loops, tuple(malformed), collapsed, fallback
     )
     return stream, report
 

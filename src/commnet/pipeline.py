@@ -23,6 +23,7 @@ import os
 import shutil
 import statistics
 import tempfile
+import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -160,7 +161,8 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 
 def _acquire_stream(
     cfg: PipelineConfig,
-) -> tuple[TemporalEdgeStream, dict]:
+) -> tuple[TemporalEdgeStream, dict, dict]:
+    """The stream, its report.json source entry and its run_info.json entries."""
     if cfg.hub_params is not None:
         stream = generate_hub_corpus(cfg.hub_params)
         source = {
@@ -173,8 +175,9 @@ def _acquire_stream(
             "seed": cfg.hub_params.seed,
             "start_date": cfg.hub_params.start_date.isoformat(),
         }
-        return stream, source
+        return stream, source, {}
     assert cfg.input_path is not None
+    started = time.perf_counter()
     with open(cfg.input_path, "rb") as fh:
         stream, ingest_report = parse_edge_log(
             fh,
@@ -187,7 +190,15 @@ def _acquire_stream(
         "path": str(cfg.input_path),
         "ingest": _ingest_dict(ingest_report),
     }
-    return stream, source
+    # lines left to the per-line parser show when a log misses the fast path
+    info = {
+        "ingest": {
+            "seconds": time.perf_counter() - started,
+            "rows_read": ingest_report.rows_read,
+            "fallback_lines": ingest_report.fallback_lines,
+        }
+    }
+    return stream, source, info
 
 
 def _ingest_dict(report: IngestReport) -> dict:
@@ -244,7 +255,7 @@ def _fit_dicts(
 def run(cfg: PipelineConfig) -> Report:
     """Run the full pipeline and write report plus plot data to cfg.output_dir."""
     cfg.validate()
-    stream, source = _acquire_stream(cfg)
+    stream, source, info = _acquire_stream(cfg)
 
     window = slice_days(
         stream,
@@ -274,7 +285,7 @@ def run(cfg: PipelineConfig) -> Report:
 
     if not non_empty:
         report = Report(_config_echo(cfg), window_info, corpus, labels)
-        _emit_all(report, cfg)
+        _emit_all(report, cfg, info)
         return report
 
     table = centrality.degree_table(stream, window, cfg.direction)
@@ -380,7 +391,7 @@ def run(cfg: PipelineConfig) -> Report:
         robustness=robustness_section,
         sections_empty=False,
     )
-    _emit_all(report, cfg, table, day_hists, agg_hist)
+    _emit_all(report, cfg, info, table, day_hists, agg_hist)
     return report
 
 
@@ -548,11 +559,15 @@ def write_staged(
 def _emit_all(
     report: Report,
     cfg: PipelineConfig,
+    info: dict,
     table: centrality.DegreeTable | None = None,
     day_hists: Sequence[powerlaw.DegreeHistogram | None] = (),
     agg_hist: powerlaw.DegreeHistogram | None = None,
 ) -> None:
-    """Stage every file of the run, then swap the names it owns into place."""
+    """Stage every file of the run, then swap the names it owns into place.
+
+    ``info`` holds the run's measurements for run_info.json.
+    """
 
     def write(new: Path) -> None:
         _write(
@@ -563,6 +578,7 @@ def _emit_all(
         run_info = {
             "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "note": "wall-clock metadata; excluded from determinism guarantees",
+            **info,
         }
         _write(
             new / RUN_INFO_FILENAME,

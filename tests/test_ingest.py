@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commnet as cn
@@ -13,7 +13,10 @@ from commnet import (
     parse_edge_log,
     write_edge_log,
 )
+from commnet import ingest
 from commnet.errors import IngestError
+
+from . import ref_ingest
 
 
 def parse(data: bytes, cfg=None, **kwargs):
@@ -222,3 +225,184 @@ def test_parse_arbitrary_rows(lines, collapse):
     assert stream.node_registry.tolist() == first_seen
     assert sorted(stream.labels) == first_seen
     assert len(set(stream.labels.values())) == len(first_seen)
+
+
+# --- the vectorized parser against the frozen per-line parser --------------
+
+_DATED = ingest._DATED_SECONDS
+plain_names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
+odd_fields = st.sampled_from(
+    [
+        "", " a", "b ", "a b", "\x1fa", "a\x1f", "\u00a0a", "a\u00a0", "é", "a\x00",
+        "a\x01", "\r", "a\rb", "abcdefgh", "abcdefghi", "bbcdefghi", "a" * 16,
+        "a" * 17, "x" * 64, "x" * 65,
+    ]
+)
+odd_stamps = st.sampled_from(
+    [
+        "0", "+0", "-0", "007", "-007", "+12", "-12", "+", "-", "1" * 18, "9" * 18,
+        "-" + "9" * 18, "0" * 18 + "5", "1" + "0" * 17 + "5", "1" * 19, "0" * 20 + "7",
+        "1" * 21, str(_DATED.start), str(_DATED.start - 1), str(_DATED.stop - 1),
+        str(_DATED.stop), " 5", "5 ", "5\x01", "5\x1f", "1_0", "1.5", "٣", "2020",
+        "20200101", "1970-01-01T00:00:00Z", "1970-01-02T00:00:00+02:00",
+    ]
+)
+# small stamps tie often, so input order decides the order of tied rows
+stamp_texts = st.one_of(
+    st.integers(0, 3).map(str), st.integers(-(10**12), 10**12).map(str), odd_stamps
+)
+
+
+@st.composite
+def mixed_logs(draw):
+    """A log config plus bytes that mix plainly well-formed rows with every
+    kind of line the per-line rules have to judge."""
+    cfg = LogFormatConfig(
+        columns=tuple(draw(st.permutations(list(ingest._COLUMNS)))),
+        timestamp_format=draw(st.sampled_from(["unix", "unix", "unix", "iso8601"])),
+        delimiter=draw(st.sampled_from([",", "\t", ";"])),
+        has_header=draw(st.booleans()),
+    )
+    delimiter = cfg.delimiter.encode()
+
+    def arranged(row):
+        fields = dict(zip(("sender", "recipient", "timestamp"), row))
+        return delimiter.join(fields[c].encode() for c in cfg.columns)
+
+    wellformed = st.tuples(plain_names, plain_names, stamp_texts).map(arranged)
+    field = st.one_of(
+        plain_names.map(str.encode),
+        odd_fields.map(str.encode),
+        stamp_texts.map(str.encode),
+        st.sampled_from([b"\xff", b"a\xc3", b"\xc3\xa9"]),  # bad, bad, good UTF-8
+    )
+    line = st.one_of(
+        wellformed,
+        wellformed,
+        wellformed,
+        st.tuples(
+            st.one_of(plain_names, odd_fields),
+            st.one_of(plain_names, odd_fields),
+            stamp_texts,
+        ).map(arranged),
+        st.lists(field, max_size=4).map(delimiter.join),
+        st.binary(max_size=8),
+        st.sampled_from([b"", b"\r", b"\xef\xbb\xbf"]),
+    )
+    ending = st.sampled_from([b"", b"", b"", b"\r", b"\r\r"])  # before the LF
+    lines = [a + b for a, b in draw(st.lists(st.tuples(line, ending), max_size=60))]
+    # repeat a prefix so duplicate rows are common, not just possible
+    data = b"\n".join(lines + lines[: len(lines) // 3])
+    if draw(st.booleans()):
+        data += b"\n"
+    return cfg, data
+
+
+def _outcome(parser, data, cfg, **kwargs):
+    try:
+        return parser(io.BytesIO(data), cfg, **kwargs)
+    except IngestError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(
+    mixed_logs(),
+    st.booleans(),
+    st.sampled_from([0.3, 1.0, 1.0]),
+    st.sampled_from([1, 7, 64, None]),
+    st.booleans(),
+)
+def test_matches_reference_parser(log, collapse, threshold, chunk, collide):
+    cfg, data = log
+    kwargs = dict(malformed_threshold=threshold, collapse_duplicates=collapse)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:  # cross chunk boundaries, down to one line a chunk
+            mp.setattr(ingest, "_CHUNK_BYTES", chunk)
+        if collide:  # names longer than 8 bytes that share a last word collide
+            mp.setattr(ingest, "_HASH_MULTIPLIER", 0)
+        got = _outcome(parse_edge_log, data, cfg, **kwargs)
+    # the reference predates the byte-order-mark rule
+    unmarked = data.removeprefix(ingest._BOM)
+    want = _outcome(ref_ingest.parse_edge_log, unmarked, cfg, **kwargs)
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 8, None])
+@pytest.mark.parametrize(
+    "data",
+    [
+        # rows left to the per-line rules tie with vectorized ones
+        b" a,b,1\nc,d,1\ne,f,0\n g,h,0\n",
+        b"c,d,1\na,b,1\r\r\nc,d,1\n",
+        # 19 digits: leading zeros are fine, a nonzero first digit is out of range
+        b"a,b,1000000000000000005\na,b,0000000000000000005\na,b,-0000000000000000005\n",
+        # trailing control bytes: \x1f is whitespace to str.strip, \x01 is not
+        b"a,b,5\x01\na,b,5\x1f\na\x01,b,5\n\x1fa,b,5\n",
+        # one name through both paths: vectorized, padded, non-ASCII neighbour
+        b"ab,cd,1\n ab,cd,2\nab ,\xc3\xa9,3\ncd,ab,4",
+    ],
+)
+def test_matches_reference_on_edge_rows(data, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+    for collapse in (False, True):
+        got = parse(data, malformed_threshold=1.0, collapse_duplicates=collapse)
+        want = ref_ingest.parse_edge_log(
+            data, malformed_threshold=1.0, collapse_duplicates=collapse
+        )
+        assert got == want
+
+
+def test_matches_reference_on_a_generated_corpus(monkeypatch):
+    params = cn.HubCorpusParams(
+        nodes=60, days=6, hubs=4, hub_rate=20, background_rate=4
+    )
+    buf = io.BytesIO()
+    write_edge_log(cn.generate_hub_corpus(params), buf)
+    lines = buf.getvalue().split(b"\n")
+    # a few lines only the per-line rules accept or judge, among thousands
+    lines[10] = b" " + lines[10]
+    lines[20] += b"\r"
+    lines[30] = b"bad"
+    lines[40] = lines[40].replace(b",", b",\xc3\xa9", 1)
+    data = b"\n".join(lines)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 4096)
+    stream, report = parse(data, malformed_threshold=0.5)
+    assert (stream, report) == ref_ingest.parse_edge_log(data, malformed_threshold=0.5)
+    assert report.fallback_lines == 3
+    assert report.malformed_rows == ((31, "expected 3 columns, got 1"),)
+    assert len(stream) > 1000
+
+
+def test_hash_collision_groups_names_exactly(monkeypatch):
+    data = b"aaaaaaaaX,bbbbbbbbX,1\nbbbbbbbbX,ccccccccX,2\nab,aaaaaaaaX,3\n"
+    monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", 0)
+    stream, report = parse(data)
+    assert report.fallback_lines == 0
+    assert stream.labels == {0: "aaaaaaaaX", 1: "bbbbbbbbX", 2: "ccccccccX", 3: "ab"}
+    assert stream.senders.tolist() == [0, 1, 3]
+    assert stream.recipients.tolist() == [1, 2, 0]
+
+
+def test_leading_bom_is_stripped():
+    stream, report = parse(b"\xef\xbb\xbfalice,bob,1000\nbob,alice,2000\n")
+    assert stream.labels == {0: "alice", 1: "bob"}
+    assert report.accepted == 2
+    # before the header, too; a BOM anywhere else stays part of the field
+    cfg = LogFormatConfig(has_header=True)
+    stream, _ = parse(b"\xef\xbb\xbfsender,recipient,timestamp\na,b,5\n", cfg)
+    assert stream.labels == {0: "a", 1: "b"}
+    stream, _ = parse(b"a,b,5\n\xef\xbb\xbfa,b,6\n")
+    assert stream.labels == {0: "a", 1: "b", 2: "\ufeffa"}
+
+
+def test_fallback_lines_counted():
+    _, report = parse(b"a,b,1\n\nb,c,2\r\n b,c,3\nc,a,x\n", malformed_threshold=0.5)
+    # the blank line, the padded row and the bad stamp; CRLF stays vectorized
+    assert report.fallback_lines == 3
+    cfg = LogFormatConfig(timestamp_format="iso8601")
+    _, report = parse(b"a,b,1970-01-01T00:01:00Z\nb,a,1970-01-01T00:02:00Z\n", cfg)
+    assert report.fallback_lines == 2
+    # fallback_lines says how rows were parsed, not what they hold
+    assert report == IngestReport(2, 2, 0, ())

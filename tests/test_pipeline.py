@@ -144,6 +144,13 @@ def test_file_mode_reports_ingest(tmp_path, micro_stream):
     report = run(cfg)
     ingest = report.corpus["source"]["ingest"]
     assert ingest["accepted"] == len(brute.RAW_ROWS)
+    # parse time and the lines the vectorized pass left over go to run_info.json
+    info = json.loads((tmp_path / "out" / RUN_INFO_FILENAME).read_text())
+    assert set(info["ingest"]) == {"seconds", "rows_read", "fallback_lines"}
+    assert info["ingest"]["rows_read"] == ingest["rows_read"]
+    assert info["ingest"]["fallback_lines"] == 0
+    assert info["ingest"]["seconds"] >= 0
+    assert "fallback_lines" not in ingest
     assert report.corpus["nodes"] == 5
     assert report.labels == {str(i): name for i, name in enumerate(brute.NAMES)}
 
