@@ -1,12 +1,12 @@
 """Communication-network prominence and robustness analytics.
 
-Builds daily and aggregated directed multigraphs from timestamped message
-logs, measures message-weighted degree prominence and its day-to-day
-stability, fits power-law degree distributions, generates synthetic reference
-networks, and runs failure/attack tolerance experiments.
+Holds a timestamped message log as int64 columns sliced into calendar days,
+measures message-weighted degree prominence and its day-to-day stability
+from one days x nodes degree table, fits power-law degree distributions,
+generates synthetic reference networks, and runs failure/attack tolerance
+experiments on the undirected aggregate graph.
 """
 from .centrality import (
-    DegreeMap,
     DegreeTable,
     RankList,
     degree_share,
@@ -72,7 +72,6 @@ __all__ = [
     "CorrelationSeries",
     "DayWindow",
     "DegreeHistogram",
-    "DegreeMap",
     "DegreeTable",
     "DegreeSeries",
     "ERParams",

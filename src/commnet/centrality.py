@@ -1,10 +1,13 @@
-"""Message-weighted degree centrality, the per-day degree table and
-deterministic top-k ranking."""
+"""Message-weighted degree centrality: the per-day degree table and the one
+ranking rule behind every top-k list.
+
+Degrees are int64 vectors aligned with an int64 node array: a table row is
+one day, the column sum is the aggregate. Nodes rank by descending degree,
+then ascending id, and only positive degrees rank."""
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -15,23 +18,11 @@ VALID_DIRECTIONS = ("out", "in", "total")
 
 
 @dataclass(frozen=True)
-class DegreeMap:
-    """Degree value for every registered node, zero entries included."""
-
-    values: Mapping[int, int]
-    direction: str
-
-    @property
-    def total(self) -> int:
-        return sum(self.values.values())
-
-
-@dataclass(frozen=True)
 class RankList:
     """Top-k nodes by degree; ties broken by ascending node id.
 
     ``k`` is the requested size; ``entries`` may be shorter when fewer nodes
-    qualify (zero-degree nodes are excluded unless requested).
+    have a positive degree.
     """
 
     k: int
@@ -49,22 +40,13 @@ class RankList:
 class DegreeTable:
     """Degree of every registered node on every day.
 
-    ``values[t, j]`` is the degree of ``nodes[j]`` on day ``t``; columns follow
-    ascending node id. The aggregate degree is the column sum.
+    ``values[t, j]`` is the degree of ``nodes[j]`` on day ``t``; ``nodes`` is
+    the sorted int64 registry. The aggregate degree is the column sum.
     """
 
-    nodes: tuple[int, ...]
+    nodes: np.ndarray  # int64, ascending
     values: np.ndarray  # int64, shape (days, nodes)
     direction: str
-
-    def _as_map(self, row: np.ndarray) -> DegreeMap:
-        return DegreeMap(dict(zip(self.nodes, row.tolist())), self.direction)
-
-    def day_map(self, day: int) -> DegreeMap:
-        return self._as_map(self.values[day])
-
-    def aggregate_map(self) -> DegreeMap:
-        return self._as_map(self.values.sum(axis=0))
 
     def column(self, node: int) -> np.ndarray:
         """One node's per-day degrees; UnknownNodeError if it is not registered."""
@@ -96,34 +78,44 @@ def degree_table(
     )
     values = np.bincount(cells, minlength=window.length * len(nodes))
     return DegreeTable(
-        tuple(nodes.tolist()),
+        nodes,
         values.astype(np.int64, copy=False).reshape(window.length, len(nodes)),
         direction,
     )
 
 
-def top_k(d: DegreeMap, k: int, *, include_zeros: bool = False) -> RankList:
-    """The k highest-degree nodes, ordered by descending degree then ascending id."""
+def ranked_positions(nodes: np.ndarray, degrees: np.ndarray) -> list[np.ndarray]:
+    """The ranking rule, once per row of ``degrees`` (one vector aligned with
+    ``nodes``, or a days x nodes table): the positions of the positive
+    degrees, by descending degree then ascending node id."""
+    degrees = np.atleast_2d(degrees)
+    order = np.lexsort((np.broadcast_to(nodes, degrees.shape), -degrees))
+    # positive degrees sort first, so each row's ranking is a prefix
+    return [row[:n] for row, n in zip(order, np.count_nonzero(degrees > 0, axis=1))]
+
+
+def _entries(
+    nodes: np.ndarray, degrees: np.ndarray, k: int
+) -> tuple[tuple[int, int], ...]:
+    top = ranked_positions(nodes, degrees)[0][:k]
+    return tuple(zip(nodes[top].tolist(), degrees[top].tolist()))
+
+
+def top_k(nodes: np.ndarray, degrees: np.ndarray, k: int) -> RankList:
+    """The k highest-degree nodes of a degree vector aligned with ``nodes``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    items = [
-        (node, deg)
-        for node, deg in d.values.items()
-        if include_zeros or deg > 0
-    ]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    return RankList(k, tuple(items[:k]))
+    return RankList(k, _entries(nodes, degrees, k))
 
 
-def degree_share(d: DegreeMap, top: RankList) -> float:
+def degree_share(nodes: np.ndarray, degrees: np.ndarray, top: RankList) -> float:
     """Fraction of the total degree mass held by the ranked nodes.
 
     Returns 0 when the total degree is 0.
     """
-    for node, deg in top.entries:
-        if d.values.get(node) != deg:
-            raise ValueError("rank list was not derived from this degree map")
-    total = d.total
+    if top.entries != _entries(nodes, degrees, top.k):
+        raise ValueError("rank list was not derived from these degrees")
+    total = int(degrees.sum())
     if total == 0:
         return 0.0
     return sum(deg for _, deg in top.entries) / total

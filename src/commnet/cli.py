@@ -35,7 +35,7 @@ from .pipeline import (
     write_robustness_curve,
     write_staged,
 )
-from .robustness import RemovalStrategy, robustness_curve
+from .robustness import RemovalStrategy, robustness_curve, validate_steps
 from .temporal import UndirectedGraph, undirected_projection
 
 EXIT_OK = 0
@@ -320,6 +320,7 @@ def _read_edge_list(path: str) -> UndirectedGraph:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    validate_steps(args.steps)
     if args.edges:
         graph = _read_edge_list(args.edges)
     else:

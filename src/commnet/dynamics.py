@@ -3,7 +3,8 @@
 Day-to-day correlation of degree vectors, per-node degree series with a
 coefficient-of-variation stability classification, and overlap statistics
 between top-k rank lists (pairwise across days, and daily versus aggregate).
-Every analysis reads the same node x day degree table (centrality.DegreeTable).
+Every analysis reads the same node x day degree table (centrality.DegreeTable),
+and every ranking follows centrality's one ranking rule.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Sequence
 
-from .centrality import DegreeTable, RankList, top_k
+from .centrality import DegreeTable, RankList, ranked_positions, top_k
 
 
 class Stability(str, Enum):
@@ -167,15 +168,20 @@ def rank_overlap(a: RankList, b: RankList) -> OverlapResult:
 
 def _daily_orderings(table: DegreeTable) -> list[list[int]]:
     """Full positive-degree ranking per non-empty day; top-k lists are prefixes."""
-    orderings = []
-    for row in table.values.tolist():
-        # the sort is stable, so equal degrees keep ascending node id
-        ranked = sorted(
-            (j for j, deg in enumerate(row) if deg > 0), key=lambda j: -row[j]
-        )
-        if ranked:
-            orderings.append([table.nodes[j] for j in ranked])
-    return orderings
+    return [
+        table.nodes[ranked].tolist()
+        for ranked in ranked_positions(table.nodes, table.values)
+        if len(ranked)
+    ]
+
+
+def validate_k_values(k_values: Sequence[int]) -> None:
+    """Raise ValueError unless the k values are non-empty, positive and
+    strictly ascending."""
+    if not k_values or k_values[0] < 1:
+        raise ValueError("k_values must be non-empty and positive")
+    if any(b <= a for a, b in zip(k_values, k_values[1:])):
+        raise ValueError("k_values must be strictly ascending")
 
 
 def overlap_vs_k(
@@ -185,8 +191,7 @@ def overlap_vs_k(
 
     Returns None for a k when fewer than two non-empty days exist.
     """
-    if not k_values or list(k_values) != sorted(k_values) or k_values[0] < 1:
-        raise ValueError("k_values must be positive, ascending")
+    validate_k_values(k_values)
     orderings = _daily_orderings(table)
     result: dict[int, float | None] = {}
     for k in k_values:
@@ -215,5 +220,5 @@ def daily_vs_aggregate_consistency(
         freq.update(ranked[:k])
     ordered = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     daily_ids = {node for node, _ in ordered[:k]}
-    agg_ids = top_k(table.aggregate_map(), k).node_ids
+    agg_ids = top_k(table.nodes, table.values.sum(axis=0), k).node_ids
     return OverlapResult(k, len(daily_ids & agg_ids)), dict(ordered)

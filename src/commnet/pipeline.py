@@ -94,10 +94,6 @@ class PipelineConfig:
             raise ConfigError(f"direction must be one of {centrality.VALID_DIRECTIONS}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if not self.k_values or list(self.k_values) != sorted(self.k_values):
-            raise ConfigError("k_values must be non-empty and ascending")
-        if self.k_values[0] < 1:
-            raise ConfigError("k_values must be positive")
         if self.fit_target not in ("pdf", "ccdf"):
             raise ConfigError("fit_target must be 'pdf' or 'ccdf'")
         if self.fit_xmin < 1:
@@ -107,8 +103,11 @@ class PipelineConfig:
         days = self.window_days
         if days is not None and not 1 <= days <= MAX_WINDOW_DAYS:
             raise ConfigError(f"window_days must lie in 1 .. {MAX_WINDOW_DAYS} (100 years)")
-        if not self.robustness_steps:
-            raise ConfigError("robustness_steps must be non-empty")
+        try:
+            dynamics.validate_k_values(self.k_values)
+            robust.validate_steps(self.robustness_steps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -212,15 +211,15 @@ def _ingest_dict(report: IngestReport) -> dict:
     }
 
 
-def _histogram(dmap: centrality.DegreeMap) -> powerlaw.DegreeHistogram | None:
+def _histogram(degrees: np.ndarray) -> powerlaw.DegreeHistogram | None:
     try:
-        return powerlaw.histogram(dmap)
+        return powerlaw.histogram(degrees)
     except EmptyHistogramError:
         return None
 
 
 def _fit_dicts(
-    dmap: centrality.DegreeMap,
+    degrees: np.ndarray,
     hist: powerlaw.DegreeHistogram | None,
     target: str,
     xmin: int,
@@ -240,14 +239,14 @@ def _fit_dicts(
     except InsufficientSupportError:
         pass
     try:
-        fit = powerlaw.fit_mle_sweep([d for d in dmap.values.values() if d >= 1])
+        fit = powerlaw.fit_mle_sweep(degrees)
         out["mle"] = {
             "gamma": fit.gamma,
             "ks_statistic": fit.ks_statistic,
             "xmin": fit.xmin,
             "n_tail": fit.n_tail,
         }
-    except (EmptyHistogramError, InsufficientSupportError):
+    except InsufficientSupportError:
         pass
     return out
 
@@ -295,21 +294,21 @@ def run(cfg: PipelineConfig) -> Report:
     day_hists: list[powerlaw.DegreeHistogram | None] = [None] * window.length
     daily_fits = []
     for t in non_empty:
-        dmap = table.day_map(t)
-        day_hists[t] = _histogram(dmap)
+        degrees = table.values[t]
+        day_hists[t] = _histogram(degrees)
         daily_fits.append(
             {
                 "day": t,
                 "date": window.date(t).isoformat(),
-                "active_nodes": int(np.count_nonzero(table.values[t])),
+                "active_nodes": int(np.count_nonzero(degrees)),
                 "messages": int(messages[t]),
-                **_fit_dicts(dmap, day_hists[t], cfg.fit_target, cfg.fit_xmin),
+                **_fit_dicts(degrees, day_hists[t], cfg.fit_target, cfg.fit_xmin),
             }
         )
 
-    agg_map = table.aggregate_map()
-    agg_hist = _histogram(agg_map)
-    aggregate_fit = _fit_dicts(agg_map, agg_hist, cfg.fit_target, cfg.fit_xmin)
+    aggregate = table.values.sum(axis=0)
+    agg_hist = _histogram(aggregate)
+    aggregate_fit = _fit_dicts(aggregate, agg_hist, cfg.fit_target, cfg.fit_xmin)
 
     series = dynamics.consecutive_day_correlation(table) \
         if window.length >= 2 else None
@@ -344,11 +343,11 @@ def run(cfg: PipelineConfig) -> Report:
     }
     top_frequency = [{"node": node, "days": days} for node, days in freq_table.items()]
 
-    top = centrality.top_k(agg_map, cfg.k)
+    top = centrality.top_k(table.nodes, aggregate, cfg.k)
     concentration = {
         "k": cfg.k,
         "direction": cfg.direction,
-        "share": centrality.degree_share(agg_map, top),
+        "share": centrality.degree_share(table.nodes, aggregate, top),
         "top": [{"node": node, "degree": deg} for node, deg in top.entries],
     }
 

@@ -1,24 +1,25 @@
 """Degree-distribution estimation and power-law fitting.
 
-Builds the empirical pdf and complementary cumulative distribution of a degree
-map and fits the heavy tail two ways: ordinary least squares on the log-log
-relationship (mirroring straight-line inspection of log-log plots) and a discrete
-maximum-likelihood estimator with a Kolmogorov-Smirnov distance, optionally
-sweeping the lower cutoff to the KS-optimal choice.
+Builds the empirical pdf and complementary cumulative distribution of an
+int64 degree vector (one ``bincount``) and fits the heavy tail two ways:
+ordinary least squares on the log-log relationship (mirroring straight-line
+inspection of log-log plots) and a discrete maximum-likelihood estimator with
+a Kolmogorov-Smirnov distance, optionally sweeping the lower cutoff to the
+KS-optimal choice.
 
 Zero-degree nodes are excluded from distributions (log 0 is undefined) but
 reported as a count.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .centrality import DegreeMap
 from .errors import EmptyHistogramError, InsufficientSupportError
+from .temporal import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -37,17 +38,6 @@ class DegreeHistogram:
     zeros_dropped: int = 0
 
     @classmethod
-    def from_counts(
-        cls, counts: Mapping[int, int], *, zeros_dropped: int = 0
-    ) -> "DegreeHistogram":
-        support = sorted(k for k, c in counts.items() if c > 0)
-        if not support:
-            raise EmptyHistogramError("no samples with positive count")
-        n = sum(counts[k] for k in support)
-        pdf = [counts[k] / n for k in support]
-        return cls(tuple(support), tuple(pdf), _ccdf_from_pdf(pdf), n, zeros_dropped)
-
-    @classmethod
     def from_pdf(
         cls, pdf: Mapping[int, float], *, n: int = 0
     ) -> "DegreeHistogram":
@@ -57,17 +47,12 @@ class DegreeHistogram:
             raise EmptyHistogramError("pdf has no positive mass")
         total = sum(pdf[k] for k in support)
         probs = [pdf[k] / total for k in support]
-        return cls(tuple(support), tuple(probs), _ccdf_from_pdf(probs), n)
+        return cls(tuple(support), tuple(probs), _ccdf(np.array(probs)), n)
 
 
-def _ccdf_from_pdf(pdf: Sequence[float]) -> tuple[float, ...]:
+def _ccdf(pdf: np.ndarray) -> tuple[float, ...]:
     # accumulate from the tail so small tail masses are not swamped
-    out = [0.0] * len(pdf)
-    running = 0.0
-    for i in range(len(pdf) - 1, -1, -1):
-        running += pdf[i]
-        out[i] = running
-    return tuple(out)
+    return tuple(np.cumsum(pdf[::-1])[::-1].tolist())
 
 
 @dataclass(frozen=True)
@@ -88,19 +73,22 @@ class PowerLawFit:
     n_tail: int
 
 
-def histogram(d: DegreeMap, *, drop_zeros: bool = True) -> DegreeHistogram:
-    """Empirical distribution of a degree map.
+def histogram(degrees: np.ndarray) -> DegreeHistogram:
+    """Empirical distribution of a non-negative int64 degree vector.
 
-    Raises EmptyHistogramError when no node has a positive degree.
+    Memory grows with the largest degree, which a message count bounds by the
+    stream length. Raises EmptyHistogramError when no node has a positive
+    degree.
     """
-    counts = Counter(d.values.values())
-    zeros = counts.pop(0, 0)
-    if not counts:
+    counts = np.bincount(degrees, minlength=1)
+    support = np.flatnonzero(counts[1:]) + 1
+    if not support.size:
         raise EmptyHistogramError("all degrees are zero")
-    if not drop_zeros and zeros:
-        counts[0] = zeros
-        zeros = 0
-    return DegreeHistogram.from_counts(counts, zeros_dropped=zeros)
+    n = int(counts[support].sum())
+    pdf = counts[support] / n
+    return DegreeHistogram(
+        tuple(support.tolist()), tuple(pdf.tolist()), _ccdf(pdf), n, int(counts[0])
+    )
 
 
 def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLawFit:
@@ -164,7 +152,7 @@ def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLaw
     )
 
 
-def fit_mle(degrees: Iterable[int], xmin: int = 1) -> PowerLawFit:
+def fit_mle(degrees: ArrayLike, xmin: int = 1) -> PowerLawFit:
     """Discrete-approximation maximum-likelihood exponent for the tail k >= xmin.
 
     Uses the continuity-corrected closed form
@@ -182,7 +170,7 @@ def fit_mle(degrees: Iterable[int], xmin: int = 1) -> PowerLawFit:
     """
     if xmin < 1:
         raise ValueError("xmin must be >= 1")
-    x = np.asarray(list(degrees), dtype=np.int64)
+    x = np.asarray(degrees, dtype=np.int64)
     tail = x[x >= xmin]
     if tail.size < 10:
         raise InsufficientSupportError(
@@ -203,7 +191,7 @@ def fit_mle(degrees: Iterable[int], xmin: int = 1) -> PowerLawFit:
 
 def _ks_statistic(tail: np.ndarray, gamma: float, xmin: int) -> float:
     sorted_tail = np.sort(tail)
-    distinct = np.unique(sorted_tail)
+    distinct = sorted_unique(sorted_tail)
     n = sorted_tail.size
     # empirical P(K >= k) at each distinct observed k
     emp = (n - np.searchsorted(sorted_tail, distinct, side="left")) / n
@@ -211,25 +199,16 @@ def _ks_statistic(tail: np.ndarray, gamma: float, xmin: int) -> float:
     return float(np.abs(emp - model).max())
 
 
-def fit_mle_sweep(
-    degrees: Iterable[int],
-    xmin_candidates: Iterable[int] | None = None,
-) -> PowerLawFit:
+def fit_mle_sweep(degrees: ArrayLike) -> PowerLawFit:
     """Fit at every candidate lower cutoff and keep the minimum-KS fit.
 
-    Candidates default to the distinct positive values in the sample; cutoffs
-    whose tail holds fewer than 10 samples are skipped. Ties in KS go to the
+    Candidates are the distinct positive values in the sample; cutoffs whose
+    tail holds fewer than 10 samples are skipped. Ties in KS go to the
     smaller cutoff.
     """
-    x = np.asarray(list(degrees), dtype=np.int64)
-    if xmin_candidates is None:
-        candidates = [int(v) for v in np.unique(x[x >= 1])]
-    else:
-        candidates = sorted({int(c) for c in xmin_candidates})
-        if any(c < 1 for c in candidates):
-            raise ValueError("xmin candidates must be >= 1")
+    x = np.asarray(degrees, dtype=np.int64)
     best: PowerLawFit | None = None
-    for cand in candidates:
+    for cand in sorted_unique(x[x >= 1]).tolist():
         if int((x >= cand).sum()) < 10:
             continue
         fit = fit_mle(x, xmin=cand)

@@ -158,6 +158,17 @@ def _mean_distance(
     return total / (len(sources) * (size - 1))
 
 
+def validate_steps(steps: Sequence[float]) -> None:
+    """Raise ValueError unless the removal fractions are non-empty, strictly
+    increasing and in [0, 1)."""
+    if not steps:
+        raise ValueError("steps must be non-empty")
+    if any(not 0.0 <= f < 1.0 for f in steps):
+        raise ValueError("fractions must lie in [0, 1)")
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError("fractions must be strictly increasing")
+
+
 def robustness_curve(
     g: UndirectedGraph,
     strategy: RemovalStrategy,
@@ -175,12 +186,7 @@ def robustness_curve(
     giant component's average path length are recorded.
     """
     steps = list(steps)
-    if not steps:
-        raise ValueError("steps must be non-empty")
-    if any(not 0.0 <= f < 1.0 for f in steps):
-        raise ValueError("fractions must lie in [0, 1)")
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("fractions must be strictly increasing")
+    validate_steps(steps)
     n = len(g.nodes)
     if not n:
         raise ValueError("graph has no nodes")

@@ -5,7 +5,9 @@ timestamp) sorted by timestamp. Slicing it into calendar days gives one day
 index per message over a contiguous window; daily and aggregate quantities
 are computed from those arrays in vectorized passes. The aggregate network
 is a sorted int64 node array plus one ascending int64 array of distinct node
-pairs, read through a CSR adjacency. Day boundaries are half-open intervals
+pairs, read through a CSR adjacency. Distinct values come from a sort plus a
+neighbour mask (``sorted_unique``): numpy's hash-based unique is many times
+slower on large int64 inputs. Day boundaries are half-open intervals
 [00:00:00, 24:00:00) of the configured clock (UTC plus an optional fixed
 offset). Streams, windows and graphs are immutable after
 construction (their arrays are not writeable) and safe to share across
@@ -58,6 +60,15 @@ def _window_too_long(days: int) -> WindowError:
     )
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array (flattened), ascending."""
+    ordered = np.sort(values, axis=None)
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _frozen(values: ArrayLike) -> np.ndarray:
     """A read-only int64 copy."""
     arr = np.array(values, dtype=np.int64)
@@ -98,7 +109,9 @@ class TemporalEdgeStream:
         loops = np.flatnonzero(self.senders == self.recipients)
         if loops.size:
             raise ValueError(f"self-loop edge on node {self.senders[loops[0]]}")
-        self.node_registry = _frozen(np.union1d(self.senders, self.recipients))
+        self.node_registry = _frozen(
+            sorted_unique(np.concatenate([self.senders, self.recipients]))
+        )
         self.labels = dict(labels) if labels is not None else None
 
     def __len__(self) -> int:
@@ -206,11 +219,12 @@ class UndirectedGraph:
     __slots__ = ("nodes", "edges")
 
     def __init__(self, edges: ArrayLike = (), nodes: ArrayLike = ()) -> None:
-        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
         if loops.size:
             raise ValueError(f"self-edge on node {pairs[loops[0], 0]}")
-        self.nodes = _frozen(np.union1d(np.array(nodes, dtype=np.int64), pairs))
+        nodes = np.asarray(nodes, dtype=np.int64)
+        self.nodes = _frozen(sorted_unique(np.concatenate([nodes, pairs.ravel()])))
         self.edges = _frozen(_distinct_pairs(self.nodes, pairs[:, 0], pairs[:, 1]))
 
     def adjacency_matrix(self) -> csr_matrix:
@@ -243,13 +257,12 @@ def _distinct_pairs(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     n = len(nodes)
     lo = np.searchsorted(nodes, np.minimum(u, v))
     hi = np.searchsorted(nodes, np.maximum(u, v))
-    keys = np.unique(lo * n + hi)
+    keys = sorted_unique(lo * n + hi)
     return np.column_stack([nodes[keys // n], nodes[keys % n]])
 
 
 def undirected_projection(stream: TemporalEdgeStream) -> UndirectedGraph:
     """Collapse directions and multiplicities: {u,v} present iff any message passed."""
-    nodes = stream.node_registry
     return UndirectedGraph(
-        _distinct_pairs(nodes, stream.senders, stream.recipients), nodes
+        np.column_stack([stream.senders, stream.recipients]), stream.node_registry
     )

@@ -27,6 +27,11 @@ def degrees_of(g: cn.UndirectedGraph) -> list[int]:
     return np.diff(g.adjacency_matrix().indptr).tolist()
 
 
+def _arrays(values: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned node and degree arrays of a {node: degree} map."""
+    return np.array(list(values)), np.array(list(values.values()))
+
+
 def test_criterion_1_ols_exactness():
     start = time.monotonic()
     for g in (1.5, 2.0, 2.5, 3.0):
@@ -87,8 +92,7 @@ def test_criterion_3_random_baseline_rejected():
     for seed in range(20):
         g = cn.generate_er(cn.ERParams(n=10_000, p=1e-3, seed=seed))
         deg = np.array(degrees_of(g))
-        dmap = cn.DegreeMap({u: int(d) for u, d in enumerate(deg)}, "total")
-        fit = cn.fit_ols(cn.histogram(dmap), target="pdf", xmin=1)
+        fit = cn.fit_ols(cn.histogram(deg), target="pdf", xmin=1)
         r2_hits += fit.r_squared < 0.9
         chi_hits += _poisson_chi_square_pvalue(deg) > 0.01
     assert r2_hits >= 18, f"pdf-OLS r^2 < 0.9 in only {r2_hits}/20 seeds"
@@ -143,9 +147,7 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
     # identity-shuffled control: permute node identity per day, destroying
     # cross-day alignment while preserving each day's degree multiset
     registry = list(table.nodes)
-    vectors = [
-        [table.day_map(t).values[u] for u in registry] for t in range(window.length)
-    ]
+    vectors = table.values.tolist()
     rng = np.random.default_rng(1234)
     control = []
     for a, b in zip(vectors, vectors[1:]):
@@ -159,8 +161,9 @@ def test_criterion_5_temporal_pipeline_on_hub_corpus():
     consistency, _ = cn.daily_vs_aggregate_consistency(table, 10)
     assert consistency.count == 10
 
-    dmap = table.aggregate_map()
-    share = cn.degree_share(dmap, cn.top_k(dmap, 10))
+    aggregate = table.values.sum(axis=0)
+    top = cn.top_k(table.nodes, aggregate, 10)
+    share = cn.degree_share(table.nodes, aggregate, top)
     assert share >= 0.5
 
     elapsed = time.monotonic() - start
@@ -178,19 +181,20 @@ def test_criterion_6_hand_oracle_equivalence(micro_stream, micro_window):
     # degrees: every direction, every day, plus the aggregate
     for direction in ("out", "in", "total"):
         table = cn.degree_table(micro_stream, micro_window, direction)
+        nodes = table.nodes.tolist()
         for day in range(micro_window.length):
-            got = table.day_map(day).values
+            got = dict(zip(nodes, table.values[day].tolist()))
             assert got == brute.degrees(day, direction), (direction, day)
-        agg_map = table.aggregate_map().values
+        agg_map = dict(zip(nodes, table.values.sum(axis=0).tolist()))
         assert agg_map == brute.degrees(None, direction)
 
     # top-k rank lists and degree shares
     for day in (0, 1, 2, None):
         values = brute.degrees(day, "out")
-        dmap = cn.DegreeMap(values, "out")
+        dmap = _arrays(values)
         for k in (1, 2, 4):
-            assert list(cn.top_k(dmap, k).entries) == brute.top_k(values, k)
-            share = cn.degree_share(dmap, cn.top_k(dmap, k))
+            assert list(cn.top_k(*dmap, k).entries) == brute.top_k(values, k)
+            share = cn.degree_share(*dmap, cn.top_k(*dmap, k))
             assert abs(share - brute.degree_share(values, k)) < tol
 
     # consecutive-day correlations
@@ -219,8 +223,8 @@ def test_criterion_6_hand_oracle_equivalence(micro_stream, micro_window):
     for k in (1, 2, 3):
         for a in range(3):
             for b in range(a + 1, 3):
-                la = cn.top_k(cn.DegreeMap(brute.degrees(a, "out"), "out"), k)
-                lb = cn.top_k(cn.DegreeMap(brute.degrees(b, "out"), "out"), k)
+                la = cn.top_k(*_arrays(brute.degrees(a, "out")), k)
+                lb = cn.top_k(*_arrays(brute.degrees(b, "out")), k)
                 assert cn.rank_overlap(la, lb).count == brute.overlap_count(a, b, k)
         table = cn.overlap_vs_k(
             cn.degree_table(micro_stream, micro_window, "out"), [k]

@@ -121,11 +121,20 @@ def test_config_error_exit_code(tmp_path):
         ("--tz-offset-seconds", "9223372036854775000"),
         ("--k-values", ""),
         ("--window-days", "36526"),
+        ("--k-values", "5,5,10"),
     ):
         rc = main(
             ["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(tmp_path)]
         )
         assert rc == 2, flag
+    # bad removal fractions are refused before the input is even opened
+    missing = str(tmp_path / "missing.log")
+    for steps in ("0.5,0.2", "1.0"):
+        for argv in (
+            ["analyze", "--input", missing, "--robustness-steps", steps],
+            ["robustness", "--input", missing, "--steps", steps],
+        ):
+            assert main([*argv, "--output-dir", str(tmp_path)]) == 2, argv
 
 
 def test_missing_output_dir_is_config_error(tmp_path, monkeypatch):

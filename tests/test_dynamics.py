@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import commnet as cn
 from commnet import (
-    DegreeMap,
     DegreeTable,
     RankList,
     Stability,
@@ -31,9 +30,11 @@ from . import brute
 def snap(i, edges, nodes):
     """Day i as a one-row out-degree table over the registry ``nodes``, built
     directly: these registries include nodes that send and receive nothing."""
-    nodes = tuple(sorted(nodes))
+    nodes = sorted(nodes)
     row = [sum(m for (u, _), m in edges.items() if u == node) for node in nodes]
-    return DegreeTable(nodes, np.array([row], dtype=np.int64), "out")
+    return DegreeTable(
+        np.array(nodes, dtype=np.int64), np.array([row], dtype=np.int64), "out"
+    )
 
 
 def days_table(snaps):
@@ -156,10 +157,7 @@ def test_planted_hubs_correlate_and_shuffle_control_does_not():
     series = consecutive_day_correlation(table)
     assert statistics.median(series.defined_values) > 0.8
     registry = list(table.nodes)
-    vecs = [
-        [table.day_map(t).values[u] for u in registry]
-        for t in range(len(table.values))
-    ]
+    vecs = table.values.tolist()
     rng = np.random.default_rng(99)
     control = []
     for a, b in zip(vecs, vecs[1:]):
@@ -305,6 +303,8 @@ def test_overlap_vs_k_validation():
         overlap_vs_k(days_table(snaps), [3, 2])
     with pytest.raises(ValueError):
         overlap_vs_k(days_table(snaps), [0, 2])
+    with pytest.raises(ValueError):
+        overlap_vs_k(days_table(snaps), [5, 5, 10])
 
 
 def test_overlap_nested_prefix_corpus_non_decreasing():

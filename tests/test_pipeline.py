@@ -316,3 +316,71 @@ def test_output_bytes_pinned(tmp_path):
         if p.is_file() and p.name != RUN_INFO_FILENAME
     }
     assert digests == PINNED_DIGESTS
+
+
+# the same corpus as above, ranked and fitted on total degree with the pdf
+# target above a cutoff of 2: guards the in/total histogram and top-k paths
+PINNED_TOTAL_PDF_DIGESTS = {
+    "correlation_series.dat": "678cc7cf1322c6d1ee49c071172212c340819622491107372c541b3ea2ba3625",
+    "day_distributions/day_0000.dat": "452afb1984a7ab6cfd64dfad485742f94ec870feabc1afea495fed21c722d728",
+    "day_distributions/day_0001.dat": "907d8d1314b3e0c3e76765deedd0b7fb33ff108b9206cd0b3e994296c130f619",
+    "day_distributions/day_0002.dat": "f7c4ffe80afbdb0dd21f3b726002357846ccc44d35160098afac4e399fbeab98",
+    "day_distributions/day_0003.dat": "967ecdf7c466a9bf2ed1a532462ce2a7038cfc67598b3d970d04cf033c5a9732",
+    "day_distributions/day_0004.dat": "3da511f29977ee12e40d06097d4c70ff49ae5712c01faa4fc8b9ea6a0b50e1f4",
+    "day_distributions/day_0005.dat": "cf69b9ee847e9bacc375c30a6c5c06871ea8fdbe85061436bc3b6e7b5122a42c",
+    "day_distributions/day_0006.dat": "1cec0e3b28996040d6be6991b5e14dd4f3bfe4a9750020d578213d402b9f54b1",
+    "day_distributions/day_0007.dat": "29215bfc4af5b65ece826138c54b3b33592fe2ad52e9ae873b10f13a5f97c967",
+    "day_distributions/day_0008.dat": "69c542aa7f4bcc09c458d800bcf479e68577e2ad76a477b829ad0bee325bf403",
+    "day_distributions/day_0009.dat": "3280e1375969f2575fe4c814c1d276ddda3a2a4e74813e667d078a072180e082",
+    "day_distributions/day_0010.dat": "141c9bb2be59570a268188b26c6a7db3feba43883a7356b0e11f0c7d3bc8e74e",
+    "day_distributions/day_0011.dat": "9636fc568ddb5c0dc03e74e3ac787ba6aa5b66c9fee629df4a7d21a9d382710b",
+    "day_distributions/day_0012.dat": "b0003e459014ead5993e3b20476d3810f83bea679893e9a3713214a586f2c6df",
+    "day_distributions/day_0013.dat": "9ca572ee1b7fc46b75c078180b45e09f2f24178558d14be3ab51f80aab64cc1b",
+    "day_distributions/day_0014.dat": "0d7ed49f800cbd1c1ab7875629285e21e2aca5eae591e9925e3e16b57336ba28",
+    "day_distributions/day_0015.dat": "5b21b13d1b6edc03084f5b4078272aee949ca6a0256d2a38b1ef99f682b26214",
+    "day_distributions/day_0016.dat": "07de33435f79354cc522ea93df820ac640e323831b66b6078ef95ce559fe9053",
+    "day_distributions/day_0017.dat": "da13f3dd2348761eaf499a18eeb5b47d52bc6e477fa1db7d4124fd4bcd0a04f0",
+    "day_distributions/day_0018.dat": "74916a47c6a3cf22b780bbcf15b1e281bf459e969dd144b65580a564981636d6",
+    "day_distributions/day_0019.dat": "2e6228dd4aaa979721c682c6c9759d7df2ad2c94f0f183358d75e9c0e3859509",
+    "day_distributions/day_0020.dat": "f0f743c4d91bcfe7c481be2225ec274550fe13605685a69028dd4b8b32640f10",
+    "day_distributions/day_0021.dat": "0f34c3bf26ce1423eb6835d2016c04f32c6eafc587ab1dd8eb6b8a9580dfa7d2",
+    "day_distributions/day_0022.dat": "f48644442c0ed34b296fece138368b6a0e9a4f95e6a6598e0b919b37a5a3a32e",
+    "day_distributions/day_0023.dat": "bf98f1317cbd592b74afc8b0d4f5efd03b03b6750ead13671c94ceeb5bbb04b7",
+    "day_distributions/day_0024.dat": "eeaaa692cfd472cb1cb25dc4b83aff813cd6d0460f71cda61278fa990ea6a8c0",
+    "degree_distribution_aggregate.dat": "6f5f4fae4b0a41efa6d2fc12c9d41d218907ef494309187506e86aad0a6c905a",
+    "hub_series/node_0.dat": "1616e32b18d96d911416284041d5cd988d92c6c5d406a11d8fca585208fa0851",
+    "hub_series/node_1.dat": "3a8d15f8742b06ea40736cf11f0f12153a0b8dd4f548948fda9dfd1e363a0145",
+    "hub_series/node_2.dat": "d065189cee18f5974b60d9d04784242477d01baa4f10dab32feb46707fb3b37a",
+    "hub_series/node_3.dat": "e9166e253c1444530d236e6c0252cd6b17cad5fea9471800300ab25d6f550336",
+    "hub_series/node_4.dat": "b49dcdbfc3eb56a0bf3b2e3630dcd7ba796b06eccd788fa9c50ba91c96aaa43e",
+    "hub_series/node_5.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
+    "overlap_vs_k.dat": "d65171f0ed8b5b95f244643e3ed54e56dcf0b0f80903a4a7a4272f2373e2a335",
+    "per_day_fits.dat": "212f98bd7b2b67d9b50d325ce23ab26c0288c77d15134f3179d46998ec990c90",
+    "report.json": "e58e4e354073b5f2a4d0c100c3cd3777a3f3788ba949fee882ee86a957d7a19c",
+    "robustness_random.dat": "4f9dd0bfebcfcdc57394116cc1a50becc4173ea0dfa1e2540bf7534a29baee7b",
+    "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
+    "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
+}
+
+
+def test_output_bytes_pinned_total_pdf(tmp_path):
+    cfg = PipelineConfig(
+        output_dir=tmp_path,
+        hub_params=cn.HubCorpusParams(
+            nodes=80, days=25, hubs=6, hub_rate=15.0, background_rate=1.0, seed=7
+        ),
+        direction="total",
+        k=6,
+        k_values=(3, 6, 12),
+        fit_target="pdf",
+        fit_xmin=2,
+        robustness_steps=(0.0, 0.1, 0.2),
+        seed=7,
+    )
+    run(cfg)
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*")
+        if p.is_file() and p.name != RUN_INFO_FILENAME
+    }
+    assert digests == PINNED_TOTAL_PDF_DIGESTS
