@@ -4,16 +4,17 @@ Day-to-day correlation of degree vectors, per-node degree series with a
 coefficient-of-variation stability classification, and overlap statistics
 between top-k rank lists (pairwise across days, and daily versus aggregate).
 Every analysis reads the same node x day degree table (centrality.DegreeTable),
-and every ranking follows centrality's one ranking rule.
+and every ranking follows centrality's one ranking rule. The statistics come
+from exact integer sums, so no result depends on how Python adds floats.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .centrality import DegreeTable, RankList, ranked_positions, top_k
 
@@ -42,8 +43,8 @@ class DegreeSeries:
 
     @property
     def stddev(self) -> float:
-        mu = self.mean
-        return math.sqrt(sum((v - mu) ** 2 for v in self.values) / len(self.values))
+        n, values = len(self.values), self.values  # √(nΣv² − (Σv)²)/n on ints
+        return math.sqrt(n * sum(v * v for v in values) - sum(values) ** 2) / n
 
     @property
     def cv(self) -> float | None:
@@ -101,8 +102,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     if len(x) < 2:
         raise ValueError("need at least 2 observations")
     n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
+    mx = math.fsum(x) / n
+    my = math.fsum(y) / n
     sxx = syy = sxy = 0.0
     for a, b in zip(x, y):
         dx = a - mx
@@ -115,33 +116,30 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     return sxy / math.sqrt(sxx * syy)
 
 
-def consecutive_day_correlation(
-    table: DegreeTable, *, active_only: bool = False
-) -> CorrelationSeries:
+def consecutive_day_correlation(table: DegreeTable) -> CorrelationSeries:
     """Correlate degree vectors of each consecutive day pair.
 
-    Vectors are indexed by the full node registry with zeros for inactive
-    nodes; ``active_only`` restricts each pair to nodes active on either day.
-    Pairs where either day is empty are flagged excluded rather than
-    correlated against an all-zero vector.
+    Vectors span the full node registry, zeros for inactive nodes; pairs where
+    either day is empty are flagged excluded. From exact integer sums over n
+    nodes, r = (nΣab − ΣaΣb) / √((nΣa² − (Σa)²)(nΣb² − (Σb)²)), taken as the
+    signed root of one int/int quotient, so |r| never exceeds 1.
     """
-    if len(table.values) < 2:
+    values = table.values
+    if len(values) < 2:
         raise ValueError("need at least 2 days")
-    rows = table.values.tolist()
-    pairs: list[PairCorrelation] = []
-    for t in range(len(rows) - 1):
-        a, b = rows[t], rows[t + 1]
-        if not any(a) or not any(b):
-            pairs.append(PairCorrelation(t, t + 1, None, excluded=True))
-            continue
-        if active_only:
-            a, b = zip(*((x, y) for x, y in zip(a, b) if x > 0 or y > 0))
-        if len(a) < 2:
-            pairs.append(PairCorrelation(t, t + 1, None))
-            continue
-        pairs.append(PairCorrelation(t, t + 1, pearson(a, b)))
-    policy = "active-union" if active_only else "full-registry"
-    return CorrelationSeries(tuple(pairs), policy)
+    n = values.shape[1]
+    s = values.sum(axis=1).tolist()  # degrees are counts: 0 only on an empty day
+    sq = np.einsum("ij,ij->i", values, values).tolist()
+    cross = np.einsum("ij,ij->i", values[:-1], values[1:]).tolist()
+    # Python ints from here on, so the n·Σ terms cannot overflow int64
+    var = [n * q - a * a for a, q in zip(s, sq)]
+    pairs = []
+    for t, ab in enumerate(cross):
+        cov, var_ab = n * ab - s[t] * s[t + 1], var[t] * var[t + 1]
+        # an empty day has zero variance, so excluded pairs get None too
+        r = math.copysign(math.sqrt(cov * cov / var_ab), cov) if var_ab else None
+        pairs.append(PairCorrelation(t, t + 1, r, not (s[t] and s[t + 1])))
+    return CorrelationSeries(tuple(pairs), "full-registry")
 
 
 def node_series(table: DegreeTable, node: int) -> DegreeSeries:
@@ -166,12 +164,15 @@ def rank_overlap(a: RankList, b: RankList) -> OverlapResult:
     return OverlapResult(a.k, len(a.node_ids & b.node_ids))
 
 
-def _daily_orderings(table: DegreeTable) -> list[list[int]]:
-    """Full positive-degree ranking per non-empty day; top-k lists are prefixes."""
+def _top_k_day_counts(table: DegreeTable, k_values: Sequence[int]) -> list[np.ndarray]:
+    """For each k, the number of days on which each node (aligned with
+    ``table.nodes``) ranks in that day's top k. The days are ranked once."""
+    # the empty first entry keeps a table with no days concatenable
+    ranked = [np.empty(0, np.intp), *ranked_positions(table.nodes, table.values)]
+    size = len(table.nodes)
     return [
-        table.nodes[ranked].tolist()
-        for ranked in ranked_positions(table.nodes, table.values)
-        if len(ranked)
+        np.bincount(np.concatenate([r[:k] for r in ranked]), minlength=size)
+        for k in k_values
     ]
 
 
@@ -189,19 +190,18 @@ def overlap_vs_k(
 ) -> dict[int, float | None]:
     """Mean pairwise top-k overlap percentage across all non-empty day pairs.
 
-    Returns None for a k when fewer than two non-empty days exist.
+    A node in the top k on f of the D non-empty days is shared by C(f, 2)
+    day pairs, so the mean is Σ C(f, 2) / (k · C(D, 2)), one int/int
+    division. Returns None for a k when fewer than two non-empty days exist.
     """
     validate_k_values(k_values)
-    orderings = _daily_orderings(table)
-    result: dict[int, float | None] = {}
-    for k in k_values:
-        tops = [frozenset(o[:k]) for o in orderings]
-        if len(tops) < 2:
-            result[k] = None
-            continue
-        overlaps = [len(ta & tb) / k for ta, tb in combinations(tops, 2)]
-        result[k] = sum(overlaps) / len(overlaps)
-    return result
+    days = int(np.count_nonzero(table.values.any(axis=1)))
+    if days < 2:
+        return dict.fromkeys(k_values)
+    return {
+        k: int((f * (f - 1)).sum()) // 2 / (k * days * (days - 1) // 2)
+        for k, f in zip(k_values, _top_k_day_counts(table, k_values))
+    }
 
 
 def daily_vs_aggregate_consistency(
@@ -210,15 +210,14 @@ def daily_vs_aggregate_consistency(
     """Compare the k most-frequent daily-top nodes against the aggregate top-k.
 
     Returns the overlap plus the frequency table: for each node that ever made
-    a daily top-k, the number of days it did (ordered by descending frequency,
-    then ascending id).
+    a daily top-k, the number of days it did, ordered by the ranking rule
+    (descending frequency, then ascending id).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    freq: Counter[int] = Counter()
-    for ranked in _daily_orderings(table):
-        freq.update(ranked[:k])
-    ordered = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    daily_ids = {node for node, _ in ordered[:k]}
+    (freq,) = _top_k_day_counts(table, [k])
+    ranked = ranked_positions(table.nodes, freq)[0]
+    ordered = dict(zip(table.nodes[ranked].tolist(), freq[ranked].tolist()))
+    daily_ids = set(table.nodes[ranked[:k]].tolist())
     agg_ids = top_k(table.nodes, table.values.sum(axis=0), k).node_ids
-    return OverlapResult(k, len(daily_ids & agg_ids)), dict(ordered)
+    return OverlapResult(k, len(daily_ids & agg_ids)), ordered

@@ -12,6 +12,7 @@ reported as a count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -45,7 +46,7 @@ class DegreeHistogram:
         support = sorted(k for k, mass in pdf.items() if mass > 0)
         if not support:
             raise EmptyHistogramError("pdf has no positive mass")
-        total = sum(pdf[k] for k in support)
+        total = math.fsum(pdf[k] for k in support)
         probs = [pdf[k] / total for k in support]
         return cls(tuple(support), tuple(probs), _ccdf(np.array(probs)), n)
 
@@ -140,7 +141,7 @@ def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLaw
     ss_tot = float(((y - ym) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     gamma = -slope if target == "pdf" else 1.0 - slope
-    tail_mass = sum(p for k, p in zip(h.support, h.pdf) if k >= xmin)
+    tail_mass = math.fsum(p for k, p in zip(h.support, h.pdf) if k >= xmin)
     n_tail = int(round(h.n * tail_mass)) if h.n else 0
     return PowerLawFit(
         gamma=float(gamma),

@@ -175,9 +175,6 @@ def robustness_curve(
     steps: Sequence[float],
     *,
     compute_path_length: bool = True,
-    path_exact_limit: int = EXACT_PATH_LENGTH_LIMIT,
-    path_sample_size: int = DEFAULT_PATH_SAMPLE,
-    path_seed: int = 0,
 ) -> RobustnessCurve:
     """Remove cumulative fractions of the original nodes and measure decay.
 
@@ -223,7 +220,7 @@ def robustness_curve(
         apl = None
         if compute_path_length and len(comp) >= 2:
             apl = _mean_distance(
-                adj[comp][:, comp], path_exact_limit, path_sample_size, path_seed
+                adj[comp][:, comp], EXACT_PATH_LENGTH_LIMIT, DEFAULT_PATH_SAMPLE, 0
             )
         points.append(RobustnessPoint(fraction, len(comp) / n, apl))
     return RobustnessCurve(strategy, n, tuple(points))

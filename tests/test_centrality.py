@@ -14,7 +14,7 @@ from commnet import (
     slice_days,
     top_k,
 )
-from commnet.dynamics import _daily_orderings
+from commnet.centrality import ranked_positions
 from commnet.errors import EmptyHistogramError
 from commnet.temporal import day_date, sorted_unique
 
@@ -224,4 +224,9 @@ def test_daily_orderings_match_oracle(case):
         [node for node, _ in brute.top_k(dict(zip(ids, row)), len(ids))]
         for row in rows
     ]
-    assert _daily_orderings(table) == [order for order in expected if order]
+    orderings = [
+        table.nodes[ranked].tolist()
+        for ranked in ranked_positions(table.nodes, table.values)
+        if len(ranked)
+    ]
+    assert orderings == [order for order in expected if order]

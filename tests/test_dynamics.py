@@ -1,5 +1,8 @@
 import math
 import statistics
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -135,16 +138,6 @@ def test_zero_variance_pair_flagged_undefined():
     series = consecutive_day_correlation(days_table([s0, s1]))
     assert series.pairs[0].r is None
     assert not series.pairs[0].excluded
-
-
-def test_active_only_policy():
-    nodes = {0, 1, 2, 3}
-    s0 = snap(0, {(0, 1): 1, (1, 0): 2}, nodes)
-    s1 = snap(1, {(0, 1): 2, (1, 0): 1}, nodes)
-    series = consecutive_day_correlation(days_table([s0, s1]), active_only=True)
-    assert series.policy == "active-union"
-    # restricted to {0, 1}: vectors (1,2) and (2,1)
-    assert series.pairs[0].r == pytest.approx(-1.0)
 
 
 def test_planted_hubs_correlate_and_shuffle_control_does_not():
@@ -352,3 +345,65 @@ def test_consistency_frequency_table(micro_stream, micro_window):
     assert result.count == brute.consistency_count(2)
     with pytest.raises(ValueError):
         daily_vs_aggregate_consistency(degree_table(micro_stream, micro_window), 0)
+
+
+# ---------------------------------------------------------------------------
+# every day-table statistic against plain-Python oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def gapped_day_tables(draw):
+    """(ids, rows): gapped ascending node ids, with all-zero days and ties."""
+    ids = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=7)))
+    day = st.one_of(
+        st.just([0] * len(ids)),
+        st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)),
+    )
+    return ids, draw(st.lists(day, min_size=1, max_size=7))
+
+
+@given(gapped_day_tables(), st.integers(min_value=1, max_value=8))
+def test_day_table_statistics_match_oracles(case, k_max):
+    ids, rows = case
+    table = DegreeTable(
+        np.array(ids, dtype=np.int64),
+        np.array(rows, dtype=np.int64).reshape(len(rows), len(ids)),
+        "out",
+    )
+    days = [dict(zip(ids, row)) for row in rows]
+
+    overlap = overlap_vs_k(table, range(1, k_max + 1))
+    for k, got in overlap.items():
+        tops = [{node for node, _ in brute.top_k(d, k)} for d in days]
+        tops = [top for top in tops if top]
+        if len(tops) < 2:
+            assert got is None
+            continue
+        counts = [len(a & b) for a, b in combinations(tops, 2)]
+        assert got == float(Fraction(sum(counts), k * len(counts)))
+        assert got == pytest.approx(sum(c / k for c in counts) / len(counts), rel=1e-12)
+
+    if len(rows) >= 2:
+        for t, pair in enumerate(consecutive_day_correlation(table).pairs):
+            excluded = not any(rows[t]) or not any(rows[t + 1])
+            expected = None if excluded else brute.pearson(rows[t], rows[t + 1])
+            assert (pair.day_a, pair.day_b, pair.excluded) == (t, t + 1, excluded)
+            assert (pair.r is None) == (expected is None)
+            if expected is not None:
+                assert pair.r == pytest.approx(expected, abs=1e-12)
+
+    result, freq = daily_vs_aggregate_consistency(table, k_max)
+    counter = Counter(node for d in days for node, _ in brute.top_k(d, k_max))
+    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert list(freq.items()) == ordered
+    aggregate = {node: sum(d[node] for d in days) for node in ids}
+    agg_ids = {node for node, _ in brute.top_k(aggregate, k_max)}
+    assert result.count == len({node for node, _ in ordered[:k_max]} & agg_ids)
+
+    for j, node in enumerate(ids):
+        _, _, cv = brute.series_stats([row[j] for row in rows])
+        got = node_series(table, node).cv
+        assert (got is None) == (cv is None)
+        if cv is not None:
+            assert got == pytest.approx(cv, abs=1e-12)

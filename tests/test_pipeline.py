@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,7 +257,7 @@ def test_rerun_replaces_previous_outputs(tmp_path):
 
 # SHA-256 of every deterministic output of the acceptance-criterion-8 config
 PINNED_DIGESTS = {
-    "correlation_series.dat": "d937acd9d5dde1758e0bca34d2b573c12b1c23fd8057863d2481a7d0f09e4d48",
+    "correlation_series.dat": "b634ffa23cc2025bd7cdc97ed57d93d13575abb67a9b09fbf589d8881f305be6",
     "day_distributions/day_0000.dat": "3cd706ed8a6e8b910e6a202835e56fcc4563a19f2df50dd794d770eb598797e6",
     "day_distributions/day_0001.dat": "b4ce196d1b39ae058dbdb5f38a576dac929286722c0b484f7f8b35cc0a11f5d7",
     "day_distributions/day_0002.dat": "b3d4d3d28775f0eae9cfffbffd21656463edd7492d1717f6fe8c5edcc3f5eaf2",
@@ -289,18 +290,18 @@ PINNED_DIGESTS = {
     "hub_series/node_3.dat": "f1b1e18630fba89c1e3044400568f41e7dfa45792de850975eb765d842cfa2d0",
     "hub_series/node_4.dat": "9f4002a2b567161ed7f735d94f1e8206fc70d1dd220deb4033e1bb1cdd9f00c7",
     "hub_series/node_5.dat": "a02fe79cf1c75930a79b997b157aee66962ab3938de2cddad0f4bf640fbda611",
-    "overlap_vs_k.dat": "d90367ca259a509695778e8f7fbb26d6ec1e1e022fe2a07b1c2fac847eb6a106",
+    "overlap_vs_k.dat": "15dd8d05e0fab8c69f5a18ecd2c414765790f223dd52a544b85578b37e89e245",
     "per_day_fits.dat": "c0c86646c8c3c61c86b76251298215719e440827aff1b7864923e4d57ea429a2",
-    "report.json": "b8ba2e5d6e90eab6d2c34b7c98e1c2c9ad6a49301f676981f839dc53e28f1594",
+    "report.json": "4b4e035fbbae1b9b76316de2980c307e17032e1627b90d1256e825622c6e8849",
     "robustness_random.dat": "4f9dd0bfebcfcdc57394116cc1a50becc4173ea0dfa1e2540bf7534a29baee7b",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
 }
 
 
-def test_output_bytes_pinned(tmp_path):
-    cfg = PipelineConfig(
-        output_dir=tmp_path,
+def pinned_config(out_dir: Path, **overrides) -> PipelineConfig:
+    return PipelineConfig(
+        output_dir=out_dir,
         hub_params=cn.HubCorpusParams(
             nodes=80, days=25, hubs=6, hub_rate=15.0, background_rate=1.0, seed=7
         ),
@@ -308,20 +309,28 @@ def test_output_bytes_pinned(tmp_path):
         k_values=(3, 6, 12),
         robustness_steps=(0.0, 0.1, 0.2),
         seed=7,
+        **overrides,
     )
+
+
+def output_digests(cfg: PipelineConfig) -> dict[str, str]:
     run(cfg)
-    digests = {
-        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.rglob("*")
+    out = cfg.output_dir
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.rglob("*")
         if p.is_file() and p.name != RUN_INFO_FILENAME
     }
-    assert digests == PINNED_DIGESTS
+
+
+def test_output_bytes_pinned(tmp_path):
+    assert output_digests(pinned_config(tmp_path)) == PINNED_DIGESTS
 
 
 # the same corpus as above, ranked and fitted on total degree with the pdf
 # target above a cutoff of 2: guards the in/total histogram and top-k paths
 PINNED_TOTAL_PDF_DIGESTS = {
-    "correlation_series.dat": "678cc7cf1322c6d1ee49c071172212c340819622491107372c541b3ea2ba3625",
+    "correlation_series.dat": "5e1faffbfa12bf192e992dd18f7e578a5adb75b22ecd5ecf907b71a949144675",
     "day_distributions/day_0000.dat": "452afb1984a7ab6cfd64dfad485742f94ec870feabc1afea495fed21c722d728",
     "day_distributions/day_0001.dat": "907d8d1314b3e0c3e76765deedd0b7fb33ff108b9206cd0b3e994296c130f619",
     "day_distributions/day_0002.dat": "f7c4ffe80afbdb0dd21f3b726002357846ccc44d35160098afac4e399fbeab98",
@@ -354,33 +363,64 @@ PINNED_TOTAL_PDF_DIGESTS = {
     "hub_series/node_3.dat": "e9166e253c1444530d236e6c0252cd6b17cad5fea9471800300ab25d6f550336",
     "hub_series/node_4.dat": "b49dcdbfc3eb56a0bf3b2e3630dcd7ba796b06eccd788fa9c50ba91c96aaa43e",
     "hub_series/node_5.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
-    "overlap_vs_k.dat": "d65171f0ed8b5b95f244643e3ed54e56dcf0b0f80903a4a7a4272f2373e2a335",
+    "overlap_vs_k.dat": "c100969d7070a4bfca64abab439e06bccc886ef47a4f4dd0710aa1b8e0b4b2e7",
     "per_day_fits.dat": "212f98bd7b2b67d9b50d325ce23ab26c0288c77d15134f3179d46998ec990c90",
-    "report.json": "e58e4e354073b5f2a4d0c100c3cd3777a3f3788ba949fee882ee86a957d7a19c",
+    "report.json": "df3b6714b716a632ff86aaad637e8e5036e48961668678545ef03df307dc7b9f",
     "robustness_random.dat": "4f9dd0bfebcfcdc57394116cc1a50becc4173ea0dfa1e2540bf7534a29baee7b",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
 }
 
 
+TOTAL_PDF = dict(direction="total", fit_target="pdf", fit_xmin=2)
+
+
 def test_output_bytes_pinned_total_pdf(tmp_path):
-    cfg = PipelineConfig(
-        output_dir=tmp_path,
-        hub_params=cn.HubCorpusParams(
-            nodes=80, days=25, hubs=6, hub_rate=15.0, background_rate=1.0, seed=7
-        ),
-        direction="total",
-        k=6,
-        k_values=(3, 6, 12),
-        fit_target="pdf",
-        fit_xmin=2,
-        robustness_steps=(0.0, 0.1, 0.2),
-        seed=7,
-    )
-    run(cfg)
-    digests = {
-        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.rglob("*")
-        if p.is_file() and p.name != RUN_INFO_FILENAME
-    }
-    assert digests == PINNED_TOTAL_PDF_DIGESTS
+    cfg = pinned_config(tmp_path, **TOTAL_PDF)
+    assert output_digests(cfg) == PINNED_TOTAL_PDF_DIGESTS
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` as CPython 3.12 computes it: exact while the items
+    are ints, then Neumaier-compensated over a run of floats, plain ``+`` for
+    any other type."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        if type(total) is int and type(item) is int:
+            total += item
+            continue
+        total = total + item
+        if type(total) is not float:
+            continue
+        hi, c = total, 0.0
+        for x in items:
+            if type(x) is float:
+                t = hi + x
+                c += (hi - t) + x if abs(hi) >= abs(x) else (x - t) + hi
+                hi = t
+            elif type(x) is int:
+                hi += float(x)
+            else:
+                total = (hi + c if c and math.isfinite(c) else hi) + x
+                break
+        else:
+            return hi + c if c and math.isfinite(c) else hi
+    return total
+
+
+@pytest.mark.parametrize(
+    "overrides, pinned",
+    [({}, PINNED_DIGESTS), (TOTAL_PDF, PINNED_TOTAL_PDF_DIGESTS)],
+    ids=["out", "total-pdf"],
+)
+def test_output_bytes_pinned_under_compensated_sum(
+    tmp_path, monkeypatch, overrides, pinned
+):
+    # Python 3.12 changed float sum() to a compensated sum; the pinned bytes
+    # must not depend on which one the interpreter has
+    assert compensated_sum([0.1] * 10) == 1.0  # a plain float sum gives 0.999...
+    for name, module in list(sys.modules.items()):
+        if name == "commnet" or name.startswith("commnet."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert output_digests(pinned_config(tmp_path, **overrides)) == pinned
