@@ -5,11 +5,11 @@ timestamp) sorted by timestamp. Slicing it into calendar days gives one day
 index per message over a contiguous window; daily and aggregate quantities
 are computed from those arrays in vectorized passes. The aggregate network
 is a sorted int64 node array plus one ascending int64 array of distinct node
-pairs, read through a CSR adjacency. Distinct values come from a sort plus a
-neighbour mask (``sorted_unique``): numpy's hash-based unique is many times
-slower on large int64 inputs. Day boundaries are half-open intervals
-[00:00:00, 24:00:00) of the configured clock (UTC plus an optional fixed
-offset). Streams, windows and graphs are immutable after
+pairs, read through a CSR adjacency of two int64 arrays. Distinct values come
+from a sort plus a neighbour mask (``sorted_unique``): numpy's hash-based
+unique is many times slower on large int64 inputs. Day boundaries are
+half-open intervals [00:00:00, 24:00:00) of the configured clock (UTC plus an
+optional fixed offset). Streams, windows and graphs are immutable after
 construction (their arrays are not writeable) and safe to share across
 concurrent readers.
 """
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.sparse import csr_matrix
 
 from .errors import OrderingError, WindowError
 
@@ -208,6 +207,15 @@ def slice_days(
     return DayWindow(_frozen(day - origin), origin, end_day - origin + 1)
 
 
+class Adjacency(NamedTuple):
+    """Symmetric CSR adjacency over node positions: the neighbours of
+    position ``i`` are ``indices[indptr[i] : indptr[i + 1]]``, ascending, so
+    a row's length is that node's degree. Both arrays are int64."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
 class UndirectedGraph:
     """Simple undirected graph: no multiplicity, no self-edges.
 
@@ -227,15 +235,15 @@ class UndirectedGraph:
         self.nodes = _frozen(sorted_unique(np.concatenate([nodes, pairs.ravel()])))
         self.edges = _frozen(_distinct_pairs(self.nodes, pairs[:, 0], pairs[:, 1]))
 
-    def adjacency_matrix(self) -> csr_matrix:
-        """Symmetric 0/1 adjacency over node positions: row i is ``nodes[i]``,
-        and its length is that node's degree."""
+    def adjacency_matrix(self) -> Adjacency:
+        """Symmetric adjacency over node positions: row i is ``nodes[i]``."""
         n = len(self.nodes)
         ends = np.searchsorted(self.nodes, self.edges)
         rows = np.concatenate([ends[:, 0], ends[:, 1]])
         cols = np.concatenate([ends[:, 1], ends[:, 0]])
-        ones = np.ones(len(rows), dtype=np.int8)
-        return csr_matrix((ones, (rows, cols)), shape=(n, n))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return Adjacency(indptr, cols[np.argsort(rows * n + cols)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):

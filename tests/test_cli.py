@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import commnet
 from commnet.cli import main
 
 from . import brute
@@ -307,3 +312,23 @@ def test_generate_ba_and_er_edge_lists(tmp_path):
     rc = main(["generate", "er", "--n", "10", "--p", "1.0", "--output", str(er_path)])
     assert rc == 0
     assert len(er_path.read_text().strip().split("\n")) == 45
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.sparse.csgraph costs about 0.45 s, scipy.special 0.34 s
+    # and scipy.optimize 0.59 s, against ~1 s for a whole 3,000-node
+    # robustness run; code that needs scipy imports it inside the function
+    # that uses it
+    src = str(Path(commnet.__file__).resolve().parents[1])
+    code = (
+        "import sys, commnet.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"

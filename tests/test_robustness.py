@@ -343,6 +343,94 @@ def test_curve_and_apl_match_networkx(g, strategy):
         assert _same(point.average_path_length, apl)
 
 
+# ---------------------------------------------------------------------------
+# induced subgraph and component labelling
+# ---------------------------------------------------------------------------
+
+
+def _relabelled(edges: np.ndarray, n: int, rng: np.random.Generator) -> UndirectedGraph:
+    """The graph on positions 0..n-1 with ids drawn at random, with gaps, so
+    that id order says nothing about the edges."""
+    ids = rng.choice(10 * n, size=n, replace=False)
+    return UndirectedGraph(ids[edges].reshape(-1, 2), nodes=ids)
+
+
+def _check_helpers(g: UndirectedGraph, keep: np.ndarray) -> None:
+    """``_induced``, ``_component_labels`` and ``_largest_component`` on the
+    nodes where ``keep`` holds, against a rebuilt graph and networkx."""
+    adj = g.adjacency_matrix()
+    sub = robustness._induced(adj, keep)
+    kept = g.nodes[keep]
+    surviving = g.edges[keep[np.searchsorted(g.nodes, g.edges)].all(axis=1)]
+    rebuilt = UndirectedGraph(surviving, nodes=kept).adjacency_matrix()
+    assert sub.indptr.tolist() == rebuilt.indptr.tolist()
+    assert sub.indices.tolist() == rebuilt.indices.tolist()
+
+    ref = nx.Graph()
+    ref.add_nodes_from(kept.tolist())
+    ref.add_edges_from(surviving.tolist())
+    expected = np.empty(len(kept), dtype=np.int64)
+    for comp in nx.connected_components(ref):
+        members = np.searchsorted(kept, sorted(comp))
+        expected[members] = members[0]
+    assert robustness._component_labels(sub).tolist() == expected.tolist()
+
+    if len(kept):
+        giant = g.nodes[robustness._largest_component(adj, keep)]
+        ref_giant = max(nx.connected_components(ref), key=lambda c: (len(c), -min(c)))
+        assert giant.tolist() == sorted(ref_giant)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_labels_converge_on_long_shuffled_paths(seed):
+    # one path through 10^4 nodes in random id order: its diameter is
+    # 10^4 - 1, so labels settle only over several hooking rounds, each
+    # followed by a few rounds of pointer jumping
+    n = 10_000
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    g = _relabelled(np.column_stack([order[:-1], order[1:]]), n, rng)
+    _check_helpers(g, np.ones(n, dtype=bool))
+    # and cut into many shuffled pieces
+    _check_helpers(g, rng.random(n) >= 0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3_000),
+    st.floats(0.5, 1.5),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_labels_near_percolation_threshold(n, mean_degree, removed, seed):
+    # sparse random graphs around the giant-component threshold: many small
+    # trees, isolates and, above it, one large component
+    rng = np.random.default_rng(seed)
+    p = min(1.0, mean_degree / max(n - 1, 1))
+    er = cn.generate_er(cn.ERParams(n=n, p=p, seed=seed))
+    g = _relabelled(er.edges, n, rng)
+    _check_helpers(g, rng.random(n) >= removed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_equal_size_components_tie_to_smallest_id(size, pieces, seed):
+    # disjoint random trees of one size: the giant is the one holding the
+    # smallest id
+    rng = np.random.default_rng(seed)
+    n = size * pieces
+    edges = [
+        (start + int(rng.integers(0, i)), start + i)
+        for start in range(0, n, size)
+        for i in range(1, size)
+    ]
+    g = _relabelled(np.array(edges, dtype=np.int64).reshape(-1, 2), n, rng)
+    everyone = np.ones(n, dtype=bool)
+    _check_helpers(g, everyone)
+    giant = g.nodes[robustness._largest_component(g.adjacency_matrix(), everyone)]
+    assert len(giant) == size and giant.min() == g.nodes[0]
+
+
 # SHA-256 of both curve files for `robustness` on generate_ba(n=300, m=3,
 # seed=2), recorded before the graph moved to arrays
 PINNED_BA300 = {

@@ -173,8 +173,14 @@ def test_undirected_graph_arrays():
     assert g.edges.tolist() == [[-3, 9], [2, 4], [2, 9]]
     assert not g.nodes.flags.writeable and not g.edges.flags.writeable
     adj = g.adjacency_matrix()
-    assert (adj != adj.T).nnz == 0
-    assert adj.toarray().tolist()[1] == [0, 0, 1, 0, 1]
+    assert adj.indptr.dtype == adj.indices.dtype == np.int64
+    # symmetric: the (row, column) entries, in CSR order, are the sorted
+    # (column, row) entries
+    rows = np.repeat(np.arange(5), np.diff(adj.indptr)).tolist()
+    cols = adj.indices.tolist()
+    assert list(zip(rows, cols)) == sorted(zip(cols, rows))
+    # row 1 (node 2) holds positions 2 and 4 (nodes 4 and 9), ascending
+    assert adj.indices[adj.indptr[1] : adj.indptr[2]].tolist() == [2, 4]
 
 
 edges_strategy = st.lists(
