@@ -1,13 +1,15 @@
 """Message-weighted degree centrality: the per-day degree table and the one
 ranking rule behind every top-k list.
 
-Degrees are int64 vectors aligned with an int64 node array: a table row is
-one day, the column sum is the aggregate. Nodes rank by descending degree,
-then ascending id, and only positive degrees rank."""
+Degrees are int64 vectors indexed by node position, aligned with the
+ascending int64 node-id array: a table row is one day, the column sum is the
+aggregate. Nodes rank by descending degree, then ascending id, and only
+positive degrees rank."""
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +50,12 @@ class DegreeTable:
     values: np.ndarray  # int64, shape (days, nodes)
     direction: str
 
+    @cached_property
+    def daily_ranking(self) -> list[np.ndarray]:
+        """Each day's ranked positions (``ranked_positions`` of every row),
+        computed on first use and shared by every reader of the table."""
+        return ranked_positions(self.values)
+
     def column(self, node: int) -> np.ndarray:
         """One node's per-day degrees; UnknownNodeError if it is not registered."""
         j = bisect_left(self.nodes, node)
@@ -67,15 +75,12 @@ def degree_table(
     if len(window.day) != len(stream):
         raise ValueError("window was not sliced from this stream")
     nodes = stream.node_registry
-    ends = {
-        "out": (stream.senders,),
-        "in": (stream.recipients,),
-        "total": (stream.senders, stream.recipients),
-    }[direction]
-    # registry ids may have gaps, so map each id to its column by position
-    cells = np.concatenate(
-        [window.day * len(nodes) + np.searchsorted(nodes, end) for end in ends]
-    )
+    # senders and recipients are node positions: cell day * n + position
+    cells = window.day * len(nodes)
+    if direction == "total":
+        cells = np.concatenate([cells + stream.senders, cells + stream.recipients])
+    else:
+        cells += stream.senders if direction == "out" else stream.recipients
     values = np.bincount(cells, minlength=window.length * len(nodes))
     return DegreeTable(
         nodes,
@@ -84,12 +89,13 @@ def degree_table(
     )
 
 
-def ranked_positions(nodes: np.ndarray, degrees: np.ndarray) -> list[np.ndarray]:
-    """The ranking rule, once per row of ``degrees`` (one vector aligned with
-    ``nodes``, or a days x nodes table): the positions of the positive
-    degrees, by descending degree then ascending node id."""
+def ranked_positions(degrees: np.ndarray) -> list[np.ndarray]:
+    """The ranking rule, once per row of ``degrees`` (one vector indexed by
+    node position, or a days x nodes table): the positions of the positive
+    degrees, by descending degree then ascending position. Positions ascend
+    with node id, so the stable sort breaks ties by id."""
     degrees = np.atleast_2d(degrees)
-    order = np.lexsort((np.broadcast_to(nodes, degrees.shape), -degrees))
+    order = np.argsort(-degrees, axis=1, kind="stable")
     # positive degrees sort first, so each row's ranking is a prefix
     return [row[:n] for row, n in zip(order, np.count_nonzero(degrees > 0, axis=1))]
 
@@ -97,7 +103,9 @@ def ranked_positions(nodes: np.ndarray, degrees: np.ndarray) -> list[np.ndarray]
 def _entries(
     nodes: np.ndarray, degrees: np.ndarray, k: int
 ) -> tuple[tuple[int, int], ...]:
-    top = ranked_positions(nodes, degrees)[0][:k]
+    # nodes may come in any order: rank them in id order
+    by_id = np.argsort(nodes, kind="stable")
+    top = by_id[ranked_positions(degrees[by_id])[0][:k]]
     return tuple(zip(nodes[top].tolist(), degrees[top].tolist()))
 
 

@@ -166,9 +166,10 @@ def rank_overlap(a: RankList, b: RankList) -> OverlapResult:
 
 def _top_k_day_counts(table: DegreeTable, k_values: Sequence[int]) -> list[np.ndarray]:
     """For each k, the number of days on which each node (aligned with
-    ``table.nodes``) ranks in that day's top k. The days are ranked once."""
+    ``table.nodes``) ranks in that day's top k. The table ranks its days
+    once, for every caller."""
     # the empty first entry keeps a table with no days concatenable
-    ranked = [np.empty(0, np.intp), *ranked_positions(table.nodes, table.values)]
+    ranked = [np.empty(0, np.intp), *table.daily_ranking]
     size = len(table.nodes)
     return [
         np.bincount(np.concatenate([r[:k] for r in ranked]), minlength=size)
@@ -216,7 +217,7 @@ def daily_vs_aggregate_consistency(
     if k < 1:
         raise ValueError("k must be >= 1")
     (freq,) = _top_k_day_counts(table, [k])
-    ranked = ranked_positions(table.nodes, freq)[0]
+    ranked = ranked_positions(freq)[0]
     ordered = dict(zip(table.nodes[ranked].tolist(), freq[ranked].tolist()))
     daily_ids = set(table.nodes[ranked[:k]].tolist())
     agg_ids = top_k(table.nodes, table.values.sum(axis=0), k).node_ids

@@ -205,4 +205,13 @@ def generate_hub_corpus(p: HubCorpusParams) -> TemporalEdgeStream:
         days.append((senders[order], recipients[order], stamps[order]))
     if not days:
         return TemporalEdgeStream([], [], [])
-    return TemporalEdgeStream(*(np.concatenate(column) for column in zip(*days)))
+    senders, recipients, stamps = (np.concatenate(column) for column in zip(*days))
+    # ids are 0..nodes-1, so one lookup table maps each to its position among
+    # the ids that take part
+    present = np.zeros(p.nodes, dtype=bool)
+    present[senders] = True
+    present[recipients] = True
+    position = np.cumsum(present) - 1
+    return TemporalEdgeStream.from_positions(
+        position[senders], position[recipients], stamps, np.flatnonzero(present)
+    )

@@ -247,6 +247,37 @@ def _fast_lines(
     return lines[ok], stamps[ok], names.view(np.uint64)
 
 
+def _fast_rows(
+    chunk: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    cfg: LogFormatConfig,
+    names: _Names,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lines of a chunk that _fast_lines takes, the indices of those
+    that are not self-loops, and their (timestamp, sender, recipient) rows as
+    a (3, rows) int64 block with provisional ids for the names."""
+    lines, stamps, words = _fast_lines(chunk, starts, ends, cfg)
+    senders, recipients = names.intern(words).reshape(2, -1)
+    kept = senders != recipients
+    block = np.stack([stamps[kept], senders[kept], recipients[kept]])
+    return lines, lines[kept], block
+
+
+def _first_occurrences(columns: list[np.ndarray]) -> np.ndarray:
+    """Mask of the rows whose tuple of column values has not occurred in an
+    earlier row: a stable lexsort on all columns, then a neighbour mask."""
+    order = np.lexsort(columns[::-1])
+    repeat = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for column in columns:
+        ordered = column[order]
+        repeat &= ordered[1:] == ordered[:-1]
+    # the sort is stable, so a run of equal rows starts at its first occurrence
+    kept = np.ones(len(order), dtype=bool)
+    kept[order[1:][repeat]] = False
+    return kept
+
+
 def parse_edge_log(
     source: BinaryIO | bytes,
     cfg: LogFormatConfig | None = None,
@@ -281,9 +312,10 @@ def parse_edge_log(
     rows_read = self_loops = fallback = 0
     malformed: list[tuple[int, str]] = []
     names = _Names()
-    # accepted rows in input order as (timestamp, sender, recipient), with
-    # provisional ids for the names
-    rows = np.empty((data.count(b"\n", start) + 1, 3), dtype=np.int64)
+    # accepted rows in input order as timestamp, sender and recipient
+    # columns, with provisional ids for the names
+    capacity = data.count(b"\n", start) + 1
+    columns = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
     filled = 0
     for lo, hi in _chunks(data, start):
         chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
@@ -292,16 +324,12 @@ def parse_edge_log(
             ends = np.append(ends, len(chunk))
         starts = np.concatenate(([0], ends[:-1] + 1))
         slow = np.ones(len(ends), dtype=bool)
-        order, block = np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
+        order, block = np.empty(0, dtype=np.int64), np.empty((3, 0), dtype=np.int64)
         if vectorized:
-            lines, stamps, words = _fast_lines(chunk, starts, ends, cfg)
+            lines, order, block = _fast_rows(chunk, starts, ends, cfg, names)
             slow[lines] = False
             rows_read += len(lines)
-            senders, recipients = names.intern(words).reshape(2, -1)
-            kept = senders != recipients
-            self_loops += len(lines) - int(np.count_nonzero(kept))
-            order = lines[kept]
-            block = np.stack([stamps, senders, recipients], axis=1)[kept]
+            self_loops += len(lines) - len(order)
 
         # every other line, in line order, through the row rules
         left = np.flatnonzero(slow)
@@ -321,13 +349,16 @@ def parse_edge_log(
                 slow_order.append(i)
                 slow_cells += (row[0], names[row[1].encode()], names[row[2].encode()])
         if slow_order:
-            block = np.concatenate([block, np.reshape(slow_cells, (-1, 3))])
+            block = np.concatenate([block, np.reshape(slow_cells, (-1, 3)).T], axis=1)
             at = np.concatenate([order, slow_order])
-            block = block[np.argsort(at, kind="stable")]
-        rows[filled : filled + len(block)] = block
-        filled += len(block)
+            block = block[:, np.argsort(at, kind="stable")]
+        for column, values in zip(columns, block):
+            column[filled : filled + len(values)] = values
+        filled += block.shape[1]
         line_no += len(ends)
-        del chunk  # a view keeps the read buffer alive
+        # before the next chunk makes its own arrays; a view of the chunk
+        # also keeps the read buffer alive
+        del chunk, block
     del data  # free the read buffer: the columns below need the memory more
 
     if rows_read and len(malformed) / rows_read > malformed_threshold:
@@ -337,28 +368,43 @@ def parse_edge_log(
             f"(threshold {malformed_threshold:g}); first bad lines: {preview}"
         )
 
-    # one row per message; ties keep input order
-    rows = rows[:filled]
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    # one row per message; ties keep input order. Each column is gathered
+    # once and replaces its input buffer, so at most one extra column is live
+    order = np.argsort(columns[0][:filled], kind="stable")
+    for i, column in enumerate(columns):
+        columns[i] = column[order]
+    del order, column
+    timestamps, senders, recipients = columns
     collapsed = 0
     if collapse_duplicates:
-        _, first = np.unique(rows, axis=0, return_index=True)
-        collapsed = len(rows) - len(first)
-        rows = rows[np.sort(first)]
+        kept = _first_occurrences(columns)
+        collapsed = len(kept) - int(np.count_nonzero(kept))
+        timestamps, senders, recipients = (column[kept] for column in columns)
+    del columns
 
-    # dense ids by first appearance in sorted order, sender before recipient
-    endpoints = rows[:, 1:].ravel()
-    first = np.full(len(names), len(endpoints), dtype=np.int64)
-    np.minimum.at(first, endpoints, np.arange(len(endpoints)))
-    seen = np.flatnonzero(first < len(endpoints))
+    # dense ids by first appearance in sorted order, sender before recipient:
+    # row i's sender is endpoint 2i, its recipient endpoint 2i + 1
+    unseen = 2 * len(senders)
+    endpoint = np.arange(0, unseen, 2)
+    first = np.full(len(names), unseen, dtype=np.int64)
+    np.minimum.at(first, senders, endpoint)
+    endpoint += 1
+    np.minimum.at(first, recipients, endpoint)
+    del endpoint
+    seen = np.flatnonzero(first < unseen)
     appearance = seen[np.argsort(first[seen])]
     dense = np.empty(len(names), dtype=np.int64)
     dense[appearance] = np.arange(len(appearance))
+    for column in (senders, recipients):
+        # in place: entry i is read before it is overwritten
+        np.take(dense, column, out=column, mode="clip")
     keys = list(names)
-    stream = TemporalEdgeStream(
-        dense[rows[:, 1]],
-        dense[rows[:, 2]],
-        rows[:, 0],
+    # the dense ids are 0..n-1, so each id is its own position in the registry
+    stream = TemporalEdgeStream.from_positions(
+        senders,
+        recipients,
+        timestamps,
+        np.arange(len(appearance)),
         labels={i: keys[p].decode() for i, p in enumerate(appearance.tolist())},
     )
     report = IngestReport(
@@ -375,7 +421,8 @@ def write_edge_log(
     """Serialize a stream back to the delimited log format (inverse of parse)."""
     cfg = cfg or LogFormatConfig()
     labels = stream.labels or {}
-    name = {u: labels.get(u, str(u)) for u in stream.node_registry.tolist()}
+    # node names by position
+    name = [labels.get(u, str(u)) for u in stream.node_registry.tolist()]
     if cfg.timestamp_format == "unix":
         stamps = list(map(str, stream.timestamps.tolist()))
     else:

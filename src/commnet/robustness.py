@@ -241,7 +241,7 @@ def robustness_curve(
     if strategy.kind == "random":
         order = np.random.default_rng(strategy.seed).permutation(n)
     elif not strategy.adaptive:
-        order = np.lexsort((g.nodes, -degrees))
+        order = np.argsort(-degrees, kind="stable")
     else:
         order = None  # picked per removal from current degrees
 

@@ -1,17 +1,22 @@
 """Temporal communication-graph model.
 
-A message stream is held as three aligned int64 columns (sender, recipient,
-timestamp) sorted by timestamp. Slicing it into calendar days gives one day
-index per message over a contiguous window; daily and aggregate quantities
-are computed from those arrays in vectorized passes. The aggregate network
-is a sorted int64 node array plus one ascending int64 array of distinct node
-pairs, read through a CSR adjacency of two int64 arrays. Distinct values come
-from a sort plus a neighbour mask (``sorted_unique``): numpy's hash-based
-unique is many times slower on large int64 inputs. Day boundaries are
-half-open intervals [00:00:00, 24:00:00) of the configured clock (UTC plus an
-optional fixed offset). Streams, windows and graphs are immutable after
-construction (their arrays are not writeable) and safe to share across
-concurrent readers.
+A message stream is held as three aligned int64 columns sorted by timestamp:
+sender and recipient are positions into the stream's node registry, the
+ascending int64 external ids of every node that sends or receives, and the
+third column is the timestamp. Positions ascend with id, so sorting or
+breaking ties by position is sorting by id, and every per-node quantity is an
+array indexed by position; external ids are looked up (``node_registry[pos]``)
+only where output names a node. Slicing the stream into calendar days gives
+one day index per message over a contiguous window; daily and aggregate
+quantities are computed from those arrays in vectorized passes. The aggregate
+network is the sorted node-id array plus one ascending int64 array of
+distinct position pairs, read through a CSR adjacency of two int64 arrays.
+Distinct values come from a sort plus a neighbour mask (``sorted_unique``):
+numpy's hash-based unique is many times slower on large int64 inputs. Day
+boundaries are half-open intervals [00:00:00, 24:00:00) of the configured
+clock (UTC plus an optional fixed offset). Streams, windows and graphs are
+immutable after construction (their arrays are not writeable) and safe to
+share across concurrent readers.
 """
 from __future__ import annotations
 
@@ -68,9 +73,8 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _frozen(values: ArrayLike) -> np.ndarray:
-    """A read-only int64 copy."""
-    arr = np.array(values, dtype=np.int64)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """The array itself, marked not writeable in place."""
     arr.flags.writeable = False
     return arr
 
@@ -78,10 +82,15 @@ def _frozen(values: ArrayLike) -> np.ndarray:
 class TemporalEdgeStream:
     """Timestamp-ordered message events as columns, plus the node registry.
 
-    Message ``i`` goes from ``senders[i]`` to ``recipients[i]`` at
-    ``timestamps[i]`` (unix seconds). ``node_registry`` is the sorted union of
-    senders and recipients. ``labels`` optionally maps dense node ids back to
-    the source identifiers they were assigned from.
+    Message ``i`` goes from node ``node_registry[senders[i]]`` to node
+    ``node_registry[recipients[i]]`` at ``timestamps[i]`` (unix seconds):
+    ``senders`` and ``recipients`` hold int64 positions into
+    ``node_registry``, the ascending int64 ids of every node that sends or
+    receives. ``labels`` optionally maps node ids to the source identifiers
+    they were assigned from.
+
+    The constructor takes the columns as node ids and maps them to positions
+    once; ``from_positions`` adopts columns that are positions already.
     """
 
     __slots__ = ("senders", "recipients", "timestamps", "node_registry", "labels")
@@ -93,24 +102,62 @@ class TemporalEdgeStream:
         timestamps: ArrayLike,
         labels: Mapping[int, str] | None = None,
     ) -> None:
-        self.senders = _frozen(senders)
-        self.recipients = _frozen(recipients)
-        self.timestamps = _frozen(timestamps)
-        if not len(self.senders) == len(self.recipients) == len(self.timestamps):
-            raise ValueError("sender, recipient and timestamp columns differ in length")
-        back = np.flatnonzero(np.diff(self.timestamps) < 0)
+        senders = np.asarray(senders, dtype=np.int64)
+        recipients = np.asarray(recipients, dtype=np.int64)
+        timestamps = np.array(timestamps, dtype=np.int64)
+        _check_lengths(senders, recipients, timestamps)
+        registry = sorted_unique(np.concatenate([senders, recipients]))
+        self._adopt(
+            np.searchsorted(registry, senders),
+            np.searchsorted(registry, recipients),
+            timestamps,
+            registry,
+            labels,
+        )
+
+    @classmethod
+    def from_positions(
+        cls,
+        senders: np.ndarray,
+        recipients: np.ndarray,
+        timestamps: np.ndarray,
+        node_registry: np.ndarray,
+        labels: Mapping[int, str] | None = None,
+    ) -> TemporalEdgeStream:
+        """A stream over columns that already hold positions into the
+        ascending ``node_registry``. int64 arrays are taken over, not copied:
+        they are marked read-only in place."""
+        senders, recipients, timestamps, node_registry = (
+            np.asarray(c, dtype=np.int64)
+            for c in (senders, recipients, timestamps, node_registry)
+        )
+        _check_lengths(senders, recipients, timestamps)
+        if np.any(node_registry[1:] <= node_registry[:-1]):
+            raise ValueError("node_registry must be strictly ascending")
+        for end in (senders, recipients):
+            if len(end) and not 0 <= end.min() <= end.max() < len(node_registry):
+                raise ValueError("a position lies outside the node registry")
+        stream = cls.__new__(cls)
+        stream._adopt(senders, recipients, timestamps, node_registry, labels)
+        return stream
+
+    def _adopt(self, senders, recipients, timestamps, node_registry, labels) -> None:
+        back = np.flatnonzero(timestamps[1:] < timestamps[:-1])
         if back.size:
             i = int(back[0]) + 1
             raise OrderingError(
                 f"edge {i} breaks timestamp order "
-                f"({self.timestamps[i]} < {self.timestamps[i - 1]})"
+                f"({timestamps[i]} < {timestamps[i - 1]})"
             )
-        loops = np.flatnonzero(self.senders == self.recipients)
+        loops = np.flatnonzero(senders == recipients)
         if loops.size:
-            raise ValueError(f"self-loop edge on node {self.senders[loops[0]]}")
-        self.node_registry = _frozen(
-            sorted_unique(np.concatenate([self.senders, self.recipients]))
-        )
+            raise ValueError(
+                f"self-loop edge on node {node_registry[senders[loops[0]]]}"
+            )
+        self.senders = _read_only(senders)
+        self.recipients = _read_only(recipients)
+        self.timestamps = _read_only(timestamps)
+        self.node_registry = _read_only(node_registry)
         self.labels = dict(labels) if labels is not None else None
 
     def __len__(self) -> int:
@@ -120,7 +167,8 @@ class TemporalEdgeStream:
         if not isinstance(other, TemporalEdgeStream):
             return NotImplemented
         return (
-            np.array_equal(self.senders, other.senders)
+            np.array_equal(self.node_registry, other.node_registry)
+            and np.array_equal(self.senders, other.senders)
             and np.array_equal(self.recipients, other.recipients)
             and np.array_equal(self.timestamps, other.timestamps)
             and self.labels == other.labels
@@ -131,6 +179,11 @@ class TemporalEdgeStream:
             f"TemporalEdgeStream({len(self)} edges, "
             f"{len(self.node_registry)} nodes)"
         )
+
+
+def _check_lengths(*columns: np.ndarray) -> None:
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("sender, recipient and timestamp columns differ in length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +234,10 @@ def slice_days(
     day = day_number(stream.timestamps, tz_offset_seconds)
     if not len(day):
         if num_days is None:
-            return DayWindow(_frozen(day), 0, 0)
+            return DayWindow(_read_only(day), 0, 0)
         if day_origin is None:
             raise ValueError("day_origin is required to window an empty stream")
-        return DayWindow(_frozen(day), date_to_day(day_origin), num_days)
+        return DayWindow(_read_only(day), date_to_day(day_origin), num_days)
 
     first_day, last_day = int(day[0]), int(day[-1])
     for d in (first_day, last_day):
@@ -204,7 +257,8 @@ def slice_days(
             f"edges extend to {day_date(last_day)}, past the "
             f"{num_days}-day window ending {day_date(end_day)}"
         )
-    return DayWindow(_frozen(day - origin), origin, end_day - origin + 1)
+    day -= origin
+    return DayWindow(_read_only(day), origin, end_day - origin + 1)
 
 
 class Adjacency(NamedTuple):
@@ -219,28 +273,35 @@ class Adjacency(NamedTuple):
 class UndirectedGraph:
     """Simple undirected graph: no multiplicity, no self-edges.
 
-    ``nodes`` is the sorted int64 node array, isolates included. ``edges`` is
-    an (m, 2) int64 array of distinct pairs stored as u < v, in ascending
-    order. Both are read-only.
+    ``nodes`` is the sorted int64 node-id array, isolates included. ``pairs``
+    is an (m, 2) int64 array of distinct position pairs into ``nodes``,
+    stored as u < v in ascending order; ``edges`` gives the same pairs as
+    node ids. All three are read-only.
     """
 
-    __slots__ = ("nodes", "edges")
+    __slots__ = ("nodes", "pairs")
 
     def __init__(self, edges: ArrayLike = (), nodes: ArrayLike = ()) -> None:
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        ids = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        loops = np.flatnonzero(ids[:, 0] == ids[:, 1])
         if loops.size:
-            raise ValueError(f"self-edge on node {pairs[loops[0], 0]}")
+            raise ValueError(f"self-edge on node {ids[loops[0], 0]}")
         nodes = np.asarray(nodes, dtype=np.int64)
-        self.nodes = _frozen(sorted_unique(np.concatenate([nodes, pairs.ravel()])))
-        self.edges = _frozen(_distinct_pairs(self.nodes, pairs[:, 0], pairs[:, 1]))
+        self.nodes = _read_only(sorted_unique(np.concatenate([nodes, ids.ravel()])))
+        ends = np.searchsorted(self.nodes, ids).T
+        self.pairs = _read_only(_distinct_pairs(len(self.nodes), *ends))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The distinct pairs as node ids: (m, 2) int64, u < v, ascending."""
+        return _read_only(self.nodes[self.pairs])
 
     def adjacency_matrix(self) -> Adjacency:
         """Symmetric adjacency over node positions: row i is ``nodes[i]``."""
         n = len(self.nodes)
-        ends = np.searchsorted(self.nodes, self.edges)
-        rows = np.concatenate([ends[:, 0], ends[:, 1]])
-        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        u, v = self.pairs.T
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return Adjacency(indptr, cols[np.argsort(rows * n + cols)])
@@ -249,28 +310,30 @@ class UndirectedGraph:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
         return np.array_equal(self.nodes, other.nodes) and np.array_equal(
-            self.edges, other.edges
+            self.pairs, other.pairs
         )
 
     def __repr__(self) -> str:
-        return f"UndirectedGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"UndirectedGraph({len(self.nodes)} nodes, {len(self.pairs)} edges)"
 
 
-def _distinct_pairs(nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distinct unordered pairs as ascending (m, 2) rows with u < v.
+def _distinct_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distinct unordered pairs of positions in 0..n-1, as ascending (m, 2)
+    rows with u < v.
 
-    Pairs are deduplicated as one integer key per pair over positions in the
-    sorted ``nodes``, which is several times faster than a row-wise unique.
+    Each pair is one integer key ``lo * n + hi``, which dedups several times
+    faster than a row-wise unique.
     """
-    n = len(nodes)
-    lo = np.searchsorted(nodes, np.minimum(u, v))
-    hi = np.searchsorted(nodes, np.maximum(u, v))
-    keys = sorted_unique(lo * n + hi)
-    return np.column_stack([nodes[keys // n], nodes[keys % n]])
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    return np.column_stack(np.divmod(sorted_unique(keys), n))
 
 
 def undirected_projection(stream: TemporalEdgeStream) -> UndirectedGraph:
     """Collapse directions and multiplicities: {u,v} present iff any message passed."""
-    return UndirectedGraph(
-        np.column_stack([stream.senders, stream.recipients]), stream.node_registry
-    )
+    graph = UndirectedGraph.__new__(UndirectedGraph)
+    graph.nodes = stream.node_registry
+    n = len(stream.node_registry)
+    graph.pairs = _read_only(_distinct_pairs(n, stream.senders, stream.recipients))
+    return graph

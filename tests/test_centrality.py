@@ -226,7 +226,7 @@ def test_daily_orderings_match_oracle(case):
     ]
     orderings = [
         table.nodes[ranked].tolist()
-        for ranked in ranked_positions(table.nodes, table.values)
+        for ranked in ranked_positions(table.values)
         if len(ranked)
     ]
     assert orderings == [order for order in expected if order]

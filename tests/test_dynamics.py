@@ -407,3 +407,19 @@ def test_day_table_statistics_match_oracles(case, k_max):
         assert (got is None) == (cv is None)
         if cv is not None:
             assert got == pytest.approx(cv, abs=1e-12)
+
+
+def test_days_are_ranked_once_per_table(micro_stream, micro_window, monkeypatch):
+    tables = []
+    original = cn.centrality.ranked_positions
+
+    def counting(degrees):
+        if np.ndim(degrees) == 2:
+            tables.append(degrees)
+        return original(degrees)
+
+    monkeypatch.setattr(cn.centrality, "ranked_positions", counting)
+    table = degree_table(micro_stream, micro_window, "out")
+    overlap_vs_k(table, [1, 2, 3])
+    daily_vs_aggregate_consistency(table, 2)
+    assert len(tables) == 1

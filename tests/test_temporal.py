@@ -1,20 +1,28 @@
 import datetime as dt
+import io
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commnet import (
+    RemovalStrategy,
     TemporalEdgeStream,
     UndirectedGraph,
     degree_table,
+    robustness_curve,
     slice_days,
     undirected_projection,
+    write_edge_log,
 )
 from commnet.errors import OrderingError, WindowError
 from commnet.temporal import SECONDS_PER_DAY, date_to_day, day_date, day_number
+
+from . import brute
+from .test_robustness import _nx_curve, _same
 
 D1 = date_to_day(dt.date(2001, 3, 5))
 
@@ -240,3 +248,91 @@ def test_degree_table_counts_each_day(raw, direction):
         for j, u in enumerate(table.nodes)
     }
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# node ids mapped to positions once: gapped, negative and beyond 2**40
+# ---------------------------------------------------------------------------
+
+INT64_IDS = st.lists(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    min_size=len(brute.NAMES),
+    max_size=len(brute.NAMES),
+    unique=True,
+)
+
+
+@settings(max_examples=40)
+@given(INT64_IDS)
+@example([2**41 + 3, -5, 2**62, -(2**40), 17])
+def test_gapped_ids_match_brute_and_networkx(ids):
+    # the brute micro corpus with node i renamed ids[i]; id order differs
+    # from first appearance, so positions are not appearance order either
+    rows = [(ids[brute.IDS[s]], ids[brute.IDS[r]], t) for s, r, t in brute.RAW_ROWS]
+    stream = _stream(rows)
+    assert stream.node_registry.tolist() == sorted(ids)
+    sink = io.BytesIO()
+    write_edge_log(stream, sink)
+    written = sink.getvalue().decode().splitlines()
+    assert written == [f"{s},{r},{t}" for s, r, t in rows]
+
+    window = slice_days(stream)
+    for direction in ("out", "in", "total"):
+        table = degree_table(stream, window, direction)
+        for t in range(brute.N_DAYS):
+            expected = {ids[i]: d for i, d in brute.degrees(t, direction).items()}
+            assert dict(zip(table.nodes.tolist(), table.values[t].tolist())) == expected
+            ranked = table.nodes[table.daily_ranking[t]].tolist()
+            assert ranked == [node for node, _ in brute.top_k(expected, len(ids))]
+        for i, node in enumerate(ids):
+            assert table.column(node).tolist() == brute.node_values(i, direction)
+
+    graph = undirected_projection(stream)
+    ref = nx.Graph((s, r) for s, r, _ in rows)
+    assert graph == UndirectedGraph(list(ref.edges))
+    assert graph.edges.tolist() == sorted(sorted(edge) for edge in ref.edges)
+    adj = graph.adjacency_matrix()
+    for i, node in enumerate(graph.nodes.tolist()):
+        neighbours = graph.nodes[adj.indices[adj.indptr[i] : adj.indptr[i + 1]]]
+        assert neighbours.tolist() == sorted(ref[node])
+
+    steps = [k / len(ids) for k in range(len(ids))]
+    for strategy in (
+        RemovalStrategy("random", seed=3),
+        RemovalStrategy("targeted"),
+        RemovalStrategy("targeted", adaptive=False),
+    ):
+        points = robustness_curve(graph, strategy, steps).points
+        expected = _nx_curve(graph, strategy, steps)
+        assert [(p.fraction_removed, p.giant_component_fraction) for p in points] == [
+            (fraction, giant) for fraction, giant, _ in expected
+        ]
+        for point, (_, _, apl) in zip(points, expected):
+            assert _same(point.average_path_length, apl)
+
+
+def test_stream_from_positions_adopts_its_columns():
+    senders, recipients = np.array([0, 2, 1]), np.array([1, 0, 2])
+    stamps, registry = np.array([5, 5, 9]), np.array([-4, 10, 2**50])
+    stream = TemporalEdgeStream.from_positions(senders, recipients, stamps, registry)
+    assert stream.senders is senders and stream.node_registry is registry
+    assert not senders.flags.writeable and not stamps.flags.writeable
+    assert stream == TemporalEdgeStream([-4, 2**50, 10], [10, -4, 2**50], [5, 5, 9])
+
+
+@pytest.mark.parametrize(
+    "senders, recipients, stamps, registry, error",
+    [
+        ([0, 1], [1], [1, 2], [3, 4], ValueError),  # lengths differ
+        ([0], [1], [1], [4, 3], ValueError),  # registry not ascending
+        ([0], [2], [1], [3, 4], ValueError),  # position past the registry
+        ([-1], [0], [1], [3, 4], ValueError),  # negative position
+        ([0], [0], [1], [3, 4], ValueError),  # self-loop
+        ([0, 1], [1, 0], [2, 1], [3, 4], OrderingError),
+    ],
+)
+def test_stream_from_positions_rejects(senders, recipients, stamps, registry, error):
+    with pytest.raises(error):
+        TemporalEdgeStream.from_positions(
+            *map(np.array, (senders, recipients, stamps, registry))
+        )
