@@ -4,19 +4,27 @@ Verbs: ingest (parse and validate a message log), analyze (full pipeline),
 generate (synthetic corpora and graphs), robustness (standalone removal
 curves), report (summarize an existing report.json).
 
-Exit codes: 0 success, 2 configuration error, 3 ingest error, 4 insufficient
-data (for example an empty observation window). The default output directory
-can be set with the COMMNET_OUTPUT_DIR environment variable.
+Exit codes: 0 success, 1 standard output closed by its reader (as in
+``commnet ingest ... | head``), 2 configuration error, 3 ingest error, 4
+insufficient data (for example an empty observation window). The default
+output directory can be set with the COMMNET_OUTPUT_DIR environment variable.
+
+A file named by --output is written beside its target and moved over it
+once complete, so a failed run leaves any previous file in place.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from .errors import (
     ConfigError,
@@ -39,6 +47,7 @@ from .robustness import RemovalStrategy, robustness_curve, validate_steps
 from .temporal import UndirectedGraph, undirected_projection
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_INSUFFICIENT = 4
@@ -97,6 +106,24 @@ def _output_dir(args: argparse.Namespace) -> Path:
     if env:
         return Path(env)
     raise ConfigError("--output-dir is required (or set COMMNET_OUTPUT_DIR)")
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` once the block completes; if the
+    block raises, ``path`` is left as it was.
+
+    The file is written in a fresh directory beside ``path`` (on the same
+    file system, so the move is one rename). A directory rather than
+    ``mkstemp``, so the file gets the permissions ``open`` gives."""
+    target = Path(path)
+    stage = Path(tempfile.mkdtemp(prefix=".commnet-", dir=target.parent))
+    try:
+        with open(stage / target.name, "wb") as fh:
+            yield fh
+        os.replace(stage / target.name, target)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +241,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             collapse_duplicates=args.collapse_duplicates,
         )
     if args.output:
-        with open(args.output, "wb") as out:
+        with _replacing(args.output) as out:
             write_edge_log(stream, out, cfg)
     summary = {
         "rows_read": report.rows_read,
@@ -282,7 +309,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 start_date=args.start_date,
             )
         )
-        with open(args.output, "wb") as out:
+        with _replacing(args.output) as out:
             write_edge_log(stream, out)
         print(f"wrote {len(stream)} messages to {args.output}")
         return EXIT_OK
@@ -291,7 +318,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         graph = generate_er(ERParams(n=args.n, p=args.p, seed=args.seed))
     lines = [f"{u} {v}" for u, v in graph.edges.tolist()]
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(args.output) as out:
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(graph.edges)} edges to {args.output}")
     return EXIT_OK
 
@@ -425,7 +453,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        rc = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # here, so a reader gone away is caught below
+        return rc
+    except BrokenPipeError:
+        # as the Python signal docs advise: point stdout at devnull, so the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

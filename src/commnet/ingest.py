@@ -15,6 +15,14 @@ rules and the malformed reasons. A line takes the fast path only where
 _parse_row would accept it with the same fields, so the result does not
 depend on which path a line took; IngestReport.fallback_lines counts the
 lines left to _parse_row.
+
+The writer is the parser's inverse, _WRITE_ROWS rows at a time. A chunk is
+one uint8 matrix with a row per line and fixed columns per field: names
+gathered from a per-node table of UTF-8 bytes, unix stamps as a sign column
+and right-aligned digits (four at a time from a table of 4-byte words),
+iso8601 stamps from np.datetime_as_string, and the delimiters and LF. Every
+field is padded with _BLANK, a byte no UTF-8 text holds, so the matrix less
+its _BLANK bytes, read row-major, is the chunk's lines.
 """
 from __future__ import annotations
 
@@ -83,6 +91,8 @@ class IngestReport:
 
 _BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
 _CHUNK_BYTES = 1 << 18  # the buffer is parsed in runs of whole lines about this long
+_WRITE_ROWS = 1 << 16  # a stream is written in runs of this many rows
+_BLANK = 0xFF  # a byte no UTF-8 text holds: the writer's padding
 _FAST_NAME_BYTES = 64  # longer names are left to the per-line rules
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd; mixes the 8-byte words of a name
 _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
@@ -413,29 +423,120 @@ def parse_edge_log(
     return stream, report
 
 
+def _put(columns: np.ndarray, values: np.ndarray) -> None:
+    """Copy the rows of the C-contiguous uint8 matrix ``values`` into the
+    same-shape ``columns`` of a matrix with contiguous rows, each row as one
+    item: several times faster than numpy's byte-wise copy of a narrow 2-D
+    slice."""
+    item = f"V{columns.shape[1]}"
+    columns.view(item)[:, 0] = values.view(item)[:, 0]
+
+
+def _digit_words() -> np.ndarray:
+    """"0000" .. "9999" as 4-byte words, then the same 10,000 with their
+    leading zeros _BLANK ("0012" as two blanks and "12"; "0000" all blank)."""
+    digits = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    digits = (digits + ord("0")).astype(np.uint8)
+    lead = digits.copy()
+    lead[np.cumsum(digits != ord("0"), axis=1) == 0] = _BLANK
+    return np.concatenate([digits, lead]).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _name_table(stream: TemporalEdgeStream) -> np.ndarray:
+    """Every node's name as UTF-8 by position: an (nodes, width) uint8 matrix,
+    each row padded with _BLANK to the longest name."""
+    labels = stream.labels or {}
+    names = [labels.get(u, str(u)).encode() for u in stream.node_registry.tolist()]
+    lengths = np.fromiter(map(len, names), np.int64, len(names))
+    width = max(int(lengths.max(initial=0)), 1)
+    table = np.array(names, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    table[np.arange(width) >= lengths[:, None]] = _BLANK
+    return table
+
+
+def _unix_width(stamps: np.ndarray) -> int:
+    """Columns of the unix text of the stamps: a sign, one or more 4-digit
+    words, the ones digit."""
+    top = max(-int(stamps.min(initial=0)), int(stamps.max(initial=0)))
+    return 2 + 4 * max(-(-(len(str(top)) - 1) // 4), 1)
+
+
+def _unix_text(stamps: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal text of the stamps into the (rows, _unix_width)
+    columns ``out``: a sign column ("-" or _BLANK), then the digits
+    right-aligned behind _BLANK padding."""
+    negative = stamps < 0
+    magnitude = stamps.view(np.uint64)
+    # uint64 negation wraps, so this is |stamp| for every int64, -2**63 too
+    magnitude = np.where(negative, -magnitude, magnitude)
+    out[:, 0] = np.where(negative, ord("-"), _BLANK)
+    out[:, -1] = magnitude % 10 + ord("0")
+    magnitude //= 10
+    words = np.empty((len(stamps), (out.shape[1] - 2) // 4), dtype=np.uint32)
+    for j in reversed(range(words.shape[1])):
+        high = magnitude // 10_000
+        magnitude -= high * 10_000
+        # the word that holds the first digit, and every word above it,
+        # comes from the half of the table with leading zeros blanked
+        magnitude += (high == 0) * np.uint64(10_000)
+        words[:, j] = _DIGIT_WORDS[magnitude]
+        magnitude = high
+    _put(out[:, 1:-1], words.view(np.uint8))
+
+
+def _iso_text(stamps: np.ndarray, out: np.ndarray) -> None:
+    """Write the stamps as ISO 8601 UTC text (datetime.isoformat's form)
+    into the (rows, 25) columns ``out``."""
+    text = np.datetime_as_string(stamps.astype("datetime64[s]"), unit="s")
+    # one UCS-4 code unit per ASCII character, in a field wider than 19
+    codes = text.view(np.uint32).reshape(len(stamps), -1)[:, :19]
+    _put(out[:, :19], codes.astype(np.uint8))
+    out[:, 19:] = np.frombuffer(b"+00:00", dtype=np.uint8)
+
+
 def write_edge_log(
     stream: TemporalEdgeStream,
     sink: BinaryIO,
     cfg: LogFormatConfig | None = None,
 ) -> None:
-    """Serialize a stream back to the delimited log format (inverse of parse)."""
+    """Serialize a stream back to the delimited log format (inverse of parse).
+
+    Raises ValueError before writing anything if an iso8601 stamp has no
+    calendar date.
+    """
     cfg = cfg or LogFormatConfig()
-    labels = stream.labels or {}
-    # node names by position
-    name = [labels.get(u, str(u)) for u in stream.node_registry.tolist()]
+    stamps = stream.timestamps
     if cfg.timestamp_format == "unix":
-        stamps = list(map(str, stream.timestamps.tolist()))
+        text, stamp_width = _unix_text, _unix_width(stamps)
     else:
-        stamps = [
-            dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).isoformat()
-            for ts in stream.timestamps.tolist()
-        ]
-    fields = {
-        "sender": [name[u] for u in stream.senders.tolist()],
-        "recipient": [name[u] for u in stream.recipients.tolist()],
-        "timestamp": stamps,
-    }
-    lines = [cfg.delimiter.join(cfg.columns)] if cfg.has_header else []
-    lines.extend(map(cfg.delimiter.join, zip(*(fields[c] for c in cfg.columns))))
-    lines.append("")  # trailing newline
-    sink.write("\n".join(lines).encode("utf-8"))
+        outside = (stamps < _DATED_SECONDS.start) | (stamps >= _DATED_SECONDS.stop)
+        if outside.any():
+            raise ValueError(
+                f"timestamp {stamps[outside.argmax()]} is outside "
+                "0001-01-01 .. 9999-12-31 UTC, which iso8601 cannot write"
+            )
+        text, stamp_width = _iso_text, 25
+    names = _name_table(stream)
+    ends = {"sender": stream.senders, "recipient": stream.recipients}
+    widths = {"sender": names.shape[1], "recipient": names.shape[1]}
+    widths["timestamp"] = stamp_width
+    at, spans = 0, {}
+    for column in cfg.columns:
+        spans[column] = slice(at, at + widths[column])
+        at = spans[column].stop + 1  # a delimiter or the LF
+    lines = np.empty((min(len(stamps), _WRITE_ROWS), at), dtype=np.uint8)
+    lines[:, [spans[c].stop for c in cfg.columns[:2]]] = ord(cfg.delimiter)
+    lines[:, -1] = ord("\n")
+    if cfg.has_header:
+        sink.write((cfg.delimiter.join(cfg.columns) + "\n").encode())
+    for lo in range(0, len(stamps), _WRITE_ROWS):
+        block = lines[: min(len(stamps) - lo, _WRITE_ROWS)]
+        rows = slice(lo, lo + len(block))
+        for column, positions in ends.items():
+            _put(block[:, spans[column]], names.take(positions[rows], axis=0))
+        text(stamps[rows], block[:, spans["timestamp"]])
+        # row-major, so the kept bytes come out as the lines in order
+        sink.write(block[block != _BLANK])

@@ -6,12 +6,12 @@ length within the surviving giant component. Removal is either seeded-random
 or targeted at the highest-degree node; the targeted attack recomputes degrees
 after every removal by default, which is the stronger variant.
 
-A curve builds the graph's symmetric CSR adjacency once and removes nodes by
-clearing an alive mask; adaptive targeting decrements the degrees of the
-removed node's neighbours, read off its CSR row. Components are labelled on
-the subgraph induced by the alive nodes by hooking plus pointer jumping
-(Shiloach & Vishkin 1982, J. Algorithms 3:57), a few vectorized numpy rounds
-per point. scipy's connected_components would do the same, but importing
+A curve reads the graph's symmetric CSR adjacency, which the graph builds
+once and keeps for every curve, and removes nodes by clearing an alive mask;
+adaptive targeting decrements the degrees of the removed node's neighbours,
+read off its CSR row. Components are labelled on the subgraph induced by the
+alive nodes by hooking plus pointer jumping (Shiloach & Vishkin 1982, J.
+Algorithms 3:57), a few vectorized numpy rounds per point. scipy's connected_components would do the same, but importing
 scipy.sparse.csgraph costs every process about 0.45 s, more than a whole
 growth-model curve at 3,000 nodes.
 

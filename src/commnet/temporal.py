@@ -279,7 +279,7 @@ class UndirectedGraph:
     node ids. All three are read-only.
     """
 
-    __slots__ = ("nodes", "pairs")
+    __slots__ = ("nodes", "pairs", "_adjacency")
 
     def __init__(self, edges: ArrayLike = (), nodes: ArrayLike = ()) -> None:
         ids = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -290,6 +290,7 @@ class UndirectedGraph:
         self.nodes = _read_only(sorted_unique(np.concatenate([nodes, ids.ravel()])))
         ends = np.searchsorted(self.nodes, ids).T
         self.pairs = _read_only(_distinct_pairs(len(self.nodes), *ends))
+        self._adjacency = None
 
     @property
     def edges(self) -> np.ndarray:
@@ -297,14 +298,13 @@ class UndirectedGraph:
         return _read_only(self.nodes[self.pairs])
 
     def adjacency_matrix(self) -> Adjacency:
-        """Symmetric adjacency over node positions: row i is ``nodes[i]``."""
-        n = len(self.nodes)
-        u, v = self.pairs.T
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return Adjacency(indptr, cols[np.argsort(rows * n + cols)])
+        """Symmetric adjacency over node positions: row i is ``nodes[i]``.
+
+        Built on the first call and kept, read-only: the graph never changes.
+        """
+        if self._adjacency is None:
+            self._adjacency = _symmetric_csr(len(self.nodes), self.pairs)
+        return self._adjacency
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):
@@ -315,6 +315,26 @@ class UndirectedGraph:
 
     def __repr__(self) -> str:
         return f"UndirectedGraph({len(self.nodes)} nodes, {len(self.pairs)} edges)"
+
+
+def _symmetric_csr(n: int, pairs: np.ndarray) -> Adjacency:
+    """The adjacency of distinct pairs u < v of positions in 0..n-1.
+
+    Entry (row, col) is the key ``row * n + col``; one in-place sort of the
+    keys of both orientations orders the entries by row, then column.
+    """
+    m = len(pairs)
+    u, v = pairs.T
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    keys.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
+    np.remainder(keys, n, out=keys)  # the columns
+    return Adjacency(_read_only(indptr), _read_only(keys))
 
 
 def _distinct_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -336,4 +356,5 @@ def undirected_projection(stream: TemporalEdgeStream) -> UndirectedGraph:
     graph.nodes = stream.node_registry
     n = len(stream.node_registry)
     graph.pairs = _read_only(_distinct_pairs(n, stream.senders, stream.recipients))
+    graph._adjacency = None
     return graph

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import commnet
+from commnet import cli, temporal
 from commnet.cli import main
+from commnet.ingest import LogFormatConfig, parse_edge_log
 
-from . import brute
+from . import brute, ref_write
 
 
 def test_generate_then_ingest_then_analyze(tmp_path, capsys):
@@ -332,3 +336,123 @@ def test_cli_import_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "[]"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# the CI-sized hub corpus
+HUB_ARGS = (
+    "generate", "hub-corpus", "--nodes", "40", "--days", "12", "--hubs", "4",
+    "--hub-rate", "20", "--background-rate", "4",
+)
+ISO_FORMAT = (
+    "--columns", "timestamp,recipient,sender", "--timestamp-format", "iso8601",
+    "--delimiter", "\t", "--header",
+)
+# SHA-256 of the files the per-row writer wrote, recorded before the
+# vectorized writer; 1969-12-25 puts the stamps on both sides of the epoch
+PINNED_GENERATED = {
+    "hub.log": "2af971a24afe40c92f12fc1c9fb6c95862b641f62de77b562f690806e33f3e34",
+    "hub1969.log": "8b5d9f62dd3e7095e20e555e1973cabe38d0ed1a1be6504c389424690edaa63f",
+    "ba.edges": "a90408730a94df977659126f0d22241d4dcda1e40872638da2fbf9feb99bdebf",
+    "iso.in": "a6ddbe1e9cec7c39f85914d96da6a41f775a361bfa75839697657686df5c159a",
+    "iso.out": "14e224b09dd8cfae7472eb9a3434f107fec3691285b952adcc98a8a2167bc47b",
+}
+
+
+def test_generated_bytes_pinned(tmp_path, capsys):
+    hub, hub1969 = tmp_path / "hub.log", tmp_path / "hub1969.log"
+    assert main([*HUB_ARGS, "--output", str(hub)]) == 0
+    args = ["--start-date", "1969-12-25", "--output", str(hub1969)]
+    assert main([*HUB_ARGS, *args]) == 0
+    args = ["--n", "300", "--m", "3", "--output", str(tmp_path / "ba.edges")]
+    assert main(["generate", "ba", *args]) == 0
+    # ingest --output sorts: feed it the 1969 corpus in the iso format with
+    # its rows reversed
+    cfg = LogFormatConfig(("timestamp", "recipient", "sender"), "iso8601", "\t", True)
+    stream, _ = parse_edge_log(hub1969.read_bytes())
+    sink = io.BytesIO()
+    ref_write.write_edge_log(stream, sink, cfg)
+    header, *rows = sink.getvalue().splitlines(keepends=True)
+    (tmp_path / "iso.in").write_bytes(header + b"".join(rows[::-1]))
+    args = ["--input", str(tmp_path / "iso.in"), "--output", str(tmp_path / "iso.out")]
+    assert main(["ingest", *args, *ISO_FORMAT]) == 0
+    capsys.readouterr()
+    assert {name: _sha256(tmp_path / name) for name in PINNED_GENERATED} == (
+        PINNED_GENERATED
+    )
+
+
+def _fail_partway(stream, sink, cfg=None):
+    sink.write(b"0,1,2\n")
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("verb", ["generate", "ingest"])
+def test_failed_write_leaves_the_target(tmp_path, monkeypatch, capsys, verb):
+    log, target = tmp_path / "hub.log", tmp_path / "out.log"
+    assert main([*HUB_ARGS, "--output", str(log)]) == 0
+    target.write_bytes(b"previous\n")
+    monkeypatch.setattr(cli, "write_edge_log", _fail_partway)
+    if verb == "generate":
+        args = [*HUB_ARGS, "--output", str(target)]
+    else:
+        args = ["ingest", "--input", str(log), "--output", str(target)]
+    with pytest.raises(OSError, match="No space"):
+        main(args)
+    assert target.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hub.log", "out.log"]
+    # and a write that completes replaces it
+    monkeypatch.undo()
+    assert main(args) == 0
+    assert target.read_bytes().startswith(log.read_bytes()[:6])
+    capsys.readouterr()
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `commnet ingest ... | head -3`, with the reader gone before any write
+    log = tmp_path / "hub.log"
+    log.write_bytes(b"a,b,1\nb,c,2\n")
+    src = str(Path(commnet.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "commnet.cli", "ingest", "--input", str(log)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == ""
+    assert done.returncode == cli.EXIT_BROKEN_PIPE == 1
+
+
+def test_adjacency_built_once_per_run(tmp_path, monkeypatch, capsys):
+    log, edges = tmp_path / "hub.log", tmp_path / "ba.edges"
+    assert main([*HUB_ARGS, "--output", str(log)]) == 0
+    args = ["--n", "300", "--m", "3", "--output", str(edges)]
+    assert main(["generate", "ba", *args]) == 0
+    builds = []
+    build = temporal._symmetric_csr
+
+    def counted(n, pairs):
+        builds.append(n)
+        return build(n, pairs)
+
+    monkeypatch.setattr(temporal, "_symmetric_csr", counted)
+    out = str(tmp_path / "out")
+    for args in (
+        ["analyze", "--input", str(log)],
+        ["robustness", "--input", str(log)],
+        ["robustness", "--edges", str(edges)],
+    ):
+        builds.clear()
+        assert main([*args, "--output-dir", out]) == 0
+        assert len(builds) == 1, args
+    capsys.readouterr()
