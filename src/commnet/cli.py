@@ -5,12 +5,18 @@ generate (synthetic corpora and graphs), robustness (standalone removal
 curves), report (summarize an existing report.json).
 
 Exit codes: 0 success, 1 standard output closed by its reader (as in
-``commnet ingest ... | head``), 2 configuration error, 3 ingest error, 4
-insufficient data (for example an empty observation window). The default
-output directory can be set with the COMMNET_OUTPUT_DIR environment variable.
+``commnet ingest ... | head``), 2 configuration error, 3 ingest error or an
+operating-system error, in one line (a missing input, a directory where a
+file belongs or the reverse, a full disk), 4 insufficient data (for example
+an empty observation window). The default output directory can be set with
+the COMMNET_OUTPUT_DIR environment variable.
 
-A file named by --output is written beside its target and moved over it
-once complete, so a failed run leaves any previous file in place.
+The verbs and the pipeline share one implementation of each front-door
+step: the corpus flags are declared once, the default removal steps are
+``pipeline.DEFAULT_STEPS``, and logs are read, removal curves run and
+outputs staged by functions in ``pipeline``. A file named by --output is
+written beside its target (whose directory is made if missing) and renamed
+over it once complete, so a failed run leaves any previous file in place.
 """
 from __future__ import annotations
 
@@ -19,10 +25,7 @@ import contextlib
 import datetime as dt
 import json
 import os
-import shutil
 import sys
-import tempfile
-from dataclasses import asdict
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -35,15 +38,19 @@ from .errors import (
     WindowError,
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
-from .ingest import LogFormatConfig, parse_edge_log, write_edge_log
+from .ingest import LogFormatConfig, write_edge_log
 from .pipeline import (
-    ROBUSTNESS_KINDS,
+    DEFAULT_STEPS,
+    ROBUSTNESS_FILES,
     PipelineConfig,
+    ingest_counts,
+    read_log,
+    robustness_stage,
     run,
-    write_robustness_curve,
-    write_staged,
+    staged,
+    write_robustness_curves,
 )
-from .robustness import RemovalStrategy, robustness_curve, validate_steps
+from .robustness import RemovalStrategy, validate_steps
 from .temporal import UndirectedGraph, undirected_projection
 
 EXIT_OK = 0
@@ -110,20 +117,37 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
 @contextlib.contextmanager
 def _replacing(path: str) -> Iterator[BinaryIO]:
-    """A binary file that replaces ``path`` once the block completes; if the
-    block raises, ``path`` is left as it was.
-
-    The file is written in a fresh directory beside ``path`` (on the same
-    file system, so the move is one rename). A directory rather than
-    ``mkstemp``, so the file gets the permissions ``open`` gives."""
+    """A binary file, staged beside ``path``, that replaces it once the block
+    completes; if the block raises, ``path`` is left as it was."""
     target = Path(path)
-    stage = Path(tempfile.mkdtemp(prefix=".commnet-", dir=target.parent))
-    try:
-        with open(stage / target.name, "wb") as fh:
-            yield fh
-        os.replace(stage / target.name, target)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    if target.is_dir():  # staged would replace a directory, not refuse it
+        raise IsADirectoryError(f"{path} is a directory")
+    with staged(target.parent, [target.name]) as stage, open(stage / target.name, "wb") as fh:
+        yield fh
+
+
+def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
+    """The planted-hub corpus shape, shared by analyze and generate."""
+    for flag, kind, default in (
+        ("--nodes", int, 151),
+        ("--days", int, 131),
+        ("--hubs", int, 10),
+        ("--hub-rate", float, 40.0),
+        ("--background-rate", float, 1.0),
+    ):
+        parser.add_argument(flag, type=kind, default=default)
+
+
+def _hub_params(args: argparse.Namespace, **extra) -> HubCorpusParams:
+    return HubCorpusParams(
+        nodes=args.nodes,
+        days=args.days,
+        hubs=args.hubs,
+        hub_rate=args.hub_rate,
+        background_rate=args.background_rate,
+        seed=args.seed,
+        **extra,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,11 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format_args(p_analyze)
     p_analyze.add_argument("--collapse-duplicates", action="store_true")
-    p_analyze.add_argument("--nodes", type=int, default=151)
-    p_analyze.add_argument("--days", type=int, default=131)
-    p_analyze.add_argument("--hubs", type=int, default=10)
-    p_analyze.add_argument("--hub-rate", type=float, default=40.0)
-    p_analyze.add_argument("--background-rate", type=float, default=1.0)
+    _add_corpus_args(p_analyze)
     p_analyze.add_argument("--window-start", type=_date, default=None)
     p_analyze.add_argument("--window-days", type=int, default=None)
     p_analyze.add_argument("--tz-offset-seconds", type=int, default=0)
@@ -167,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--cv-threshold", type=float, default=1.0)
     p_analyze.add_argument("--fit-target", choices=("pdf", "ccdf"), default="ccdf")
     p_analyze.add_argument("--fit-xmin", type=int, default=1)
-    p_analyze.add_argument(
-        "--robustness-steps", type=_float_list, default=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4)
-    )
+    p_analyze.add_argument("--robustness-steps", type=_float_list, default=DEFAULT_STEPS)
     p_analyze.add_argument("--seed", type=int, default=0)
     p_analyze.add_argument("--output-dir", default=None)
     p_analyze.add_argument(
@@ -183,11 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_generate.add_subparsers(dest="model", required=True)
 
     g_hub = gen_sub.add_parser("hub-corpus", help="planted-hub message log")
-    g_hub.add_argument("--nodes", type=int, default=151)
-    g_hub.add_argument("--days", type=int, default=131)
-    g_hub.add_argument("--hubs", type=int, default=10)
-    g_hub.add_argument("--hub-rate", type=float, default=40.0)
-    g_hub.add_argument("--background-rate", type=float, default=1.0)
+    _add_corpus_args(g_hub)
     g_hub.add_argument("--start-date", type=_date, default=dt.date(2000, 1, 1))
     g_hub.add_argument("--seed", type=int, default=0)
     g_hub.add_argument("--output", required=True)
@@ -217,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob.add_argument(
         "--strategies", default="random,targeted", help="comma list of strategies"
     )
-    p_rob.add_argument(
-        "--steps", type=_float_list, default=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4)
-    )
+    p_rob.add_argument("--steps", type=_float_list, default=DEFAULT_STEPS)
     p_rob.add_argument("--static-targeted", action="store_true")
     p_rob.add_argument("--no-path-length", action="store_true")
     p_rob.add_argument("--seed", type=int, default=0)
@@ -233,22 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _log_format(args)
-    with open(args.input, "rb") as fh:
-        stream, report = parse_edge_log(
-            fh,
-            cfg,
-            malformed_threshold=args.malformed_threshold,
-            collapse_duplicates=args.collapse_duplicates,
-        )
+    stream, report = read_log(
+        args.input,
+        cfg,
+        malformed_threshold=args.malformed_threshold,
+        collapse_duplicates=args.collapse_duplicates,
+    )
     if args.output:
         with _replacing(args.output) as out:
             write_edge_log(stream, out, cfg)
     summary = {
-        "rows_read": report.rows_read,
-        "accepted": report.accepted,
-        "self_loops_dropped": report.self_loops_dropped,
-        "malformed": report.malformed,
-        "duplicates_collapsed": report.duplicates_collapsed,
+        **ingest_counts(report),
         "nodes": len(stream.node_registry),
         "first_timestamp": int(stream.timestamps[0]) if len(stream) else None,
         "last_timestamp": int(stream.timestamps[-1]) if len(stream) else None,
@@ -266,16 +273,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         log_format=_log_format(args),
         malformed_threshold=args.malformed_threshold,
         collapse_duplicates=args.collapse_duplicates,
-        hub_params=HubCorpusParams(
-            nodes=args.nodes,
-            days=args.days,
-            hubs=args.hubs,
-            hub_rate=args.hub_rate,
-            background_rate=args.background_rate,
-            seed=args.seed,
-        )
-        if args.synthetic_hubs
-        else None,
+        hub_params=_hub_params(args) if args.synthetic_hubs else None,
         window_start=args.window_start,
         window_days=args.window_days,
         tz_offset_seconds=args.tz_offset_seconds,
@@ -298,17 +296,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.model == "hub-corpus":
-        stream = generate_hub_corpus(
-            HubCorpusParams(
-                nodes=args.nodes,
-                days=args.days,
-                hubs=args.hubs,
-                hub_rate=args.hub_rate,
-                background_rate=args.background_rate,
-                seed=args.seed,
-                start_date=args.start_date,
-            )
-        )
+        stream = generate_hub_corpus(_hub_params(args, start_date=args.start_date))
         with _replacing(args.output) as out:
             write_edge_log(stream, out)
         print(f"wrote {len(stream)} messages to {args.output}")
@@ -332,9 +320,12 @@ def _read_edge_list(path: str) -> UndirectedGraph:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
         try:
-            u, v = map(int, parts)
+            # ids are ASCII [+-]?[0-9]+, the log parser's integer rule; int()
+            # alone also takes "1_000" and non-ASCII digits
+            if not line.isascii() or "_" in line:
+                raise ValueError
+            u, v = map(int, line.split())
         except ValueError:
             raise IngestError(
                 f"line {line_no}: expected two integer ids 'u v', got {line!r}"
@@ -348,44 +339,28 @@ def _read_edge_list(path: str) -> UndirectedGraph:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    # every setting is checked before the input is read; a strategy named
+    # twice runs once
     validate_steps(args.steps)
+    kinds = dict.fromkeys(s.strip() for s in args.strategies.split(","))
+    adaptive = not args.static_targeted
+    strategies = [RemovalStrategy(kind, seed=args.seed, adaptive=adaptive) for kind in kinds]
+    out_dir = _output_dir(args)
     if args.edges:
         graph = _read_edge_list(args.edges)
     else:
-        cfg = _log_format(args)
-        with open(args.input, "rb") as fh:
-            stream, _ = parse_edge_log(
-                fh, cfg, malformed_threshold=args.malformed_threshold
-            )
+        fmt = _log_format(args)
+        stream, _ = read_log(args.input, fmt, malformed_threshold=args.malformed_threshold)
         if not len(stream):
             raise InsufficientDataError("message log is empty")
         graph = undirected_projection(stream)
     if not len(graph.nodes):
         raise InsufficientDataError("graph has no nodes")
-    out_dir = _output_dir(args)
-    curves = {}
-    for kind in (s.strip() for s in args.strategies.split(",")):
-        if kind not in ROBUSTNESS_KINDS:
-            raise ConfigError(f"unknown strategy {kind!r}")
-        strategy = RemovalStrategy(
-            kind, seed=args.seed, adaptive=not args.static_targeted
-        )
-        curves[kind] = robustness_curve(
-            graph,
-            strategy,
-            args.steps,
-            compute_path_length=not args.no_path_length,
-        )
-
-    def write(stage: Path) -> None:
-        for kind, curve in curves.items():
-            write_robustness_curve(stage, kind, map(asdict, curve.points))
-
     # a rerun replaces both curve files, so one strategy's old curve never
     # survives beside a new run of the other
-    write_staged(
-        out_dir, [f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS], write
-    )
+    with staged(out_dir, ROBUSTNESS_FILES) as stage:
+        curves = robustness_stage(graph, strategies, args.steps, not args.no_path_length)
+        write_robustness_curves(stage, curves)
     for kind in curves:
         print(f"wrote {out_dir / f'robustness_{kind}.dat'}")
     return EXIT_OK
@@ -464,8 +439,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IngestError, WindowError, FileNotFoundError) as exc:
+    except (IngestError, WindowError) as exc:
         print(f"ingest error: {exc}", file=sys.stderr)
+        return EXIT_INGEST
+    except OSError as exc:  # after BrokenPipeError, which is one too
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_INGEST
     except (InsufficientDataError, EmptyHistogramError, InsufficientSupportError) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)

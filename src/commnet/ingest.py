@@ -298,14 +298,19 @@ def parse_edge_log(
     """Parse a delimited log into a sorted stream plus an ingest report.
 
     Rows that cannot be parsed are recorded with their line number; if their
-    fraction exceeds ``malformed_threshold`` the whole parse fails. Rows whose
-    sender equals the recipient are dropped and counted. Repeated identical
-    rows are kept (they are distinct messages) unless ``collapse_duplicates``
-    is set, which collapses exact (sender, recipient, timestamp) triples to
-    their first occurrence.
+    fraction exceeds ``malformed_threshold`` the whole parse fails. A threshold
+    outside [0, 1], NaN included, is a ValueError before anything is read.
+    Rows whose sender equals the recipient are dropped and counted. Repeated
+    identical rows are kept (they are distinct messages) unless
+    ``collapse_duplicates`` is set, which collapses exact (sender, recipient,
+    timestamp) triples to their first occurrence.
 
     The sort is stable: rows with equal timestamps keep their input order.
     """
+    if not 0.0 <= malformed_threshold <= 1.0:  # NaN too: it would pass every log
+        raise ValueError(
+            f"malformed_threshold must lie in [0, 1], not {malformed_threshold}"
+        )
     cfg = cfg or LogFormatConfig()
     data = source.read() if hasattr(source, "read") else bytes(source)
     start = len(_BOM) if data.startswith(_BOM) else 0

@@ -7,15 +7,19 @@ top-k frequency, per-day fits, robustness curves). Output is deterministic for
 a fixed config: any wall-clock information goes to run_info.json, which is the
 single file excluded from the byte-for-byte determinism contract.
 
-All files of a run are first written to a staging directory inside the
+The CLI verbs share the steps here: ``read_log``, ``ingest_counts``,
+``robustness_stage``, ``write_robustness_curves`` and ``staged``.
+
+Every file of a run is first written to a staging directory inside the
 output directory. Only when every file is written does the run swap them in,
 name by name, replacing the previous run's files of the same names (see
 OWNED_NAMES) and leaving every other file in the directory alone. A run that
 fails midway removes its staging directory and leaves the previous outputs
-untouched.
+untouched. The CLI's ``--output`` files go through the same staging.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
 import math
@@ -26,7 +30,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .temporal import (
     MAX_WINDOW_DAYS,
     SECONDS_PER_DAY,
     TemporalEdgeStream,
+    UndirectedGraph,
     slice_days,
     undirected_projection,
 )
@@ -50,6 +55,8 @@ from .temporal import (
 REPORT_SCHEMA_VERSION = 1
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
 ROBUSTNESS_KINDS = ("random", "targeted")
+ROBUSTNESS_FILES = tuple(f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS)
+DEFAULT_STEPS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)  # removal fractions of a curve
 # every name a run writes in its output directory; a rerun replaces them all
 OWNED_NAMES = (
     "report.json",
@@ -59,7 +66,7 @@ OWNED_NAMES = (
     "overlap_vs_k.dat",
     "top_frequency.dat",
     "per_day_fits.dat",
-    *(f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS),
+    *ROBUSTNESS_FILES,
     "day_distributions",
     "hub_series",
 )
@@ -84,7 +91,7 @@ class PipelineConfig:
     cv_threshold: float = 1.0
     fit_target: str = "ccdf"
     fit_xmin: int = 1
-    robustness_steps: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)
+    robustness_steps: tuple[float, ...] = DEFAULT_STEPS
     seed: int = 0
 
     def validate(self) -> None:
@@ -177,17 +184,17 @@ def _acquire_stream(
         return stream, source, {}
     assert cfg.input_path is not None
     started = time.perf_counter()
-    with open(cfg.input_path, "rb") as fh:
-        stream, ingest_report = parse_edge_log(
-            fh,
-            cfg.log_format,
-            malformed_threshold=cfg.malformed_threshold,
-            collapse_duplicates=cfg.collapse_duplicates,
-        )
+    stream, ingest_report = read_log(
+        cfg.input_path,
+        cfg.log_format,
+        malformed_threshold=cfg.malformed_threshold,
+        collapse_duplicates=cfg.collapse_duplicates,
+    )
+    malformed_lines = [list(row) for row in ingest_report.malformed_rows[:50]]
     source = {
         "kind": "log",
         "path": str(cfg.input_path),
-        "ingest": _ingest_dict(ingest_report),
+        "ingest": {**ingest_counts(ingest_report), "malformed_lines": malformed_lines},
     }
     # lines left to the per-line parser show when a log misses the fast path
     info = {
@@ -200,15 +207,39 @@ def _acquire_stream(
     return stream, source, info
 
 
-def _ingest_dict(report: IngestReport) -> dict:
+def read_log(
+    path: str | Path, log_format: LogFormatConfig, **options
+) -> tuple[TemporalEdgeStream, IngestReport]:
+    """Parse the message log at ``path``; ``options`` go to ``parse_edge_log``."""
+    with open(path, "rb") as fh:
+        return parse_edge_log(fh, log_format, **options)
+
+
+def ingest_counts(report: IngestReport) -> dict:
+    """The row counts of one parse, as ``ingest`` prints and report.json holds them."""
     return {
         "rows_read": report.rows_read,
         "accepted": report.accepted,
         "self_loops_dropped": report.self_loops_dropped,
         "malformed": report.malformed,
-        "malformed_lines": [list(row) for row in report.malformed_rows[:50]],
         "duplicates_collapsed": report.duplicates_collapsed,
     }
+
+
+def robustness_stage(
+    graph: UndirectedGraph,
+    strategies: Iterable[robust.RemovalStrategy],
+    steps: Sequence[float],
+    path_length: bool = True,
+) -> dict:
+    """Run each removal strategy over ``graph``; return the report.json
+    robustness section, one entry per strategy kind."""
+    section = {}
+    for s in strategies:
+        curve = robust.robustness_curve(graph, s, steps, compute_path_length=path_length)
+        points = [asdict(pt) for pt in curve.points]
+        section[s.kind] = {"seed": s.seed, "adaptive": s.adaptive, "points": points}
+    return section
 
 
 def _histogram(degrees: np.ndarray) -> powerlaw.DegreeHistogram | None:
@@ -363,16 +394,9 @@ def run(cfg: PipelineConfig) -> Report:
             }
         )
 
+    strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in ROBUSTNESS_KINDS]
     projected = undirected_projection(stream)
-    robustness_section: dict = {}
-    for kind in ROBUSTNESS_KINDS:
-        strategy = robust.RemovalStrategy(kind, seed=cfg.seed)
-        curve = robust.robustness_curve(projected, strategy, cfg.robustness_steps)
-        robustness_section[kind] = {
-            "seed": cfg.seed,
-            "adaptive": strategy.adaptive,
-            "points": [asdict(pt) for pt in curve.points],
-        }
+    robustness_section = robustness_stage(projected, strategies, cfg.robustness_steps)
 
     report = Report(
         config=_config_echo(cfg),
@@ -441,12 +465,12 @@ def _distribution(hist: powerlaw.DegreeHistogram | None) -> str:
 _CURVE_HEADER = ("fraction_removed", "giant_component_fraction", "average_path_length")
 
 
-def write_robustness_curve(output_dir: Path, kind: str, points: Iterable[dict]) -> Path:
-    """Write robustness_<kind>.dat: one row per curve point, keyed as in the report."""
-    path = output_dir / f"robustness_{kind}.dat"
-    rows = [[p[column] for column in _CURVE_HEADER] for p in points]
-    _write(path, format_columns(_CURVE_HEADER, rows))
-    return path
+def write_robustness_curves(output_dir: Path, section: dict) -> None:
+    """Write robustness_<kind>.dat for each kind of a robustness section: one
+    row per curve point, keyed as in the report."""
+    for kind, entry in section.items():
+        rows = [[p[column] for column in _CURVE_HEADER] for p in entry["points"]]
+        _write(output_dir / f"robustness_{kind}.dat", format_columns(_CURVE_HEADER, rows))
 
 
 def emit_plot_data(
@@ -526,29 +550,29 @@ def emit_plot_data(
         ),
     )
 
-    for kind, section in report.robustness.items():
-        write_robustness_curve(output_dir, kind, section["points"])
+    write_robustness_curves(output_dir, report.robustness)
 
 
-def write_staged(
-    output_dir: Path, names: Iterable[str], write: Callable[[Path], None]
-) -> None:
-    """Let ``write`` fill a staging directory inside ``output_dir``, then
-    swap each of ``names`` into place: a previous file or directory of that
-    name is replaced, or removed when the new run did not write it. Other
-    files in ``output_dir`` are left alone; if ``write`` fails, nothing in
-    ``output_dir`` changes."""
+@contextlib.contextmanager
+def staged(output_dir: Path, names: Iterable[str]) -> Iterator[Path]:
+    """Yield an empty staging directory inside ``output_dir`` (made if
+    missing). When the block completes, each of ``names`` is swapped into
+    ``output_dir``: a new file goes over an old file in one rename; any other
+    old entry of that name, or one the block did not write, is moved aside
+    first and removed. Other files in ``output_dir`` are left alone; if the
+    block raises, nothing in ``output_dir`` changes."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".commnet-", dir=out))
     try:
         new, old = stage / "new", stage / "old"
         new.mkdir()
-        write(new)
         old.mkdir()
+        yield new
         for name in names:
-            if (out / name).exists():
-                os.replace(out / name, old / name)
+            current = out / name
+            if current.is_dir() or (current.exists() and not (new / name).is_file()):
+                os.replace(current, old / name)
             if (new / name).exists():
                 os.replace(new / name, out / name)
     finally:
@@ -567,8 +591,7 @@ def _emit_all(
 
     ``info`` holds the run's measurements for run_info.json.
     """
-
-    def write(new: Path) -> None:
+    with staged(cfg.output_dir, OWNED_NAMES) as new:
         _write(
             new / "report.json",
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -583,5 +606,3 @@ def _emit_all(
             new / RUN_INFO_FILENAME,
             json.dumps(run_info, indent=2, sort_keys=True) + "\n",
         )
-
-    write_staged(cfg.output_dir, OWNED_NAMES, write)

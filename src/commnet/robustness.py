@@ -58,7 +58,7 @@ class RemovalStrategy:
 
     def __post_init__(self) -> None:
         if self.kind not in ("random", "targeted"):
-            raise ValueError("kind must be 'random' or 'targeted'")
+            raise ValueError(f"kind must be 'random' or 'targeted', not {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import commnet
-from commnet import cli, temporal
+from commnet import cli, robustness, temporal
 from commnet.cli import main
 from commnet.ingest import LogFormatConfig, parse_edge_log
 
@@ -136,7 +136,8 @@ def test_config_error_exit_code(tmp_path):
             ["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(tmp_path)]
         )
         assert rc == 2, flag
-    # bad removal fractions are refused before the input is even opened
+    # bad removal fractions and strategies are refused before the input is
+    # even opened
     missing = str(tmp_path / "missing.log")
     for steps in ("0.5,0.2", "1.0"):
         for argv in (
@@ -144,6 +145,23 @@ def test_config_error_exit_code(tmp_path):
             ["robustness", "--input", missing, "--steps", steps],
         ):
             assert main([*argv, "--output-dir", str(tmp_path)]) == 2, argv
+    for source in ("--input", "--edges"):
+        argv = ["robustness", source, missing, "--strategies", "random,bogus"]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 2, source
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "1.5"])
+@pytest.mark.parametrize("verb", ["ingest", "analyze", "robustness"])
+def test_malformed_threshold_outside_unit_interval(tmp_path, capsys, verb, threshold):
+    # one bad row of two: NaN must not switch the malformed gate off
+    log = tmp_path / "m.log"
+    log.write_text("a,b,1000000000\nnot a row\n")
+    args = [verb, "--input", str(log), "--malformed-threshold", threshold]
+    if verb != "ingest":
+        args += ["--output-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "malformed_threshold must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_output_dir_is_config_error(tmp_path, monkeypatch):
@@ -181,7 +199,7 @@ def test_ingest_error_exit_code(tmp_path, capsys):
     assert rc == 3
     # a bad edge-list line is an ingest error naming the line, whatever is wrong
     edges = tmp_path / "bad.edges"
-    for line in ("0 1 2", "1 x", "2 2", "1 99999999999999999999"):
+    for line in ("0 1 2", "1 x", "2 2", "1 99999999999999999999", "1_000 2", "\u0663 2"):
         edges.write_text(f"0 1\n{line}\n")
         capsys.readouterr()
         rc = main(["robustness", "--edges", str(edges), "--output-dir", str(tmp_path)])
@@ -265,6 +283,39 @@ def test_robustness_rerun_replaces_both_curves(tmp_path):
     ]
 
 
+def test_robustness_without_path_length(tmp_path):
+    edges = tmp_path / "ba.edges"
+    assert main(["generate", "ba", "--n", "200", "--m", "2", "--output", str(edges)]) == 0
+    args = ["robustness", "--edges", str(edges), "--output-dir"]
+    assert main([*args, str(tmp_path / "full")]) == 0
+    assert main([*args, str(tmp_path / "bare"), "--no-path-length"]) == 0
+    for kind in ("random", "targeted"):
+        name = f"robustness_{kind}.dat"
+        full, bare = (
+            [row.split() for row in (tmp_path / run / name).read_text().splitlines()[1:]]
+            for run in ("full", "bare")
+        )
+        assert [row[:2] for row in bare] == [row[:2] for row in full]
+        assert {row[2] for row in bare} == {"nan"} != {row[2] for row in full}
+
+
+def test_repeated_strategy_runs_once(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    kinds = []
+    curve = robustness.robustness_curve
+
+    def counted(graph, strategy, steps, **options):
+        kinds.append(strategy.kind)
+        return curve(graph, strategy, steps, **options)
+
+    monkeypatch.setattr(robustness, "robustness_curve", counted)
+    args = ["robustness", "--edges", str(edges), "--strategies", "random,random"]
+    assert main([*args, "--output-dir", str(tmp_path / "out")]) == 0
+    assert kinds == ["random"]
+    assert capsys.readouterr().out.count("wrote") == 1
+
+
 def test_robustness_from_message_log(tmp_path):
     log = tmp_path / "m.log"
     log.write_bytes(brute.log_bytes())
@@ -312,7 +363,7 @@ def test_generate_ba_and_er_edge_lists(tmp_path):
     assert rc == 0
     lines = ba_path.read_text().strip().split("\n")
     assert len(lines) == 1 + 18 * 2
-    er_path = tmp_path / "er.edges"
+    er_path = tmp_path / "graphs" / "er.edges"  # a missing directory is made
     rc = main(["generate", "er", "--n", "10", "--p", "1.0", "--output", str(er_path)])
     assert rc == 0
     assert len(er_path.read_text().strip().split("\n")) == 45
@@ -400,8 +451,9 @@ def test_failed_write_leaves_the_target(tmp_path, monkeypatch, capsys, verb):
         args = [*HUB_ARGS, "--output", str(target)]
     else:
         args = ["ingest", "--input", str(log), "--output", str(target)]
-    with pytest.raises(OSError, match="No space"):
-        main(args)
+    capsys.readouterr()
+    assert main(args) == 3
+    assert capsys.readouterr().err == "file error: [Errno 28] No space left on device\n"
     assert target.read_bytes() == b"previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hub.log", "out.log"]
     # and a write that completes replaces it
@@ -409,6 +461,30 @@ def test_failed_write_leaves_the_target(tmp_path, monkeypatch, capsys, verb):
     assert main(args) == 0
     assert target.read_bytes().startswith(log.read_bytes()[:6])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--synthetic-hubs", "--nodes", "10", "--days", "2", "--output-dir", "FILE"],
+        ["robustness", "--edges", "EDGES", "--output-dir", "FILE"],
+        ["ingest", "--input", "DIR"],
+        [*HUB_ARGS, "--output", "DIR"],
+        ["report", "DIR"],
+    ],
+)
+def test_os_error_on_a_named_path_is_one_line(tmp_path, capsys, argv):
+    (tmp_path / "FILE").write_text("kept\n")
+    (tmp_path / "EDGES").write_text("0 1\n")
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "DIR" / "kept").write_text("kept\n")
+    capsys.readouterr()
+    assert main([str(tmp_path / a) if a in ("FILE", "EDGES", "DIR") else a for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert (tmp_path / "FILE").read_text() == "kept\n"
+    assert (tmp_path / "DIR" / "kept").read_text() == "kept\n"
+    assert not list(tmp_path.rglob(".commnet-*"))
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
