@@ -313,10 +313,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _read_edge_list(path: str) -> UndirectedGraph:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; its line breaks number the line
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise IngestError(
+            f"line {line_no}: byte {data[exc.start]:#04x} is not UTF-8 text"
+        ) from None
     edges = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -368,6 +375,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     data = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):  # exits as a file that is not JSON does
+        raise ConfigError(f"{args.report_file}: top level is not a JSON object")
     print(f"schema version: {data.get('schema_version')}")
     window = data.get("window") or {}
     print(

@@ -288,6 +288,12 @@ def _first_occurrences(columns: list[np.ndarray]) -> np.ndarray:
     return kept
 
 
+def validate_malformed_threshold(value: float) -> None:
+    """Raise ValueError unless ``value`` lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:  # NaN too: it would pass every log
+        raise ValueError(f"malformed_threshold must lie in [0, 1], not {value}")
+
+
 def parse_edge_log(
     source: BinaryIO | bytes,
     cfg: LogFormatConfig | None = None,
@@ -307,10 +313,7 @@ def parse_edge_log(
 
     The sort is stable: rows with equal timestamps keep their input order.
     """
-    if not 0.0 <= malformed_threshold <= 1.0:  # NaN too: it would pass every log
-        raise ValueError(
-            f"malformed_threshold must lie in [0, 1], not {malformed_threshold}"
-        )
+    validate_malformed_threshold(malformed_threshold)
     cfg = cfg or LogFormatConfig()
     data = source.read() if hasattr(source, "read") else bytes(source)
     start = len(_BOM) if data.startswith(_BOM) else 0

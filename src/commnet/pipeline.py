@@ -11,11 +11,12 @@ The CLI verbs share the steps here: ``read_log``, ``ingest_counts``,
 ``robustness_stage``, ``write_robustness_curves`` and ``staged``.
 
 Every file of a run is first written to a staging directory inside the
-output directory. Only when every file is written does the run swap them in,
-name by name, replacing the previous run's files of the same names (see
-OWNED_NAMES) and leaving every other file in the directory alone. A run that
-fails midway removes its staging directory and leaves the previous outputs
-untouched. The CLI's ``--output`` files go through the same staging.
+output directory, made before the input is read. Only when every file is
+written does the run swap them in, name by name, replacing the previous run's
+files of the same names (see OWNED_NAMES) and leaving every other file in the
+directory alone. A run that fails midway removes its staging directory and
+leaves the previous outputs untouched. The CLI's ``--output`` files go
+through the same staging.
 """
 from __future__ import annotations
 
@@ -42,7 +43,12 @@ from .errors import (
     InsufficientSupportError,
 )
 from .generators import HubCorpusParams, generate_hub_corpus
-from .ingest import IngestReport, LogFormatConfig, parse_edge_log
+from .ingest import (
+    IngestReport,
+    LogFormatConfig,
+    parse_edge_log,
+    validate_malformed_threshold,
+)
 from .temporal import (
     MAX_WINDOW_DAYS,
     SECONDS_PER_DAY,
@@ -112,6 +118,7 @@ class PipelineConfig:
             raise ConfigError(f"window_days must lie in 1 .. {MAX_WINDOW_DAYS} (100 years)")
         try:
             dynamics.validate_k_values(self.k_values)
+            validate_malformed_threshold(self.malformed_threshold)
             robust.validate_steps(self.robustness_steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -283,10 +290,43 @@ def _fit_dicts(
 
 
 def run(cfg: PipelineConfig) -> Report:
-    """Run the full pipeline and write report plus plot data to cfg.output_dir."""
-    cfg.validate()
-    stream, source, info = _acquire_stream(cfg)
+    """Run the full pipeline and write report plus plot data to cfg.output_dir.
 
+    Staging starts before the input is read, so an output directory that
+    cannot be made (a file of that name, say) fails the run before any work.
+    """
+    cfg.validate()
+    with staged(cfg.output_dir, OWNED_NAMES) as new:
+        stream, source, info = _acquire_stream(cfg)
+        report, *plot_inputs = _analyze(cfg, stream, source)
+        _write(
+            new / "report.json",
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+        )
+        emit_plot_data(report, new, *plot_inputs)
+        run_info = {
+            "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
+            "note": "wall-clock metadata; excluded from determinism guarantees",
+            **info,
+        }
+        _write(
+            new / RUN_INFO_FILENAME,
+            json.dumps(run_info, indent=2, sort_keys=True) + "\n",
+        )
+    return report
+
+
+def _analyze(
+    cfg: PipelineConfig, stream: TemporalEdgeStream, source: dict
+) -> tuple[
+    Report,
+    centrality.DegreeTable | None,
+    list[powerlaw.DegreeHistogram | None],
+    powerlaw.DegreeHistogram | None,
+]:
+    """Every analysis of one stream: the report, plus the degree table,
+    per-day histograms and aggregate histogram the plot files read (None,
+    empty and None for an empty window)."""
     window = slice_days(
         stream,
         cfg.window_start,
@@ -314,9 +354,7 @@ def run(cfg: PipelineConfig) -> Report:
     )
 
     if not non_empty:
-        report = Report(_config_echo(cfg), window_info, corpus, labels)
-        _emit_all(report, cfg, info)
-        return report
+        return Report(_config_echo(cfg), window_info, corpus, labels), None, [], None
 
     table = centrality.degree_table(stream, window, cfg.direction)
 
@@ -414,8 +452,7 @@ def run(cfg: PipelineConfig) -> Report:
         robustness=robustness_section,
         sections_empty=False,
     )
-    _emit_all(report, cfg, info, table, day_hists, agg_hist)
-    return report
+    return report, table, day_hists, agg_hist
 
 
 # ---------------------------------------------------------------------------
@@ -578,31 +615,3 @@ def staged(output_dir: Path, names: Iterable[str]) -> Iterator[Path]:
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
-
-def _emit_all(
-    report: Report,
-    cfg: PipelineConfig,
-    info: dict,
-    table: centrality.DegreeTable | None = None,
-    day_hists: Sequence[powerlaw.DegreeHistogram | None] = (),
-    agg_hist: powerlaw.DegreeHistogram | None = None,
-) -> None:
-    """Stage every file of the run, then swap the names it owns into place.
-
-    ``info`` holds the run's measurements for run_info.json.
-    """
-    with staged(cfg.output_dir, OWNED_NAMES) as new:
-        _write(
-            new / "report.json",
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
-        emit_plot_data(report, new, table, day_hists, agg_hist)
-        run_info = {
-            "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
-            "note": "wall-clock metadata; excluded from determinism guarantees",
-            **info,
-        }
-        _write(
-            new / RUN_INFO_FILENAME,
-            json.dumps(run_info, indent=2, sort_keys=True) + "\n",
-        )

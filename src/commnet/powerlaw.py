@@ -4,8 +4,9 @@ Builds the empirical pdf and complementary cumulative distribution of an
 int64 degree vector (one ``bincount``) and fits the heavy tail two ways:
 ordinary least squares on the log-log relationship (mirroring straight-line
 inspection of log-log plots) and a discrete maximum-likelihood estimator with
-a Kolmogorov-Smirnov distance, optionally sweeping the lower cutoff to the
-KS-optimal choice.
+a Kolmogorov-Smirnov distance. The KS sweep over lower cutoffs sorts each
+sample once and reads every cutoff's tail from that sort; ``fit_mle`` is its
+one-cutoff case (Clauset, Shalizi & Newman 2009, SIAM Rev. 51:661, sec. 3.3).
 
 Zero-degree nodes are excluded from distributions (log 0 is undefined) but
 reported as a count.
@@ -20,7 +21,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import EmptyHistogramError, InsufficientSupportError
-from .temporal import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -171,33 +171,7 @@ def fit_mle(degrees: ArrayLike, xmin: int = 1) -> PowerLawFit:
     """
     if xmin < 1:
         raise ValueError("xmin must be >= 1")
-    x = np.asarray(degrees, dtype=np.int64)
-    tail = x[x >= xmin]
-    if tail.size < 10:
-        raise InsufficientSupportError(
-            f"need >= 10 samples at k >= {xmin}, have {tail.size}"
-        )
-    shift = xmin - 0.5
-    gamma = 1.0 + tail.size / float(np.log(tail / shift).sum())
-    ks = _ks_statistic(tail, gamma, xmin)
-    return PowerLawFit(
-        gamma=float(gamma),
-        xmin=xmin,
-        method="mle",
-        r_squared=None,
-        ks_statistic=float(ks),
-        n_tail=int(tail.size),
-    )
-
-
-def _ks_statistic(tail: np.ndarray, gamma: float, xmin: int) -> float:
-    sorted_tail = np.sort(tail)
-    distinct = sorted_unique(sorted_tail)
-    n = sorted_tail.size
-    # empirical P(K >= k) at each distinct observed k
-    emp = (n - np.searchsorted(sorted_tail, distinct, side="left")) / n
-    model = ((distinct - 0.5) / (xmin - 0.5)) ** (1.0 - gamma)
-    return float(np.abs(emp - model).max())
+    return _mle_fits(degrees, [xmin])[0]
 
 
 def fit_mle_sweep(degrees: ArrayLike) -> PowerLawFit:
@@ -207,16 +181,38 @@ def fit_mle_sweep(degrees: ArrayLike) -> PowerLawFit:
     tail holds fewer than 10 samples are skipped. Ties in KS go to the
     smaller cutoff.
     """
-    x = np.asarray(degrees, dtype=np.int64)
-    best: PowerLawFit | None = None
-    for cand in sorted_unique(x[x >= 1]).tolist():
-        if int((x >= cand).sum()) < 10:
-            continue
-        fit = fit_mle(x, xmin=cand)
-        if best is None or fit.ks_statistic < best.ks_statistic:
-            best = fit
-    if best is None:
+    fits = _mle_fits(degrees, None)
+    if not fits:
         raise InsufficientSupportError(
             "no candidate cutoff keeps at least 10 tail samples"
         )
-    return best
+    return min(fits, key=lambda fit: fit.ks_statistic)
+
+
+def _mle_fits(degrees: ArrayLike, xmins: list[int] | None) -> list[PowerLawFit]:
+    """MLE fits at each of ``xmins``, or at every distinct positive value
+    with at least 10 samples at or above it. One sort gives the distinct
+    values and the count at or above each, which every cutoff's KS reads."""
+    x = np.asarray(degrees, dtype=np.int64)
+    ordered = np.sort(x, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    above = x.size - np.flatnonzero(first)  # samples at or above each value
+    if xmins is None:
+        xmins = distinct[(distinct >= 1) & (above >= 10)].tolist()
+    fits = []
+    for xmin in xmins:
+        # summed in sample order, so gamma does not depend on the sort
+        tail = x[x >= xmin]
+        if tail.size < 10:
+            raise InsufficientSupportError(
+                f"need >= 10 samples at k >= {xmin}, have {tail.size}"
+            )
+        shift = xmin - 0.5
+        gamma = 1.0 + tail.size / float(np.log(tail / shift).sum())
+        i = int(np.searchsorted(distinct, xmin))
+        model = ((distinct[i:] - 0.5) / shift) ** (1.0 - gamma)
+        ks = float(np.abs(above[i:] / tail.size - model).max())
+        fits.append(PowerLawFit(gamma, xmin, "mle", None, ks, int(tail.size)))
+    return fits

@@ -199,8 +199,16 @@ def test_ingest_error_exit_code(tmp_path, capsys):
     assert rc == 3
     # a bad edge-list line is an ingest error naming the line, whatever is wrong
     edges = tmp_path / "bad.edges"
-    for line in ("0 1 2", "1 x", "2 2", "1 99999999999999999999", "1_000 2", "\u0663 2"):
-        edges.write_text(f"0 1\n{line}\n")
+    for line in (
+        b"0 1 2",
+        b"1 x",
+        b"2 2",
+        b"1 99999999999999999999",
+        b"1_000 2",
+        "\u0663 2".encode(),
+        b"\xff 2",  # not UTF-8
+    ):
+        edges.write_bytes(b"0 1\n" + line + b"\n")
         capsys.readouterr()
         rc = main(["robustness", "--edges", str(edges), "--output-dir", str(tmp_path)])
         assert rc == 3, line
@@ -355,6 +363,19 @@ def test_report_summarizer(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "median consecutive-day r" in out
     assert "top-2 degree share" in out
+
+
+def test_report_on_json_that_is_not_an_object(tmp_path, capsys):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("not json\n")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1,2]\n")
+    rc_not_json = main(["report", str(not_json)])
+    capsys.readouterr()
+    rc = main(["report", str(listed)])
+    err = capsys.readouterr().err
+    assert rc == rc_not_json == 2
+    assert err.count("\n") == 1 and "not a JSON object" in err
 
 
 def test_generate_ba_and_er_edge_lists(tmp_path):

@@ -212,6 +212,23 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
     assert leftovers == []
 
 
+def test_output_dir_naming_a_file_fails_before_reading(tmp_path, monkeypatch):
+    import commnet.pipeline as pipeline_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(pipeline_mod, "read_log", never)
+    log = tmp_path / "m.log"
+    log.write_bytes(brute.log_bytes())
+    target = tmp_path / "taken"
+    target.write_bytes(b"not a directory\n")
+    cfg = PipelineConfig(output_dir=target, input_path=log, robustness_steps=(0.0,))
+    with pytest.raises(FileExistsError):
+        run(cfg)
+    assert target.read_bytes() == b"not a directory\n"
+
+
 def test_format_columns_empty_section():
     text = format_columns(("a", "b"), [])
     assert text == "a b\n"

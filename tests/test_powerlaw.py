@@ -222,3 +222,83 @@ def test_ks_bootstrap_calibration():
         ]
         passes += fit.ks_statistic < np.quantile(null, 0.95)
     assert passes >= 18
+
+
+# ---------------------------------------------------------------------------
+# independent sweep oracle: the MLE and KS distance from their definitions,
+# in plain Python over a sorted list
+# ---------------------------------------------------------------------------
+
+
+def oracle_fit(sample, xmin):
+    """(gamma, ks, n_tail) at ``xmin``, or None below 10 tail samples."""
+    tail = sorted(int(k) for k in sample if k >= xmin)
+    n = len(tail)
+    if n < 10:
+        return None
+    shift = xmin - 0.5
+    gamma = 1.0 + n / math.fsum(math.log(k / shift) for k in tail)
+    ks = 0.0
+    for below, k in enumerate(tail):
+        if below and tail[below - 1] == k:
+            continue  # P(K >= k) is read at each distinct k's first sample
+        model = ((k - 0.5) / shift) ** (1.0 - gamma)
+        ks = max(ks, abs((n - below) / n - model))
+    return gamma, ks, n
+
+
+def oracle_sweep(sample):
+    """(xmin, gamma, ks, n_tail) of the first minimum-KS cutoff, or None."""
+    best = None
+    for xmin in sorted({int(k) for k in sample if k >= 1}):
+        fit = oracle_fit(sample, xmin)
+        if fit is not None and (best is None or fit[1] < best[2]):
+            best = (xmin, *fit)
+    return best
+
+
+def assert_matches_oracle(fit, expected):
+    xmin, gamma, ks, n_tail = expected
+    assert fit.xmin == xmin and fit.n_tail == n_tail
+    assert fit.gamma == pytest.approx(gamma, rel=1e-12)
+    assert fit.ks_statistic == pytest.approx(ks, rel=1e-12)
+
+
+def _hub_corpus_distributions():
+    import commnet as cn
+
+    stream = cn.generate_hub_corpus(
+        cn.HubCorpusParams(
+            nodes=80, days=30, hubs=6, hub_rate=30.0, background_rate=2.0, seed=5
+        )
+    )
+    table = cn.degree_table(stream, cn.slice_days(stream, None), "out")
+    return [*table.values, table.values.sum(axis=0)]
+
+
+def test_sweep_matches_oracle_on_hub_corpus():
+    fitted = 0
+    for degrees in _hub_corpus_distributions():
+        expected = oracle_sweep(degrees.tolist())
+        if expected is None:
+            with pytest.raises(InsufficientSupportError):
+                fit_mle_sweep(degrees)
+            continue
+        assert_matches_oracle(fit_mle_sweep(degrees), expected)
+        fitted += 1
+    assert fitted >= 20
+
+
+def test_sweep_matches_oracle_on_zeta_samples():
+    for seed, gamma in ((1, 2.1), (2, 2.5), (3, 3.0)):
+        s = sample_zeta(gamma, 1, 3000, np.random.default_rng(seed)).tolist()
+        assert_matches_oracle(fit_mle_sweep(s), oracle_sweep(s))
+
+
+def test_fit_mle_matches_oracle_between_observed_values():
+    sample = [2] * 30 + [5] * 12
+    expected = (3, *oracle_fit(sample, 3))
+    assert expected[3] == 12
+    assert_matches_oracle(fit_mle(sample, xmin=3), expected)
+    with pytest.raises(InsufficientSupportError, match="have 0"):
+        fit_mle(sample, xmin=6)
