@@ -38,7 +38,7 @@ from .errors import (
     WindowError,
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
-from .ingest import LogFormatConfig, write_edge_log
+from .ingest import LogFormatConfig, validate_malformed_threshold, write_edge_log
 from .pipeline import (
     DEFAULT_STEPS,
     ROBUSTNESS_FILES,
@@ -308,7 +308,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     lines = [f"{u} {v}" for u, v in graph.edges.tolist()]
     with _replacing(args.output) as out:
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"wrote {len(graph.edges)} edges to {args.output}")
+    print(f"wrote {len(lines)} edges to {args.output}")
     return EXIT_OK
 
 
@@ -352,20 +352,21 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     kinds = dict.fromkeys(s.strip() for s in args.strategies.split(","))
     adaptive = not args.static_targeted
     strategies = [RemovalStrategy(kind, seed=args.seed, adaptive=adaptive) for kind in kinds]
+    validate_malformed_threshold(args.malformed_threshold)
+    fmt = _log_format(args) if args.input else None
     out_dir = _output_dir(args)
-    if args.edges:
-        graph = _read_edge_list(args.edges)
-    else:
-        fmt = _log_format(args)
-        stream, _ = read_log(args.input, fmt, malformed_threshold=args.malformed_threshold)
-        if not len(stream):
-            raise InsufficientDataError("message log is empty")
-        graph = undirected_projection(stream)
-    if not len(graph.nodes):
-        raise InsufficientDataError("graph has no nodes")
-    # a rerun replaces both curve files, so one strategy's old curve never
-    # survives beside a new run of the other
+    # staged before the input is read, as in analyze. A rerun replaces both
+    # curve files, so no old curve survives beside a new run of the other
     with staged(out_dir, ROBUSTNESS_FILES) as stage:
+        if args.edges:
+            graph = _read_edge_list(args.edges)
+        else:
+            stream, _ = read_log(args.input, fmt, malformed_threshold=args.malformed_threshold)
+            if not len(stream):
+                raise InsufficientDataError("message log is empty")
+            graph = undirected_projection(stream)
+        if not len(graph.nodes):
+            raise InsufficientDataError("graph has no nodes")
         curves = robustness_stage(graph, strategies, args.steps, not args.no_path_length)
         write_robustness_curves(stage, curves)
     for kind in curves:

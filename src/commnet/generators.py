@@ -84,6 +84,8 @@ class HubCorpusParams:
             raise ValueError("days must be >= 0")
         if not 0 <= self.hubs <= self.nodes:
             raise ValueError("hubs must be between 0 and nodes")
+        if not np.isfinite([self.hub_rate, self.background_rate]).all():
+            raise ValueError("rates must be finite numbers")
         if self.hub_rate <= 0 or self.background_rate <= 0:
             raise ValueError("rates must be > 0")
 

@@ -111,6 +111,9 @@ class PipelineConfig:
             raise ConfigError("fit_target must be 'pdf' or 'ccdf'")
         if self.fit_xmin < 1:
             raise ConfigError("fit_xmin must be >= 1")
+        # a NaN or an infinity would also reach report.json, which JSON forbids
+        if not 0 <= self.cv_threshold < math.inf:
+            raise ConfigError("cv_threshold must be a finite number >= 0")
         if abs(self.tz_offset_seconds) >= SECONDS_PER_DAY:
             raise ConfigError("tz_offset_seconds must lie within one day of 0")
         days = self.window_days

@@ -6,14 +6,15 @@ length within the surviving giant component. Removal is either seeded-random
 or targeted at the highest-degree node; the targeted attack recomputes degrees
 after every removal by default, which is the stronger variant.
 
-A curve reads the graph's symmetric CSR adjacency, which the graph builds
-once and keeps for every curve, and removes nodes by clearing an alive mask;
+A curve reads the graph's own representation, the symmetric CSR adjacency
+built once with the graph, and removes nodes by clearing an alive mask;
 adaptive targeting decrements the degrees of the removed node's neighbours,
 read off its CSR row. Components are labelled on the subgraph induced by the
 alive nodes by hooking plus pointer jumping (Shiloach & Vishkin 1982, J.
-Algorithms 3:57), a few vectorized numpy rounds per point. scipy's connected_components would do the same, but importing
-scipy.sparse.csgraph costs every process about 0.45 s, more than a whole
-growth-model curve at 3,000 nodes.
+Algorithms 3:57), a few vectorized numpy rounds per point. scipy's
+connected_components would do the same, but importing scipy.sparse.csgraph
+costs every process about 0.45 s, more than a whole growth-model curve at
+3,000 nodes.
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
@@ -79,7 +80,7 @@ def _induced(adj: Adjacency, keep: np.ndarray) -> Adjacency:
     """The subgraph on the positions where the mask ``keep`` holds, renumbered
     in ascending order."""
     position = np.cumsum(keep) - 1
-    rows = np.repeat(np.arange(len(keep)), np.diff(adj.indptr))
+    rows = adj.rows()
     both = keep[rows] & keep[adj.indices]
     size = np.count_nonzero(keep)
     indptr = np.zeros(size + 1, dtype=np.int64)
@@ -95,11 +96,9 @@ def _component_labels(adj: Adjacency) -> np.ndarray:
     jumps pointers until each points at a root. A pointer only ever moves to
     a smaller position, so a component's one remaining root is its smallest.
     """
-    size = len(adj.indptr) - 1
-    u = np.repeat(np.arange(size), np.diff(adj.indptr))
-    v = adj.indices
+    u, v = adj.rows(), adj.indices
     u, v = u[u < v], v[u < v]
-    root = np.arange(size)
+    root = np.arange(len(adj.indptr) - 1)
     while True:
         ru, rv = root[u], root[v]
         open_ = ru != rv
@@ -133,7 +132,7 @@ def giant_component_fraction(g: UndirectedGraph, original_n: int) -> float:
         raise ValueError("original_n is smaller than the current node count")
     if not n or original_n == 0:
         return 0.0
-    giant = _largest_component(g.adjacency_matrix(), np.ones(n, dtype=bool))
+    giant = _largest_component(g.adjacency, np.ones(n, dtype=bool))
     return int(np.count_nonzero(giant)) / original_n
 
 
@@ -151,7 +150,7 @@ def average_path_length(
     """
     if not len(g.nodes):
         return None
-    adj = g.adjacency_matrix()
+    adj = g.adjacency
     comp = _largest_component(adj, np.ones(len(g.nodes), dtype=bool))
     if np.count_nonzero(comp) < 2:
         return None
@@ -233,7 +232,7 @@ def robustness_curve(
         raise ValueError("graph has no nodes")
 
     # nodes are addressed by position; positions ascend with node id
-    adj = g.adjacency_matrix()
+    adj = g.adjacency
     degrees = np.diff(adj.indptr)
     alive = np.ones(n, dtype=bool)
 

@@ -9,14 +9,14 @@ array indexed by position; external ids are looked up (``node_registry[pos]``)
 only where output names a node. Slicing the stream into calendar days gives
 one day index per message over a contiguous window; daily and aggregate
 quantities are computed from those arrays in vectorized passes. The aggregate
-network is the sorted node-id array plus one ascending int64 array of
-distinct position pairs, read through a CSR adjacency of two int64 arrays.
-Distinct values come from a sort plus a neighbour mask (``sorted_unique``):
-numpy's hash-based unique is many times slower on large int64 inputs. Day
-boundaries are half-open intervals [00:00:00, 24:00:00) of the configured
-clock (UTC plus an optional fixed offset). Streams, windows and graphs are
-immutable after construction (their arrays are not writeable) and safe to
-share across concurrent readers.
+network is the sorted node-id array plus its symmetric CSR adjacency over
+positions (two int64 arrays), its only representation: the edge list is read
+off the CSR's upper triangle when asked for. Distinct values come from a sort
+plus a neighbour mask (``sorted_unique``): numpy's hash-based unique is many
+times slower on large int64 inputs. Day boundaries are half-open intervals
+[00:00:00, 24:00:00) of the configured clock (UTC plus an optional fixed
+offset). Streams, windows and graphs are immutable after construction (their
+arrays are not writeable) and safe to share across concurrent readers.
 """
 from __future__ import annotations
 
@@ -269,92 +269,85 @@ class Adjacency(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
 
+    def rows(self) -> np.ndarray:
+        """The row of every entry, aligned with ``indices``."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
 
 class UndirectedGraph:
     """Simple undirected graph: no multiplicity, no self-edges.
 
-    ``nodes`` is the sorted int64 node-id array, isolates included. ``pairs``
-    is an (m, 2) int64 array of distinct position pairs into ``nodes``,
-    stored as u < v in ascending order; ``edges`` gives the same pairs as
-    node ids. All three are read-only.
+    ``nodes`` is the sorted int64 node-id array, isolates included, and
+    ``adjacency`` is the graph's symmetric CSR over positions into ``nodes``:
+    row i is ``nodes[i]``. ``edges`` reads the distinct pairs off the CSR as
+    node ids. All are read-only.
     """
 
-    __slots__ = ("nodes", "pairs", "_adjacency")
+    __slots__ = ("nodes", "adjacency")
 
     def __init__(self, edges: ArrayLike = (), nodes: ArrayLike = ()) -> None:
         ids = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         loops = np.flatnonzero(ids[:, 0] == ids[:, 1])
         if loops.size:
             raise ValueError(f"self-edge on node {ids[loops[0], 0]}")
-        nodes = np.asarray(nodes, dtype=np.int64)
-        self.nodes = _read_only(sorted_unique(np.concatenate([nodes, ids.ravel()])))
-        ends = np.searchsorted(self.nodes, ids).T
-        self.pairs = _read_only(_distinct_pairs(len(self.nodes), *ends))
-        self._adjacency = None
+        registry = sorted_unique(np.append(np.asarray(nodes, np.int64), ids))
+        self._adopt(registry, *np.searchsorted(registry, ids).T)
+
+    @classmethod
+    def _from_positions(
+        cls, nodes: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> UndirectedGraph:
+        """The graph of the pairs {u[i], v[i]} of positions into the
+        ascending ``nodes``, which is taken over, not copied."""
+        graph = cls.__new__(cls)
+        graph._adopt(nodes, u, v)
+        return graph
+
+    def _adopt(self, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        self.nodes = _read_only(nodes)
+        self.adjacency = _symmetric_csr(len(nodes), u, v)
 
     @property
     def edges(self) -> np.ndarray:
         """The distinct pairs as node ids: (m, 2) int64, u < v, ascending."""
-        return _read_only(self.nodes[self.pairs])
-
-    def adjacency_matrix(self) -> Adjacency:
-        """Symmetric adjacency over node positions: row i is ``nodes[i]``.
-
-        Built on the first call and kept, read-only: the graph never changes.
-        """
-        if self._adjacency is None:
-            self._adjacency = _symmetric_csr(len(self.nodes), self.pairs)
-        return self._adjacency
+        rows, cols = self.adjacency.rows(), self.adjacency.indices
+        upper = rows < cols
+        return _read_only(self.nodes[np.column_stack([rows[upper], cols[upper]])])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return np.array_equal(self.nodes, other.nodes) and np.array_equal(
-            self.pairs, other.pairs
+        return np.array_equal(self.nodes, other.nodes) and all(
+            map(np.array_equal, self.adjacency, other.adjacency)
         )
 
     def __repr__(self) -> str:
-        return f"UndirectedGraph({len(self.nodes)} nodes, {len(self.pairs)} edges)"
+        m = len(self.adjacency.indices) // 2
+        return f"UndirectedGraph({len(self.nodes)} nodes, {m} edges)"
 
 
-def _symmetric_csr(n: int, pairs: np.ndarray) -> Adjacency:
-    """The adjacency of distinct pairs u < v of positions in 0..n-1.
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
+    """The adjacency of the distinct unordered pairs {u[i], v[i]} of
+    positions in 0..n-1, u[i] != v[i].
 
-    Entry (row, col) is the key ``row * n + col``; one in-place sort of the
-    keys of both orientations orders the entries by row, then column.
+    Entry (row, col) is the key ``row * width + col``. The distinct keys
+    ``lo * width + hi`` of the pairs, then their mirrors, sort in place once
+    into row-then-column order; no (m, 2) array is made.
     """
-    m = len(pairs)
-    u, v = pairs.T
-    keys = np.empty(2 * m, dtype=np.int64)
-    np.multiply(u, n, out=keys[:m])
-    keys[:m] += v
-    np.multiply(v, n, out=keys[m:])
-    keys[m:] += u
+    width = max(n, 1)  # n = 0 has no pairs and must not divide by zero
+    upper = np.minimum(u, v)
+    upper *= width
+    upper += np.maximum(u, v)
+    upper = sorted_unique(upper)
+    keys = np.concatenate([upper, upper % width * width + upper // width])
     keys.sort()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
-    np.remainder(keys, n, out=keys)  # the columns
+    indptr = np.searchsorted(keys, np.arange(n + 1) * width)
+    np.remainder(keys, width, out=keys)  # the columns
     return Adjacency(_read_only(indptr), _read_only(keys))
-
-
-def _distinct_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distinct unordered pairs of positions in 0..n-1, as ascending (m, 2)
-    rows with u < v.
-
-    Each pair is one integer key ``lo * n + hi``, which dedups several times
-    faster than a row-wise unique.
-    """
-    keys = np.minimum(u, v)
-    keys *= n
-    keys += np.maximum(u, v)
-    return np.column_stack(np.divmod(sorted_unique(keys), n))
 
 
 def undirected_projection(stream: TemporalEdgeStream) -> UndirectedGraph:
     """Collapse directions and multiplicities: {u,v} present iff any message passed."""
-    graph = UndirectedGraph.__new__(UndirectedGraph)
-    graph.nodes = stream.node_registry
-    n = len(stream.node_registry)
-    graph.pairs = _read_only(_distinct_pairs(n, stream.senders, stream.recipients))
-    graph._adjacency = None
-    return graph
+    return UndirectedGraph._from_positions(
+        stream.node_registry, stream.senders, stream.recipients
+    )

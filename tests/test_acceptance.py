@@ -24,7 +24,7 @@ def _ok(label: str) -> None:
 
 
 def degrees_of(g: cn.UndirectedGraph) -> list[int]:
-    return np.diff(g.adjacency_matrix().indptr).tolist()
+    return np.diff(g.adjacency.indptr).tolist()
 
 
 def _arrays(values: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:

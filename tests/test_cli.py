@@ -131,6 +131,9 @@ def test_config_error_exit_code(tmp_path):
         ("--k-values", ""),
         ("--window-days", "36526"),
         ("--k-values", "5,5,10"),
+        ("--cv-threshold", "nan"),
+        ("--cv-threshold", "inf"),
+        ("--cv-threshold", "-1"),
     ):
         rc = main(
             ["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(tmp_path)]
@@ -289,6 +292,21 @@ def test_robustness_rerun_replaces_both_curves(tmp_path):
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "keep", "robustness_random.dat"
     ]
+
+
+@pytest.mark.parametrize("source", ["--input", "--edges"])
+def test_robustness_output_dir_naming_a_file_fails_before_reading(
+    tmp_path, monkeypatch, source
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "read_log", never)
+    monkeypatch.setattr(cli, "_read_edge_list", never)
+    target = tmp_path / "taken"
+    target.write_bytes(b"0 1\n")
+    assert main(["robustness", source, str(target), "--output-dir", str(target)]) == 3
+    assert target.read_bytes() == b"0 1\n"
 
 
 def test_robustness_without_path_length(tmp_path):
@@ -538,9 +556,9 @@ def test_adjacency_built_once_per_run(tmp_path, monkeypatch, capsys):
     builds = []
     build = temporal._symmetric_csr
 
-    def counted(n, pairs):
+    def counted(n, u, v):
         builds.append(n)
-        return build(n, pairs)
+        return build(n, u, v)
 
     monkeypatch.setattr(temporal, "_symmetric_csr", counted)
     out = str(tmp_path / "out")

@@ -11,7 +11,7 @@ from commnet.generators import _unrank_pairs
 
 
 def degrees_of(g: cn.UndirectedGraph) -> dict[int, int]:
-    degrees = np.diff(g.adjacency_matrix().indptr)
+    degrees = np.diff(g.adjacency.indptr)
     return dict(zip(g.nodes.tolist(), degrees.tolist()))
 
 
@@ -147,6 +147,11 @@ def test_hub_corpus_param_validation():
         HubCorpusParams(nodes=5, days=1, hubs=9, hub_rate=1.0, background_rate=1.0)
     with pytest.raises(ValueError):
         HubCorpusParams(nodes=5, days=1, hubs=1, hub_rate=0.0, background_rate=1.0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            HubCorpusParams(nodes=5, days=1, hubs=1, hub_rate=rate, background_rate=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            HubCorpusParams(nodes=5, days=1, hubs=1, hub_rate=1.0, background_rate=rate)
 
 
 def test_hub_corpus_deterministic_and_sorted():

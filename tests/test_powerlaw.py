@@ -196,7 +196,7 @@ def _ba_total_degrees(seed, n=10_000, m=3):
     import commnet as cn
 
     g = cn.generate_ba(cn.BAParams(n=n, m=m, seed=seed))
-    return np.diff(g.adjacency_matrix().indptr)
+    return np.diff(g.adjacency.indptr)
 
 
 def test_ols_ccdf_band_on_growth_model():

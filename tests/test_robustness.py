@@ -358,11 +358,11 @@ def _relabelled(edges: np.ndarray, n: int, rng: np.random.Generator) -> Undirect
 def _check_helpers(g: UndirectedGraph, keep: np.ndarray) -> None:
     """``_induced``, ``_component_labels`` and ``_largest_component`` on the
     nodes where ``keep`` holds, against a rebuilt graph and networkx."""
-    adj = g.adjacency_matrix()
+    adj = g.adjacency
     sub = robustness._induced(adj, keep)
     kept = g.nodes[keep]
     surviving = g.edges[keep[np.searchsorted(g.nodes, g.edges)].all(axis=1)]
-    rebuilt = UndirectedGraph(surviving, nodes=kept).adjacency_matrix()
+    rebuilt = UndirectedGraph(surviving, nodes=kept).adjacency
     assert sub.indptr.tolist() == rebuilt.indptr.tolist()
     assert sub.indices.tolist() == rebuilt.indices.tolist()
 
@@ -427,7 +427,7 @@ def test_equal_size_components_tie_to_smallest_id(size, pieces, seed):
     g = _relabelled(np.array(edges, dtype=np.int64).reshape(-1, 2), n, rng)
     everyone = np.ones(n, dtype=bool)
     _check_helpers(g, everyone)
-    giant = g.nodes[robustness._largest_component(g.adjacency_matrix(), everyone)]
+    giant = g.nodes[robustness._largest_component(g.adjacency, everyone)]
     assert len(giant) == size and giant.min() == g.nodes[0]
 
 

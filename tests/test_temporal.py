@@ -170,7 +170,17 @@ def test_undirected_graph_rejects_self_edges():
 def test_undirected_graph_isolates_kept():
     g = UndirectedGraph([(0, 1)], nodes=[5])
     assert g.nodes.tolist() == [0, 1, 5]
-    assert np.diff(g.adjacency_matrix().indptr).tolist() == [1, 1, 0]
+    assert np.diff(g.adjacency.indptr).tolist() == [1, 1, 0]
+    # no edges at all, with no nodes or with isolates only
+    for empty, nodes in (
+        (UndirectedGraph(), []),
+        (undirected_projection(_stream([])), []),
+        (UndirectedGraph((), nodes=[3, 1]), [1, 3]),
+    ):
+        assert empty.nodes.tolist() == nodes
+        assert empty.adjacency.indptr.tolist() == [0] * (len(nodes) + 1)
+        assert empty.adjacency.indices.tolist() == []
+        assert empty.edges.shape == (0, 2)
 
 
 def test_undirected_graph_arrays():
@@ -180,8 +190,9 @@ def test_undirected_graph_arrays():
     assert g.nodes.tolist() == [-3, 2, 4, 7, 9]
     assert g.edges.tolist() == [[-3, 9], [2, 4], [2, 9]]
     assert not g.nodes.flags.writeable and not g.edges.flags.writeable
-    adj = g.adjacency_matrix()
+    adj = g.adjacency
     assert adj.indptr.dtype == adj.indices.dtype == np.int64
+    assert not adj.indptr.flags.writeable and not adj.indices.flags.writeable
     # symmetric: the (row, column) entries, in CSR order, are the sorted
     # (column, row) entries
     rows = np.repeat(np.arange(5), np.diff(adj.indptr)).tolist()
@@ -291,7 +302,7 @@ def test_gapped_ids_match_brute_and_networkx(ids):
     ref = nx.Graph((s, r) for s, r, _ in rows)
     assert graph == UndirectedGraph(list(ref.edges))
     assert graph.edges.tolist() == sorted(sorted(edge) for edge in ref.edges)
-    adj = graph.adjacency_matrix()
+    adj = graph.adjacency
     for i, node in enumerate(graph.nodes.tolist()):
         neighbours = graph.nodes[adj.indices[adj.indptr[i] : adj.indptr[i + 1]]]
         assert neighbours.tolist() == sorted(ref[node])
