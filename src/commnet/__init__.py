@@ -24,8 +24,6 @@ from .dynamics import (
     daily_vs_aggregate_consistency,
     node_series,
     overlap_vs_k,
-    pearson,
-    rank_overlap,
 )
 from .generators import (
     BAParams,
@@ -53,8 +51,6 @@ from .robustness import (
     RemovalStrategy,
     RobustnessCurve,
     RobustnessPoint,
-    average_path_length,
-    giant_component_fraction,
     robustness_curve,
 )
 from .temporal import (
@@ -72,8 +68,8 @@ __all__ = [
     "CorrelationSeries",
     "DayWindow",
     "DegreeHistogram",
-    "DegreeTable",
     "DegreeSeries",
+    "DegreeTable",
     "ERParams",
     "HubCorpusParams",
     "IngestReport",
@@ -88,7 +84,6 @@ __all__ = [
     "Stability",
     "TemporalEdgeStream",
     "UndirectedGraph",
-    "average_path_length",
     "classify_stability",
     "consecutive_day_correlation",
     "daily_vs_aggregate_consistency",
@@ -100,15 +95,12 @@ __all__ = [
     "generate_ba",
     "generate_er",
     "generate_hub_corpus",
-    "giant_component_fraction",
     "histogram",
     "node_series",
     "overlap_vs_k",
     "parse_edge_log",
-    "pearson",
-    "rank_overlap",
-    "slice_days",
     "robustness_curve",
+    "slice_days",
     "top_k",
     "undirected_projection",
     "write_edge_log",

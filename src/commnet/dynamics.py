@@ -1,8 +1,9 @@
 """Temporal prominence dynamics.
 
 Day-to-day correlation of degree vectors, per-node degree series with a
-coefficient-of-variation stability classification, and overlap statistics
-between top-k rank lists (pairwise across days, and daily versus aggregate).
+coefficient-of-variation stability classification, and top-k overlap
+statistics (the mean pairwise overlap across days, and daily versus
+aggregate), counted from how many days each node ranks in the top k.
 Every analysis reads the same node x day degree table (centrality.DegreeTable),
 and every ranking follows centrality's one ranking rule. The statistics come
 from exact integer sums, so no result depends on how Python adds floats.
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import DegreeTable, RankList, ranked_positions, top_k
+from .centrality import DegreeTable, ranked_positions, top_k
 
 
 class Stability(str, Enum):
@@ -95,27 +96,6 @@ class OverlapResult:
         return self.count / self.k
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Product-moment correlation, or None when either input has zero variance."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise ValueError("need at least 2 observations")
-    n = len(x)
-    mx = math.fsum(x) / n
-    my = math.fsum(y) / n
-    sxx = syy = sxy = 0.0
-    for a, b in zip(x, y):
-        dx = a - mx
-        dy = b - my
-        sxx += dx * dx
-        syy += dy * dy
-        sxy += dx * dy
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return sxy / math.sqrt(sxx * syy)
-
-
 def consecutive_day_correlation(table: DegreeTable) -> CorrelationSeries:
     """Correlate degree vectors of each consecutive day pair.
 
@@ -155,13 +135,6 @@ def classify_stability(s: DegreeSeries, cv_threshold: float = 1.0) -> Stability:
     if cv is None:
         return Stability.INACTIVE
     return Stability.STABLE if cv <= cv_threshold else Stability.FLUCTUATING
-
-
-def rank_overlap(a: RankList, b: RankList) -> OverlapResult:
-    """Shared node count between two rank lists built with the same k."""
-    if a.k != b.k:
-        raise ValueError(f"rank lists built with different k: {a.k} vs {b.k}")
-    return OverlapResult(a.k, len(a.node_ids & b.node_ids))
 
 
 def _top_k_day_counts(table: DegreeTable, k_values: Sequence[int]) -> list[np.ndarray]:

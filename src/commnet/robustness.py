@@ -6,15 +6,19 @@ length within the surviving giant component. Removal is either seeded-random
 or targeted at the highest-degree node; the targeted attack recomputes degrees
 after every removal by default, which is the stronger variant.
 
-A curve reads the graph's own representation, the symmetric CSR adjacency
+A curve is the only way to these numbers; its 0.0 point measures the intact
+graph. It reads the graph's own representation, the symmetric CSR adjacency
 built once with the graph, and removes nodes by clearing an alive mask;
 adaptive targeting decrements the degrees of the removed node's neighbours,
-read off its CSR row. Components are labelled on the subgraph induced by the
-alive nodes by hooking plus pointer jumping (Shiloach & Vishkin 1982, J.
-Algorithms 3:57), a few vectorized numpy rounds per point. scipy's
+read off its CSR row. The curve reads its edge list, one (u < v) pair of
+positions per edge, off the CSR once. Each point keeps the pairs whose ends
+both survive and labels components over the original positions by hooking
+plus pointer jumping (Shiloach & Vishkin 1982, J. Algorithms 3:57), a few
+vectorized numpy rounds per point; a removed node labels only itself. scipy's
 connected_components would do the same, but importing scipy.sparse.csgraph
 costs every process about 0.45 s, more than a whole growth-model curve at
-3,000 nodes.
+3,000 nodes. Only the giant component is induced as a CSR of its own, for
+the path-length BFS.
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
@@ -89,16 +93,15 @@ def _induced(adj: Adjacency, keep: np.ndarray) -> Adjacency:
     return Adjacency(indptr, position[adj.indices[both]])
 
 
-def _component_labels(adj: Adjacency) -> np.ndarray:
-    """Each position's component, labelled by its smallest position.
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each of ``n`` positions' component under the edges ``(u[i], v[i])``,
+    labelled by its smallest position; a position on no edge labels itself.
 
     Every round hooks each root onto the smallest root across its edges, then
     jumps pointers until each points at a root. A pointer only ever moves to
     a smaller position, so a component's one remaining root is its smallest.
     """
-    u, v = adj.rows(), adj.indices
-    u, v = u[u < v], v[u < v]
-    root = np.arange(len(adj.indptr) - 1)
+    root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
         open_ = ru != rv
@@ -114,59 +117,15 @@ def _component_labels(adj: Adjacency) -> np.ndarray:
             root = jumped
 
 
-def _largest_component(adj: Adjacency, alive: np.ndarray) -> np.ndarray:
-    """Mask of the largest component among the positions where the mask
-    ``alive`` holds; ties go to the component holding the smallest id."""
-    labels = _component_labels(_induced(adj, alive))
-    # positions ascend with id and a label is its component's smallest
-    # position, so argmax's first maximum is the tie rule
-    giant = np.zeros_like(alive)
-    giant[np.flatnonzero(alive)[labels == np.argmax(np.bincount(labels))]] = True
-    return giant
-
-
-def giant_component_fraction(g: UndirectedGraph, original_n: int) -> float:
-    """Largest-component size relative to the pre-removal node count."""
-    n = len(g.nodes)
-    if original_n < n:
-        raise ValueError("original_n is smaller than the current node count")
-    if not n or original_n == 0:
-        return 0.0
-    giant = _largest_component(g.adjacency, np.ones(n, dtype=bool))
-    return int(np.count_nonzero(giant)) / original_n
-
-
-def average_path_length(
-    g: UndirectedGraph,
-    *,
-    exact_limit: int = EXACT_PATH_LENGTH_LIMIT,
-    sample_size: int = DEFAULT_PATH_SAMPLE,
-    seed: int = 0,
-) -> float | None:
-    """Mean shortest-path distance over node pairs of the largest component.
-
-    Returns None (undefined) when the largest component has fewer than 2
-    nodes; never 0 or an infinity stand-in.
-    """
-    if not len(g.nodes):
-        return None
-    adj = g.adjacency
-    comp = _largest_component(adj, np.ones(len(g.nodes), dtype=bool))
-    if np.count_nonzero(comp) < 2:
-        return None
-    return _mean_distance(_induced(adj, comp), exact_limit, sample_size, seed)
-
-
-def _mean_distance(
-    graph: Adjacency, exact_limit: int, sample_size: int, seed: int
-) -> float:
+def _mean_distance(graph: Adjacency) -> float:
     """Mean distance from the sources to every other node of a connected graph."""
     size = len(graph.indptr) - 1
-    if size <= exact_limit:
+    if size <= EXACT_PATH_LENGTH_LIMIT:
         sources = np.arange(size)
     else:
-        rng = np.random.default_rng(seed)
-        sources = np.sort(rng.choice(size, size=min(sample_size, size), replace=False))
+        rng = np.random.default_rng(0)
+        sample = min(DEFAULT_PATH_SAMPLE, size)
+        sources = np.sort(rng.choice(size, size=sample, replace=False))
     indptr, indices = graph.indptr, graph.indices
     starts = indptr[:-1]
     words = min(-(-len(sources) // 64), max(1, _BFS_BLOCK_BYTES // (8 * len(indices))))
@@ -221,9 +180,10 @@ def robustness_curve(
 ) -> RobustnessCurve:
     """Remove cumulative fractions of the original nodes and measure decay.
 
-    At each step, nodes are removed until floor(step * original_n) are gone,
-    then the giant-component fraction (of the original n) and the surviving
-    giant component's average path length are recorded.
+    At each step, nodes are removed until the largest count t with
+    t / original_n <= step are gone, then the giant-component fraction (of
+    the original n) and the surviving giant component's average path length
+    are recorded.
     """
     steps = list(steps)
     validate_steps(steps)
@@ -235,6 +195,12 @@ def robustness_curve(
     adj = g.adjacency
     degrees = np.diff(adj.indptr)
     alive = np.ones(n, dtype=bool)
+    # every edge once, as its (u < v) pair of positions; each point labels
+    # the pairs whose ends both survive
+    rows = adj.rows()
+    upper = rows < adj.indices
+    eu, ev = rows[upper], adj.indices[upper]
+    del rows, upper
 
     order: np.ndarray | None
     if strategy.kind == "random":
@@ -247,7 +213,13 @@ def robustness_curve(
     removed = 0
     points: list[RobustnessPoint] = []
     for fraction in steps:
+        # fraction * n can round a whole count down (0.29 * 100 is
+        # 28.999...), so one step either way reaches the largest fitting t
         target = int(fraction * n)
+        if (target + 1) / n <= fraction:
+            target += 1
+        elif target / n > fraction:
+            target -= 1
         if order is not None:
             alive[order[removed:target]] = False
         else:
@@ -259,12 +231,15 @@ def robustness_curve(
                 degrees[u] = -1
                 alive[u] = False
         removed = target
-        comp = _largest_component(adj, alive)
-        size = int(np.count_nonzero(comp))
+        both = alive[eu] & alive[ev]
+        labels = _component_labels(n, eu[both], ev[both])
+        # a removed node labels only itself and a label is its component's
+        # smallest position, so argmax's first maximum over the live labels
+        # is the tie rule: the largest component holding the smallest id
+        giant = alive & (labels == np.argmax(np.bincount(labels[alive], minlength=n)))
+        size = int(np.count_nonzero(giant))
         apl = None
         if compute_path_length and size >= 2:
-            apl = _mean_distance(
-                _induced(adj, comp), EXACT_PATH_LENGTH_LIMIT, DEFAULT_PATH_SAMPLE, 0
-            )
+            apl = _mean_distance(_induced(adj, giant))
         points.append(RobustnessPoint(fraction, size / n, apl))
     return RobustnessCurve(strategy, n, tuple(points))

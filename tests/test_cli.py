@@ -357,6 +357,15 @@ def test_robustness_from_message_log(tmp_path):
     )
     assert rc == 0
     assert (out_dir / "robustness_random.dat").exists()
+    # with the default strategies and steps, the verb writes the curves the
+    # pipeline writes for the same log
+    hub = tmp_path / "hub.log"
+    assert main([*HUB_ARGS, "--output", str(hub)]) == 0
+    verb, pipeline = tmp_path / "verb", tmp_path / "pipeline"
+    assert main(["robustness", "--input", str(hub), "--output-dir", str(verb)]) == 0
+    assert main(["analyze", "--input", str(hub), "--output-dir", str(pipeline)]) == 0
+    for name in ("robustness_random.dat", "robustness_targeted.dat"):
+        assert (verb / name).read_bytes() == (pipeline / name).read_bytes(), name
 
 
 def test_report_summarizer(tmp_path, capsys):

@@ -25,7 +25,10 @@ def test_ba_minimal_tree():
     assert len(g.edges) == 3
     assert len(g.nodes) == 4
     # a connected graph with n-1 edges is a tree
-    assert cn.giant_component_fraction(g, 4) == 1.0
+    intact = cn.robustness_curve(
+        g, cn.RemovalStrategy("random"), [0.0], compute_path_length=False
+    )
+    assert intact.points[0].giant_component_fraction == 1.0
 
 
 def test_ba_edge_count_formula():

@@ -1,4 +1,5 @@
 import hashlib
+from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
@@ -7,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commnet as cn
-from commnet import robustness
+from commnet import robustness, temporal
 from commnet import (
     RemovalStrategy,
+    RobustnessPoint,
     UndirectedGraph,
-    average_path_length,
-    giant_component_fraction,
     robustness_curve,
 )
 from commnet.cli import main
@@ -22,29 +22,38 @@ def star(leaves: int) -> UndirectedGraph:
     return UndirectedGraph([(0, i) for i in range(1, leaves + 1)])
 
 
+def intact(g: UndirectedGraph) -> RobustnessPoint:
+    """The 0.0-removal point of a curve: the giant fraction and average path
+    length of ``g`` as it stands."""
+    return robustness_curve(g, RemovalStrategy("random"), [0.0]).points[0]
+
+
+def sampled_apl(exact_limit: int, sample_size: int):
+    """Patch the path-length sampling constants for a ``with`` block."""
+    return patch.multiple(
+        robustness,
+        EXACT_PATH_LENGTH_LIMIT=exact_limit,
+        DEFAULT_PATH_SAMPLE=sample_size,
+    )
+
+
 # ---------------------------------------------------------------------------
 # giant component
 # ---------------------------------------------------------------------------
 
 
 def test_giant_fraction_connected():
-    assert giant_component_fraction(star(6), 7) == 1.0
+    assert intact(star(6)).giant_component_fraction == 1.0
 
 
 def test_giant_fraction_split_components():
     g = UndirectedGraph([(0, 1), (1, 2), (3, 4)])
-    assert giant_component_fraction(g, 5) == pytest.approx(0.6)
+    assert intact(g).giant_component_fraction == pytest.approx(0.6)
 
 
 def test_giant_fraction_all_isolated():
     g = UndirectedGraph((), nodes=range(8))
-    assert giant_component_fraction(g, 8) == pytest.approx(1 / 8)
-
-
-def test_giant_fraction_empty_and_validation():
-    assert giant_component_fraction(UndirectedGraph(), 0) == 0.0
-    with pytest.raises(ValueError):
-        giant_component_fraction(star(3), 2)
+    assert intact(g).giant_component_fraction == pytest.approx(1 / 8)
 
 
 # ---------------------------------------------------------------------------
@@ -54,44 +63,45 @@ def test_giant_fraction_empty_and_validation():
 
 def test_apl_path_graph():
     g = UndirectedGraph([(0, 1), (1, 2)])
-    assert average_path_length(g) == pytest.approx(4 / 3)
+    assert intact(g).average_path_length == pytest.approx(4 / 3)
 
 
 def test_apl_complete_graph():
     g = UndirectedGraph([(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert average_path_length(g) == pytest.approx(1.0)
+    assert intact(g).average_path_length == pytest.approx(1.0)
 
 
 def test_apl_star():
-    assert average_path_length(star(4)) == pytest.approx(1.6)
+    assert intact(star(4)).average_path_length == pytest.approx(1.6)
 
 
 def test_apl_undefined_cases():
-    assert average_path_length(UndirectedGraph()) is None
-    assert average_path_length(UndirectedGraph((), nodes=range(5))) is None
+    assert intact(UndirectedGraph((), nodes=range(5))).average_path_length is None
 
 
 def test_apl_uses_largest_component():
     # triangle plus a detached pair: only the triangle counts
     g = UndirectedGraph([(0, 1), (1, 2), (0, 2), (10, 11)])
-    assert average_path_length(g) == pytest.approx(1.0)
+    assert intact(g).average_path_length == pytest.approx(1.0)
 
 
 def test_apl_matches_networkx_oracle():
     for seed in (0, 1):
         ba = cn.generate_ba(cn.BAParams(n=120, m=2, seed=seed))
-        ours = average_path_length(ba)
+        ours = intact(ba).average_path_length
         ref = nx.average_shortest_path_length(nx.Graph(ba.edges.tolist()))
         assert ours == pytest.approx(ref, rel=1e-12)
 
 
 def test_apl_sampled_mode_close_to_exact():
     g = cn.generate_ba(cn.BAParams(n=400, m=3, seed=7))
-    exact = average_path_length(g)
-    sampled = average_path_length(g, exact_limit=100, sample_size=128, seed=1)
+    exact = intact(g).average_path_length
+    with sampled_apl(100, 128):
+        sampled = intact(g).average_path_length
+        # sampling is seeded, hence repeatable
+        again = intact(g).average_path_length
+    assert sampled != exact
     assert sampled == pytest.approx(exact, rel=0.05)
-    # sampling is seeded, hence repeatable
-    again = average_path_length(g, exact_limit=100, sample_size=128, seed=1)
     assert sampled == again
 
 
@@ -118,15 +128,15 @@ def _words_per_sweep(monkeypatch, g: UndirectedGraph, words: int | None) -> None
 def test_apl_across_words_and_sweeps(growth, words, monkeypatch):
     g, ref = growth
     _words_per_sweep(monkeypatch, g, words)
-    assert average_path_length(g) == pytest.approx(ref, rel=1e-12)
+    assert intact(g).average_path_length == pytest.approx(ref, rel=1e-12)
 
 
 def test_apl_closed_forms():
     n = 1_000
     path = UndirectedGraph([(i, i + 1) for i in range(n - 1)])
-    assert average_path_length(path) == (n + 1) / 3  # 999 BFS levels
+    assert intact(path).average_path_length == (n + 1) / 3  # 999 BFS levels
     cycle = UndirectedGraph([(i, (i + 1) % n) for i in range(n)])
-    assert average_path_length(cycle) == n * n / (4 * (n - 1))  # n even
+    assert intact(cycle).average_path_length == n * n / (4 * (n - 1))  # n even
 
 
 @pytest.mark.parametrize("words", [None, 1])
@@ -135,14 +145,15 @@ def test_apl_sampled_sources_match_networkx(words, monkeypatch):
     _words_per_sweep(monkeypatch, g, words)
     # the same seeded draw of 150 source positions as the sampled branch
     sources = np.sort(
-        np.random.default_rng(5).choice(300, size=150, replace=False)
+        np.random.default_rng(0).choice(300, size=150, replace=False)
     )
     ref = nx.Graph(g.edges.tolist())
     total = sum(
         sum(nx.single_source_shortest_path_length(ref, int(g.nodes[s])).values())
         for s in sources
     )
-    ours = average_path_length(g, exact_limit=10, sample_size=150, seed=5)
+    with sampled_apl(10, 150):
+        ours = intact(g).average_path_length
     assert ours == total / (150 * 299)
 
 
@@ -177,7 +188,7 @@ def test_zero_removal_is_identity():
     curve = robustness_curve(g, RemovalStrategy("targeted"), [0.0])
     assert curve.points[0].giant_component_fraction == 1.0
     assert curve.points[0].average_path_length == pytest.approx(
-        average_path_length(g)
+        nx.average_shortest_path_length(nx.Graph(g.edges.tolist())), rel=1e-12
     )
 
 
@@ -282,7 +293,8 @@ def _nx_curve(g: UndirectedGraph, strategy: RemovalStrategy, steps):
         order = None
     removed, points = 0, []
     for fraction in steps:
-        while removed < int(fraction * n):
+        # the largest count whose share of n is within the fraction
+        while (removed + 1) / n <= fraction:
             if order is None:
                 u = min(ref, key=lambda u: (-ref.degree(u), u))
             else:
@@ -329,8 +341,10 @@ def _same(ours, ref):
 @given(small_graphs(), strategies)
 def test_curve_and_apl_match_networkx(g, strategy):
     _, ref_apl = _nx_giant_and_apl(_nx_graph(g))
-    assert _same(average_path_length(g), ref_apl)
-    assert _same(average_path_length(g, exact_limit=3), ref_apl)
+    assert _same(intact(g).average_path_length, ref_apl)
+    # a sample of at least every node is every node, whatever the limit
+    with patch.object(robustness, "EXACT_PATH_LENGTH_LIMIT", 3):
+        assert _same(intact(g).average_path_length, ref_apl)
     # one point per removal count
     steps = [k / len(g.nodes) for k in range(len(g.nodes))]
     curve = robustness_curve(g, strategy, steps)
@@ -355,9 +369,18 @@ def _relabelled(edges: np.ndarray, n: int, rng: np.random.Generator) -> Undirect
     return UndirectedGraph(ids[edges].reshape(-1, 2), nodes=ids)
 
 
-def _check_helpers(g: UndirectedGraph, keep: np.ndarray) -> None:
-    """``_induced``, ``_component_labels`` and ``_largest_component`` on the
-    nodes where ``keep`` holds, against a rebuilt graph and networkx."""
+def _check_helpers(g: UndirectedGraph, seed: int, removed: int) -> np.ndarray | None:
+    """``_induced`` and ``_component_labels`` on the nodes a seeded random
+    removal of ``removed`` nodes leaves, against a rebuilt graph and
+    networkx, and the giant component the curve picks at that point.
+
+    Returns the ids of the giant the curve hands to the path-length BFS, or
+    None when it has one node and no BFS runs.
+    """
+    n = len(g.nodes)
+    strategy = RemovalStrategy("random", seed=seed)
+    keep = np.ones(n, dtype=bool)
+    keep[np.random.default_rng(seed).permutation(n)[:removed]] = False
     adj = g.adjacency
     sub = robustness._induced(adj, keep)
     kept = g.nodes[keep]
@@ -369,16 +392,34 @@ def _check_helpers(g: UndirectedGraph, keep: np.ndarray) -> None:
     ref = nx.Graph()
     ref.add_nodes_from(kept.tolist())
     ref.add_edges_from(surviving.tolist())
-    expected = np.empty(len(kept), dtype=np.int64)
+    expected = np.arange(n)  # a removed node labels only itself
     for comp in nx.connected_components(ref):
-        members = np.searchsorted(kept, sorted(comp))
+        members = np.searchsorted(g.nodes, sorted(comp))
         expected[members] = members[0]
-    assert robustness._component_labels(sub).tolist() == expected.tolist()
+    rows = adj.rows()
+    live = (rows < adj.indices) & keep[rows] & keep[adj.indices]
+    labels = robustness._component_labels(n, rows[live], adj.indices[live])
+    assert labels.tolist() == expected.tolist()
 
-    if len(kept):
-        giant = g.nodes[robustness._largest_component(adj, keep)]
-        ref_giant = max(nx.connected_components(ref), key=lambda c: (len(c), -min(c)))
-        assert giant.tolist() == sorted(ref_giant)
+    # the curve's giant at the same point, read off the mask it induces for
+    # the BFS, which is stubbed out
+    handed = []
+    induced = robustness._induced
+
+    def spy(adj, keep):
+        handed.append(keep.copy())
+        return induced(adj, keep)
+
+    with patch.multiple(robustness, _induced=spy, _mean_distance=lambda graph: 0.0):
+        point = robustness_curve(g, strategy, [removed / n]).points[0]
+    ref_giant = max(nx.connected_components(ref), key=lambda c: (len(c), -min(c)))
+    assert point.giant_component_fraction == len(ref_giant) / n
+    if len(ref_giant) < 2:
+        assert not handed
+        return None
+    (giant,) = handed
+    assert g.nodes[giant].tolist() == sorted(ref_giant)
+    return g.nodes[giant]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -390,9 +431,9 @@ def test_labels_converge_on_long_shuffled_paths(seed):
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     g = _relabelled(np.column_stack([order[:-1], order[1:]]), n, rng)
-    _check_helpers(g, np.ones(n, dtype=bool))
+    _check_helpers(g, seed, 0)
     # and cut into many shuffled pieces
-    _check_helpers(g, rng.random(n) >= 0.01)
+    _check_helpers(g, seed, n // 100)
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,7 +450,7 @@ def test_labels_near_percolation_threshold(n, mean_degree, removed, seed):
     p = min(1.0, mean_degree / max(n - 1, 1))
     er = cn.generate_er(cn.ERParams(n=n, p=p, seed=seed))
     g = _relabelled(er.edges, n, rng)
-    _check_helpers(g, rng.random(n) >= removed)
+    _check_helpers(g, seed, int(removed * n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,10 +466,36 @@ def test_equal_size_components_tie_to_smallest_id(size, pieces, seed):
         for i in range(1, size)
     ]
     g = _relabelled(np.array(edges, dtype=np.int64).reshape(-1, 2), n, rng)
-    everyone = np.ones(n, dtype=bool)
-    _check_helpers(g, everyone)
-    giant = g.nodes[robustness._largest_component(g.adjacency, everyone)]
-    assert len(giant) == size and giant.min() == g.nodes[0]
+    giant = _check_helpers(g, seed, 0)
+    # a one-node giant is seen only through its fraction, 1 / n
+    if size > 1:
+        assert len(giant) == size and giant.min() == g.nodes[0]
+
+
+def test_removal_count_is_the_largest_fitting_share():
+    # 0.29 * 100 is 28.999...: the count is the largest t with t / n <= 0.29
+    complete = UndirectedGraph([(u, v) for u in range(100) for v in range(u + 1, 100)])
+    curve = robustness_curve(
+        complete, RemovalStrategy("random"), [0.29], compute_path_length=False
+    )
+    assert curve.points[0].giant_component_fraction == 71 / 100
+
+
+def test_rows_read_once_per_curve(monkeypatch):
+    g = cn.generate_ba(cn.BAParams(n=200, m=2, seed=3))
+    calls = []
+    rows = temporal.Adjacency.rows
+
+    def counting(adj):
+        calls.append(1)
+        return rows(adj)
+
+    monkeypatch.setattr(temporal.Adjacency, "rows", counting)
+    for strategy in (RemovalStrategy("random"), RemovalStrategy("targeted")):
+        calls.clear()
+        steps = [0.0, 0.1, 0.2, 0.4, 0.6]
+        robustness_curve(g, strategy, steps, compute_path_length=False)
+        assert len(calls) == 1, strategy
 
 
 # SHA-256 of both curve files for `robustness` on generate_ba(n=300, m=3,
