@@ -22,11 +22,19 @@ the path-length BFS.
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
-each source owns one bit of a row of uint64 words per node, and one level
-ORs the frontier words of every node's neighbours. Distances are summed as
-exact integers. Every node is a source up to EXACT_PATH_LENGTH_LIMIT nodes;
-larger components use a seeded sample of sources (DEFAULT_PATH_SAMPLE of
-them), trading a standard sampling error for tractability.
+each source owns one bit of a row of uint64 words per node. Level 1 is a
+push: each source's bit is ORed into its neighbours' rows, Σ deg(sources)
+bits. Every later level is a pull (the push/pull split of Beamer, Asanović &
+Patterson 2012, SC'12): each node ORs its neighbours' frontier words. For
+the pull, nodes are relabelled by degree bucket ⌈log₂ degree⌉, and each
+bucket holds its neighbour labels as a (largest degree × nodes) block, short
+rows padded with a label that reads an always-zero frontier row; a level is
+one gather and one column-wise OR per block. The graph is one connected
+component, so a sweep stops on the level that finds the last of its
+sources' size − 1 others, with no empty level after. Distances are summed
+as exact integers. Every node is a source up to EXACT_PATH_LENGTH_LIMIT
+nodes; larger components use a seeded sample of sources (DEFAULT_PATH_SAMPLE
+of them), trading a standard sampling error for tractability.
 """
 from __future__ import annotations
 
@@ -39,11 +47,12 @@ from .temporal import Adjacency, UndirectedGraph
 
 EXACT_PATH_LENGTH_LIMIT = 50_000
 DEFAULT_PATH_SAMPLE = 1_024
-# bytes of the gathered neighbour-frontier block of one BFS level; it sets
-# how many 64-source words one sweep carries. Small enough that the block and
-# the per-node words stay in a core's L2 cache: a block that spills to the
-# shared cache makes each level wait on memory traffic, slower and far less
-# steady from run to run
+# bytes of the gathered neighbour-frontier blocks of one BFS level; a sweep
+# carries as many 64-source words as fit it over the padded block entries,
+# and a larger graph, at one word, gathers each bucket in pieces of at most
+# this size. Small enough that a gathered block and the per-node words stay
+# in a core's L2 cache: a block that spills to the shared cache makes each
+# level wait on memory traffic, slower and far less steady from run to run
 _BFS_BLOCK_BYTES = 256 << 10
 
 
@@ -83,14 +92,21 @@ class RobustnessCurve:
 def _induced(adj: Adjacency, keep: np.ndarray) -> Adjacency:
     """The subgraph on the positions where the mask ``keep`` holds, renumbered
     in ascending order."""
+    indptr, indices = adj
+    kept = np.repeat(keep, np.diff(indptr))
+    kept &= keep[indices]
+    # a row's kept count is the difference of the mask's running count at
+    # its ends; a uint32 count may wrap, but a row holds fewer than 2**32
+    # entries, so the wrapped difference is exact
+    running = np.zeros(len(indices) + 1, dtype=np.uint32)
+    np.cumsum(kept, dtype=np.uint32, out=running[1:])
+    counts = np.diff(running[indptr])[keep]
+    del running
+    sub_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_indptr[1:])
     position = np.cumsum(keep) - 1
-    rows = adj.rows()
-    both = keep[rows] & keep[adj.indices]
-    size = np.count_nonzero(keep)
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(position[rows[both]], minlength=size), out=indptr[1:])
     # the renumbering keeps order, so each row's columns stay ascending
-    return Adjacency(indptr, position[adj.indices[both]])
+    return Adjacency(sub_indptr, position[indices[kept]])
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -117,6 +133,55 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
+def _buckets(graph: Adjacency) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The neighbour rows of a connected graph, relabelled and padded into
+    degree buckets.
+
+    Nodes get new labels in a stable order of ⌈log₂ degree⌉, and ``label``
+    maps a position to its label, so a bucket's nodes hold consecutive
+    labels. Each bucket is cut into ``(D, c)`` blocks of neighbour labels,
+    one column per node and D rows, D being the bucket's largest degree; a
+    shorter column is padded with the sentinel label ``size``. A block has
+    at most ``_BFS_BLOCK_BYTES // (8 * D)`` columns, and at least one.
+    Returns ``label`` and every block with the label of its first column.
+    """
+    indptr, indices = graph
+    size = len(indptr) - 1
+    degrees = np.diff(indptr)
+    # frexp's exponent of d - 1 is its bit length, ⌈log₂ d⌉ for every d >= 1
+    bucket = np.frexp(degrees - 1)[1]
+    order = np.argsort(bucket, kind="stable")
+    label = np.empty(size, dtype=np.int64)
+    label[order] = np.arange(size)
+    blocks = []
+    start = 0
+    for end in np.cumsum(np.bincount(bucket)).tolist():
+        if end > start:
+            depth = np.arange(degrees[order[start:end]].max())[:, None]
+            width = max(1, _BFS_BLOCK_BYTES // (8 * len(depth)))
+            for first in range(start, end, width):
+                rows = order[first : min(first + width, end)]
+                # an entry past a row's end reads the next row, or clips at
+                # the last entry, and is overwritten with the sentinel
+                block = label[indices.take(indptr[rows] + depth, mode="clip")]
+                block[depth >= degrees[rows]] = size
+                blocks.append((first, block))
+        start = end
+    return label, blocks
+
+
+def _pull(frontier: np.ndarray, blocks: list[tuple[np.ndarray, ...]]) -> None:
+    """One pulled BFS level. Each of ``blocks`` is a ``(block, gathered,
+    reach)`` triple: the frontier rows of the block's labels are gathered,
+    then ORed down each column into the block's nodes' rows of ``reach``."""
+    for block, gathered, reach in blocks:
+        # every label is in range, the sentinel included, so mode "clip"
+        # writes straight into gathered, where the default "raise" would copy
+        # through a temporary
+        frontier.take(block, axis=0, out=gathered, mode="clip")
+        np.bitwise_or.reduce(gathered, axis=0, out=reach)
+
+
 def _mean_distance(graph: Adjacency) -> float:
     """Mean distance from the sources to every other node of a connected graph."""
     size = len(graph.indptr) - 1
@@ -126,37 +191,64 @@ def _mean_distance(graph: Adjacency) -> float:
         rng = np.random.default_rng(0)
         sample = min(DEFAULT_PATH_SAMPLE, size)
         sources = np.sort(rng.choice(size, size=sample, replace=False))
-    indptr, indices = graph.indptr, graph.indices
-    starts = indptr[:-1]
-    words = min(-(-len(sources) // 64), max(1, _BFS_BLOCK_BYTES // (8 * len(indices))))
-    # one set of buffers serves every level of every sweep, so the loop
-    # allocates nothing; a final partial sweep leaves its spare bits at zero
-    gathered = np.empty((len(indices), words), dtype=np.uint64)
-    seen, reach, frontier = (np.empty((size, words), dtype=np.uint64) for _ in range(3))
+    indptr, indices = graph
+    degrees = np.diff(indptr)
+    label, layout = _buckets(graph)
+    padded = sum(block.size for _, block in layout)
+    words = min(-(-len(sources) // 64), max(1, _BFS_BLOCK_BYTES // (8 * padded)))
+    # one set of buffers serves every level of every sweep, so no level
+    # allocates; a final partial sweep leaves its spare bits at zero
+    gathered = np.empty(max(block.size for _, block in layout) * words, dtype=np.uint64)
+    seen, reach = (np.empty((size, words), dtype=np.uint64) for _ in range(2))
+    blocks = [
+        (
+            block,
+            gathered[: block.size * words].reshape(*block.shape, words),
+            reach[first : first + block.shape[1]],
+        )
+        for first, block in layout
+    ]
     counts = np.empty((size, words), dtype=np.uint8)
+    # the padding's sentinel reads frontier's extra last row, which stays zero
+    frontier = np.zeros((size + 1, words), dtype=np.uint64)
+    new = frontier[:size]
     total = 0
     for start in range(0, len(sources), 64 * words):
         batch = sources[start : start + 64 * words]
         bit = np.arange(len(batch), dtype=np.uint64)
+        word, one = (bit // 64).astype(np.int64), np.uint64(1) << (bit % 64)
         seen.fill(0)
-        seen[batch, bit // 64] = np.uint64(1) << (bit % 64)
-        np.copyto(frontier, seen)
-        level = 0
-        while True:
-            level += 1
-            # CSR columns are in range; mode "clip" writes straight into out,
-            # where the default "raise" would copy through a temporary
-            np.take(frontier, indices, axis=0, out=gathered, mode="clip")
-            # the graph is one connected component of >= 2 nodes, so no CSR
-            # row is empty; reduceat would return a wrong value for one
-            np.bitwise_or.reduceat(gathered, starts, axis=0, out=reach)
-            np.invert(seen, out=frontier)
-            frontier &= reach
-            found = int(np.bitwise_count(frontier, out=counts).sum())
-            if not found:
+        seen[label[batch], word] = one
+        # level 1 is a push of each source's bit into its neighbours' rows;
+        # every (source, neighbour) pair is a new bit, Σ deg(batch) of them.
+        # No bit is pushed twice into one word, so adding the bits ORs them,
+        # and add.at has a fast indexed loop that bitwise_or.at lacks
+        fanout = degrees[batch]
+        pushed = int(fanout.sum())
+        entries = np.repeat(indptr[batch] + fanout - np.cumsum(fanout), fanout)
+        entries += np.arange(pushed)
+        new.fill(0)
+        np.add.at(
+            frontier.reshape(-1),
+            label[indices[entries]] * words + np.repeat(word, fanout),
+            np.repeat(one, fanout),
+        )
+        seen |= new
+        total += pushed
+        # the graph is connected, so every source finds the other size - 1
+        # nodes within size - 1 levels, and the sweep ends on the level that
+        # finds the last of them, with no empty level after
+        remaining = len(batch) * (size - 1) - pushed
+        for level in range(2, size):
+            if not remaining:
                 break
+            _pull(frontier, blocks)
+            np.invert(seen, out=new)
+            new &= reach
+            found = int(np.bitwise_count(new, out=counts).sum())
             total += level * found
-            seen |= frontier
+            remaining -= found
+            seen |= new
     return total / (len(sources) * (size - 1))
 
 

@@ -117,18 +117,31 @@ def growth(request):
     return g, nx.average_shortest_path_length(nx.Graph(g.edges.tolist()))
 
 
-def _words_per_sweep(monkeypatch, g: UndirectedGraph, words: int | None) -> None:
-    """Cut the BFS block budget of connected ``g`` to ``words`` words a sweep."""
+def _words_per_sweep(monkeypatch, g: UndirectedGraph, words: int | None) -> list[int]:
+    """Cut the BFS block budget of connected ``g`` to ``words`` words a sweep,
+    sized from the kernel's own padded block entries; returns the words of
+    every pulled level as the kernel runs them."""
     if words is not None:
-        nnz = 2 * len(g.edges)
-        monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", words * 8 * nnz)
+        padded = sum(block.size for _, block in robustness._buckets(g.adjacency)[1])
+        monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", words * 8 * padded)
+    ran = []
+    pull = robustness._pull
+
+    def spy(frontier, blocks):
+        ran.append(frontier.shape[1])
+        pull(frontier, blocks)
+
+    monkeypatch.setattr(robustness, "_pull", spy)
+    return ran
 
 
 @pytest.mark.parametrize("words", [None, 1, 2, 3])
 def test_apl_across_words_and_sweeps(growth, words, monkeypatch):
     g, ref = growth
-    _words_per_sweep(monkeypatch, g, words)
+    ran = _words_per_sweep(monkeypatch, g, words)
     assert intact(g).average_path_length == pytest.approx(ref, rel=1e-12)
+    if words is not None:
+        assert set(ran) == {min(words, -(-len(g.nodes) // 64))}
 
 
 def test_apl_closed_forms():
@@ -152,9 +165,111 @@ def test_apl_sampled_sources_match_networkx(words, monkeypatch):
         sum(nx.single_source_shortest_path_length(ref, int(g.nodes[s])).values())
         for s in sources
     )
+    ran = _words_per_sweep(monkeypatch, g, words)
     with sampled_apl(10, 150):
         ours = intact(g).average_path_length
     assert ours == total / (150 * 299)
+    if words is not None:
+        assert set(ran) == {words}
+
+
+def _nx_exact_apl(g: UndirectedGraph) -> float:
+    """networkx's integer distance sum over every ordered pair of connected
+    ``g``, divided by n(n - 1)."""
+    ref = nx.Graph(g.edges.tolist())
+    n = ref.number_of_nodes()
+    total = sum(sum(d.values()) for _, d in nx.all_pairs_shortest_path_length(ref))
+    return total / (n * (n - 1))
+
+
+def caterpillar(degrees) -> UndirectedGraph:
+    """A path of hubs, each topped up with leaves to its degree in ``degrees``
+    (at least 2 inside the path, at least 1 at its ends)."""
+    hubs = 1_000 + np.arange(len(degrees))
+    pairs = list(zip(hubs[:-1].tolist(), hubs[1:].tolist()))
+    leaf = 0
+    for i, (hub, degree) in enumerate(zip(hubs.tolist(), degrees)):
+        on_path = (i > 0) + (i < len(degrees) - 1)
+        pairs += [(hub, leaf + j) for j in range(degree - on_path)]
+        leaf += degree - on_path
+    return UndirectedGraph(pairs)
+
+
+# degrees on and just past the bucket edges, the powers of two; leaves have
+# degree 1 and a hub's bucket is ⌈log₂ degree⌉
+BUCKET_EDGE_GRAPHS = {
+    "caterpillar": caterpillar([2, 3, 4, 5, 8, 9, 16, 17]),
+    "caterpillar-reversed": caterpillar([17, 16, 9, 8, 5, 4, 3, 2]),
+    "star-8": star(8),
+    "star-9": star(9),
+    "star-64": star(64),
+    "star-65": star(65),
+    # the hub has the largest id, so at one word a sweep the first sweeps
+    # hold leaves alone, and each pushes 64 bits into the one hub row
+    "star-hub-last": UndirectedGraph([(i, 1_000) for i in range(300)]),
+}
+
+
+@pytest.mark.parametrize("name", BUCKET_EDGE_GRAPHS)
+@pytest.mark.parametrize("budget", ["default", "one word", "one column"])
+def test_apl_exact_at_bucket_edges(name, budget, monkeypatch):
+    g = BUCKET_EDGE_GRAPHS[name]
+    if budget == "one word":
+        _words_per_sweep(monkeypatch, g, 1)
+    elif budget == "one column":
+        # every block is one node's column, and a sweep one word
+        monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", 0)
+    assert intact(g).average_path_length == _nx_exact_apl(g)
+
+
+@pytest.mark.parametrize("name", BUCKET_EDGE_GRAPHS)
+def test_buckets_hold_each_nodes_neighbours(name, monkeypatch):
+    g = BUCKET_EDGE_GRAPHS[name]
+    monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", 8 * 8)
+    adj = g.adjacency
+    size = len(g.nodes)
+    degrees = np.diff(adj.indptr)
+    label, blocks = robustness._buckets(adj)
+    assert sorted(label.tolist()) == list(range(size))
+    covered = []
+    for first, block in blocks:
+        depth, width = block.shape
+        assert width <= max(1, 8 // depth)
+        for column in range(width):
+            node = int(np.flatnonzero(label == first + column)[0])
+            covered.append(first + column)
+            row = adj.indices[adj.indptr[node] : adj.indptr[node + 1]]
+            # the block's depth is the largest degree of the row's bucket
+            assert depth >= len(row)
+            assert (depth - 1).bit_length() == (len(row) - 1).bit_length()
+            assert block[: len(row), column].tolist() == label[row].tolist()
+            assert (block[len(row) :, column] == size).all()
+    assert covered == list(range(size))
+    # labels run in a stable order of ⌈log₂ degree⌉
+    buckets = np.frexp(degrees - 1)[1]
+    assert label.tolist() == np.argsort(np.argsort(buckets, kind="stable")).tolist()
+
+
+# one sweep (at most 64 nodes) of graphs with their diameter
+ONE_SWEEP_GRAPHS = {
+    "path-40": (UndirectedGraph([(i, i + 1) for i in range(39)]), 39),
+    "cycle-40": (UndirectedGraph([(i, (i + 1) % 40) for i in range(40)]), 20),
+    "star-30": (star(30), 2),
+    "complete-10": (
+        UndirectedGraph([(u, v) for u in range(10) for v in range(u + 1, 10)]),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SWEEP_GRAPHS)
+def test_one_sweep_pulls_levels_two_to_diameter(name, monkeypatch):
+    # level 1 is the push, levels 2 .. diameter are pulled, and no empty
+    # level trails the last; the path P_n pulls n - 2 levels
+    g, diameter = ONE_SWEEP_GRAPHS[name]
+    ran = _words_per_sweep(monkeypatch, g, None)
+    assert intact(g).average_path_length == _nx_exact_apl(g)
+    assert ran == [1] * (diameter - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +607,12 @@ def test_rows_read_once_per_curve(monkeypatch):
 
     monkeypatch.setattr(temporal.Adjacency, "rows", counting)
     for strategy in (RemovalStrategy("random"), RemovalStrategy("targeted")):
-        calls.clear()
-        steps = [0.0, 0.1, 0.2, 0.4, 0.6]
-        robustness_curve(g, strategy, steps, compute_path_length=False)
-        assert len(calls) == 1, strategy
+        # inducing the giant for the path length reads no rows either
+        for path_length in (False, True):
+            calls.clear()
+            steps = [0.0, 0.1, 0.2, 0.4, 0.6]
+            robustness_curve(g, strategy, steps, compute_path_length=path_length)
+            assert len(calls) == 1, (strategy, path_length)
 
 
 # SHA-256 of both curve files for `robustness` on generate_ba(n=300, m=3,
