@@ -365,6 +365,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             if not len(stream):
                 raise InsufficientDataError("message log is empty")
             graph = undirected_projection(stream)
+            del stream  # the curves read only the projection
         if not len(graph.nodes):
             raise InsufficientDataError("graph has no nodes")
         curves = robustness_stage(graph, strategies, args.steps, not args.no_path_length)

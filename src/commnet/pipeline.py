@@ -7,6 +7,26 @@ top-k frequency, per-day fits, robustness curves). Output is deterministic for
 a fixed config: any wall-clock information goes to run_info.json, which is the
 single file excluded from the byte-for-byte determinism contract.
 
+``run`` goes through its stages in this order, and each holds only what the
+stages after it read:
+
+1. Acquire: parse the log or generate the corpus. Alive: the stream's
+   columns.
+2. Temporal half (``_temporal_stage``): slice the stream into days, build
+   the degree table, and from it the fits, correlation, overlap, consistency,
+   concentration and stability. Each plot file is written as soon as its
+   numbers exist: a day's distribution inside the per-day loop, a hub's
+   series from its stability series. Alive: the stream, the day window, the
+   degree table and one day's histogram at a time. It returns the report,
+   which holds plain Python values, and everything else it made is freed.
+3. Graph half: project the stream into one undirected graph, then drop the
+   stream. Alive: the projection, which shares the stream's node registry,
+   and one curve's state at a time; then write the curves.
+4. Write report.json and run_info.json.
+
+An empty window ends after the temporal half: its single-file results are
+header-only, and no curve runs.
+
 The CLI verbs share the steps here: ``read_log``, ``ingest_counts``,
 ``robustness_stage``, ``write_robustness_curves`` and ``staged``.
 
@@ -301,12 +321,17 @@ def run(cfg: PipelineConfig) -> Report:
     cfg.validate()
     with staged(cfg.output_dir, OWNED_NAMES) as new:
         stream, source, info = _acquire_stream(cfg)
-        report, *plot_inputs = _analyze(cfg, stream, source)
+        report = _temporal_stage(cfg, stream, source, new)
+        if not report.sections_empty:
+            graph = undirected_projection(stream)
+            del stream  # the curves read only the projection
+            strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in ROBUSTNESS_KINDS]
+            report.robustness = robustness_stage(graph, strategies, cfg.robustness_steps)
+            write_robustness_curves(new, report.robustness)
         _write(
             new / "report.json",
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
         )
-        emit_plot_data(report, new, *plot_inputs)
         run_info = {
             "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "note": "wall-clock metadata; excluded from determinism guarantees",
@@ -319,17 +344,13 @@ def run(cfg: PipelineConfig) -> Report:
     return report
 
 
-def _analyze(
-    cfg: PipelineConfig, stream: TemporalEdgeStream, source: dict
-) -> tuple[
-    Report,
-    centrality.DegreeTable | None,
-    list[powerlaw.DegreeHistogram | None],
-    powerlaw.DegreeHistogram | None,
-]:
-    """Every analysis of one stream: the report, plus the degree table,
-    per-day histograms and aggregate histogram the plot files read (None,
-    empty and None for an empty window)."""
+def _temporal_stage(
+    cfg: PipelineConfig, stream: TemporalEdgeStream, source: dict, out: Path
+) -> Report:
+    """Every analysis of the stream's days: write each temporal plot file into
+    ``out`` as its numbers are computed and return the report, whose
+    robustness section is left empty. The window, the degree table and the
+    histograms are freed on return."""
     window = slice_days(
         stream,
         cfg.window_start,
@@ -356,36 +377,62 @@ def _analyze(
         else None
     )
 
+    def emit(name: str, rows: Iterable[Sequence]) -> None:
+        _write(out / name, format_columns(_TEMPORAL_HEADERS[name], rows))
+
     if not non_empty:
-        return Report(_config_echo(cfg), window_info, corpus, labels), None, [], None
+        for name in _TEMPORAL_HEADERS:
+            emit(name, [])
+        return Report(_config_echo(cfg), window_info, corpus, labels)
 
     table = centrality.degree_table(stream, window, cfg.direction)
 
     # one histogram per non-empty day and one for the aggregate feed both the
     # OLS fits and the distribution files
-    day_hists: list[powerlaw.DegreeHistogram | None] = [None] * window.length
     daily_fits = []
+    fit_rows = []
     for t in non_empty:
         degrees = table.values[t]
-        day_hists[t] = _histogram(degrees)
+        hist = _histogram(degrees)
+        if hist is not None:
+            _write(
+                out / "day_distributions" / f"day_{t:04d}.dat",
+                format_columns(_DIST_HEADER, _distribution_rows(hist)),
+            )
+        fits = _fit_dicts(degrees, hist, cfg.fit_target, cfg.fit_xmin)
         daily_fits.append(
             {
                 "day": t,
                 "date": window.date(t).isoformat(),
                 "active_nodes": int(np.count_nonzero(degrees)),
                 "messages": int(messages[t]),
-                **_fit_dicts(degrees, day_hists[t], cfg.fit_target, cfg.fit_xmin),
+                **fits,
             }
         )
+        ols, mle = fits["ols"] or {}, fits["mle"] or {}
+        fit_rows.append(
+            (
+                t,
+                ols.get("gamma"),
+                ols.get("r_squared"),
+                mle.get("gamma"),
+                mle.get("ks_statistic"),
+                mle.get("xmin"),
+                mle.get("n_tail"),
+            )
+        )
+    emit("per_day_fits.dat", fit_rows)
 
     aggregate = table.values.sum(axis=0)
     agg_hist = _histogram(aggregate)
     aggregate_fit = _fit_dicts(aggregate, agg_hist, cfg.fit_target, cfg.fit_xmin)
+    emit("degree_distribution_aggregate.dat", _distribution_rows(agg_hist))
 
-    series = dynamics.consecutive_day_correlation(table) \
-        if window.length >= 2 else None
     correlation = None
-    if series is not None:
+    pairs: tuple = ()
+    if window.length >= 2:
+        series = dynamics.consecutive_day_correlation(table)
+        pairs = series.pairs
         defined = series.defined_values
         correlation = {
             "policy": series.policy,
@@ -397,13 +444,15 @@ def _analyze(
                     "r": p.r,
                     "excluded": p.excluded,
                 }
-                for p in series.pairs
+                for p in pairs
             ],
             "median_r": statistics.median(defined) if defined else None,
         }
+    emit("correlation_series.dat", [(p.day_a, p.day_b, p.r) for p in pairs])
 
     overlap = dynamics.overlap_vs_k(table, cfg.k_values)
     overlap_rows = [{"k": k, "mean_overlap": v} for k, v in overlap.items()]
+    emit("overlap_vs_k.dat", overlap.items())
 
     consistency_result, freq_table = dynamics.daily_vs_aggregate_consistency(
         table, cfg.k
@@ -414,6 +463,7 @@ def _analyze(
         "percentage": consistency_result.percentage,
     }
     top_frequency = [{"node": node, "days": days} for node, days in freq_table.items()]
+    emit("top_frequency.dat", freq_table.items())
 
     top = centrality.top_k(table.nodes, aggregate, cfg.k)
     concentration = {
@@ -426,6 +476,10 @@ def _analyze(
     stability = []
     for node, _ in top.entries:
         ns = dynamics.node_series(table, node)
+        _write(
+            out / "hub_series" / f"node_{node}.dat",
+            format_columns(("day", "degree"), enumerate(ns.values)),
+        )
         stability.append(
             {
                 "node": node,
@@ -435,11 +489,7 @@ def _analyze(
             }
         )
 
-    strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in ROBUSTNESS_KINDS]
-    projected = undirected_projection(stream)
-    robustness_section = robustness_stage(projected, strategies, cfg.robustness_steps)
-
-    report = Report(
+    return Report(
         config=_config_echo(cfg),
         window=window_info,
         corpus=corpus,
@@ -452,10 +502,8 @@ def _analyze(
         top_frequency=top_frequency,
         concentration=concentration,
         stability=stability,
-        robustness=robustness_section,
         sections_empty=False,
     )
-    return report, table, day_hists, agg_hist
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +533,27 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
-def _distribution_rows(hist: powerlaw.DegreeHistogram) -> list[tuple]:
+_DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
+# the temporal files every run writes, an empty window's with the header alone
+_TEMPORAL_HEADERS = {
+    "correlation_series.dat": ("day_a", "day_b", "r"),
+    "degree_distribution_aggregate.dat": _DIST_HEADER,
+    "overlap_vs_k.dat": ("k", "mean_overlap"),
+    "top_frequency.dat": ("node", "days_in_top_k"),
+    "per_day_fits.dat": ("day", "gamma_ols", "r_squared", "gamma_mle", "ks", "xmin", "n_tail"),
+}
+
+
+def _distribution_rows(hist: powerlaw.DegreeHistogram | None) -> list[tuple]:
+    """A degree-distribution file's rows; none for an empty histogram."""
+    if hist is None:
+        return []
     rows = []
     for k, p, c in zip(hist.support, hist.pdf, hist.ccdf):
         if k <= 0:
             continue
         rows.append((k, p, c, math.log10(k), math.log10(p), math.log10(c)))
     return rows
-
-
-_DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
-
-
-def _distribution(hist: powerlaw.DegreeHistogram | None) -> str:
-    rows = _distribution_rows(hist) if hist is not None else []
-    return format_columns(_DIST_HEADER, rows)
 
 
 _CURVE_HEADER = ("fraction_removed", "giant_component_fraction", "average_path_length")
@@ -511,86 +565,6 @@ def write_robustness_curves(output_dir: Path, section: dict) -> None:
     for kind, entry in section.items():
         rows = [[p[column] for column in _CURVE_HEADER] for p in entry["points"]]
         _write(output_dir / f"robustness_{kind}.dat", format_columns(_CURVE_HEADER, rows))
-
-
-def emit_plot_data(
-    report: Report,
-    output_dir: Path,
-    table: centrality.DegreeTable | None = None,
-    day_hists: Sequence[powerlaw.DegreeHistogram | None] = (),
-    agg_hist: powerlaw.DegreeHistogram | None = None,
-) -> None:
-    """Write one columnar plot-data file per report section; empty sections
-    produce header-only files. Hub series are read from the run's degree
-    table (None for an empty window), degree distributions from the run's
-    per-day histograms (None for an empty day) and aggregate histogram."""
-    corr_rows: list[tuple] = []
-    if report.correlation:
-        for p in report.correlation["pairs"]:
-            corr_rows.append((p["day_a"], p["day_b"], p["r"]))
-    _write(
-        output_dir / "correlation_series.dat",
-        format_columns(("day_a", "day_b", "r"), corr_rows),
-    )
-
-    _write(output_dir / "degree_distribution_aggregate.dat", _distribution(agg_hist))
-    for t, hist in enumerate(day_hists):
-        if hist is not None:
-            _write(
-                output_dir / "day_distributions" / f"day_{t:04d}.dat",
-                _distribution(hist),
-            )
-
-    if table is not None:
-        for entry in report.concentration["top"]:
-            node = entry["node"]
-            _write(
-                output_dir / "hub_series" / f"node_{node}.dat",
-                format_columns(
-                    ("day", "degree"), list(enumerate(table.column(node).tolist()))
-                ),
-            )
-
-    _write(
-        output_dir / "overlap_vs_k.dat",
-        format_columns(
-            ("k", "mean_overlap"),
-            [(row["k"], row["mean_overlap"]) for row in report.overlap_vs_k],
-        ),
-    )
-
-    _write(
-        output_dir / "top_frequency.dat",
-        format_columns(
-            ("node", "days_in_top_k"),
-            [(row["node"], row["days"]) for row in report.top_frequency],
-        ),
-    )
-
-    fit_rows = []
-    for row in report.daily_fits:
-        ols = row["ols"] or {}
-        mle = row["mle"] or {}
-        fit_rows.append(
-            (
-                row["day"],
-                ols.get("gamma"),
-                ols.get("r_squared"),
-                mle.get("gamma"),
-                mle.get("ks_statistic"),
-                mle.get("xmin"),
-                mle.get("n_tail"),
-            )
-        )
-    _write(
-        output_dir / "per_day_fits.dat",
-        format_columns(
-            ("day", "gamma_ols", "r_squared", "gamma_mle", "ks", "xmin", "n_tail"),
-            fit_rows,
-        ),
-    )
-
-    write_robustness_curves(output_dir, report.robustness)
 
 
 @contextlib.contextmanager

@@ -2,17 +2,18 @@ import hashlib
 import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import commnet as cn
+from commnet import centrality, cli, pipeline
 from commnet.errors import ConfigError
 from commnet.pipeline import (
     OWNED_NAMES,
     RUN_INFO_FILENAME,
     PipelineConfig,
-    emit_plot_data,
     format_columns,
     run,
 )
@@ -127,9 +128,23 @@ def test_empty_corpus_flags_sections(tmp_path):
     assert report.window["days"] == 3
     written = json.loads((tmp_path / "out" / "report.json").read_text())
     assert written["sections_empty"] is True
-    # plot files exist as header-only
-    corr = (tmp_path / "out" / "correlation_series.dat").read_text()
-    assert corr.strip() == "day_a day_b r"
+    # the single-file temporal results exist as header-only files; no curve
+    # runs and no per-day or per-hub file is written
+    headers = {
+        "correlation_series.dat": "day_a day_b r",
+        "degree_distribution_aggregate.dat": "k pdf ccdf log10_k log10_pdf log10_ccdf",
+        "overlap_vs_k.dat": "k mean_overlap",
+        "top_frequency.dat": "node days_in_top_k",
+        "per_day_fits.dat": "day gamma_ols r_squared gamma_mle ks xmin n_tail",
+    }
+    out = tmp_path / "out"
+    assert {p.name for p in out.iterdir()} == {
+        "report.json",
+        RUN_INFO_FILENAME,
+        *headers,
+    }
+    for name, header in headers.items():
+        assert (out / name).read_text() == header + "\n", name
 
 
 def test_file_mode_reports_ingest(tmp_path, micro_stream):
@@ -227,6 +242,66 @@ def test_output_dir_naming_a_file_fails_before_reading(tmp_path, monkeypatch):
     with pytest.raises(FileExistsError):
         run(cfg)
     assert target.read_bytes() == b"not a directory\n"
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "hub.log", "--robustness-steps", "0.0,0.2"],
+        ["analyze", "--synthetic-hubs", "--nodes", "60", "--days", "20", "--hubs", "5",
+         "--robustness-steps", "0.0,0.2"],
+        ["robustness", "--input", "hub.log", "--steps", "0.0,0.2"],
+    ],
+    ids=["analyze-input", "analyze-synthetic", "robustness-input"],
+)
+def test_temporal_data_freed_before_robustness(tmp_path, monkeypatch, argv):
+    # the curves read only the projection: the stream's columns and the
+    # degree table must be gone when the robustness stage starts (the node
+    # registry is shared with the graph by design, so it is not checked)
+    params = cn.HubCorpusParams(
+        nodes=60, days=20, hubs=5, hub_rate=20.0, background_rate=1.0, seed=0
+    )
+    with open(tmp_path / "hub.log", "wb") as fh:
+        cn.write_edge_log(cn.generate_hub_corpus(params), fh)
+    monkeypatch.chdir(tmp_path)
+    refs: list[weakref.ref] = []
+
+    def keeping_stream_refs(fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            stream = result[0]
+            refs.extend(
+                weakref.ref(c) for c in (stream.senders, stream.recipients, stream.timestamps)
+            )
+            return result
+
+        return wrapped
+
+    original_table = centrality.degree_table
+
+    def table_keeping_ref(*args, **kwargs):
+        table = original_table(*args, **kwargs)
+        refs.append(weakref.ref(table.values))
+        return table
+
+    entered = []
+
+    def checking_freed(fn):
+        def wrapped(*args, **kwargs):
+            assert refs and all(ref() is None for ref in refs), "still alive"
+            entered.append(True)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "_acquire_stream", keeping_stream_refs(pipeline._acquire_stream))
+    monkeypatch.setattr(cli, "read_log", keeping_stream_refs(cli.read_log))
+    monkeypatch.setattr(centrality, "degree_table", table_keeping_ref)
+    monkeypatch.setattr(pipeline, "robustness_stage", checking_freed(pipeline.robustness_stage))
+    monkeypatch.setattr(cli, "robustness_stage", checking_freed(cli.robustness_stage))
+    assert cli.main([*argv, "--output-dir", "out"]) == 0
+    assert entered == [True]
 
 
 def test_format_columns_empty_section():
