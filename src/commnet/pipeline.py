@@ -21,7 +21,8 @@ stages after it read:
    which holds plain Python values, and everything else it made is freed.
 3. Graph half: project the stream into one undirected graph, then drop the
    stream. Alive: the projection, which shares the stream's node registry,
-   and one curve's state at a time; then write the curves.
+   the edge list every curve reads and one curve's state at a time; then
+   write the curves.
 4. Write report.json and run_info.json.
 
 An empty window ends after the temporal half: its single-file results are
@@ -264,12 +265,17 @@ def robustness_stage(
 ) -> dict:
     """Run each removal strategy over ``graph``; return the report.json
     robustness section, one entry per strategy kind."""
-    section = {}
-    for s in strategies:
-        curve = robust.robustness_curve(graph, s, steps, compute_path_length=path_length)
-        points = [asdict(pt) for pt in curve.points]
-        section[s.kind] = {"seed": s.seed, "adaptive": s.adaptive, "points": points}
-    return section
+    curves = robust.robustness_curves(
+        graph, strategies, steps, compute_path_length=path_length
+    )
+    return {
+        c.strategy.kind: {
+            "seed": c.strategy.seed,
+            "adaptive": c.strategy.adaptive,
+            "points": [asdict(pt) for pt in c.points],
+        }
+        for c in curves
+    }
 
 
 def _histogram(degrees: np.ndarray) -> powerlaw.DegreeHistogram | None:

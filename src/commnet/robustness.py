@@ -6,15 +6,18 @@ length within the surviving giant component. Removal is either seeded-random
 or targeted at the highest-degree node; the targeted attack recomputes degrees
 after every removal by default, which is the stronger variant.
 
-A curve is the only way to these numbers; its 0.0 point measures the intact
-graph. It reads the graph's own representation, the symmetric CSR adjacency
-built once with the graph, and removes nodes by clearing an alive mask;
-adaptive targeting decrements the degrees of the removed node's neighbours,
-read off its CSR row. The curve reads its edge list, one (u < v) pair of
-positions per edge, off the CSR once. Each point keeps the pairs whose ends
-both survive and labels components over the original positions by hooking
-plus pointer jumping (Shiloach & Vishkin 1982, J. Algorithms 3:57), a few
-vectorized numpy rounds per point; a removed node labels only itself. scipy's
+``robustness_curves`` is the only way to these numbers: it runs every
+strategy of a run over one graph, and a step that removes no node measures
+the intact graph, once for all the curves, since no strategy changes it. It
+reads the graph's own representation, the symmetric CSR adjacency built once
+with the graph, and removes nodes by clearing an alive mask; adaptive
+targeting decrements the degrees of the removed node's neighbours, read off
+its CSR row. A run reads its edge list, one (u < v) pair of positions per
+edge, off the CSR once for all its curves. Each point keeps the pairs whose
+ends both survive and labels components over the original positions by
+hooking plus pointer jumping (Shiloach & Vishkin 1982, J. Algorithms 3:57),
+a few vectorized numpy rounds per point; a removed node labels only itself.
+scipy's
 connected_components would do the same, but importing scipy.sparse.csgraph
 costs every process about 0.45 s, more than a whole growth-model curve at
 3,000 nodes. Only the giant component is induced as a CSR of its own, for
@@ -31,7 +34,9 @@ bucket holds its neighbour labels as a (largest degree × nodes) block, short
 rows padded with a label that reads an always-zero frontier row; a level is
 one gather and one column-wise OR per block. The graph is one connected
 component, so a sweep stops on the level that finds the last of its
-sources' size − 1 others, with no empty level after. Distances are summed
+sources' size − 1 others, with no empty level after. The blocks are gathered
+one at a time into one reused buffer, so a sweep carries as many 64-source
+words as fit the widest block in _BFS_BLOCK_BYTES. Distances are summed
 as exact integers. Every node is a source up to EXACT_PATH_LENGTH_LIMIT
 nodes; larger components use a seeded sample of sources (DEFAULT_PATH_SAMPLE
 of them), trading a standard sampling error for tractability.
@@ -39,7 +44,7 @@ of them), trading a standard sampling error for tractability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,12 +52,13 @@ from .temporal import Adjacency, UndirectedGraph
 
 EXACT_PATH_LENGTH_LIMIT = 50_000
 DEFAULT_PATH_SAMPLE = 1_024
-# bytes of the gathered neighbour-frontier blocks of one BFS level; a sweep
-# carries as many 64-source words as fit it over the padded block entries,
-# and a larger graph, at one word, gathers each bucket in pieces of at most
-# this size. Small enough that a gathered block and the per-node words stay
-# in a core's L2 cache: a block that spills to the shared cache makes each
-# level wait on memory traffic, slower and far less steady from run to run
+# bytes of the one gathered neighbour-frontier block that a BFS level holds
+# at a time; a sweep carries as many 64-source words as fit it over the
+# widest block's padded entries, and a larger graph, at one word, gathers
+# each bucket in pieces of at most this size. Small enough that a gathered
+# block and the per-node words stay in a core's L2 cache: a block that spills
+# to the shared cache makes each level wait on memory traffic, slower and far
+# less steady from run to run
 _BFS_BLOCK_BYTES = 256 << 10
 
 
@@ -194,11 +200,13 @@ def _mean_distance(graph: Adjacency) -> float:
     indptr, indices = graph
     degrees = np.diff(indptr)
     label, layout = _buckets(graph)
-    padded = sum(block.size for _, block in layout)
-    words = min(-(-len(sources) // 64), max(1, _BFS_BLOCK_BYTES // (8 * padded)))
+    # the blocks are gathered one after another into one reused buffer, so
+    # the widest block alone sets how many words fit the budget
+    widest = max(block.size for _, block in layout)
+    words = min(-(-len(sources) // 64), max(1, _BFS_BLOCK_BYTES // (8 * widest)))
     # one set of buffers serves every level of every sweep, so no level
     # allocates; a final partial sweep leaves its spare bits at zero
-    gathered = np.empty(max(block.size for _, block in layout) * words, dtype=np.uint64)
+    gathered = np.empty(widest * words, dtype=np.uint64)
     seen, reach = (np.empty((size, words), dtype=np.uint64) for _ in range(2))
     blocks = [
         (
@@ -263,19 +271,21 @@ def validate_steps(steps: Sequence[float]) -> None:
         raise ValueError("fractions must be strictly increasing")
 
 
-def robustness_curve(
+def robustness_curves(
     g: UndirectedGraph,
-    strategy: RemovalStrategy,
+    strategies: Iterable[RemovalStrategy],
     steps: Sequence[float],
     *,
     compute_path_length: bool = True,
-) -> RobustnessCurve:
-    """Remove cumulative fractions of the original nodes and measure decay.
+) -> list[RobustnessCurve]:
+    """Remove cumulative fractions of the original nodes and measure decay,
+    one curve per strategy, in the order given.
 
     At each step, nodes are removed until the largest count t with
     t / original_n <= step are gone, then the giant-component fraction (of
     the original n) and the surviving giant component's average path length
-    are recorded.
+    are recorded. A step that removes no node measures the intact graph,
+    which no strategy changes, so it is measured once for every curve.
     """
     steps = list(steps)
     validate_steps(steps)
@@ -285,8 +295,6 @@ def robustness_curve(
 
     # nodes are addressed by position; positions ascend with node id
     adj = g.adjacency
-    degrees = np.diff(adj.indptr)
-    alive = np.ones(n, dtype=bool)
     # every edge once, as its (u < v) pair of positions; each point labels
     # the pairs whose ends both survive
     rows = adj.rows()
@@ -294,35 +302,7 @@ def robustness_curve(
     eu, ev = rows[upper], adj.indices[upper]
     del rows, upper
 
-    order: np.ndarray | None
-    if strategy.kind == "random":
-        order = np.random.default_rng(strategy.seed).permutation(n)
-    elif not strategy.adaptive:
-        order = np.argsort(-degrees, kind="stable")
-    else:
-        order = None  # picked per removal from current degrees
-
-    removed = 0
-    points: list[RobustnessPoint] = []
-    for fraction in steps:
-        # fraction * n can round a whole count down (0.29 * 100 is
-        # 28.999...), so one step either way reaches the largest fitting t
-        target = int(fraction * n)
-        if (target + 1) / n <= fraction:
-            target += 1
-        elif target / n > fraction:
-            target -= 1
-        if order is not None:
-            alive[order[removed:target]] = False
-        else:
-            for _ in range(removed, target):
-                # argmax returns the first maximum, i.e. the smallest node id;
-                # a removed node's degree stays negative, below every live one
-                u = int(np.argmax(degrees))
-                degrees[adj.indices[adj.indptr[u] : adj.indptr[u + 1]]] -= 1
-                degrees[u] = -1
-                alive[u] = False
-        removed = target
+    def measure(alive: np.ndarray) -> tuple[float, float | None]:
         both = alive[eu] & alive[ev]
         labels = _component_labels(n, eu[both], ev[both])
         # a removed node labels only itself and a label is its component's
@@ -333,5 +313,48 @@ def robustness_curve(
         apl = None
         if compute_path_length and size >= 2:
             apl = _mean_distance(_induced(adj, giant))
-        points.append(RobustnessPoint(fraction, size / n, apl))
-    return RobustnessCurve(strategy, n, tuple(points))
+        return size / n, apl
+
+    intact: tuple[float, float | None] | None = None
+    curves = []
+    for strategy in strategies:
+        degrees = np.diff(adj.indptr)
+        alive = np.ones(n, dtype=bool)
+        order: np.ndarray | None
+        if strategy.kind == "random":
+            order = np.random.default_rng(strategy.seed).permutation(n)
+        elif not strategy.adaptive:
+            order = np.argsort(-degrees, kind="stable")
+        else:
+            order = None  # picked per removal from current degrees
+
+        removed = 0
+        points: list[RobustnessPoint] = []
+        for fraction in steps:
+            # fraction * n can round a whole count down (0.29 * 100 is
+            # 28.999...), so one step either way reaches the largest fitting t
+            target = int(fraction * n)
+            if (target + 1) / n <= fraction:
+                target += 1
+            elif target / n > fraction:
+                target -= 1
+            if order is not None:
+                alive[order[removed:target]] = False
+            else:
+                for _ in range(removed, target):
+                    # argmax returns the first maximum, i.e. the smallest node
+                    # id; a removed node's degree stays negative, below every
+                    # live one
+                    u = int(np.argmax(degrees))
+                    degrees[adj.indices[adj.indptr[u] : adj.indptr[u + 1]]] -= 1
+                    degrees[u] = -1
+                    alive[u] = False
+            removed = target
+            if target:
+                measured = measure(alive)
+            else:
+                # no strategy changes the intact graph: measure it once
+                measured = intact = intact or measure(alive)
+            points.append(RobustnessPoint(fraction, *measured))
+        curves.append(RobustnessCurve(strategy, n, tuple(points)))
+    return curves

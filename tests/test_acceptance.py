@@ -106,18 +106,18 @@ def test_criterion_4_attack_vs_failure_gap():
     random_ok = 0
     for seed in range(20):
         g = cn.generate_ba(cn.BAParams(n=2000, m=3, seed=seed))
-        targeted = cn.robustness_curve(
+        targeted = cn.robustness_curves(
             g,
-            cn.RemovalStrategy("targeted"),
+            [cn.RemovalStrategy("targeted")],
             [0.05],
             compute_path_length=False,
-        ).points[0]
-        random_pt = cn.robustness_curve(
+        )[0].points[0]
+        random_pt = cn.robustness_curves(
             g,
-            cn.RemovalStrategy("random", seed=seed),
+            [cn.RemovalStrategy("random", seed=seed)],
             [0.05],
             compute_path_length=False,
-        ).points[0]
+        )[0].points[0]
         gap_wins += (
             targeted.giant_component_fraction < random_pt.giant_component_fraction
         )
@@ -260,12 +260,12 @@ def test_criterion_7_closed_form_spot_checks():
 
     # star with 4 leaves: average path length exactly 1.6
     star4 = cn.UndirectedGraph([(0, i) for i in range(1, 5)])
-    intact = cn.robustness_curve(star4, cn.RemovalStrategy("random"), [0.0])
+    intact = cn.robustness_curves(star4, [cn.RemovalStrategy("random")], [0.0])[0]
     assert intact.points[0].average_path_length == pytest.approx(1.6, abs=1e-12)
 
     # star targeted attack: first removal is the hub, giant fraction 1/n
     n = 5
-    curve = cn.robustness_curve(star4, cn.RemovalStrategy("targeted"), [1 / n])
+    curve = cn.robustness_curves(star4, [cn.RemovalStrategy("targeted")], [1 / n])[0]
     assert curve.points[0].giant_component_fraction == pytest.approx(
         1 / n, abs=1e-12
     )

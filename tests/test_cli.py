@@ -329,13 +329,14 @@ def test_repeated_strategy_runs_once(tmp_path, monkeypatch, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("0 1\n1 2\n2 0\n")
     kinds = []
-    curve = robustness.robustness_curve
+    curves = robustness.robustness_curves
 
-    def counted(graph, strategy, steps, **options):
-        kinds.append(strategy.kind)
-        return curve(graph, strategy, steps, **options)
+    def counted(graph, strategies, steps, **options):
+        strategies = list(strategies)
+        kinds.extend(s.kind for s in strategies)
+        return curves(graph, strategies, steps, **options)
 
-    monkeypatch.setattr(robustness, "robustness_curve", counted)
+    monkeypatch.setattr(robustness, "robustness_curves", counted)
     args = ["robustness", "--edges", str(edges), "--strategies", "random,random"]
     assert main([*args, "--output-dir", str(tmp_path / "out")]) == 0
     assert kinds == ["random"]
@@ -435,6 +436,34 @@ def test_cli_import_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_one_thread():
+    # numpy's OpenBLAS starts a worker pool on import whose threads spin while
+    # the package imports, and no code here calls BLAS, so the package sets
+    # the pool to one thread unless the user has chosen a size
+    src = str(Path(commnet.__file__).resolve().parents[1])
+    code = (
+        "import os, commnet.cli; "
+        "task = '/proc/self/task'; "
+        "print(len(os.listdir(task)) if os.path.isdir(task) else None, "
+        "os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for chosen, expected in ((None, "1"), ("2", "2")):
+        if chosen is not None:
+            env["OPENBLAS_NUM_THREADS"] = chosen
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**env, "PYTHONPATH": src},
+        )
+        threads, value = done.stdout.split()
+        assert value == expected
+        if chosen is None and threads != "None":
+            assert threads == "1"
 
 
 def _sha256(path: Path) -> str:

@@ -25,9 +25,9 @@ def test_ba_minimal_tree():
     assert len(g.edges) == 3
     assert len(g.nodes) == 4
     # a connected graph with n-1 edges is a tree
-    intact = cn.robustness_curve(
-        g, cn.RemovalStrategy("random"), [0.0], compute_path_length=False
-    )
+    intact = cn.robustness_curves(
+        g, [cn.RemovalStrategy("random")], [0.0], compute_path_length=False
+    )[0]
     assert intact.points[0].giant_component_fraction == 1.0
 
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commnet as cn
-from commnet import robustness, temporal
+from commnet import pipeline, robustness, temporal
 from commnet import (
     RemovalStrategy,
     RobustnessPoint,
     UndirectedGraph,
-    robustness_curve,
+    robustness_curves,
 )
 from commnet.cli import main
 
@@ -25,7 +25,7 @@ def star(leaves: int) -> UndirectedGraph:
 def intact(g: UndirectedGraph) -> RobustnessPoint:
     """The 0.0-removal point of a curve: the giant fraction and average path
     length of ``g`` as it stands."""
-    return robustness_curve(g, RemovalStrategy("random"), [0.0]).points[0]
+    return robustness_curves(g, [RemovalStrategy("random")], [0.0])[0].points[0]
 
 
 def sampled_apl(exact_limit: int, sample_size: int):
@@ -119,11 +119,12 @@ def growth(request):
 
 def _words_per_sweep(monkeypatch, g: UndirectedGraph, words: int | None) -> list[int]:
     """Cut the BFS block budget of connected ``g`` to ``words`` words a sweep,
-    sized from the kernel's own padded block entries; returns the words of
-    every pulled level as the kernel runs them."""
+    sized from the padded entries of the kernel's own widest block, the one
+    gather buffer every block reuses; returns the words of every pulled
+    level as the kernel runs them."""
     if words is not None:
-        padded = sum(block.size for _, block in robustness._buckets(g.adjacency)[1])
-        monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", words * 8 * padded)
+        widest = max(block.size for _, block in robustness._buckets(g.adjacency)[1])
+        monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", words * 8 * widest)
     ran = []
     pull = robustness._pull
 
@@ -140,8 +141,13 @@ def test_apl_across_words_and_sweeps(growth, words, monkeypatch):
     g, ref = growth
     ran = _words_per_sweep(monkeypatch, g, words)
     assert intact(g).average_path_length == pytest.approx(ref, rel=1e-12)
+    needed = -(-len(g.nodes) // 64)
     if words is not None:
-        assert set(ran) == {min(words, -(-len(g.nodes) // 64))}
+        assert set(ran) == {min(words, needed)}
+    else:
+        # the default budget holds every source of these graphs in one
+        # sweep, 5 words at 300 nodes
+        assert set(ran) == {needed}
 
 
 def test_apl_closed_forms():
@@ -279,7 +285,7 @@ def test_one_sweep_pulls_levels_two_to_diameter(name, monkeypatch):
 
 def test_star_targeted_attack_kills_hub_first():
     n = 11
-    curve = robustness_curve(star(10), RemovalStrategy("targeted"), [0.0, 1 / n])
+    curve = robustness_curves(star(10), [RemovalStrategy("targeted")], [0.0, 1 / n])[0]
     assert curve.points[0].giant_component_fraction == 1.0
     assert curve.points[1].giant_component_fraction == pytest.approx(1 / n)
     assert curve.points[1].average_path_length is None
@@ -294,13 +300,13 @@ def test_star_random_removal_of_a_leaf():
         for s in range(50)
         if sorted(g.nodes)[np.random.default_rng(s).permutation(n)[0]] != 0
     )
-    curve = robustness_curve(g, RemovalStrategy("random", seed=seed), [1 / n])
+    curve = robustness_curves(g, [RemovalStrategy("random", seed=seed)], [1 / n])[0]
     assert curve.points[0].giant_component_fraction == pytest.approx((n - 1) / n)
 
 
 def test_zero_removal_is_identity():
     g = cn.generate_ba(cn.BAParams(n=60, m=2, seed=1))
-    curve = robustness_curve(g, RemovalStrategy("targeted"), [0.0])
+    curve = robustness_curves(g, [RemovalStrategy("targeted")], [0.0])[0]
     assert curve.points[0].giant_component_fraction == 1.0
     assert curve.points[0].average_path_length == pytest.approx(
         nx.average_shortest_path_length(nx.Graph(g.edges.tolist())), rel=1e-12
@@ -310,9 +316,9 @@ def test_zero_removal_is_identity():
 def test_giant_fraction_non_increasing_along_curve():
     for kind in ("random", "targeted"):
         g = cn.generate_er(cn.ERParams(n=150, p=0.03, seed=3))
-        curve = robustness_curve(
-            g, RemovalStrategy(kind, seed=5), [0.0, 0.1, 0.2, 0.4, 0.6]
-        )
+        curve = robustness_curves(
+            g, [RemovalStrategy(kind, seed=5)], [0.0, 0.1, 0.2, 0.4, 0.6]
+        )[0]
         fracs = [p.giant_component_fraction for p in curve.points]
         assert all(a >= b - 1e-12 for a, b in zip(fracs, fracs[1:]))
 
@@ -322,10 +328,10 @@ def test_adaptive_differs_from_static():
     edges = [(8, 1), (8, 2), (8, 3), (8, 4), (1, 2), (5, 6), (6, 7), (5, 7)]
     g = UndirectedGraph(edges)
     steps = [2 / 8]
-    adaptive = robustness_curve(g, RemovalStrategy("targeted"), steps)
-    static = robustness_curve(
-        g, RemovalStrategy("targeted", adaptive=False), steps
-    )
+    adaptive = robustness_curves(g, [RemovalStrategy("targeted")], steps)[0]
+    static = robustness_curves(
+        g, [RemovalStrategy("targeted", adaptive=False)], steps
+    )[0]
     # adaptive removes 8 then 5 (triangle), static removes 8 then 1
     assert adaptive.points[0].giant_component_fraction == pytest.approx(2 / 8)
     assert static.points[0].giant_component_fraction == pytest.approx(3 / 8)
@@ -336,39 +342,40 @@ def test_targeted_tie_broken_by_ascending_id():
     g = UndirectedGraph(
         [(0, i) for i in range(1, 4)] + [(10, i) for i in range(11, 14)]
     )
-    curve = robustness_curve(g, RemovalStrategy("targeted"), [1 / 8])
+    curve = robustness_curves(g, [RemovalStrategy("targeted")], [1 / 8])[0]
     # removing hub 0 first leaves the second star intact
     assert curve.points[0].giant_component_fraction == pytest.approx(4 / 8)
 
 
 def test_random_removal_deterministic_per_seed():
     g = cn.generate_er(cn.ERParams(n=100, p=0.05, seed=0))
-    a = robustness_curve(g, RemovalStrategy("random", seed=3), [0.1, 0.3])
-    b = robustness_curve(g, RemovalStrategy("random", seed=3), [0.1, 0.3])
+    a = robustness_curves(g, [RemovalStrategy("random", seed=3)], [0.1, 0.3])[0]
+    b = robustness_curves(g, [RemovalStrategy("random", seed=3)], [0.1, 0.3])[0]
     assert a == b
 
 
 def test_curve_validation():
     g = star(3)
     with pytest.raises(ValueError):
-        robustness_curve(g, RemovalStrategy("random"), [])
+        robustness_curves(g, [RemovalStrategy("random")], [])
     with pytest.raises(ValueError):
-        robustness_curve(g, RemovalStrategy("random"), [0.2, 0.1])
+        robustness_curves(g, [RemovalStrategy("random")], [0.2, 0.1])
     with pytest.raises(ValueError):
-        robustness_curve(g, RemovalStrategy("random"), [0.5, 1.0])
+        robustness_curves(g, [RemovalStrategy("random")], [0.5, 1.0])
     with pytest.raises(ValueError):
         RemovalStrategy("betweenness")
     with pytest.raises(ValueError):
-        robustness_curve(UndirectedGraph(), RemovalStrategy("random"), [0.1])
+        robustness_curves(UndirectedGraph(), [RemovalStrategy("random")], [0.1])
 
 
 def test_targeted_attack_beats_random_failure_statistically():
     wins = 0
     for seed in range(5):
         g = cn.generate_ba(cn.BAParams(n=600, m=3, seed=seed))
-        kwargs = dict(steps=[0.05], compute_path_length=False)
-        targeted = robustness_curve(g, RemovalStrategy("targeted"), **kwargs)
-        random = robustness_curve(g, RemovalStrategy("random", seed=seed), **kwargs)
+        strategies = [RemovalStrategy("targeted"), RemovalStrategy("random", seed=seed)]
+        targeted, random = robustness_curves(
+            g, strategies, [0.05], compute_path_length=False
+        )
         wins += (
             targeted.points[0].giant_component_fraction
             < random.points[0].giant_component_fraction
@@ -462,7 +469,7 @@ def test_curve_and_apl_match_networkx(g, strategy):
         assert _same(intact(g).average_path_length, ref_apl)
     # one point per removal count
     steps = [k / len(g.nodes) for k in range(len(g.nodes))]
-    curve = robustness_curve(g, strategy, steps)
+    curve = robustness_curves(g, [strategy], steps)[0]
     ref = _nx_curve(g, strategy, steps)
     assert [p.fraction_removed for p in curve.points] == [f for f, _, _ in ref]
     assert [p.giant_component_fraction for p in curve.points] == [
@@ -526,7 +533,7 @@ def _check_helpers(g: UndirectedGraph, seed: int, removed: int) -> np.ndarray | 
         return induced(adj, keep)
 
     with patch.multiple(robustness, _induced=spy, _mean_distance=lambda graph: 0.0):
-        point = robustness_curve(g, strategy, [removed / n]).points[0]
+        point = robustness_curves(g, [strategy], [removed / n])[0].points[0]
     ref_giant = max(nx.connected_components(ref), key=lambda c: (len(c), -min(c)))
     assert point.giant_component_fraction == len(ref_giant) / n
     if len(ref_giant) < 2:
@@ -590,9 +597,9 @@ def test_equal_size_components_tie_to_smallest_id(size, pieces, seed):
 def test_removal_count_is_the_largest_fitting_share():
     # 0.29 * 100 is 28.999...: the count is the largest t with t / n <= 0.29
     complete = UndirectedGraph([(u, v) for u in range(100) for v in range(u + 1, 100)])
-    curve = robustness_curve(
-        complete, RemovalStrategy("random"), [0.29], compute_path_length=False
-    )
+    curve = robustness_curves(
+        complete, [RemovalStrategy("random")], [0.29], compute_path_length=False
+    )[0]
     assert curve.points[0].giant_component_fraction == 71 / 100
 
 
@@ -606,13 +613,39 @@ def test_rows_read_once_per_curve(monkeypatch):
         return rows(adj)
 
     monkeypatch.setattr(temporal.Adjacency, "rows", counting)
-    for strategy in (RemovalStrategy("random"), RemovalStrategy("targeted")):
+    random, targeted = RemovalStrategy("random"), RemovalStrategy("targeted")
+    # a run reads its rows once for all its curves
+    for strategies in ([random], [targeted], [random, targeted]):
         # inducing the giant for the path length reads no rows either
         for path_length in (False, True):
             calls.clear()
             steps = [0.0, 0.1, 0.2, 0.4, 0.6]
-            robustness_curve(g, strategy, steps, compute_path_length=path_length)
-            assert len(calls) == 1, (strategy, path_length)
+            robustness_curves(g, strategies, steps, compute_path_length=path_length)
+            assert len(calls) == 1, (strategies, path_length)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_intact_point_measured_once_per_run(adaptive, monkeypatch):
+    # the 0.0 point cannot depend on the strategy, so the costliest path
+    # length of a run, the whole graph's, is computed once for both curves
+    g = cn.generate_ba(cn.BAParams(n=300, m=3, seed=2))
+    sizes = []
+    mean_distance = robustness._mean_distance
+
+    def spy(graph):
+        sizes.append(len(graph.indptr) - 1)
+        return mean_distance(graph)
+
+    monkeypatch.setattr(robustness, "_mean_distance", spy)
+    strategies = [
+        RemovalStrategy(kind, adaptive=adaptive) for kind in pipeline.ROBUSTNESS_KINDS
+    ]
+    section = pipeline.robustness_stage(g, strategies, pipeline.DEFAULT_STEPS)
+    assert sizes.count(len(g.nodes)) == 1
+    random, targeted = (section[kind]["points"] for kind in pipeline.ROBUSTNESS_KINDS)
+    assert random[0]["fraction_removed"] == 0.0
+    assert random[0] == targeted[0]
+    assert random[0]["average_path_length"] is not None
 
 
 # SHA-256 of both curve files for `robustness` on generate_ba(n=300, m=3,

@@ -13,7 +13,7 @@ from commnet import (
     TemporalEdgeStream,
     UndirectedGraph,
     degree_table,
-    robustness_curve,
+    robustness_curves,
     slice_days,
     undirected_projection,
     write_edge_log,
@@ -313,7 +313,7 @@ def test_gapped_ids_match_brute_and_networkx(ids):
         RemovalStrategy("targeted"),
         RemovalStrategy("targeted", adaptive=False),
     ):
-        points = robustness_curve(graph, strategy, steps).points
+        points = robustness_curves(graph, [strategy], steps)[0].points
         expected = _nx_curve(graph, strategy, steps)
         assert [(p.fraction_removed, p.giant_component_fraction) for p in points] == [
             (fraction, giant) for fraction, giant, _ in expected
