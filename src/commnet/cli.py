@@ -48,7 +48,6 @@ from .pipeline import (
     robustness_stage,
     run,
     staged,
-    write_robustness_curves,
 )
 from .robustness import RemovalStrategy, validate_steps
 from .temporal import UndirectedGraph, undirected_projection
@@ -305,9 +304,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = generate_ba(BAParams(n=args.n, m=args.m, m0=args.m0, seed=args.seed))
     else:
         graph = generate_er(ERParams(n=args.n, p=args.p, seed=args.seed))
-    lines = [f"{u} {v}" for u, v in graph.edges.tolist()]
+    lines = [f"{u} {v}\n" for u, v in graph.edges.tolist()]
     with _replacing(args.output) as out:
-        out.write(("\n".join(lines) + "\n").encode("utf-8"))
+        out.write("".join(lines).encode("utf-8"))
     print(f"wrote {len(lines)} edges to {args.output}")
     return EXIT_OK
 
@@ -347,9 +346,11 @@ def _read_edge_list(path: str) -> UndirectedGraph:
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     # every setting is checked before the input is read; a strategy named
-    # twice runs once
+    # twice runs once, and an empty entry is skipped
     validate_steps(args.steps)
-    kinds = dict.fromkeys(s.strip() for s in args.strategies.split(","))
+    kinds = dict.fromkeys(filter(None, map(str.strip, args.strategies.split(","))))
+    if not kinds:
+        raise ConfigError("--strategies names no strategy")
     adaptive = not args.static_targeted
     strategies = [RemovalStrategy(kind, seed=args.seed, adaptive=adaptive) for kind in kinds]
     validate_malformed_threshold(args.malformed_threshold)
@@ -368,8 +369,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             del stream  # the curves read only the projection
         if not len(graph.nodes):
             raise InsufficientDataError("graph has no nodes")
-        curves = robustness_stage(graph, strategies, args.steps, not args.no_path_length)
-        write_robustness_curves(stage, curves)
+        curves = robustness_stage(stage, graph, strategies, args.steps, not args.no_path_length)
     for kind in curves:
         print(f"wrote {out_dir / f'robustness_{kind}.dat'}")
     return EXIT_OK

@@ -16,20 +16,21 @@ stages after it read:
    the degree table, and from it the fits, correlation, overlap, consistency,
    concentration and stability. Each plot file is written as soon as its
    numbers exist: a day's distribution inside the per-day loop, a hub's
-   series from its stability series. Alive: the stream, the day window, the
+   series from its stability series. Each single-table file's rows are read
+   off the report entries it mirrors. Alive: the stream, the day window, the
    degree table and one day's histogram at a time. It returns the report,
    which holds plain Python values, and everything else it made is freed.
 3. Graph half: project the stream into one undirected graph, then drop the
    stream. Alive: the projection, which shares the stream's node registry,
-   the edge list every curve reads and one curve's state at a time; then
-   write the curves.
+   the edge list every curve reads and one curve's state at a time.
+   ``robustness_stage`` writes each curve's file from its report section.
 4. Write report.json and run_info.json.
 
 An empty window ends after the temporal half: its single-file results are
 header-only, and no curve runs.
 
 The CLI verbs share the steps here: ``read_log``, ``ingest_counts``,
-``robustness_stage``, ``write_robustness_curves`` and ``staged``.
+``robustness_stage`` and ``staged``.
 
 Every file of a run is first written to a staging directory inside the
 output directory, made before the input is read. Only when every file is
@@ -57,12 +58,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import centrality, dynamics, powerlaw, robustness as robust
-from .errors import (
-    CommnetError,
-    ConfigError,
-    EmptyHistogramError,
-    InsufficientSupportError,
-)
+from .errors import CommnetError, ConfigError, InsufficientSupportError
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import (
     IngestReport,
@@ -203,13 +199,8 @@ def _acquire_stream(
     if cfg.hub_params is not None:
         stream = generate_hub_corpus(cfg.hub_params)
         source = {
+            **asdict(cfg.hub_params),
             "kind": "synthetic-hub-corpus",
-            "nodes": cfg.hub_params.nodes,
-            "days": cfg.hub_params.days,
-            "hubs": cfg.hub_params.hubs,
-            "hub_rate": cfg.hub_params.hub_rate,
-            "background_rate": cfg.hub_params.background_rate,
-            "seed": cfg.hub_params.seed,
             "start_date": cfg.hub_params.start_date.isoformat(),
         }
         return stream, source, {}
@@ -258,51 +249,47 @@ def ingest_counts(report: IngestReport) -> dict:
 
 
 def robustness_stage(
+    out: Path,
     graph: UndirectedGraph,
     strategies: Iterable[robust.RemovalStrategy],
     steps: Sequence[float],
     path_length: bool = True,
 ) -> dict:
-    """Run each removal strategy over ``graph``; return the report.json
-    robustness section, one entry per strategy kind."""
+    """Run each removal strategy over ``graph``; write each curve's
+    robustness_<kind>.dat into ``out``, one row per point, and return the
+    report.json robustness section, one entry per strategy kind."""
     curves = robust.robustness_curves(
         graph, strategies, steps, compute_path_length=path_length
     )
-    return {
-        c.strategy.kind: {
+    section = {}
+    for c in curves:
+        points = [asdict(pt) for pt in c.points]
+        _write(
+            out / f"robustness_{c.strategy.kind}.dat",
+            format_columns(_CURVE_HEADER, _pick(points, _CURVE_HEADER)),
+        )
+        section[c.strategy.kind] = {
             "seed": c.strategy.seed,
             "adaptive": c.strategy.adaptive,
-            "points": [asdict(pt) for pt in c.points],
+            "points": points,
         }
-        for c in curves
-    }
-
-
-def _histogram(degrees: np.ndarray) -> powerlaw.DegreeHistogram | None:
-    try:
-        return powerlaw.histogram(degrees)
-    except EmptyHistogramError:
-        return None
+    return section
 
 
 def _fit_dicts(
-    degrees: np.ndarray,
-    hist: powerlaw.DegreeHistogram | None,
-    target: str,
-    xmin: int,
+    degrees: np.ndarray, hist: powerlaw.DegreeHistogram, target: str, xmin: int
 ) -> dict:
     """OLS (on the histogram) and MLE fits for one day or the aggregate;
     None where unfittable."""
     out: dict = {"ols": None, "mle": None}
     try:
-        if hist is not None:
-            fit = powerlaw.fit_ols(hist, target=target, xmin=xmin)
-            out["ols"] = {
-                "gamma": fit.gamma,
-                "r_squared": fit.r_squared,
-                "xmin": fit.xmin,
-                "target": target,
-            }
+        fit = powerlaw.fit_ols(hist, target=target, xmin=xmin)
+        out["ols"] = {
+            "gamma": fit.gamma,
+            "r_squared": fit.r_squared,
+            "xmin": fit.xmin,
+            "target": target,
+        }
     except InsufficientSupportError:
         pass
     try:
@@ -332,8 +319,7 @@ def run(cfg: PipelineConfig) -> Report:
             graph = undirected_projection(stream)
             del stream  # the curves read only the projection
             strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in ROBUSTNESS_KINDS]
-            report.robustness = robustness_stage(graph, strategies, cfg.robustness_steps)
-            write_robustness_curves(new, report.robustness)
+            report.robustness = robustness_stage(new, graph, strategies, cfg.robustness_steps)
         _write(
             new / "report.json",
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -394,67 +380,47 @@ def _temporal_stage(
     table = centrality.degree_table(stream, window, cfg.direction)
 
     # one histogram per non-empty day and one for the aggregate feed both the
-    # OLS fits and the distribution files
+    # OLS fits and the distribution files. A non-empty day's out- or
+    # in-degrees sum to its message count and its total degrees to twice
+    # that, and the aggregate sums such days, so no histogram here is empty
     daily_fits = []
-    fit_rows = []
     for t in non_empty:
         degrees = table.values[t]
-        hist = _histogram(degrees)
-        if hist is not None:
-            _write(
-                out / "day_distributions" / f"day_{t:04d}.dat",
-                format_columns(_DIST_HEADER, _distribution_rows(hist)),
-            )
-        fits = _fit_dicts(degrees, hist, cfg.fit_target, cfg.fit_xmin)
+        hist = powerlaw.histogram(degrees)
+        _write(
+            out / "day_distributions" / f"day_{t:04d}.dat",
+            format_columns(_DIST_HEADER, _distribution_rows(hist)),
+        )
         daily_fits.append(
             {
                 "day": t,
                 "date": window.date(t).isoformat(),
                 "active_nodes": int(np.count_nonzero(degrees)),
                 "messages": int(messages[t]),
-                **fits,
+                **_fit_dicts(degrees, hist, cfg.fit_target, cfg.fit_xmin),
             }
         )
-        ols, mle = fits["ols"] or {}, fits["mle"] or {}
-        fit_rows.append(
-            (
-                t,
-                ols.get("gamma"),
-                ols.get("r_squared"),
-                mle.get("gamma"),
-                mle.get("ks_statistic"),
-                mle.get("xmin"),
-                mle.get("n_tail"),
-            )
-        )
-    emit("per_day_fits.dat", fit_rows)
+    emit("per_day_fits.dat", map(_fit_row, daily_fits))
 
     aggregate = table.values.sum(axis=0)
-    agg_hist = _histogram(aggregate)
+    agg_hist = powerlaw.histogram(aggregate)
     aggregate_fit = _fit_dicts(aggregate, agg_hist, cfg.fit_target, cfg.fit_xmin)
     emit("degree_distribution_aggregate.dat", _distribution_rows(agg_hist))
 
     correlation = None
-    pairs: tuple = ()
     if window.length >= 2:
         series = dynamics.consecutive_day_correlation(table)
-        pairs = series.pairs
         defined = series.defined_values
         correlation = {
             "policy": series.policy,
             "direction": cfg.direction,
-            "pairs": [
-                {
-                    "day_a": p.day_a,
-                    "day_b": p.day_b,
-                    "r": p.r,
-                    "excluded": p.excluded,
-                }
-                for p in pairs
-            ],
+            "pairs": [asdict(p) for p in series.pairs],
             "median_r": statistics.median(defined) if defined else None,
         }
-    emit("correlation_series.dat", [(p.day_a, p.day_b, p.r) for p in pairs])
+    emit(
+        "correlation_series.dat",
+        _pick(correlation["pairs"] if correlation else [], ("day_a", "day_b", "r")),
+    )
 
     overlap = dynamics.overlap_vs_k(table, cfg.k_values)
     overlap_rows = [{"k": k, "mean_overlap": v} for k, v in overlap.items()]
@@ -464,8 +430,7 @@ def _temporal_stage(
         table, cfg.k
     )
     consistency = {
-        "k": consistency_result.k,
-        "count": consistency_result.count,
+        **asdict(consistency_result),
         "percentage": consistency_result.percentage,
     }
     top_frequency = [{"node": node, "days": days} for node, days in freq_table.items()]
@@ -550,27 +515,34 @@ _TEMPORAL_HEADERS = {
 }
 
 
-def _distribution_rows(hist: powerlaw.DegreeHistogram | None) -> list[tuple]:
-    """A degree-distribution file's rows; none for an empty histogram."""
-    if hist is None:
-        return []
-    rows = []
-    for k, p, c in zip(hist.support, hist.pdf, hist.ccdf):
-        if k <= 0:
-            continue
-        rows.append((k, p, c, math.log10(k), math.log10(p), math.log10(c)))
-    return rows
-
-
 _CURVE_HEADER = ("fraction_removed", "giant_component_fraction", "average_path_length")
 
 
-def write_robustness_curves(output_dir: Path, section: dict) -> None:
-    """Write robustness_<kind>.dat for each kind of a robustness section: one
-    row per curve point, keyed as in the report."""
-    for kind, entry in section.items():
-        rows = [[p[column] for column in _CURVE_HEADER] for p in entry["points"]]
-        _write(output_dir / f"robustness_{kind}.dat", format_columns(_CURVE_HEADER, rows))
+def _pick(entries: Iterable[dict], keys: Sequence[str]) -> list[list]:
+    """Plot rows read off report entries: each entry's values at ``keys``."""
+    return [[entry[key] for key in keys] for entry in entries]
+
+
+def _fit_row(entry: dict) -> tuple:
+    """The per_day_fits.dat row of one daily_fits entry; nan for a missing fit."""
+    ols, mle = entry["ols"] or {}, entry["mle"] or {}
+    return (
+        entry["day"],
+        ols.get("gamma"),
+        ols.get("r_squared"),
+        mle.get("gamma"),
+        mle.get("ks_statistic"),
+        mle.get("xmin"),
+        mle.get("n_tail"),
+    )
+
+
+def _distribution_rows(hist: powerlaw.DegreeHistogram) -> list[tuple]:
+    """A degree-distribution file's rows; the support starts at 1."""
+    return [
+        (k, p, c, math.log10(k), math.log10(p), math.log10(c))
+        for k, p, c in zip(hist.support, hist.pdf, hist.ccdf)
+    ]
 
 
 @contextlib.contextmanager

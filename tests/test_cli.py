@@ -343,6 +343,38 @@ def test_repeated_strategy_runs_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("wrote") == 1
 
 
+def test_strategies_skip_empty_entries(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n")
+    args = ["robustness", "--edges", str(edges), "--steps", "0.0,0.5"]
+    assert main([*args, "--strategies", "random", "--output-dir", str(tmp_path / "a")]) == 0
+    assert main([*args, "--strategies", "random,", "--output-dir", str(tmp_path / "b")]) == 0
+    assert main([*args, "--strategies", ", random ,,", "--output-dir", str(tmp_path / "c")]) == 0
+    expected = (tmp_path / "a" / "robustness_random.dat").read_bytes()
+    for run in ("b", "c"):
+        assert sorted(p.name for p in (tmp_path / run).iterdir()) == ["robustness_random.dat"]
+        assert (tmp_path / run / "robustness_random.dat").read_bytes() == expected
+
+
+@pytest.mark.parametrize("strategies", ["", ",", " , "])
+def test_no_strategy_left_is_config_error_before_reading(
+    tmp_path, monkeypatch, capsys, strategies
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "_read_edge_list", never)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "robustness_random.dat").write_text("old\n")
+    argv = ["robustness", "--edges", "g.edges", "--strategies", strategies]
+    assert main([*argv, "--output-dir", str(out_dir)]) == 2
+    assert "no strategy" in capsys.readouterr().err
+    # the old curve file is neither swapped out nor deleted
+    assert [p.name for p in out_dir.iterdir()] == ["robustness_random.dat"]
+    assert (out_dir / "robustness_random.dat").read_text() == "old\n"
+
+
 def test_robustness_from_message_log(tmp_path):
     log = tmp_path / "m.log"
     log.write_bytes(brute.log_bytes())
@@ -416,6 +448,16 @@ def test_generate_ba_and_er_edge_lists(tmp_path):
     rc = main(["generate", "er", "--n", "10", "--p", "1.0", "--output", str(er_path)])
     assert rc == 0
     assert len(er_path.read_text().strip().split("\n")) == 45
+
+
+def test_empty_edge_list_is_an_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.edges"
+    assert main(["generate", "er", "--n", "1", "--p", "0.5", "--output", str(path)]) == 0
+    assert "wrote 0 edges" in capsys.readouterr().out
+    assert path.read_bytes() == b""
+    rc = main(["robustness", "--edges", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert "graph has no nodes" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,6 +5,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import commnet as cn
@@ -169,6 +170,111 @@ def test_file_mode_reports_ingest(tmp_path, micro_stream):
     assert "fallback_lines" not in ingest
     assert report.corpus["nodes"] == 5
     assert report.labels == {str(i): name for i, name in enumerate(brute.NAMES)}
+
+
+# each single-table plot file's columns, as (report entry key, ...) paths
+FIT_COLUMNS = (
+    ("day",),
+    ("ols", "gamma"),
+    ("ols", "r_squared"),
+    ("mle", "gamma"),
+    ("mle", "ks_statistic"),
+    ("mle", "xmin"),
+    ("mle", "n_tail"),
+)
+CURVE_COLUMNS = (
+    ("fraction_removed",),
+    ("giant_component_fraction",),
+    ("average_path_length",),
+)
+
+
+def _lookup(entry: dict, path: tuple[str, ...]):
+    for key in path:
+        entry = entry[key] if entry is not None else None
+    return entry
+
+
+def mirrored_rows(report: dict) -> dict[str, list[list]]:
+    """Every single-table plot file's rows as report.json states them."""
+    def rows(entries, columns):
+        return [[_lookup(e, c) for c in columns] for e in entries]
+
+    pairs = report["correlation"]["pairs"] if report["correlation"] else []
+    expected = {
+        "per_day_fits.dat": rows(report["daily_fits"], FIT_COLUMNS),
+        "correlation_series.dat": rows(pairs, [("day_a",), ("day_b",), ("r",)]),
+        "overlap_vs_k.dat": rows(report["overlap_vs_k"], [("k",), ("mean_overlap",)]),
+        "top_frequency.dat": rows(report["top_frequency"], [("node",), ("days",)]),
+    }
+    for kind, section in report["robustness"].items():
+        expected[f"robustness_{kind}.dat"] = rows(section["points"], CURVE_COLUMNS)
+    return expected
+
+
+def read_plot_values(path: Path) -> list[list]:
+    """A plot file's data rows as numbers, with nan read as null."""
+    return [
+        [None if math.isnan(float(v)) else float(v) for v in row]
+        for row in read_data_rows(path)
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["micro", "micro-total-pdf", "one-day", "empty-window", "synthetic"],
+)
+def test_plot_files_equal_the_report_entries_they_mirror(tmp_path, case):
+    log = tmp_path / "in.log"
+    log.write_bytes(brute.log_bytes())
+    argv = ["analyze", "--input", str(log)]
+    if case == "micro-total-pdf":
+        argv += ["--direction", "total", "--fit-target", "pdf", "--fit-xmin", "2"]
+    elif case == "one-day":
+        log.write_text("1,2,86400\n2,3,86500\n3,1,90000\n")
+    elif case == "empty-window":
+        log.write_text("")
+        argv += ["--window-start", "2000-01-01", "--window-days", "3"]
+    elif case == "synthetic":
+        argv = ["analyze", "--synthetic-hubs", "--nodes", "40", "--days", "12", "--hubs", "4"]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--output-dir", str(out)]) == (4 if case == "empty-window" else 0)
+    report = json.loads((out / "report.json").read_text())
+    expected = mirrored_rows(report)
+    assert len(expected) == (4 if case == "empty-window" else 6)
+    for name, rows in expected.items():
+        want = [[None if v is None else float(v) for v in row] for row in rows]
+        assert read_plot_values(out / name) == want, name
+    if case in ("one-day", "empty-window"):
+        assert report["correlation"] is None
+        assert (out / "correlation_series.dat").read_text() == "day_a day_b r\n"
+    if case == "empty-window":
+        assert report["daily_fits"] == report["top_frequency"] == []
+        assert (out / "per_day_fits.dat").read_text().count("\n") == 1
+    if case.startswith("micro"):
+        # the micro corpus is too small for any fit: every fit cell is nan
+        assert all(e["ols"] is None and e["mle"] is None for e in report["daily_fits"])
+    if case == "synthetic":
+        assert all(e["mle"] is not None for e in report["daily_fits"])
+
+
+@pytest.mark.parametrize("direction", ["out", "in", "total"])
+def test_non_empty_day_histograms_have_positive_support(
+    micro_stream, micro_window, direction
+):
+    # the pipeline calls powerlaw.histogram on every non-empty day and on the
+    # aggregate without a guard: neither can be empty
+    table = centrality.degree_table(micro_stream, micro_window, direction)
+    messages = micro_window.message_counts()
+    assert messages.any()
+    for t in np.flatnonzero(messages):
+        degrees = table.values[t]
+        hist = cn.histogram(degrees)
+        assert hist.n == np.count_nonzero(degrees)
+        assert hist.support[0] >= 1
+        assert int(degrees.sum()) == messages[t] * (2 if direction == "total" else 1)
+    aggregate = cn.histogram(table.values.sum(axis=0))
+    assert aggregate.support[0] >= 1
 
 
 def test_determinism_byte_identical(tmp_path):

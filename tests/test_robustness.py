@@ -625,7 +625,7 @@ def test_rows_read_once_per_curve(monkeypatch):
 
 
 @pytest.mark.parametrize("adaptive", [True, False])
-def test_intact_point_measured_once_per_run(adaptive, monkeypatch):
+def test_intact_point_measured_once_per_run(adaptive, monkeypatch, tmp_path):
     # the 0.0 point cannot depend on the strategy, so the costliest path
     # length of a run, the whole graph's, is computed once for both curves
     g = cn.generate_ba(cn.BAParams(n=300, m=3, seed=2))
@@ -640,7 +640,7 @@ def test_intact_point_measured_once_per_run(adaptive, monkeypatch):
     strategies = [
         RemovalStrategy(kind, adaptive=adaptive) for kind in pipeline.ROBUSTNESS_KINDS
     ]
-    section = pipeline.robustness_stage(g, strategies, pipeline.DEFAULT_STEPS)
+    section = pipeline.robustness_stage(tmp_path, g, strategies, pipeline.DEFAULT_STEPS)
     assert sizes.count(len(g.nodes)) == 1
     random, targeted = (section[kind]["points"] for kind in pipeline.ROBUSTNESS_KINDS)
     assert random[0]["fraction_removed"] == 0.0
