@@ -38,7 +38,12 @@ from .errors import (
     WindowError,
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
-from .ingest import LogFormatConfig, validate_malformed_threshold, write_edge_log
+from .ingest import (
+    LogFormatConfig,
+    validate_malformed_threshold,
+    write_edge_list,
+    write_edge_log,
+)
 from .pipeline import (
     DEFAULT_STEPS,
     ROBUSTNESS_FILES,
@@ -304,10 +309,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = generate_ba(BAParams(n=args.n, m=args.m, m0=args.m0, seed=args.seed))
     else:
         graph = generate_er(ERParams(n=args.n, p=args.p, seed=args.seed))
-    lines = [f"{u} {v}\n" for u, v in graph.edges.tolist()]
+    edges = graph.edges
     with _replacing(args.output) as out:
-        out.write("".join(lines).encode("utf-8"))
-    print(f"wrote {len(lines)} edges to {args.output}")
+        write_edge_list(edges, out)
+    print(f"wrote {len(edges)} edges to {args.output}")
     return EXIT_OK
 
 

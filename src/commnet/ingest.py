@@ -9,20 +9,25 @@ first appearance; the original identifiers are kept as labels on the stream.
 
 The buffer is parsed in chunks of whole lines, about _CHUNK_BYTES each. In a
 chunk, numpy passes over the bytes take every line that is plainly well
-formed (see _fast_lines) and intern its names a chunk at a time. Every other
-line goes, in line order, through _parse_row, the one definition of the row
-rules and the malformed reasons. A line takes the fast path only where
-_parse_row would accept it with the same fields, so the result does not
-depend on which path a line took; IngestReport.fallback_lines counts the
-lines left to _parse_row.
+formed (see _fast_lines) and intern its names a chunk at a time. The passes
+read each field as unaligned little-endian 8-byte words: a name is its
+words less the bytes past its end, a timestamp at most three words, each
+turned from eight digits into an integer by multiply-shift-mask steps.
+Every other line goes, in line order, through _parse_row, the one
+definition of the row rules and the malformed reasons. A line takes the
+fast path only where _parse_row would accept it with the same fields, so
+the result does not depend on which path a line took;
+IngestReport.fallback_lines counts the lines left to _parse_row.
 
 The writer is the parser's inverse, _WRITE_ROWS rows at a time. A chunk is
 one uint8 matrix with a row per line and fixed columns per field: names
 gathered from a per-node table of UTF-8 bytes, unix stamps as a sign column
 and right-aligned digits (four at a time from a table of 4-byte words),
-iso8601 stamps from np.datetime_as_string, and the delimiters and LF. Every
-field is padded with _BLANK, a byte no UTF-8 text holds, so the matrix less
-its _BLANK bytes, read row-major, is the chunk's lines.
+iso8601 stamps from each stamp's integer calendar date and time of day (the
+year from the same table, every other field from a table of 2-byte words),
+and the delimiters and LF. Every field is padded with _BLANK, a byte no
+UTF-8 text holds, so the matrix less its _BLANK bytes, read row-major, is
+the chunk's lines. write_edge_list writes "u v" edge lists the same way.
 """
 from __future__ import annotations
 
@@ -32,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestError
 from .temporal import TemporalEdgeStream
@@ -199,79 +203,123 @@ def _chunks(data: bytes, start: int):
         start = stop
 
 
+def _line_ends(chunk: np.ndarray) -> np.ndarray:
+    """Where each line of a chunk ends: its LF, or the chunk's end for a last
+    line without one."""
+    ends = np.flatnonzero(chunk == 0x0A)
+    return ends if chunk[-1] == 0x0A else np.append(ends, len(chunk))
+
+
+def _u64(byte: int) -> np.uint64:
+    """``byte`` in every byte of a 64-bit word."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+# _LOW[k] keeps the first k bytes of a little-endian word, _HIGH[k] its last k
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_HIGH = ~_LOW[::-1]
+# multiply, shift, mask: eight digit values in the bytes of a word become four
+# pairs, then two quads, then the word's value (Langdale & Lemire 2019,
+# "Parsing Gigabytes of JSON per Second", arXiv:1902.08318)
+_EIGHT_DIGITS = (
+    (np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+    (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+    (np.uint64(10_000 << 32 | 1), np.uint64(32), np.uint64(0xFFFFFFFF)),
+)
+
+
 def _fast_lines(
-    chunk: np.ndarray, starts: np.ndarray, ends: np.ndarray, cfg: LogFormatConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lines of a chunk that are plainly well formed, and their fields.
+    chunk: np.ndarray, cfg: LogFormatConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the lines of a chunk end, then the lines that are plainly well
+    formed and their fields.
 
     A line qualifies when it holds exactly two delimiters, every other byte
     (less one trailing CR) is printable non-space ASCII, both names are
     1.._FAST_NAME_BYTES bytes long and the timestamp is [+-]?[0-9]{1,18}
-    with a calendar date. Returns the line indices, their timestamps, and
-    a (2 * lines, words) uint64 matrix holding the sender names and then the
-    recipient names, NUL-padded (no qualifying name contains a NUL).
+    with a calendar date. Returns every line's end (as _line_ends), the
+    qualifying line indices, their timestamps, and a (2 * lines, words)
+    uint64 matrix holding the sender names and then the recipient names,
+    NUL-padded (no qualifying name contains a NUL).
+
+    Fields are read as unaligned little-endian 8-byte words, which zero
+    bytes on both sides of the chunk keep inside the buffer.
     """
+    size = len(chunk) + (chunk[-1] != 0x0A)  # a last line without LF gets one
+    padded = np.zeros(size + 2 * _FAST_NAME_BYTES, dtype=np.uint8)
+    text = padded[_FAST_NAME_BYTES : _FAST_NAME_BYTES + size]
+    text[: len(chunk)] = chunk
+    text[-1] = 0x0A
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    words = words[_FAST_NAME_BYTES - 24 :]  # the word at text byte p is words[p + 24]
+
+    # the delimiters, and every byte outside printable non-space ASCII; each
+    # LF is one, so line i's marks lie between its LF and line i-1's
     delimiter = ord(cfg.delimiter)
-    special = np.ones(256, dtype=bool)
-    special[0x21:0x7F] = False
-    special[delimiter] = True
-    marks = np.flatnonzero(special[chunk])
-    first = np.searchsorted(marks, starts)
-    count = np.searchsorted(marks, ends) - first
+    marks = np.flatnonzero((text - np.uint8(0x21) >= 0x7F - 0x21) | (text == delimiter))
+    lf = np.flatnonzero(text[marks] == 0x0A)
+    ends = marks[lf]
+    first = np.concatenate(([0], lf[:-1] + 1))
+    count = lf - first
     # two delimiters, or two delimiters and the CR just before the LF
     lines = np.flatnonzero((count == 2) | (count == 3))
     first, cr = first[lines], count[lines] == 3
     one, two = marks[first], marks[first + 1]
     end = ends[lines] - cr
-    ok = (chunk[one] == delimiter) & (chunk[two] == delimiter)
+    ok = (text[one] == delimiter) & (text[two] == delimiter)
     third = marks[first[cr] + 2]
-    ok[cr] &= (third == end[cr]) & (chunk[third] == 0x0D)
-    bounds = [(starts[lines], one), (one + 1, two), (two + 1, end)]
+    ok[cr] &= (third == end[cr]) & (text[third] == 0x0D)
+    start = np.concatenate(([0], ends[:-1] + 1))[lines]
+    bounds = [(start, one), (one + 1, two), (two + 1, end)]
     (s_lo, s_hi), (r_lo, r_hi), (t_lo, t_hi) = (
         bounds[cfg.columns.index(c)] for c in _COLUMNS
     )
 
-    # zero bytes on both sides let every field be read as a fixed-width window
-    padded = np.zeros(len(chunk) + 2 * _FAST_NAME_BYTES, dtype=np.uint8)
-    padded[_FAST_NAME_BYTES : _FAST_NAME_BYTES + len(chunk)] = chunk
-
-    # the sign, if any, then 1..18 digits: every such integer fits in int64
-    sign = padded[t_lo + _FAST_NAME_BYTES]
+    # the sign, if any, then 1..18 digits: every such integer fits in int64.
+    # Row j is the word that ends 8j bytes before the field's end, less '0'
+    # in every byte; the bytes before the first digit become 0, as if '0'
+    sign = text[t_lo]
     digits = t_hi - t_lo - ((sign == ord("+")) | (sign == ord("-")))
-    width = min(int(digits.max(initial=1)), 18)
-    at = t_hi + _FAST_NAME_BYTES - width
-    matrix = sliding_window_view(padded, width)[at] - ord("0")
-    matrix[np.arange(width) < width - digits[:, None]] = 0
-    stamps = matrix @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    back = 8 * np.arange(-(-min(int(digits.max(initial=1)), 18) // 8))[:, None]
+    value = words[t_hi + 16 - back] ^ _u64(ord("0"))
+    value &= _HIGH.take(np.clip(digits - back, 0, 8))
+    # a byte is 0..9 only if bit 7 is clear in it and in it plus 0x76; a
+    # carry between bytes needs a byte with bit 7 set, which fails anyway
+    digit = (value + _u64(0x76) | value) & _u64(0x80) == 0
+    for multiplier, shift, mask in _EIGHT_DIGITS:
+        value *= multiplier
+        value >>= shift
+        value &= mask
+    stamps = value[-1]
+    for row in value[-2::-1]:
+        stamps = stamps * np.uint64(10**8) + row
+    stamps = stamps.view(np.int64)
     stamps[sign == ord("-")] *= -1
-    ok &= (digits >= 1) & (digits <= 18) & (matrix <= 9).all(axis=1)
+    ok &= (digits >= 1) & (digits <= 18) & digit.all(axis=0)
     ok &= (stamps >= _DATED_SECONDS.start) & (stamps < _DATED_SECONDS.stop)
     lo = np.concatenate([s_lo, r_lo])
     length = np.concatenate([s_hi, r_hi]) - lo
     ok &= ((length >= 1) & (length <= _FAST_NAME_BYTES)).reshape(2, -1).all(axis=0)
 
+    # row j holds bytes 8j .. 8j+7 of each name, NUL past its end
     lo, length = lo[np.tile(ok, 2)], length[np.tile(ok, 2)]
-    width = -(-int(length.max(initial=1)) // 8) * 8
-    names = sliding_window_view(padded, width)[lo + _FAST_NAME_BYTES]
-    names[np.arange(width) >= length[:, None]] = 0
-    return lines[ok], stamps[ok], names.view(np.uint64)
+    ahead = 8 * np.arange(-(-int(length.max(initial=1)) // 8))[:, None]
+    names = words[lo + 24 + ahead] & _LOW.take(np.clip(length - ahead, 0, 8))
+    return ends, lines[ok], stamps[ok], names.T
 
 
 def _fast_rows(
-    chunk: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    cfg: LogFormatConfig,
-    names: _Names,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lines of a chunk that _fast_lines takes, the indices of those
-    that are not self-loops, and their (timestamp, sender, recipient) rows as
-    a (3, rows) int64 block with provisional ids for the names."""
-    lines, stamps, words = _fast_lines(chunk, starts, ends, cfg)
+    chunk: np.ndarray, cfg: LogFormatConfig, names: _Names
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the lines of a chunk end, the lines that _fast_lines takes, the
+    indices of those that are not self-loops, and their (timestamp, sender,
+    recipient) rows as a (3, rows) int64 block with provisional ids for the
+    names."""
+    ends, lines, stamps, words = _fast_lines(chunk, cfg)
     senders, recipients = names.intern(words).reshape(2, -1)
     kept = senders != recipients
     block = np.stack([stamps[kept], senders[kept], recipients[kept]])
-    return lines, lines[kept], block
+    return ends, lines, lines[kept], block
 
 
 def _first_occurrences(columns: list[np.ndarray]) -> np.ndarray:
@@ -337,17 +385,16 @@ def parse_edge_log(
     filled = 0
     for lo, hi in _chunks(data, start):
         chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
-        ends = np.flatnonzero(chunk == 0x0A)
-        if chunk[-1] != 0x0A:  # the last line has no LF
-            ends = np.append(ends, len(chunk))
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        slow = np.ones(len(ends), dtype=bool)
-        order, block = np.empty(0, dtype=np.int64), np.empty((3, 0), dtype=np.int64)
         if vectorized:
-            lines, order, block = _fast_rows(chunk, starts, ends, cfg, names)
-            slow[lines] = False
-            rows_read += len(lines)
-            self_loops += len(lines) - len(order)
+            ends, lines, order, block = _fast_rows(chunk, cfg, names)
+        else:
+            ends, lines = _line_ends(chunk), np.empty(0, dtype=np.int64)
+            order, block = lines, np.empty((3, 0), dtype=np.int64)
+        slow = np.ones(len(ends), dtype=bool)
+        slow[lines] = False
+        rows_read += len(lines)
+        self_loops += len(lines) - len(order)
+        starts = np.concatenate(([0], ends[:-1] + 1))
 
         # every other line, in line order, through the row rules
         left = np.flatnonzero(slow)
@@ -495,14 +542,45 @@ def _unix_text(stamps: np.ndarray, out: np.ndarray) -> None:
     _put(out[:, 1:-1], words.view(np.uint8))
 
 
+def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(year, month, day) of each count of days since 1970-01-01 in the
+    proleptic Gregorian calendar: Hinnant's integer algorithm, which counts
+    400-year eras from 0000-03-01 so that a leap day ends each year."""
+    days = days + 719_468  # days since 0000-03-01
+    era = days // 146_097
+    day_of_era = days - era * 146_097
+    year_of_era = (
+        day_of_era - day_of_era // 1460 + day_of_era // 36_524 - day_of_era // 146_096
+    ) // 365
+    day_of_year = day_of_era - (
+        365 * year_of_era + year_of_era // 4 - year_of_era // 100
+    )
+    month = (5 * day_of_year + 2) // 153  # 0 is March
+    day = day_of_year - (153 * month + 2) // 5 + 1
+    month = np.where(month < 10, month + 3, month - 9)
+    year = year_of_era + era * 400 + (month <= 2)
+    return year, month, day
+
+
+# "00" .. "99" as 2-byte words
+_TWO_DIGITS = np.ascontiguousarray(
+    _DIGIT_WORDS[:100].view(np.uint8).reshape(-1, 4)[:, 2:]
+).view(np.uint16).ravel()
+_ISO_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00+00:00", dtype=np.uint8)
+
+
 def _iso_text(stamps: np.ndarray, out: np.ndarray) -> None:
-    """Write the stamps as ISO 8601 UTC text (datetime.isoformat's form)
-    into the (rows, 25) columns ``out``."""
-    text = np.datetime_as_string(stamps.astype("datetime64[s]"), unit="s")
-    # one UCS-4 code unit per ASCII character, in a field wider than 19
-    codes = text.view(np.uint32).reshape(len(stamps), -1)[:, :19]
-    _put(out[:, :19], codes.astype(np.uint8))
-    out[:, 19:] = np.frombuffer(b"+00:00", dtype=np.uint8)
+    """Write the dated stamps as ISO 8601 UTC text (datetime.isoformat's
+    form) into the (rows, 25) columns ``out``: the year as a 4-digit word,
+    then each other field from a table of 2-digit words."""
+    days, seconds = np.divmod(stamps, 86_400)
+    year, month, day = _civil_from_days(days)
+    hour, seconds = np.divmod(seconds, 3600)
+    minute, second = np.divmod(seconds, 60)
+    out[:] = _ISO_TEMPLATE
+    _put(out[:, :4], _DIGIT_WORDS[year].view(np.uint8).reshape(-1, 4))
+    for at, value in ((5, month), (8, day), (11, hour), (14, minute), (17, second)):
+        _put(out[:, at : at + 2], _TWO_DIGITS[value].view(np.uint8).reshape(-1, 2))
 
 
 def write_edge_log(
@@ -547,4 +625,19 @@ def write_edge_log(
             _put(block[:, spans[column]], names.take(positions[rows], axis=0))
         text(stamps[rows], block[:, spans["timestamp"]])
         # row-major, so the kept bytes come out as the lines in order
+        sink.write(block[block != _BLANK])
+
+
+def write_edge_list(edges: np.ndarray, sink: BinaryIO) -> None:
+    """Write an (m, 2) int64 array of node-id pairs as "u v" lines, the edge
+    list the robustness verb reads, _WRITE_ROWS rows at a time."""
+    width = _unix_width(edges)
+    lines = np.empty((min(len(edges), _WRITE_ROWS), 2 * width + 2), dtype=np.uint8)
+    lines[:, width] = ord(" ")
+    lines[:, -1] = ord("\n")
+    for lo in range(0, len(edges), _WRITE_ROWS):
+        block = lines[: min(len(edges) - lo, _WRITE_ROWS)]
+        pairs = edges[lo : lo + len(block)]
+        _unix_text(pairs[:, 0], block[:, :width])
+        _unix_text(pairs[:, 1], block[:, width + 1 : -1])
         sink.write(block[block != _BLANK])

@@ -5,8 +5,11 @@ int64 degree vector (one ``bincount``) and fits the heavy tail two ways:
 ordinary least squares on the log-log relationship (mirroring straight-line
 inspection of log-log plots) and a discrete maximum-likelihood estimator with
 a Kolmogorov-Smirnov distance. The KS sweep over lower cutoffs sorts each
-sample once and reads every cutoff's tail from that sort; ``fit_mle`` is its
-one-cutoff case (Clauset, Shalizi & Newman 2009, SIAM Rev. 51:661, sec. 3.3).
+sample once and reads every cutoff's tail count from that sort; ``fit_mle``
+is its one-cutoff case (Clauset, Shalizi & Newman 2009, SIAM Rev. 51:661,
+sec. 3.3). Only the exponents loop over cutoffs, one tail sum each; the KS
+distances of all cutoffs come from one masked (cutoffs x distinct values)
+array, built a block of rows at a time under a fixed cell budget.
 
 Zero-degree nodes are excluded from distributions (log 0 is undefined) but
 reported as a count.
@@ -171,7 +174,8 @@ def fit_mle(degrees: ArrayLike, xmin: int = 1) -> PowerLawFit:
     """
     if xmin < 1:
         raise ValueError("xmin must be >= 1")
-    return _mle_fits(degrees, [xmin])[0]
+    _, (gamma,), (ks,), (n_tail,) = _mle_fits(degrees, [xmin])
+    return PowerLawFit(gamma, xmin, "mle", None, ks, n_tail)
 
 
 def fit_mle_sweep(degrees: ArrayLike) -> PowerLawFit:
@@ -181,18 +185,32 @@ def fit_mle_sweep(degrees: ArrayLike) -> PowerLawFit:
     tail holds fewer than 10 samples are skipped. Ties in KS go to the
     smaller cutoff.
     """
-    fits = _mle_fits(degrees, None)
-    if not fits:
+    xmins, gammas, ks, n_tail = _mle_fits(degrees, None)
+    if not xmins:
         raise InsufficientSupportError(
             "no candidate cutoff keeps at least 10 tail samples"
         )
-    return min(fits, key=lambda fit: fit.ks_statistic)
+    best = ks.index(min(ks))  # the first minimum, so the smallest such cutoff
+    return PowerLawFit(gammas[best], xmins[best], "mle", None, ks[best], n_tail[best])
 
 
-def _mle_fits(degrees: ArrayLike, xmins: list[int] | None) -> list[PowerLawFit]:
-    """MLE fits at each of ``xmins``, or at every distinct positive value
-    with at least 10 samples at or above it. One sort gives the distinct
-    values and the count at or above each, which every cutoff's KS reads."""
+_KS_CELLS = 1 << 17  # cells of the (cutoffs x distinct values) KS array at a time
+
+
+def _mle_fits(
+    degrees: ArrayLike, xmins: list[int] | None
+) -> tuple[list, list[float], list[float], list[int]]:
+    """Cutoffs, exponents, KS distances and tail counts of the MLE fits at
+    each of ``xmins``, or at every distinct positive value with at least 10
+    samples at or above it.
+
+    One sort gives the distinct values and the count at or above each, so
+    every cutoff's tail count and KS read that sort. Each gamma sums its
+    tail's logs in sample order, so it does not depend on the sort. The KS of
+    all cutoffs is one (cutoffs x distinct values) array in which each row
+    reads the values at or above its cutoff, built in blocks of rows of at
+    most _KS_CELLS cells.
+    """
     x = np.asarray(degrees, dtype=np.int64)
     ordered = np.sort(x, axis=None)
     first = np.ones(ordered.size, dtype=bool)
@@ -201,18 +219,52 @@ def _mle_fits(degrees: ArrayLike, xmins: list[int] | None) -> list[PowerLawFit]:
     above = x.size - np.flatnonzero(first)  # samples at or above each value
     if xmins is None:
         xmins = distinct[(distinct >= 1) & (above >= 10)].tolist()
-    fits = []
-    for xmin in xmins:
-        # summed in sample order, so gamma does not depend on the sort
-        tail = x[x >= xmin]
-        if tail.size < 10:
+    at = np.searchsorted(distinct, xmins)  # each cutoff's first distinct value
+    n_tail = np.append(above, 0)[at].tolist()
+    for xmin, count in zip(xmins, n_tail):
+        if count < 10:
             raise InsufficientSupportError(
-                f"need >= 10 samples at k >= {xmin}, have {tail.size}"
+                f"need >= 10 samples at k >= {xmin}, have {count}"
             )
-        shift = xmin - 0.5
-        gamma = 1.0 + tail.size / float(np.log(tail / shift).sum())
-        i = int(np.searchsorted(distinct, xmin))
-        model = ((distinct[i:] - 0.5) / shift) ** (1.0 - gamma)
-        ks = float(np.abs(above[i:] / tail.size - model).max())
-        fits.append(PowerLawFit(gamma, xmin, "mle", None, ks, int(tail.size)))
-    return fits
+    shifts = np.subtract(xmins, 0.5)
+    sample = x.astype(np.float64)
+    gammas = []
+    for xmin, shift, count in zip(xmins, shifts.tolist(), n_tail):
+        tail = sample[x >= xmin]
+        np.divide(tail, shift, out=tail)
+        gammas.append(1.0 + count / float(np.log(tail, out=tail).sum()))
+
+    ks = _ks_distances(distinct, above, at, shifts, gammas, n_tail)
+    return xmins, gammas, ks, n_tail
+
+
+def _ks_distances(
+    distinct: np.ndarray,
+    above: np.ndarray,
+    at: np.ndarray,
+    shifts: np.ndarray,
+    gammas: list[float],
+    n_tail: list[int],
+) -> list[float]:
+    """The KS distance of each fit: row i of a (cutoffs x distinct values)
+    array compares the model tail with the empirical one at every distinct
+    value from ``at[i]`` on. Rows are taken in blocks of at most _KS_CELLS
+    cells (or one row, if wider), so a sample with many distinct values
+    never holds the square."""
+    ks = np.empty(len(at))
+    scaled = distinct - 0.5
+    rows = max(_KS_CELLS // max(len(distinct), 1), 1)
+    for lo in range(0, len(at), rows):
+        part = slice(lo, lo + rows)
+        left = int(at[part].min())
+        reads = np.arange(left, len(distinct)) >= at[part, None]
+        model = scaled[left:] / shifts[part, None]
+        exponent = 1.0 - np.array(gammas[part])
+        np.power(model, exponent[:, None], out=model, where=reads)
+        # numpy raises an array to the scalar -1.0 with np.reciprocal, which
+        # can differ from pow in the last bit: keep the scalar's result
+        for row in np.flatnonzero(exponent == -1.0):
+            model[row] = (scaled[left:] / shifts[lo + row]) ** -1.0
+        model -= above[left:] / np.array(n_tail[part])[:, None]
+        ks[part] = np.abs(model, out=model).max(axis=1, where=reads, initial=0.0)
+    return ks.tolist()

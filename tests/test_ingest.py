@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -439,6 +440,97 @@ def test_parse_holds_the_rows_about_once():
         assert column.dtype == np.int64 and not column.flags.writeable
 
 
+# --- the word reads of the scanner at their boundaries ----------------------
+
+_NAME_BYTES = "abcxyz019_~!@#$%^&*()[]{}<>?/|.:"  # printable, no delimiter
+boundary_names = st.builds(
+    lambda n, fill: (fill * n)[:n],
+    st.one_of(
+        st.integers(1, 65), st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    ),
+    st.text(alphabet=_NAME_BYTES, min_size=1, max_size=70),
+)
+stamp_widths = st.one_of(
+    st.integers(1, 19), st.sampled_from([7, 8, 9, 15, 16, 17, 18, 19])
+)
+boundary_stamps = st.one_of(
+    # digits, or digits with one byte that is not a digit anywhere among them
+    st.builds(
+        lambda sign, n, digits, junk, at: sign
+        + (digits * 19)[:n][: at % n]
+        + junk
+        + (digits * 19)[:n][at % n + len(junk) :],
+        st.sampled_from(["", "", "+", "-"]),
+        stamp_widths,
+        st.text(alphabet="0123456789", min_size=1, max_size=19),
+        st.sampled_from(["", "", "", ":", "/", "+", "-", "a"]),
+        st.integers(0, 18),
+    ),
+    # dated values behind leading zeros, up to 19 digits
+    st.builds(
+        lambda v, n: "-" * (v < 0) + str(abs(v)).zfill(n),
+        st.integers(_DATED.start, _DATED.stop - 1),
+        stamp_widths,
+    ),
+    st.sampled_from(
+        [
+            str(_DATED.start), str(_DATED.start - 1), str(_DATED.stop - 1),
+            str(_DATED.stop), "+" + str(_DATED.stop - 1), "", "+", "-",
+            "9" * 18, "-" + "9" * 18, "1" + "0" * 18,
+        ]
+    ),
+)
+
+
+def _plainly_well_formed(line: bytes, cfg: LogFormatConfig) -> bool:
+    """The rule a line must meet to take the vectorized path."""
+    fields = line.removesuffix(b"\r").split(cfg.delimiter.encode())
+    if len(fields) != 3 or not all(re.fullmatch(rb"[\x21-\x7e]*", f) for f in fields):
+        return False
+    named = dict(zip(cfg.columns, fields))
+    stamp = named["timestamp"]
+    return (
+        all(1 <= len(named[c]) <= ingest._FAST_NAME_BYTES for c in ("sender", "recipient"))
+        and re.fullmatch(rb"[+-]?[0-9]{1,18}", stamp) is not None
+        and int(stamp) in _DATED
+    )
+
+
+@st.composite
+def boundary_logs(draw):
+    """Lines whose fields end on either side of every 8-byte word boundary,
+    in any column order, with a delimiter that can be a sign."""
+    cfg = LogFormatConfig(
+        columns=tuple(draw(st.permutations(list(ingest._COLUMNS)))),
+        delimiter=draw(st.sampled_from([",", "\t", "+", "-"])),
+    )
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        fields = {
+            "sender": draw(boundary_names),
+            "recipient": draw(boundary_names),
+            "timestamp": draw(boundary_stamps),
+        }
+        line = cfg.delimiter.join(fields[c] for c in cfg.columns).encode()
+        lines.append(line + draw(st.sampled_from([b"", b"", b"\r"])))
+    # the last line may end without an LF, and so end the last chunk
+    data = b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+    return cfg, data, lines
+
+
+@settings(max_examples=300)
+@given(boundary_logs(), st.sampled_from([1, 16, 100, None]))
+def test_scanner_matches_reference_at_word_boundaries(log, chunk):
+    cfg, data, lines = log
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(ingest, "_CHUNK_BYTES", chunk)
+        got = _outcome(parse_edge_log, data, cfg, malformed_threshold=1.0)
+    assert got == _outcome(ref_ingest.parse_edge_log, data, cfg, malformed_threshold=1.0)
+    slow = sum(not _plainly_well_formed(line, cfg) for line in lines)
+    assert got[1].fallback_lines == slow
+
+
 # --- the vectorized writer against the frozen per-row writer ---------------
 
 # gapped, negative and beyond-2**40 ids, so names are ids of any width
@@ -515,6 +607,21 @@ def test_writer_matches_reference_on_the_empty_stream(fmt, header):
     got = _written(write_edge_log, empty, cfg)
     assert got == _written(ref_write.write_edge_log, empty, cfg)
     assert got == (b"sender,recipient,timestamp\n" if header else b"")
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(node_ids, node_ids), max_size=40),
+    st.sampled_from([1, 3, None]),
+)
+def test_edge_list_writer_matches_formatted_lines(pairs, chunk):
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    sink = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(ingest, "_WRITE_ROWS", chunk)
+        ingest.write_edge_list(edges, sink)
+    assert sink.getvalue() == "".join(f"{u} {v}\n" for u, v in pairs).encode()
 
 
 def test_writer_rejects_an_undated_iso_stamp_before_writing():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from commnet import (
     fit_mle_sweep,
     fit_ols,
     histogram,
+    powerlaw,
 )
 from commnet.errors import EmptyHistogramError, InsufficientSupportError
+
+from . import ref_powerlaw
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +306,74 @@ def test_fit_mle_matches_oracle_between_observed_values():
     assert_matches_oracle(fit_mle(sample, xmin=3), expected)
     with pytest.raises(InsufficientSupportError, match="have 0"):
         fit_mle(sample, xmin=6)
+
+
+# ---------------------------------------------------------------------------
+# the blocked KS sweep against the frozen per-cutoff loop: equal fits, bit
+# for bit
+# ---------------------------------------------------------------------------
+
+degree_samples = st.one_of(
+    st.lists(st.integers(0, 12), max_size=200),
+    st.lists(st.integers(-3, 10**6), max_size=200),
+    st.lists(
+        st.one_of(st.integers(0, 4), st.integers(1, 3000)), min_size=10, max_size=300
+    ),
+)
+
+
+def _fit_or_reason(fit, *args):
+    try:
+        return fit(*args)
+    except InsufficientSupportError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(degree_samples, st.integers(1, 40), st.sampled_from([1, 7, 500, None]))
+def test_fits_equal_the_per_cutoff_loop(sample, xmin, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:  # down to one cutoff a block
+            mp.setattr(powerlaw, "_KS_CELLS", cells)
+        sweep = _fit_or_reason(fit_mle_sweep, sample)
+        single = _fit_or_reason(fit_mle, sample, xmin)
+    assert sweep == _fit_or_reason(ref_powerlaw.fit_mle_sweep, sample)
+    assert single == _fit_or_reason(ref_powerlaw.fit_mle, sample, xmin)
+
+
+def test_ks_keeps_the_scalar_power_at_gamma_two():
+    # gamma == 2 makes the model exponent -1.0, which numpy takes as
+    # np.reciprocal for a Python float; pow can differ in the last bit. Each
+    # row reads one value, whose model 1 / base lies in [0.5, 1), so the KS
+    # 1 - 1 / base keeps every bit of it
+    shifts = np.random.default_rng(0).uniform(499.75, 999.5, 2000)
+    distinct, above = np.array([1, 1000]), np.array([30, 10])
+    rows = len(shifts)
+    got = powerlaw._ks_distances(
+        distinct, above, np.ones(rows, dtype=np.int64), shifts, [2.0] * rows, [10] * rows
+    )
+    want = [
+        float(np.abs(above[1:] / 10 - ((distinct[1:] - 0.5) / s) ** (1.0 - 2.0)).max())
+        for s in shifts.tolist()
+    ]
+    assert got == want
+
+
+def test_ks_blocks_stay_within_their_cell_budget():
+    # 20,000 distinct values and 19,991 cutoffs: the whole (cutoffs x
+    # distinct values) array would take 3.2 GB; blocks of 2**17 cells keep
+    # the traced peak of the sweep under 8 MB
+    sample = np.arange(1, 20_001)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fit = fit_mle_sweep(sample)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert fit.n_tail >= 10
+    assert peak <= 8_000_000
