@@ -40,6 +40,7 @@ from .errors import (
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
 from .ingest import (
     LogFormatConfig,
+    read_edge_list,
     validate_malformed_threshold,
     write_edge_list,
     write_edge_log,
@@ -62,8 +63,6 @@ EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_INSUFFICIENT = 4
-
-_INT64 = range(-(2**63), 2**63)  # node ids are int64
 
 # conventional window for the Enron email corpus; its daily top-10 out-degree
 # ranking is the default
@@ -316,39 +315,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_edge_list(path: str) -> UndirectedGraph:
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the text before the bad byte decodes; its line breaks number the line
-        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise IngestError(
-            f"line {line_no}: byte {data[exc.start]:#04x} is not UTF-8 text"
-        ) from None
-    edges = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            # ids are ASCII [+-]?[0-9]+, the log parser's integer rule; int()
-            # alone also takes "1_000" and non-ASCII digits
-            if not line.isascii() or "_" in line:
-                raise ValueError
-            u, v = map(int, line.split())
-        except ValueError:
-            raise IngestError(
-                f"line {line_no}: expected two integer ids 'u v', got {line!r}"
-            ) from None
-        if u == v:
-            raise IngestError(f"line {line_no}: self-edge on node {u}")
-        if u not in _INT64 or v not in _INT64:
-            raise IngestError(f"line {line_no}: node id outside the int64 range")
-        edges.append((u, v))
-    return UndirectedGraph(edges)
-
-
 def _cmd_robustness(args: argparse.Namespace) -> int:
     # every setting is checked before the input is read; a strategy named
     # twice runs once, and an empty entry is skipped
@@ -365,7 +331,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     # curve files, so no old curve survives beside a new run of the other
     with staged(out_dir, ROBUSTNESS_FILES) as stage:
         if args.edges:
-            graph = _read_edge_list(args.edges)
+            with open(args.edges, "rb") as fh:
+                graph = UndirectedGraph(read_edge_list(fh))
         else:
             stream, _ = read_log(args.input, fmt, malformed_threshold=args.malformed_threshold)
             if not len(stream):

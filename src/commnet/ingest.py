@@ -27,7 +27,8 @@ iso8601 stamps from each stamp's integer calendar date and time of day (the
 year from the same table, every other field from a table of 2-byte words),
 and the delimiters and LF. Every field is padded with _BLANK, a byte no
 UTF-8 text holds, so the matrix less its _BLANK bytes, read row-major, is
-the chunk's lines. write_edge_list writes "u v" edge lists the same way.
+the chunk's lines. write_edge_list writes "u v" edge lists the same way,
+and read_edge_list reads them back a line at a time.
 """
 from __future__ import annotations
 
@@ -100,6 +101,7 @@ _BLANK = 0xFF  # a byte no UTF-8 text holds: the writer's padding
 _FAST_NAME_BYTES = 64  # longer names are left to the per-line rules
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd; mixes the 8-byte words of a name
 _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
+_INT64 = range(-(2**63), 2**63)  # node ids are int64
 _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _SECOND = dt.timedelta(seconds=1)
 # unix seconds that have a calendar date (0001-01-01 .. 9999-12-31 UTC)
@@ -641,3 +643,41 @@ def write_edge_list(edges: np.ndarray, sink: BinaryIO) -> None:
         _unix_text(pairs[:, 0], block[:, :width])
         _unix_text(pairs[:, 1], block[:, width + 1 : -1])
         sink.write(block[block != _BLANK])
+
+
+def read_edge_list(source: BinaryIO) -> np.ndarray:
+    """The (m, 2) int64 node-id pairs of a "u v" edge list, one pair per
+    line, as write_edge_list writes it. Blank lines and "#" comments are
+    skipped, and one UTF-8 byte-order mark at the start is ignored, as in a
+    log. A line that is not two ids, a self-edge, an id outside the int64
+    range or a byte that is not UTF-8 raises IngestError naming its line."""
+    data = source.read().removeprefix(_BOM)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; its line breaks number the line
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise IngestError(
+            f"line {line_no}: byte {data[exc.start]:#04x} is not UTF-8 text"
+        ) from None
+    edges = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            # ids are ASCII [+-]?[0-9]+, the log parser's integer rule; int()
+            # alone also takes "1_000" and non-ASCII digits
+            if not line.isascii() or "_" in line:
+                raise ValueError
+            u, v = map(int, line.split())
+        except ValueError:
+            raise IngestError(
+                f"line {line_no}: expected two integer ids 'u v', got {line!r}"
+            ) from None
+        if u == v:
+            raise IngestError(f"line {line_no}: self-edge on node {u}")
+        if u not in _INT64 or v not in _INT64:
+            raise IngestError(f"line {line_no}: node id outside the int64 range")
+        edges.append((u, v))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)

@@ -80,15 +80,20 @@ RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
 ROBUSTNESS_KINDS = ("random", "targeted")
 ROBUSTNESS_FILES = tuple(f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS)
 DEFAULT_STEPS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)  # removal fractions of a curve
+_DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
+# the temporal files every run writes, an empty window's with the header alone
+_TEMPORAL_HEADERS = {
+    "correlation_series.dat": ("day_a", "day_b", "r"),
+    "degree_distribution_aggregate.dat": _DIST_HEADER,
+    "overlap_vs_k.dat": ("k", "mean_overlap"),
+    "top_frequency.dat": ("node", "days_in_top_k"),
+    "per_day_fits.dat": ("day", "gamma_ols", "r_squared", "gamma_mle", "ks", "xmin", "n_tail"),
+}
 # every name a run writes in its output directory; a rerun replaces them all
 OWNED_NAMES = (
     "report.json",
     RUN_INFO_FILENAME,
-    "correlation_series.dat",
-    "degree_distribution_aggregate.dat",
-    "overlap_vs_k.dat",
-    "top_frequency.dat",
-    "per_day_fits.dat",
+    *_TEMPORAL_HEADERS,
     *ROBUSTNESS_FILES,
     "day_distributions",
     "hub_series",
@@ -351,22 +356,24 @@ def _temporal_stage(
     )
     messages = window.message_counts()
     non_empty = np.flatnonzero(messages).tolist()
-
-    window_info = {
-        "start": window.date(0).isoformat() if window.length else None,
-        "days": window.length,
-        "non_empty_days": len(non_empty),
-        "tz_offset_seconds": cfg.tz_offset_seconds,
-    }
-    corpus = {
-        "nodes": len(stream.node_registry),
-        "messages": len(stream),
-        "source": source,
-    }
-    labels = (
-        {str(k): v for k, v in sorted(stream.labels.items())}
-        if stream.labels
-        else None
+    report = Report(
+        config=_config_echo(cfg),
+        window={
+            "start": window.date(0).isoformat() if window.length else None,
+            "days": window.length,
+            "non_empty_days": len(non_empty),
+            "tz_offset_seconds": cfg.tz_offset_seconds,
+        },
+        corpus={
+            "nodes": len(stream.node_registry),
+            "messages": len(stream),
+            "source": source,
+        },
+        labels=(
+            {str(k): v for k, v in sorted(stream.labels.items())}
+            if stream.labels
+            else None
+        ),
     )
 
     def emit(name: str, rows: Iterable[Sequence]) -> None:
@@ -375,7 +382,8 @@ def _temporal_stage(
     if not non_empty:
         for name in _TEMPORAL_HEADERS:
             emit(name, [])
-        return Report(_config_echo(cfg), window_info, corpus, labels)
+        return report
+    report.sections_empty = False
 
     table = centrality.degree_table(stream, window, cfg.direction)
 
@@ -383,7 +391,6 @@ def _temporal_stage(
     # OLS fits and the distribution files. A non-empty day's out- or
     # in-degrees sum to its message count and its total degrees to twice
     # that, and the aggregate sums such days, so no histogram here is empty
-    daily_fits = []
     for t in non_empty:
         degrees = table.values[t]
         hist = powerlaw.histogram(degrees)
@@ -391,7 +398,7 @@ def _temporal_stage(
             out / "day_distributions" / f"day_{t:04d}.dat",
             format_columns(_DIST_HEADER, _distribution_rows(hist)),
         )
-        daily_fits.append(
+        report.daily_fits.append(
             {
                 "day": t,
                 "date": window.date(t).isoformat(),
@@ -400,18 +407,17 @@ def _temporal_stage(
                 **_fit_dicts(degrees, hist, cfg.fit_target, cfg.fit_xmin),
             }
         )
-    emit("per_day_fits.dat", map(_fit_row, daily_fits))
+    emit("per_day_fits.dat", map(_fit_row, report.daily_fits))
 
     aggregate = table.values.sum(axis=0)
     agg_hist = powerlaw.histogram(aggregate)
-    aggregate_fit = _fit_dicts(aggregate, agg_hist, cfg.fit_target, cfg.fit_xmin)
+    report.aggregate_fit = _fit_dicts(aggregate, agg_hist, cfg.fit_target, cfg.fit_xmin)
     emit("degree_distribution_aggregate.dat", _distribution_rows(agg_hist))
 
-    correlation = None
     if window.length >= 2:
         series = dynamics.consecutive_day_correlation(table)
         defined = series.defined_values
-        correlation = {
+        report.correlation = {
             "policy": series.policy,
             "direction": cfg.direction,
             "pairs": [asdict(p) for p in series.pairs],
@@ -419,39 +425,39 @@ def _temporal_stage(
         }
     emit(
         "correlation_series.dat",
-        _pick(correlation["pairs"] if correlation else [], ("day_a", "day_b", "r")),
+        _pick(
+            report.correlation["pairs"] if report.correlation else [],
+            ("day_a", "day_b", "r"),
+        ),
     )
 
     overlap = dynamics.overlap_vs_k(table, cfg.k_values)
-    overlap_rows = [{"k": k, "mean_overlap": v} for k, v in overlap.items()]
+    report.overlap_vs_k = [{"k": k, "mean_overlap": v} for k, v in overlap.items()]
     emit("overlap_vs_k.dat", overlap.items())
 
-    consistency_result, freq_table = dynamics.daily_vs_aggregate_consistency(
-        table, cfg.k
-    )
-    consistency = {
-        **asdict(consistency_result),
-        "percentage": consistency_result.percentage,
+    consistency, freq_table = dynamics.daily_vs_aggregate_consistency(table, cfg.k)
+    report.consistency = {
+        **asdict(consistency),
+        "percentage": consistency.percentage,
     }
-    top_frequency = [{"node": node, "days": days} for node, days in freq_table.items()]
+    report.top_frequency = [{"node": node, "days": days} for node, days in freq_table.items()]
     emit("top_frequency.dat", freq_table.items())
 
     top = centrality.top_k(table.nodes, aggregate, cfg.k)
-    concentration = {
+    report.concentration = {
         "k": cfg.k,
         "direction": cfg.direction,
         "share": centrality.degree_share(table.nodes, aggregate, top),
         "top": [{"node": node, "degree": deg} for node, deg in top.entries],
     }
 
-    stability = []
     for node, _ in top.entries:
         ns = dynamics.node_series(table, node)
         _write(
             out / "hub_series" / f"node_{node}.dat",
             format_columns(("day", "degree"), enumerate(ns.values)),
         )
-        stability.append(
+        report.stability.append(
             {
                 "node": node,
                 "mean": ns.mean,
@@ -459,22 +465,7 @@ def _temporal_stage(
                 "class": dynamics.classify_stability(ns, cfg.cv_threshold).value,
             }
         )
-
-    return Report(
-        config=_config_echo(cfg),
-        window=window_info,
-        corpus=corpus,
-        labels=labels,
-        daily_fits=daily_fits,
-        aggregate_fit=aggregate_fit,
-        correlation=correlation,
-        overlap_vs_k=overlap_rows,
-        consistency=consistency,
-        top_frequency=top_frequency,
-        concentration=concentration,
-        stability=stability,
-        sections_empty=False,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +493,6 @@ def format_columns(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
-
-
-_DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
-# the temporal files every run writes, an empty window's with the header alone
-_TEMPORAL_HEADERS = {
-    "correlation_series.dat": ("day_a", "day_b", "r"),
-    "degree_distribution_aggregate.dat": _DIST_HEADER,
-    "overlap_vs_k.dat": ("k", "mean_overlap"),
-    "top_frequency.dat": ("node", "days_in_top_k"),
-    "per_day_fits.dat": ("day", "gamma_ols", "r_squared", "gamma_mle", "ks", "xmin", "n_tail"),
-}
 
 
 _CURVE_HEADER = ("fraction_removed", "giant_component_fraction", "average_path_length")

@@ -10,18 +10,18 @@ after every removal by default, which is the stronger variant.
 strategy of a run over one graph, and a step that removes no node measures
 the intact graph, once for all the curves, since no strategy changes it. It
 reads the graph's own representation, the symmetric CSR adjacency built once
-with the graph, and removes nodes by clearing an alive mask; adaptive
-targeting decrements the degrees of the removed node's neighbours, read off
-its CSR row. A run reads its edge list, one (u < v) pair of positions per
-edge, off the CSR once for all its curves. Each point keeps the pairs whose
-ends both survive and labels components over the original positions by
-hooking plus pointer jumping (Shiloach & Vishkin 1982, J. Algorithms 3:57),
-a few vectorized numpy rounds per point; a removed node labels only itself.
-scipy's
-connected_components would do the same, but importing scipy.sparse.csgraph
-costs every process about 0.45 s, more than a whole growth-model curve at
-3,000 nodes. Only the giant component is induced as a CSR of its own, for
-the path-length BFS.
+with the graph. Each strategy is an order of removal computed up front, as
+far as the last step reaches, and each step clears the next run of that
+order in an alive mask; adaptive targeting decrements the degrees of each
+removed node's neighbours, read off its CSR row. A run reads its edge list,
+one (u < v) pair of positions per edge, off the CSR once for all its curves.
+Each point keeps the pairs whose ends both survive and labels components
+over the original positions by hooking plus pointer jumping (Shiloach &
+Vishkin 1982, J. Algorithms 3:57), a few vectorized numpy rounds per point;
+a removed node labels only itself. scipy's connected_components would do the
+same, but importing scipy.sparse.csgraph costs every process about 0.45 s,
+more than a whole growth-model curve at 3,000 nodes. Only the giant
+component is induced as a CSR of its own, for the path-length BFS.
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
@@ -260,6 +260,26 @@ def _mean_distance(graph: Adjacency) -> float:
     return total / (len(sources) * (size - 1))
 
 
+def _removal_order(strategy: RemovalStrategy, adj: Adjacency, count: int) -> np.ndarray:
+    """The positions ``strategy`` removes from the graph of ``adj``, in
+    removal order: all of them, or the adaptive attack's first ``count``."""
+    n = len(adj.indptr) - 1
+    if strategy.kind == "random":
+        return np.random.default_rng(strategy.seed).permutation(n)
+    degrees = np.diff(adj.indptr)
+    if not strategy.adaptive:
+        return np.argsort(-degrees, kind="stable")
+    order = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        # argmax returns the first maximum, i.e. the smallest node id; a
+        # removed node's degree stays negative, below every live one
+        u = int(np.argmax(degrees))
+        degrees[adj.indices[adj.indptr[u] : adj.indptr[u + 1]]] -= 1
+        degrees[u] = -1
+        order[i] = u
+    return order
+
+
 def validate_steps(steps: Sequence[float]) -> None:
     """Raise ValueError unless the removal fractions are non-empty, strictly
     increasing and in [0, 1)."""
@@ -315,42 +335,19 @@ def robustness_curves(
             apl = _mean_distance(_induced(adj, giant))
         return size / n, apl
 
+    # a step's count is the largest t with t / n <= step; t / n ascends with t
+    counts = np.searchsorted(np.arange(n + 1) / n, steps, side="right") - 1
     intact: tuple[float, float | None] | None = None
     curves = []
     for strategy in strategies:
-        degrees = np.diff(adj.indptr)
+        order = _removal_order(strategy, adj, int(counts[-1]))
         alive = np.ones(n, dtype=bool)
-        order: np.ndarray | None
-        if strategy.kind == "random":
-            order = np.random.default_rng(strategy.seed).permutation(n)
-        elif not strategy.adaptive:
-            order = np.argsort(-degrees, kind="stable")
-        else:
-            order = None  # picked per removal from current degrees
-
         removed = 0
         points: list[RobustnessPoint] = []
-        for fraction in steps:
-            # fraction * n can round a whole count down (0.29 * 100 is
-            # 28.999...), so one step either way reaches the largest fitting t
-            target = int(fraction * n)
-            if (target + 1) / n <= fraction:
-                target += 1
-            elif target / n > fraction:
-                target -= 1
-            if order is not None:
-                alive[order[removed:target]] = False
-            else:
-                for _ in range(removed, target):
-                    # argmax returns the first maximum, i.e. the smallest node
-                    # id; a removed node's degree stays negative, below every
-                    # live one
-                    u = int(np.argmax(degrees))
-                    degrees[adj.indices[adj.indptr[u] : adj.indptr[u + 1]]] -= 1
-                    degrees[u] = -1
-                    alive[u] = False
-            removed = target
-            if target:
+        for fraction, count in zip(steps, counts.tolist()):
+            alive[order[removed:count]] = False
+            removed = count
+            if count:
                 measured = measure(alive)
             else:
                 # no strategy changes the intact graph: measure it once

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import commnet
-from commnet import cli, robustness, temporal
+from commnet import cli, pipeline, robustness, temporal
 from commnet.cli import main
 from commnet.ingest import LogFormatConfig, parse_edge_log
 
@@ -302,7 +302,7 @@ def test_robustness_output_dir_naming_a_file_fails_before_reading(
         raise AssertionError("the input was read")
 
     monkeypatch.setattr(cli, "read_log", never)
-    monkeypatch.setattr(cli, "_read_edge_list", never)
+    monkeypatch.setattr(cli, "read_edge_list", never)
     target = tmp_path / "taken"
     target.write_bytes(b"0 1\n")
     assert main(["robustness", source, str(target), "--output-dir", str(target)]) == 3
@@ -356,6 +356,26 @@ def test_strategies_skip_empty_entries(tmp_path, capsys):
         assert (tmp_path / run / "robustness_random.dat").read_bytes() == expected
 
 
+@pytest.mark.parametrize(
+    "marked",
+    [
+        b"\xef\xbb\xbf# ids\r\n0\t1\r\n\r\n1 2\r\n2\t0\r\n2 3\r\n",
+        b"\xef\xbb\xbf0 1\r\n# ids\r\n1\t2\r\n2 0\r\n\t2 3 \r\n",
+    ],
+    ids=["bom-before-comment", "bom-before-pair"],
+)
+def test_edge_list_with_bom_crlf_comments_and_tabs_reads_as_clean(tmp_path, marked):
+    # one byte-order mark at the start is skipped, as in a log
+    (tmp_path / "clean.edges").write_bytes(b"0 1\n1 2\n2 0\n2 3\n")
+    (tmp_path / "marked.edges").write_bytes(marked)
+    for name in ("clean", "marked"):
+        argv = ["robustness", "--edges", str(tmp_path / f"{name}.edges"), "--steps", "0.0,0.5"]
+        assert main([*argv, "--output-dir", str(tmp_path / name)]) == 0
+    for curve in pipeline.ROBUSTNESS_FILES:
+        clean = (tmp_path / "clean" / curve).read_bytes()
+        assert (tmp_path / "marked" / curve).read_bytes() == clean
+
+
 @pytest.mark.parametrize("strategies", ["", ",", " , "])
 def test_no_strategy_left_is_config_error_before_reading(
     tmp_path, monkeypatch, capsys, strategies
@@ -363,7 +383,7 @@ def test_no_strategy_left_is_config_error_before_reading(
     def never(*args, **kwargs):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(cli, "_read_edge_list", never)
+    monkeypatch.setattr(cli, "read_edge_list", never)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "robustness_random.dat").write_text("old\n")

@@ -621,7 +621,13 @@ def test_edge_list_writer_matches_formatted_lines(pairs, chunk):
         if chunk is not None:
             mp.setattr(ingest, "_WRITE_ROWS", chunk)
         ingest.write_edge_list(edges, sink)
+        # and the reader gives back the pairs, less the self-pairs it refuses
+        kept = edges[edges[:, 0] != edges[:, 1]]
+        written = io.BytesIO()
+        ingest.write_edge_list(kept, written)
     assert sink.getvalue() == "".join(f"{u} {v}\n" for u, v in pairs).encode()
+    read = ingest.read_edge_list(io.BytesIO(written.getvalue()))
+    assert read.dtype == np.int64 and read.tolist() == kept.tolist()
 
 
 def test_writer_rejects_an_undated_iso_stamp_before_writing():

@@ -1,10 +1,11 @@
 import hashlib
+import math
 from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commnet as cn
@@ -594,13 +595,38 @@ def test_equal_size_components_tie_to_smallest_id(size, pieces, seed):
         assert len(giant) == size and giant.min() == g.nodes[0]
 
 
-def test_removal_count_is_the_largest_fitting_share():
+@st.composite
+def sizes_and_steps(draw) -> tuple[int, list[float]]:
+    """A node count and strictly increasing removal fractions, many of them
+    at or just below a whole count's share t / n, or decimal like 0.29."""
+    n = draw(st.integers(1, 60))
+    shares = [
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 99).map(lambda p: p / 100),
+        st.integers(0, n - 1).map(lambda t: t / n),
+    ]
+    if n > 1:
+        shares.append(st.integers(1, n - 1).map(lambda t: math.nextafter(t / n, 0.0)))
+    steps = draw(st.lists(st.one_of(*shares), min_size=1, max_size=8))
+    return n, sorted(set(steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes_and_steps())
+@example((100, [0.29]))
+def test_removal_count_is_the_largest_fitting_share(case):
     # 0.29 * 100 is 28.999...: the count is the largest t with t / n <= 0.29
-    complete = UndirectedGraph([(u, v) for u in range(100) for v in range(u + 1, 100)])
+    n, steps = case
+    complete = UndirectedGraph(
+        [(u, v) for u in range(n) for v in range(u + 1, n)], nodes=range(n)
+    )
     curve = robustness_curves(
-        complete, [RemovalStrategy("random")], [0.29], compute_path_length=False
+        complete, [RemovalStrategy("random")], steps, compute_path_length=False
     )[0]
-    assert curve.points[0].giant_component_fraction == 71 / 100
+    # on a complete graph the giant is every survivor: (n - t) / n
+    assert [p.giant_component_fraction for p in curve.points] == [
+        (n - max(t for t in range(n + 1) if t / n <= f)) / n for f in steps
+    ]
 
 
 def test_rows_read_once_per_curve(monkeypatch):
