@@ -5,7 +5,13 @@ measures message-weighted degree prominence and its day-to-day stability
 from one days x nodes degree table, fits power-law degree distributions,
 generates synthetic reference networks, and runs failure/attack tolerance
 experiments on the undirected aggregate graph.
+
+Importing the package loads no module of it: each public name is looked up
+in its module on first use (PEP 562), so a process loads only the modules it
+runs. ``commnet.cli`` imports what every verb shares, and ``analyze`` loads
+the analysis modules (centrality, dynamics, powerlaw) itself.
 """
+import importlib
 import os
 
 # numpy's OpenBLAS starts a worker pool on import whose threads spin while
@@ -14,102 +20,41 @@ import os
 # a value the user has set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .centrality import (
-    DegreeTable,
-    RankList,
-    degree_share,
-    degree_table,
-    top_k,
-)
-from .dynamics import (
-    CorrelationSeries,
-    DegreeSeries,
-    OverlapResult,
-    PairCorrelation,
-    Stability,
-    classify_stability,
-    consecutive_day_correlation,
-    daily_vs_aggregate_consistency,
-    node_series,
-    overlap_vs_k,
-)
-from .generators import (
-    BAParams,
-    ERParams,
-    HubCorpusParams,
-    generate_ba,
-    generate_er,
-    generate_hub_corpus,
-)
-from .ingest import (
-    IngestReport,
-    LogFormatConfig,
-    parse_edge_log,
-    write_edge_log,
-)
-from .powerlaw import (
-    DegreeHistogram,
-    PowerLawFit,
-    fit_mle,
-    fit_mle_sweep,
-    fit_ols,
-    histogram,
-)
-from .robustness import (
-    RemovalStrategy,
-    RobustnessCurve,
-    RobustnessPoint,
-    robustness_curves,
-)
-from .temporal import (
-    DayWindow,
-    TemporalEdgeStream,
-    UndirectedGraph,
-    slice_days,
-    undirected_projection,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BAParams",
-    "CorrelationSeries",
-    "DayWindow",
-    "DegreeHistogram",
-    "DegreeSeries",
-    "DegreeTable",
-    "ERParams",
-    "HubCorpusParams",
-    "IngestReport",
-    "LogFormatConfig",
-    "OverlapResult",
-    "PairCorrelation",
-    "PowerLawFit",
-    "RankList",
-    "RemovalStrategy",
-    "RobustnessCurve",
-    "RobustnessPoint",
-    "Stability",
-    "TemporalEdgeStream",
-    "UndirectedGraph",
-    "classify_stability",
-    "consecutive_day_correlation",
-    "daily_vs_aggregate_consistency",
-    "degree_share",
-    "degree_table",
-    "fit_mle",
-    "fit_mle_sweep",
-    "fit_ols",
-    "generate_ba",
-    "generate_er",
-    "generate_hub_corpus",
-    "histogram",
-    "node_series",
-    "overlap_vs_k",
-    "parse_edge_log",
-    "robustness_curves",
-    "slice_days",
-    "top_k",
-    "undirected_projection",
-    "write_edge_log",
-]
+# every public name, by the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "centrality": "DegreeTable RankList degree_share degree_table top_k",
+        "dynamics": "CorrelationSeries DegreeSeries OverlapResult PairCorrelation"
+        " Stability classify_stability consecutive_day_correlation"
+        " daily_vs_aggregate_consistency node_series overlap_vs_k",
+        "generators": "BAParams ERParams HubCorpusParams generate_ba generate_er"
+        " generate_hub_corpus",
+        "ingest": "IngestReport LogFormatConfig parse_edge_log write_edge_log",
+        "powerlaw": "DegreeHistogram PowerLawFit fit_mle fit_mle_sweep fit_ols histogram",
+        "robustness": "RemovalStrategy RobustnessCurve RobustnessPoint robustness_curves",
+        "temporal": "DayWindow TemporalEdgeStream UndirectedGraph slice_days"
+        " undirected_projection",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+# the submodules that ``import commnet`` loaded when it imported every name
+_MODULES = {*_EXPORTS.values(), "errors"}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value  # later lookups skip this function
+        return value
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

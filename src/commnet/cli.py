@@ -47,6 +47,7 @@ from .ingest import (
 )
 from .pipeline import (
     DEFAULT_STEPS,
+    REPORT_FILENAME,
     ROBUSTNESS_FILES,
     PipelineConfig,
     ingest_counts,
@@ -293,7 +294,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if report.sections_empty:
         print("analysis window is empty; wrote an empty report", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    print(f"report written to {cfg.output_dir / 'report.json'}")
+    print(f"report written to {cfg.output_dir / REPORT_FILENAME}")
     return EXIT_OK
 
 

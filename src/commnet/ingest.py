@@ -9,10 +9,12 @@ first appearance; the original identifiers are kept as labels on the stream.
 
 The buffer is parsed in chunks of whole lines, about _CHUNK_BYTES each. In a
 chunk, numpy passes over the bytes take every line that is plainly well
-formed (see _fast_lines) and intern its names a chunk at a time. The passes
-read each field as unaligned little-endian 8-byte words: a name is its
-words less the bytes past its end, a timestamp at most three words, each
-turned from eight digits into an integer by multiply-shift-mask steps.
+formed (see _fast_lines) and intern its names a chunk at a time: a name met
+in an earlier chunk is found at its hash's slot in a table, and only the
+others are sorted and looked up. The passes read each field as unaligned
+little-endian 8-byte words: a name is its words less the bytes past its
+end, an integer at most three words, each turned from eight digits into a
+number by multiply-shift-mask steps (_integers).
 Every other line goes, in line order, through _parse_row, the one
 definition of the row rules and the malformed reasons. A line takes the
 fast path only where _parse_row would accept it with the same fields, so
@@ -27,8 +29,9 @@ iso8601 stamps from each stamp's integer calendar date and time of day (the
 year from the same table, every other field from a table of 2-byte words),
 and the delimiters and LF. Every field is padded with _BLANK, a byte no
 UTF-8 text holds, so the matrix less its _BLANK bytes, read row-major, is
-the chunk's lines. write_edge_list writes "u v" edge lists the same way,
-and read_edge_list reads them back a line at a time.
+the chunk's lines. write_edge_list writes "u v" edge lists the same way.
+read_edge_list reads a list in the writer's form back with the same integer
+passes, in one go, and leaves any other list, whole, to its per-line rules.
 """
 from __future__ import annotations
 
@@ -100,6 +103,8 @@ _WRITE_ROWS = 1 << 16  # a stream is written in runs of this many rows
 _BLANK = 0xFF  # a byte no UTF-8 text holds: the writer's padding
 _FAST_NAME_BYTES = 64  # longer names are left to the per-line rules
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # odd; mixes the 8-byte words of a name
+_SLOT_MULTIPLIER = np.uint64(0xFF51AFD7ED558CCD)  # odd; spreads hashes over slots
+_SLOTS_PER_NAME = 8  # intern's table of names met keeps at least this many a name
 _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_000"
 _INT64 = range(-(2**63), 2**63)  # node ids are int64
 _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
@@ -129,26 +134,61 @@ def _parse_timestamp(raw: str, fmt: str) -> int:
 
 
 class _Names(dict):
-    """UTF-8 name -> provisional id, numbered by first lookup."""
+    """UTF-8 name -> provisional id, numbered by first lookup.
+
+    Beside the dict, a table of the names intern has met: slot
+    _slot(hash) holds the index of one name in ``hashes``, ``ids`` and
+    ``words`` (its 8-byte words, one row per word), or -1. A name whose slot
+    another name holds stays out of the table, and the table keeps at least
+    _SLOTS_PER_NAME slots per name, so few do.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.slots = np.full(1 << 10, -1, dtype=np.int64)
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.words = np.empty((_FAST_NAME_BYTES // 8, 0), dtype=np.uint64)
 
     def __missing__(self, key: bytes) -> int:
         self[key] = value = len(self)
         return value
 
+    def _slot(self, key: np.ndarray) -> np.ndarray:
+        """The top bits of each hash times an odd constant: a table index."""
+        shift = 65 - len(self.slots).bit_length()
+        return (key * _SLOT_MULTIPLIER) >> np.uint64(shift)
+
     def intern(self, words: np.ndarray) -> np.ndarray:
         """Provisional ids of the names in the rows of a NUL-padded uint64 matrix.
 
-        Rows are grouped by a hash of their words, so only one row per
+        A name's hash folds its own words alone, so it does not depend on
+        the padding. A row whose slot holds a name of its words takes that
+        name's id. The other rows are grouped by hash, so only one row per
         distinct name is looked up; a hash shared by two different names
         makes an exact sort group them instead.
         """
         key = words[:, 0].copy()
         for column in words.T[1:]:
-            key = key * _HASH_MULTIPLIER + column
+            key = np.where(column, key * _HASH_MULTIPLIER + column, key)
+        ids = np.empty(len(key), dtype=np.int64)
+        entry = self.slots[self._slot(key)]
+        hit = entry >= 0
+        if len(self.hashes):  # a -1 entry reads the last name, and is no hit
+            for known, column in zip(self.words, words.T):
+                hit &= known[entry] == column
+            # names hold no NUL, so a known name with a word past the row's
+            # last is longer than every name of the chunk
+            if words.shape[1] < len(self.words):
+                hit &= self.words[words.shape[1]][entry] == 0
+            ids[hit] = self.ids[entry[hit]]
+        rest = np.flatnonzero(~hit)
+        if not len(rest):
+            return ids
+        words, key = words[rest], key[rest]
         order = np.argsort(key)
-        key = key[order]
         new = np.ones(len(key), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
+        new[1:] = key[order[1:]] != key[order[:-1]]
         rep = order[new]
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(new) - 1
@@ -157,8 +197,30 @@ class _Names(dict):
                 words, axis=0, return_index=True, return_inverse=True
             )
         names = words[rep].view(f"S{words.itemsize * words.shape[1]}").ravel()
-        ids = np.fromiter(map(self.__getitem__, names.tolist()), np.int64, len(rep))
-        return ids[inverse]
+        found = np.fromiter(map(self.__getitem__, names.tolist()), np.int64, len(rep))
+        ids[rest] = found[inverse]
+        self._remember(key[rep], found, words[rep])
+        return ids
+
+    def _remember(self, key: np.ndarray, ids: np.ndarray, words: np.ndarray) -> None:
+        """Give each of these names whose slot is free a place in the table,
+        the first of them where several share one."""
+        slot, first = np.unique(self._slot(key), return_index=True)
+        free = self.slots[slot] < 0
+        slot, first = slot[free], first[free]
+        self.slots[slot] = np.arange(len(first)) + len(self.hashes)
+        self.hashes = np.concatenate([self.hashes, key[first]])
+        self.ids = np.concatenate([self.ids, ids[first]])
+        added = np.zeros((len(self.words), len(first)), dtype=np.uint64)
+        added[: words.shape[1]] = words[first].T
+        self.words = np.concatenate([self.words, added], axis=1)
+        if len(self.slots) < _SLOTS_PER_NAME * len(self.hashes):
+            # a table twice as large as needed; a name whose new slot an
+            # earlier name takes drops out of reach
+            size = 1 << (2 * _SLOTS_PER_NAME * len(self.hashes)).bit_length()
+            self.slots = np.full(size, -1, dtype=np.int64)
+            slot, first = np.unique(self._slot(self.hashes), return_index=True)
+            self.slots[slot] = first
 
 
 def _parse_row(
@@ -230,6 +292,39 @@ _EIGHT_DIGITS = (
 )
 
 
+def _integers(
+    text: np.ndarray, words: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 values of the fields ``text[lo:hi]``, and a mask of those
+    that are [+-]?[0-9]{1,18}: every such integer fits in int64, and the
+    other fields' values mean nothing.
+
+    ``words[p + 24]`` is the unaligned little-endian 8-byte word at text
+    byte p, so the buffer under ``text`` needs 24 bytes before it. Row j of
+    the digit matrix is the word that ends 8j bytes before the field's end,
+    less '0' in every byte; the bytes before the first digit become 0, as
+    if '0'.
+    """
+    sign = text[lo]
+    digits = hi - lo - ((sign == ord("+")) | (sign == ord("-")))
+    back = 8 * np.arange(-(-min(int(digits.max(initial=1)), 18) // 8))[:, None]
+    value = words[hi + 16 - back] ^ _u64(ord("0"))
+    value &= _HIGH.take(np.clip(digits - back, 0, 8))
+    # a byte is 0..9 only if bit 7 is clear in it and in it plus 0x76; a
+    # carry between bytes needs a byte with bit 7 set, which fails anyway
+    digit = (value + _u64(0x76) | value) & _u64(0x80) == 0
+    for multiplier, shift, mask in _EIGHT_DIGITS:
+        value *= multiplier
+        value >>= shift
+        value &= mask
+    number = value[-1]
+    for row in value[-2::-1]:
+        number = number * np.uint64(10**8) + row
+    number = number.view(np.int64)
+    number[sign == ord("-")] *= -1
+    return number, (digits >= 1) & (digits <= 18) & digit.all(axis=0)
+
+
 def _fast_lines(
     chunk: np.ndarray, cfg: LogFormatConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -277,28 +372,8 @@ def _fast_lines(
         bounds[cfg.columns.index(c)] for c in _COLUMNS
     )
 
-    # the sign, if any, then 1..18 digits: every such integer fits in int64.
-    # Row j is the word that ends 8j bytes before the field's end, less '0'
-    # in every byte; the bytes before the first digit become 0, as if '0'
-    sign = text[t_lo]
-    digits = t_hi - t_lo - ((sign == ord("+")) | (sign == ord("-")))
-    back = 8 * np.arange(-(-min(int(digits.max(initial=1)), 18) // 8))[:, None]
-    value = words[t_hi + 16 - back] ^ _u64(ord("0"))
-    value &= _HIGH.take(np.clip(digits - back, 0, 8))
-    # a byte is 0..9 only if bit 7 is clear in it and in it plus 0x76; a
-    # carry between bytes needs a byte with bit 7 set, which fails anyway
-    digit = (value + _u64(0x76) | value) & _u64(0x80) == 0
-    for multiplier, shift, mask in _EIGHT_DIGITS:
-        value *= multiplier
-        value >>= shift
-        value &= mask
-    stamps = value[-1]
-    for row in value[-2::-1]:
-        stamps = stamps * np.uint64(10**8) + row
-    stamps = stamps.view(np.int64)
-    stamps[sign == ord("-")] *= -1
-    ok &= (digits >= 1) & (digits <= 18) & digit.all(axis=0)
-    ok &= (stamps >= _DATED_SECONDS.start) & (stamps < _DATED_SECONDS.stop)
+    stamps, integer = _integers(text, words, t_lo, t_hi)
+    ok &= integer & (stamps >= _DATED_SECONDS.start) & (stamps < _DATED_SECONDS.stop)
     lo = np.concatenate([s_lo, r_lo])
     length = np.concatenate([s_hi, r_hi]) - lo
     ok &= ((length >= 1) & (length <= _FAST_NAME_BYTES)).reshape(2, -1).all(axis=0)
@@ -645,13 +720,42 @@ def write_edge_list(edges: np.ndarray, sink: BinaryIO) -> None:
         sink.write(block[block != _BLANK])
 
 
+def _edge_pairs(data: bytes) -> np.ndarray | None:
+    """The pairs of an edge list in write_edge_list's own form, where every
+    line is [+-]?[0-9]{1,18}, a space, [+-]?[0-9]{1,18} and an LF, and no
+    line is a self-edge; None for any other input, an empty one included."""
+    if not data.endswith(b"\n"):
+        return None
+    padded = np.zeros(24 + len(data), dtype=np.uint8)
+    text = padded[24:]
+    text[:] = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    # the field ends: a space, an LF, a space ..., so each line holds one space
+    ends = np.flatnonzero((text == ord(" ")) | (text == ord("\n")))
+    marks = text[ends]
+    if len(ends) % 2 or (marks[::2] != ord(" ")).any() or (marks[1::2] != ord("\n")).any():
+        return None
+    ids, integer = _integers(text, words, np.concatenate(([0], ends[:-1] + 1)), ends)
+    pairs = ids.reshape(-1, 2)
+    if not integer.all() or (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return pairs
+
+
 def read_edge_list(source: BinaryIO) -> np.ndarray:
     """The (m, 2) int64 node-id pairs of a "u v" edge list, one pair per
     line, as write_edge_list writes it. Blank lines and "#" comments are
     skipped, and one UTF-8 byte-order mark at the start is ignored, as in a
     log. A line that is not two ids, a self-edge, an id outside the int64
-    range or a byte that is not UTF-8 raises IngestError naming its line."""
+    range or a byte that is not UTF-8 raises IngestError naming its line.
+
+    An input in write_edge_list's own form is read in numpy passes (see
+    _edge_pairs). Any other goes, whole, through the per-line rules below,
+    the one definition of the accepted forms and of every error."""
     data = source.read().removeprefix(_BOM)
+    pairs = _edge_pairs(data)
+    if pairs is not None:
+        return pairs
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -30,7 +30,11 @@ An empty window ends after the temporal half: its single-file results are
 header-only, and no curve runs.
 
 The CLI verbs share the steps here: ``read_log``, ``ingest_counts``,
-``robustness_stage`` and ``staged``.
+``robustness_stage`` and ``staged``. Importing this module loads none of
+the analysis modules (centrality, dynamics, powerlaw and the standard
+library's statistics): the functions that call them import them, and ``run``
+loads them all before it reads the input, so the other verbs never pay for
+them and analyze allocates them below the parse's memory peak.
 
 Every file of a run is first written to a staging directory inside the
 output directory, made before the input is read. Only when every file is
@@ -48,7 +52,6 @@ import json
 import math
 import os
 import shutil
-import statistics
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -57,7 +60,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import centrality, dynamics, powerlaw, robustness as robust
+from . import robustness as robust
 from .errors import CommnetError, ConfigError, InsufficientSupportError
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import (
@@ -76,6 +79,7 @@ from .temporal import (
 )
 
 REPORT_SCHEMA_VERSION = 1
+REPORT_FILENAME = "report.json"
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
 ROBUSTNESS_KINDS = ("random", "targeted")
 ROBUSTNESS_FILES = tuple(f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS)
@@ -89,14 +93,16 @@ _TEMPORAL_HEADERS = {
     "top_frequency.dat": ("node", "days_in_top_k"),
     "per_day_fits.dat": ("day", "gamma_ols", "r_squared", "gamma_mle", "ks", "xmin", "n_tail"),
 }
+_DAY_DISTRIBUTIONS = "day_distributions"  # one file per non-empty day
+_HUB_SERIES = "hub_series"  # one file per top-k node
 # every name a run writes in its output directory; a rerun replaces them all
 OWNED_NAMES = (
-    "report.json",
+    REPORT_FILENAME,
     RUN_INFO_FILENAME,
     *_TEMPORAL_HEADERS,
     *ROBUSTNESS_FILES,
-    "day_distributions",
-    "hub_series",
+    _DAY_DISTRIBUTIONS,
+    _HUB_SERIES,
 )
 
 
@@ -123,6 +129,8 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        from . import centrality, dynamics
+
         if (self.input_path is None) == (self.hub_params is None):
             raise ConfigError("exactly one of input_path or hub_params must be set")
         if self.direction not in centrality.VALID_DIRECTIONS:
@@ -286,6 +294,8 @@ def _fit_dicts(
 ) -> dict:
     """OLS (on the histogram) and MLE fits for one day or the aggregate;
     None where unfittable."""
+    from . import powerlaw
+
     out: dict = {"ols": None, "mle": None}
     try:
         fit = powerlaw.fit_ols(hist, target=target, xmin=xmin)
@@ -317,6 +327,11 @@ def run(cfg: PipelineConfig) -> Report:
     cannot be made (a file of that name, say) fails the run before any work.
     """
     cfg.validate()
+    # the analysis modules, loaded before the parse to lie below its memory peak
+    import statistics  # noqa: F401
+
+    from . import centrality, dynamics, powerlaw  # noqa: F401
+
     with staged(cfg.output_dir, OWNED_NAMES) as new:
         stream, source, info = _acquire_stream(cfg)
         report = _temporal_stage(cfg, stream, source, new)
@@ -326,7 +341,7 @@ def run(cfg: PipelineConfig) -> Report:
             strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in ROBUSTNESS_KINDS]
             report.robustness = robustness_stage(new, graph, strategies, cfg.robustness_steps)
         _write(
-            new / "report.json",
+            new / REPORT_FILENAME,
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
         )
         run_info = {
@@ -348,6 +363,10 @@ def _temporal_stage(
     ``out`` as its numbers are computed and return the report, whose
     robustness section is left empty. The window, the degree table and the
     histograms are freed on return."""
+    import statistics
+
+    from . import centrality, dynamics, powerlaw
+
     window = slice_days(
         stream,
         cfg.window_start,
@@ -395,7 +414,7 @@ def _temporal_stage(
         degrees = table.values[t]
         hist = powerlaw.histogram(degrees)
         _write(
-            out / "day_distributions" / f"day_{t:04d}.dat",
+            out / _DAY_DISTRIBUTIONS / f"day_{t:04d}.dat",
             format_columns(_DIST_HEADER, _distribution_rows(hist)),
         )
         report.daily_fits.append(
@@ -423,13 +442,9 @@ def _temporal_stage(
             "pairs": [asdict(p) for p in series.pairs],
             "median_r": statistics.median(defined) if defined else None,
         }
-    emit(
-        "correlation_series.dat",
-        _pick(
-            report.correlation["pairs"] if report.correlation else [],
-            ("day_a", "day_b", "r"),
-        ),
-    )
+    name = "correlation_series.dat"
+    pairs = report.correlation["pairs"] if report.correlation else []
+    emit(name, _pick(pairs, _TEMPORAL_HEADERS[name]))
 
     overlap = dynamics.overlap_vs_k(table, cfg.k_values)
     report.overlap_vs_k = [{"k": k, "mean_overlap": v} for k, v in overlap.items()]
@@ -454,7 +469,7 @@ def _temporal_stage(
     for node, _ in top.entries:
         ns = dynamics.node_series(table, node)
         _write(
-            out / "hub_series" / f"node_{node}.dat",
+            out / _HUB_SERIES / f"node_{node}.dat",
             format_columns(("day", "degree"), enumerate(ns.values)),
         )
         report.stability.append(

@@ -14,14 +14,15 @@ with the graph. Each strategy is an order of removal computed up front, as
 far as the last step reaches, and each step clears the next run of that
 order in an alive mask; adaptive targeting decrements the degrees of each
 removed node's neighbours, read off its CSR row. A run reads its edge list,
-one (u < v) pair of positions per edge, off the CSR once for all its curves.
-Each point keeps the pairs whose ends both survive and labels components
-over the original positions by hooking plus pointer jumping (Shiloach &
-Vishkin 1982, J. Algorithms 3:57), a few vectorized numpy rounds per point;
-a removed node labels only itself. scipy's connected_components would do the
-same, but importing scipy.sparse.csgraph costs every process about 0.45 s,
-more than a whole growth-model curve at 3,000 nodes. Only the giant
-component is induced as a CSR of its own, for the path-length BFS.
+one (u < v) pair of int32 positions per edge, off the CSR once for all its
+curves. Each point keeps the pairs whose ends both survive and labels
+components over the original positions by hooking plus pointer jumping
+(Shiloach & Vishkin 1982, J. Algorithms 3:57), a few vectorized numpy
+rounds per point; a removed node labels only itself. scipy's
+connected_components would do the same, but importing scipy.sparse.csgraph
+costs every process about 0.45 s, more than a whole growth-model curve at
+3,000 nodes. Only the giant component is induced as a CSR of its own, for
+the path-length BFS.
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
@@ -118,12 +119,13 @@ def _induced(adj: Adjacency, keep: np.ndarray) -> Adjacency:
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each of ``n`` positions' component under the edges ``(u[i], v[i])``,
     labelled by its smallest position; a position on no edge labels itself.
+    The labels have the positions' integer type.
 
     Every round hooks each root onto the smallest root across its edges, then
     jumps pointers until each points at a root. A pointer only ever moves to
     a smaller position, so a component's one remaining root is its smallest.
     """
-    root = np.arange(n)
+    root = np.arange(n, dtype=u.dtype)
     while True:
         ru, rv = root[u], root[v]
         open_ = ru != rv
@@ -316,10 +318,11 @@ def robustness_curves(
     # nodes are addressed by position; positions ascend with node id
     adj = g.adjacency
     # every edge once, as its (u < v) pair of positions; each point labels
-    # the pairs whose ends both survive
+    # the pairs whose ends both survive. As int32, like the rows, they take
+    # half the memory, and so does every labelling's copy of them
     rows = adj.rows()
     upper = rows < adj.indices
-    eu, ev = rows[upper], adj.indices[upper]
+    eu, ev = rows[upper], adj.indices[upper].astype(np.int32)
     del rows, upper
 
     def measure(alive: np.ndarray) -> tuple[float, float | None]:

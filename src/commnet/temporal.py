@@ -270,8 +270,10 @@ class Adjacency(NamedTuple):
     indices: np.ndarray
 
     def rows(self) -> np.ndarray:
-        """The row of every entry, aligned with ``indices``."""
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        """The row of every entry, aligned with ``indices``, as int32: no
+        graph here holds 2**31 nodes, and the rows are half the size."""
+        rows = np.arange(len(self.indptr) - 1, dtype=np.int32)
+        return np.repeat(rows, np.diff(self.indptr))
 
 
 class UndirectedGraph:

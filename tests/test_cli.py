@@ -500,6 +500,27 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_module_until_a_name_is_used():
+    src = str(Path(commnet.__file__).resolve().parents[1])
+    code = (
+        "import sys, commnet; "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.startswith(('commnet', 'numpy'))); "
+        "print(loaded()); commnet.top_k; print(loaded()[:3])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines() == [
+        "['commnet']",
+        "['commnet', 'commnet.centrality', 'commnet.errors']",
+    ]
+
+
 def test_cli_import_leaves_one_thread():
     # numpy's OpenBLAS starts a worker pool on import whose threads spin while
     # the package imports, and no code here calls BLAS, so the package sets
@@ -526,6 +547,74 @@ def test_cli_import_leaves_one_thread():
         assert value == expected
         if chosen is None and threads != "None":
             assert threads == "1"
+
+
+# the modules only analyze runs: no other verb may load them
+ANALYSIS_MODULES = (
+    "commnet.centrality", "commnet.dynamics", "commnet.powerlaw", "statistics"
+)
+# run the CLI in a fresh process; print, last, the analysis modules loaded
+# when parse_edge_log was first called (null if never) and after main
+_MODULES_RUN = """
+import json, sys
+from commnet import cli, pipeline
+loaded = lambda: [m for m in {modules!r} if m in sys.modules]
+at_parse, parse = [], pipeline.parse_edge_log
+def spy(*args, **kwargs):
+    at_parse.append(loaded())
+    return parse(*args, **kwargs)
+pipeline.parse_edge_log = spy
+rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, at_parse[0] if at_parse else None, loaded()]))
+"""
+
+
+def _modules_loaded(*args: str) -> tuple[list[str] | None, list[str]]:
+    src = str(Path(commnet.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_RUN.format(modules=ANALYSIS_MODULES), *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    rc, at_parse, after = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0, done.stderr
+    return at_parse, after
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    log, edges = root / "hub.log", root / "ba.edges"
+    assert main([*HUB_ARGS, "--output", str(log)]) == 0
+    assert main(["generate", "ba", "--n", "300", "--m", "3", "--output", str(edges)]) == 0
+    return log, edges
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("robustness", "--edges", "{edges}", "--output-dir", "{out}"),
+        ("robustness", "--input", "{log}", "--output-dir", "{out}"),
+        ("ingest", "--input", "{log}", "--output", "{out}/copy.log"),
+        ("generate", "ba", "--n", "50", "--m", "2", "--output", "{out}/ba.edges"),
+    ],
+    ids=["robustness-edges", "robustness-input", "ingest", "generate-ba"],
+)
+def test_verb_leaves_the_analysis_modules_unloaded(verb, small_inputs, tmp_path):
+    log, edges = small_inputs
+    args = [a.format(log=log, edges=edges, out=tmp_path) for a in verb]
+    assert _modules_loaded(*args)[1] == []
+
+
+def test_analyze_loads_the_analysis_modules_before_the_parse(small_inputs, tmp_path):
+    # objects made after the parse would lie above its memory peak
+    log, _ = small_inputs
+    at_parse, after = _modules_loaded(
+        "analyze", "--input", str(log), "--output-dir", str(tmp_path)
+    )
+    assert at_parse == after == list(ANALYSIS_MODULES)
 
 
 def _sha256(path: Path) -> str:

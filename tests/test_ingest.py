@@ -18,7 +18,7 @@ from commnet import (
 from commnet import ingest
 from commnet.errors import IngestError
 
-from . import ref_ingest, ref_write
+from . import ref_edges, ref_ingest, ref_write
 
 
 def parse(data: bytes, cfg=None, **kwargs):
@@ -387,6 +387,41 @@ def test_hash_collision_groups_names_exactly(monkeypatch):
     assert stream.recipients.tolist() == [1, 2, 0]
 
 
+def test_later_chunk_name_sharing_a_known_hash_gets_its_own_id(monkeypatch):
+    # with the multiplier 0 a name's hash is its last word, so "aaaaaaaaX"
+    # and "ccccccccX" share one; the second comes in a chunk after the first
+    # is known, and again once both are. "dddddddd" shares its hash and its
+    # one word with the first word of the longer "dddddddddddddddd"
+    data = (
+        b"aaaaaaaaX,b,1\nb,ccccccccX,2\nccccccccX,aaaaaaaaX,3\n"
+        b"dddddddddddddddd,b,4\ndddddddd,b,5\n"
+    )
+    monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", 0)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1)
+    stream, report = parse(data)
+    assert report.fallback_lines == 0
+    assert stream.labels == {
+        0: "aaaaaaaaX", 1: "b", 2: "ccccccccX", 3: "dddddddddddddddd", 4: "dddddddd"
+    }
+    assert stream.senders.tolist() == [0, 1, 2, 3, 4]
+    assert stream.recipients.tolist() == [1, 2, 0, 1, 1]
+    assert (stream, report) == ref_ingest.parse_edge_log(data)
+
+
+def _name_words(names: list[bytes], width: int) -> np.ndarray:
+    padded = b"".join(name.ljust(8 * width, b"\0") for name in names)
+    return np.frombuffer(padded, dtype="<u8").reshape(-1, width)
+
+
+def test_names_met_in_a_narrower_chunk_are_found_in_the_table():
+    names = ingest._Names()
+    assert names.intern(_name_words([b"ab", b"cd", b"ab"], 1)).tolist() == [0, 1, 0]
+    wider = _name_words([b"cd", b"a longer name", b"ab"], 2)
+    assert names.intern(wider).tolist() == [1, 2, 0]
+    # one table entry a name: the second chunk looked up "ab" and "cd" there
+    assert sorted(names.ids.tolist()) == [0, 1, 2]
+
+
 def test_leading_bom_is_stripped():
     stream, report = parse(b"\xef\xbb\xbfalice,bob,1000\nbob,alice,2000\n")
     assert stream.labels == {0: "alice", 1: "bob"}
@@ -628,6 +663,91 @@ def test_edge_list_writer_matches_formatted_lines(pairs, chunk):
     assert sink.getvalue() == "".join(f"{u} {v}\n" for u, v in pairs).encode()
     read = ingest.read_edge_list(io.BytesIO(written.getvalue()))
     assert read.dtype == np.int64 and read.tolist() == kept.tolist()
+
+
+# edge-list ids as the writer writes them (the small ones make self-edges),
+# then also with signs, leading zeros, 1, 18 and 19 digits, the int64
+# extremes and one past them, and text that int() takes but the rules do not
+written_ids = st.one_of(
+    st.integers(-(10**18) + 1, 10**18 - 1), st.integers(0, 9)
+).map(str)
+edge_ids = st.one_of(
+    written_ids,
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "000"]),
+        st.integers(0, 10**19),
+    ),
+    st.sampled_from(
+        [str(-(2**63)), str(2**63 - 1), str(2**63), str(-(2**63) - 1), "9" * 18,
+         "1" + "0" * 18, "-0", "+", "1_0", "\u0663", "0x1"]
+    ),
+)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge-list bytes: "u v" lines, half of them with the writer's ids
+    alone; in half of the lists up to three lines or bytes that only the
+    per-line rules may judge; and a byte-order mark before half of them."""
+    ids = st.tuples(*[draw(st.sampled_from([written_ids, edge_ids]))] * 2).map(" ".join)
+    data = "".join(f"{line}\n" for line in draw(st.lists(ids, max_size=8))).encode()
+    odd = st.sampled_from(
+        [b"", b"# comment", b"  ", b"1 2 3", b"x y", b"7", b"1 2 3\n7", b" 5 6",
+         b"5 6 ", b"5\t6", b"5  6", b"5 6\r", b"\xff", b"5 \xc3\xa9", b"\xef\xbb\xbf5 6"]
+    )
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        lines = data.split(b"\n")
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at:at] = [draw(odd)]
+        data = b"\n".join(lines)
+    if draw(st.booleans()):
+        data = ingest._BOM + data
+    return data
+
+
+def _read_outcome(reader, data: bytes):
+    try:
+        pairs = reader(io.BytesIO(data))
+    except IngestError as exc:
+        return str(exc)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    return pairs.tolist()
+
+
+@settings(max_examples=400)
+@given(edge_lists())
+def test_edge_list_reader_matches_reference(data):
+    assert _read_outcome(ingest.read_edge_list, data) == _read_outcome(
+        ref_edges.read_edge_list, data
+    )
+
+
+def test_edge_list_in_the_writers_form_takes_the_numpy_passes():
+    edges = np.array([[0, 1], [-5, 10**18 - 1], [3, -(10**17)], [1, 0]])
+    written = io.BytesIO()
+    ingest.write_edge_list(edges, written)
+    data = written.getvalue()
+    assert ingest._edge_pairs(data).tolist() == edges.tolist()
+    # anything else leaves the whole list to the per-line rules
+    for other in (
+        b"",
+        data[:-1],
+        data + b"\n",
+        data + b"# end\n",
+        data.replace(b" ", b"\t", 1),
+        data.replace(b"\n", b"\r\n", 1),
+        data + b"5 5\n",
+        data + b"1 2 3\n4\n",  # as many spaces as LFs, but not one a line
+        data + b"-0 +0\n",
+        data + b"1 " + b"1" * 19 + b"\n",
+        data + b"+ 1\n",
+    ):
+        assert ingest._edge_pairs(other) is None, other
+        assert _read_outcome(ingest.read_edge_list, other) == _read_outcome(
+            ref_edges.read_edge_list, other
+        )
 
 
 def test_writer_rejects_an_undated_iso_stamp_before_writing():
