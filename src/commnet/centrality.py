@@ -69,24 +69,26 @@ def degree_table(
 ) -> DegreeTable:
     """Message-weighted degree of every registered node on every window day:
     a message counts once for its sender (out), once for its recipient (in),
-    or once for each (total). One ``bincount`` over (day, node) cells."""
+    or once for each (total). Each non-empty day's row counts the endpoints
+    in its slice of the columns in place (``np.add.at``; ``np.bincount``
+    would copy a slice of the read-only columns)."""
     if direction not in VALID_DIRECTIONS:
         raise ValueError(f"direction must be one of {VALID_DIRECTIONS}")
-    if len(window.day) != len(stream):
+    if window.indptr[-1] != len(stream):
         raise ValueError("window was not sliced from this stream")
     nodes = stream.node_registry
-    # senders and recipients are node positions: cell day * n + position
-    cells = window.day * len(nodes)
-    if direction == "total":
-        cells = np.concatenate([cells + stream.senders, cells + stream.recipients])
-    else:
-        cells += stream.senders if direction == "out" else stream.recipients
-    values = np.bincount(cells, minlength=window.length * len(nodes))
-    return DegreeTable(
-        nodes,
-        values.astype(np.int64, copy=False).reshape(window.length, len(nodes)),
-        direction,
-    )
+    ends = {
+        "out": (stream.senders,),
+        "in": (stream.recipients,),
+        "total": (stream.senders, stream.recipients),
+    }[direction]
+    values = np.zeros((window.length, len(nodes)), dtype=np.int64)
+    bounds = window.indptr.tolist()
+    for t in np.flatnonzero(window.message_counts()).tolist():
+        day = slice(bounds[t], bounds[t + 1])
+        for column in ends:  # senders and recipients are node positions
+            np.add.at(values[t], column[day], 1)
+    return DegreeTable(nodes, values, direction)
 
 
 def ranked_positions(degrees: np.ndarray) -> list[np.ndarray]:

@@ -191,7 +191,8 @@ def generate_hub_corpus(p: HubCorpusParams) -> TemporalEdgeStream:
     origin_day = date_to_day(p.start_date)
     rates = np.full(p.nodes, p.background_rate, dtype=float)
     rates[: p.hubs] = p.hub_rate
-    days: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # the per-day parts of the senders, recipients and stamps columns
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
     for d in range(p.days):
         day_start = (origin_day + d) * SECONDS_PER_DAY
         counts = rng.poisson(rates)
@@ -204,16 +205,25 @@ def generate_hub_corpus(p: HubCorpusParams) -> TemporalEdgeStream:
         recipients = np.where(recipients >= senders, recipients + 1, recipients)
         stamps = day_start + rng.integers(0, SECONDS_PER_DAY, size=total)
         order = np.argsort(stamps, kind="stable")
-        days.append((senders[order], recipients[order], stamps[order]))
-    if not days:
+        for part, column in zip(parts, (senders, recipients, stamps)):
+            part.append(column[order])
+    if not parts[0]:
         return TemporalEdgeStream([], [], [])
-    senders, recipients, stamps = (np.concatenate(column) for column in zip(*days))
+    # one column at a time, each dropping its parts once it is whole
+    columns = []
+    for part in parts:
+        columns.append(np.concatenate(part))
+        part.clear()
+    senders, recipients, stamps = columns
     # ids are 0..nodes-1, so one lookup table maps each to its position among
     # the ids that take part
     present = np.zeros(p.nodes, dtype=bool)
     present[senders] = True
     present[recipients] = True
     position = np.cumsum(present) - 1
+    for column in (senders, recipients):
+        # in place: entry i is read before it is overwritten
+        np.take(position, column, out=column, mode="clip")
     return TemporalEdgeStream.from_positions(
-        position[senders], position[recipients], stamps, np.flatnonzero(present)
+        senders, recipients, stamps, np.flatnonzero(present)
     )

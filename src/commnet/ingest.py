@@ -7,8 +7,12 @@ trailing CR is stripped, and one UTF-8 byte-order mark at the start of the
 input is ignored. Node ids are dense integers assigned in timestamp order of
 first appearance; the original identifiers are kept as labels on the stream.
 
-The buffer is parsed in chunks of whole lines, about _CHUNK_BYTES each. In a
-chunk, numpy passes over the bytes take every line that is plainly well
+The source is read and parsed in chunks of whole lines, about _CHUNK_BYTES
+each, so that besides the stream's three int64 columns only one chunk's
+arrays are held: a first pass counts the lines to size the columns, and a
+line longer than a read spans several. A log in time order is handed over
+as parsed; any other is sorted with one permutation and one spare column.
+In a chunk, numpy passes over the bytes take every line that is plainly well
 formed (see _fast_lines) and intern its names a chunk at a time: a name met
 in an earlier chunk is found at its hash's slot in a table, and only the
 others are sorted and looked up. The passes read each field as unaligned
@@ -36,14 +40,15 @@ passes, in one go, and leaves any other list, whole, to its per-line rules.
 from __future__ import annotations
 
 import datetime as dt
+import io
 import re
 from dataclasses import dataclass, field
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import IngestError
-from .temporal import TemporalEdgeStream
+from .temporal import _BLOCK_ROWS, TemporalEdgeStream
 
 _COLUMNS = ("sender", "recipient", "timestamp")
 
@@ -98,7 +103,7 @@ class IngestReport:
 
 
 _BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
-_CHUNK_BYTES = 1 << 18  # the buffer is parsed in runs of whole lines about this long
+_CHUNK_BYTES = 1 << 18  # the source is read in runs of whole lines about this long
 _WRITE_ROWS = 1 << 16  # a stream is written in runs of this many rows
 _BLANK = 0xFF  # a byte no UTF-8 text holds: the writer's padding
 _FAST_NAME_BYTES = 64  # longer names are left to the per-line rules
@@ -254,17 +259,45 @@ def _parse_row(
         return f"bad timestamp {ts_raw!r}"
 
 
-def _chunks(data: bytes, start: int):
-    """(start, stop) of consecutive runs of whole lines, about _CHUNK_BYTES each."""
-    while start < len(data):
-        stop = min(start + _CHUNK_BYTES, len(data))
-        if stop < len(data):
-            cut = data.rfind(b"\n", start, stop)
-            if cut < 0:  # a line longer than a chunk
-                cut = data.find(b"\n", stop)
-            stop = cut + 1 if cut >= 0 else len(data)
-        yield start, stop
-        start = stop
+def _reader(source: BinaryIO | bytes) -> BinaryIO:
+    """A seekable binary reader of the source from where it stands: bytes
+    through a BytesIO, which shares their buffer, and a stream that cannot
+    seek read whole into one."""
+    if not hasattr(source, "read"):
+        return io.BytesIO(bytes(source))
+    seekable = getattr(source, "seekable", None)
+    if seekable is not None and seekable():
+        return source
+    return io.BytesIO(source.read())
+
+
+def _line_count(reader: BinaryIO) -> int:
+    """The LFs from the reader's position to its end, counted _CHUNK_BYTES
+    at a time; the reader is left where it stood."""
+    origin = reader.tell()
+    count = 0
+    while block := reader.read(_CHUNK_BYTES):
+        count += block.count(b"\n")
+    reader.seek(origin)
+    return count
+
+
+def _line_runs(reader: BinaryIO, carry: bytes) -> Iterator[bytes]:
+    """``carry`` and the rest of the reader as consecutive runs of whole
+    lines, read _CHUNK_BYTES at a time: a run ends at the last LF of a read,
+    and a partial line goes on to the next run. Only the last line may lack
+    its LF."""
+    parts = [carry]
+    while block := reader.read(_CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if not cut:  # a line longer than a read
+            parts.append(block)
+            continue
+        parts.append(memoryview(block)[:cut])
+        yield b"".join(parts)
+        parts = [block[cut:]]
+    if rest := b"".join(parts):
+        yield rest
 
 
 def _line_ends(chunk: np.ndarray) -> np.ndarray:
@@ -437,31 +470,38 @@ def parse_edge_log(
     timestamp) triples to their first occurrence.
 
     The sort is stable: rows with equal timestamps keep their input order.
+    A stream is read from where it stands; one that cannot seek is read
+    whole first, since the lines are counted before they are parsed.
     """
     validate_malformed_threshold(malformed_threshold)
     cfg = cfg or LogFormatConfig()
-    data = source.read() if hasattr(source, "read") else bytes(source)
-    start = len(_BOM) if data.startswith(_BOM) else 0
-    line_no = 1  # of the first line of the next chunk
-    if cfg.has_header:
-        header_end = data.find(b"\n", start)
-        start = len(data) if header_end < 0 else header_end + 1
-        line_no = 2
+    reader = _reader(source)
+    # accepted rows in input order as timestamp, sender and recipient
+    # columns, with provisional ids for the names; every line but the
+    # header may hold a row
+    capacity = max(_line_count(reader) + 1 - cfg.has_header, 0)
+    columns = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
+    head = reader.read(len(_BOM))
+    runs = _line_runs(reader, b"" if head == _BOM else head)
+    header = cfg.has_header
+    line_no = 2 if header else 1  # of the first line of the next run
     # numpy takes the lines it can vouch for; iso8601 stamps and a CR or LF
     # delimiter leave every line to _parse_row
     vectorized = cfg.timestamp_format == "unix" and cfg.delimiter not in "\r\n"
     where = tuple(cfg.columns.index(c) for c in _COLUMNS)
 
-    rows_read = self_loops = fallback = 0
+    rows_read = self_loops = fallback = filled = 0
     malformed: list[tuple[int, str]] = []
     names = _Names()
-    # accepted rows in input order as timestamp, sender and recipient
-    # columns, with provisional ids for the names
-    capacity = data.count(b"\n", start) + 1
-    columns = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
-    filled = 0
-    for lo, hi in _chunks(data, start):
-        chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+    # whether the rows so far are in time order, and the last stamp
+    ordered, last = True, _DATED_SECONDS.start
+    for run in runs:
+        if header:  # the first line of the first run
+            header = False
+            run = run[run.find(b"\n") + 1 or len(run) :]
+            if not run:
+                continue
+        chunk = np.frombuffer(run, dtype=np.uint8)
         if vectorized:
             ends, lines, order, block = _fast_rows(chunk, cfg, names)
         else:
@@ -477,9 +517,8 @@ def parse_edge_log(
         left = np.flatnonzero(slow)
         fallback += len(left)
         slow_order, slow_cells = [], []
-        spans = (starts[left] + lo).tolist(), (ends[left] + lo).tolist()
-        for i, a, b in zip(left.tolist(), *spans):
-            row = _parse_row(data[a:b], cfg.delimiter, cfg.timestamp_format, where)
+        for i, a, b in zip(left.tolist(), starts[left].tolist(), ends[left].tolist()):
+            row = _parse_row(run[a:b], cfg.delimiter, cfg.timestamp_format, where)
             if row is None:
                 continue
             rows_read += 1
@@ -494,14 +533,15 @@ def parse_edge_log(
             block = np.concatenate([block, np.reshape(slow_cells, (-1, 3)).T], axis=1)
             at = np.concatenate([order, slow_order])
             block = block[:, np.argsort(at, kind="stable")]
+        stamps = block[0]
+        if ordered and len(stamps):
+            ordered = last <= stamps[0] and not (stamps[1:] < stamps[:-1]).any()
+            last = stamps[-1]
         for column, values in zip(columns, block):
             column[filled : filled + len(values)] = values
         filled += block.shape[1]
         line_no += len(ends)
-        # before the next chunk makes its own arrays; a view of the chunk
-        # also keeps the read buffer alive
-        del chunk, block
-    del data  # free the read buffer: the columns below need the memory more
+        del run, chunk, block, stamps  # before the next run is read
 
     if rows_read and len(malformed) / rows_read > malformed_threshold:
         preview = ", ".join(str(ln) for ln, _ in malformed[:5])
@@ -510,13 +550,18 @@ def parse_edge_log(
             f"(threshold {malformed_threshold:g}); first bad lines: {preview}"
         )
 
-    # one row per message; ties keep input order. Each column is gathered
-    # once and replaces its input buffer, so at most one extra column is live
-    order = np.argsort(columns[0][:filled], kind="stable")
-    for i, column in enumerate(columns):
-        columns[i] = column[order]
-    del order, column
-    timestamps, senders, recipients = columns
+    timestamps, senders, recipients = columns = [c[:filled] for c in columns]
+    if not ordered:
+        # one row per message; ties keep input order. Each column is
+        # gathered into a spare buffer, and its own buffer becomes the spare
+        # for the next, so one permutation and one extra column are live
+        order = np.argsort(timestamps, kind="stable")
+        spare = np.empty(filled, dtype=np.int64)
+        for i, column in enumerate(columns):
+            columns[i] = np.take(column, order, out=spare, mode="clip")
+            spare = column
+        del order, spare, column
+        timestamps, senders, recipients = columns
     collapsed = 0
     if collapse_duplicates:
         kept = _first_occurrences(columns)
@@ -525,14 +570,19 @@ def parse_edge_log(
     del columns
 
     # dense ids by first appearance in sorted order, sender before recipient:
-    # row i's sender is endpoint 2i, its recipient endpoint 2i + 1
+    # row i's sender is endpoint 2i, its recipient endpoint 2i + 1. The
+    # first endpoints are found a block of rows at a time, until every name
+    # has one: a later row cannot lower it
     unseen = 2 * len(senders)
-    endpoint = np.arange(0, unseen, 2)
     first = np.full(len(names), unseen, dtype=np.int64)
-    np.minimum.at(first, senders, endpoint)
-    endpoint += 1
-    np.minimum.at(first, recipients, endpoint)
-    del endpoint
+    for lo in range(0, len(senders), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        endpoint = np.arange(2 * lo, 2 * lo + 2 * len(senders[rows]), 2)
+        np.minimum.at(first, senders[rows], endpoint)
+        endpoint += 1
+        np.minimum.at(first, recipients[rows], endpoint)
+        if (first < unseen).all():
+            break
     seen = np.flatnonzero(first < unseen)
     appearance = seen[np.argsort(first[seen])]
     dense = np.empty(len(names), dtype=np.int64)

@@ -10,19 +10,23 @@ single file excluded from the byte-for-byte determinism contract.
 ``run`` goes through its stages in this order, and each holds only what the
 stages after it read:
 
-1. Acquire: parse the log or generate the corpus. Alive: the stream's
-   columns.
+1. Acquire: parse the log, read from its file a chunk at a time, or
+   generate the corpus. Alive: the stream's columns and one chunk's arrays;
+   while a log out of time order is sorted, one permutation and one spare
+   column too.
 2. Temporal half (``_temporal_stage``): slice the stream into days, build
    the degree table, and from it the fits, correlation, overlap, consistency,
    concentration and stability. Each plot file is written as soon as its
    numbers exist: a day's distribution inside the per-day loop, a hub's
    series from its stability series. Each single-table file's rows are read
-   off the report entries it mirrors. Alive: the stream, the day window, the
-   degree table and one day's histogram at a time. It returns the report,
-   which holds plain Python values, and everything else it made is freed.
-3. Graph half: project the stream into one undirected graph, then drop the
-   stream. Alive: the projection, which shares the stream's node registry,
-   the edge list every curve reads and one curve's state at a time.
+   off the report entries it mirrors. Alive: the stream, the day window
+   (one message offset per day, no array per message), the degree table
+   and one day's histogram at a time. It returns the report, which holds
+   plain Python values, and everything else it made is freed.
+3. Graph half: project the stream into one undirected graph, its pair keys
+   deduplicated a block at a time, then drop the stream. Alive: the
+   projection, which shares the stream's node registry, the edge list every
+   curve reads and one curve's state at a time.
    ``robustness_stage`` writes each curve's file from its report section.
 4. Write report.json and run_info.json.
 
@@ -61,7 +65,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import robustness as robust
-from .errors import CommnetError, ConfigError, InsufficientSupportError
+from .errors import ConfigError, InsufficientSupportError
 from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import (
     IngestReport,

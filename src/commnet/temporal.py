@@ -7,8 +7,9 @@ third column is the timestamp. Positions ascend with id, so sorting or
 breaking ties by position is sorting by id, and every per-node quantity is an
 array indexed by position; external ids are looked up (``node_registry[pos]``)
 only where output names a node. Slicing the stream into calendar days gives
-one day index per message over a contiguous window; daily and aggregate
-quantities are computed from those arrays in vectorized passes. The aggregate
+each day of a contiguous window as a slice of the columns, found by one
+binary search of the days' first seconds, so no array is made per message;
+daily and aggregate quantities are computed from those slices. The aggregate
 network is the sorted node-id array plus its symmetric CSR adjacency over
 positions (two int64 arrays), its only representation: the edge list is read
 off the CSR's upper triangle when asked for. Distinct values come from a sort
@@ -30,6 +31,9 @@ from numpy.typing import ArrayLike
 from .errors import OrderingError, WindowError
 
 SECONDS_PER_DAY = 86_400
+# rows of a per-message pass taken at a time where a whole-length temporary
+# is not needed: the ingest's renumbering and the projection's pair keys
+_BLOCK_ROWS = 1 << 16
 _EPOCH = dt.date(1970, 1, 1)
 
 
@@ -188,14 +192,14 @@ def _check_lengths(*columns: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DayWindow:
-    """A stream sliced into ``length`` contiguous calendar days.
+    """A time-ordered stream sliced into ``length`` contiguous calendar days.
 
-    ``day[i]`` is the window day (0 .. length-1) of message ``i``; window day
-    0 is epoch day ``origin``. Days without messages stay in the window, so
-    the day index is contiguous.
+    Window day ``t`` holds messages ``indptr[t] : indptr[t + 1]`` of the
+    stream; window day 0 is epoch day ``origin``. Days without messages stay
+    in the window as empty slices, so the day index is contiguous.
     """
 
-    day: np.ndarray  # int64, one entry per message, not writeable
+    indptr: np.ndarray  # int64, length + 1 message offsets, not writeable
     origin: int
     length: int
 
@@ -204,7 +208,7 @@ class DayWindow:
 
     def message_counts(self) -> np.ndarray:
         """Messages per window day."""
-        return np.bincount(self.day, minlength=self.length)
+        return np.diff(self.indptr)
 
 
 def slice_days(
@@ -214,12 +218,14 @@ def slice_days(
     num_days: int | None = None,
     tz_offset_seconds: int = 0,
 ) -> DayWindow:
-    """Assign every message of a stream to a calendar day of one window.
+    """Find where each calendar day of one window starts in the stream.
 
     The window runs from ``day_origin`` (default: the first edge's day)
     through the last edge's day, or through ``day_origin + num_days - 1`` when
     ``num_days`` is given. An empty stream gives an empty window unless
-    ``num_days`` is set, which then needs ``day_origin``.
+    ``num_days`` is set, which then needs ``day_origin``. The stream is in
+    time order, so its first and last edges bound every day, and one binary
+    search of the days' first seconds finds every offset.
 
     Raises WindowError if an edge falls on a day with no calendar date
     (outside 0001-01-01 .. 9999-12-31), before ``day_origin`` or past the end
@@ -231,15 +237,17 @@ def slice_days(
     if num_days is not None and num_days > MAX_WINDOW_DAYS:
         raise _window_too_long(num_days)
 
-    day = day_number(stream.timestamps, tz_offset_seconds)
-    if not len(day):
+    stamps = stream.timestamps
+    if not len(stamps):
         if num_days is None:
-            return DayWindow(_read_only(day), 0, 0)
+            return DayWindow(_read_only(np.zeros(1, dtype=np.int64)), 0, 0)
         if day_origin is None:
             raise ValueError("day_origin is required to window an empty stream")
-        return DayWindow(_read_only(day), date_to_day(day_origin), num_days)
+        empty = np.zeros(num_days + 1, dtype=np.int64)
+        return DayWindow(_read_only(empty), date_to_day(day_origin), num_days)
 
-    first_day, last_day = int(day[0]), int(day[-1])
+    first_day = day_number(int(stamps[0]), tz_offset_seconds)
+    last_day = day_number(int(stamps[-1]), tz_offset_seconds)
     for d in (first_day, last_day):
         if not _MIN_DAY <= d <= _MAX_DAY:
             raise WindowError(f"an edge falls on epoch day {d}, which has no date")
@@ -257,8 +265,11 @@ def slice_days(
             f"edges extend to {day_date(last_day)}, past the "
             f"{num_days}-day window ending {day_date(end_day)}"
         )
-    day -= origin
-    return DayWindow(_read_only(day), origin, end_day - origin + 1)
+    # the first second of each day, and of the day after the window, as the
+    # inverse of day_number: the first stamp s with (s + offset) // 86400 == d
+    starts = np.arange(origin, end_day + 2) * SECONDS_PER_DAY - tz_offset_seconds
+    indptr = np.searchsorted(stamps, starts)
+    return DayWindow(_read_only(indptr), origin, end_day - origin + 1)
 
 
 class Adjacency(NamedTuple):
@@ -333,14 +344,18 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
     positions in 0..n-1, u[i] != v[i].
 
     Entry (row, col) is the key ``row * width + col``. The distinct keys
-    ``lo * width + hi`` of the pairs, then their mirrors, sort in place once
+    ``lo * width + hi`` of the pairs are found one block of _BLOCK_ROWS
+    pairs at a time, then once more over the blocks' distinct keys, so no
+    per-pair key array is made. They and their mirrors sort in place once
     into row-then-column order; no (m, 2) array is made.
     """
     width = max(n, 1)  # n = 0 has no pairs and must not divide by zero
-    upper = np.minimum(u, v)
-    upper *= width
-    upper += np.maximum(u, v)
-    upper = sorted_unique(upper)
+    blocks = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(u), _BLOCK_ROWS):
+        a, b = u[lo : lo + _BLOCK_ROWS], v[lo : lo + _BLOCK_ROWS]
+        blocks.append(sorted_unique(np.minimum(a, b) * width + np.maximum(a, b)))
+    upper = sorted_unique(np.concatenate(blocks))
+    del blocks
     keys = np.concatenate([upper, upper % width * width + upper // width])
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(n + 1) * width)

@@ -475,6 +475,99 @@ def test_parse_holds_the_rows_about_once():
         assert column.dtype == np.int64 and not column.flags.writeable
 
 
+def test_parse_from_a_file_holds_the_columns_and_one_chunk(tmp_path, monkeypatch):
+    # 311,640 rows, 4.8 MB, read 16 KiB at a time: the traced peak stays
+    # within the stream's three int64 columns and a fixed allowance for a
+    # chunk's arrays; reading the whole file first took the file's size more
+    params = cn.HubCorpusParams(
+        nodes=151, days=100, hubs=10, hub_rate=100, background_rate=15, seed=1
+    )
+    path = tmp_path / "hub.log"
+    with open(path, "wb") as fh:
+        write_edge_log(cn.generate_hub_corpus(params), fh)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1 << 14)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stream, report = parse_edge_log(fh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.accepted == len(stream) == 311_640
+    assert path.stat().st_size > 4 << 20
+    assert peak < 24 * len(stream) + (3 << 19)
+
+
+class _Unseekable(io.RawIOBase):
+    """A stream that reads, a few bytes a call, and cannot seek."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self._data.read(min(len(buffer), 5))
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+@settings(max_examples=200)
+@given(
+    mixed_logs(),
+    st.booleans(),
+    st.binary(max_size=9),
+    st.sampled_from([1, 7, 64]),
+    st.sampled_from([1, 3, None]),
+)
+def test_bom_header_and_long_lines_straddle_reads(log, bom, skipped, chunk, rows):
+    # a BOM, a header and a line longer than a read each span several reads;
+    # the source may stand past some bytes, and may not seek. Names are
+    # numbered `rows` rows a block, so a name can first appear in any block
+    cfg, data = log
+    long_line = cfg.delimiter.join(["s" * 70, "r" * 70, "1" * 9]).encode()
+    data = (ingest._BOM if bom else b"") + b"%s\n%s" % (long_line, data)
+    if cfg.has_header:
+        data = data.replace(long_line, cfg.delimiter.join(cfg.columns).encode() * 9, 1)
+    unmarked = data.removeprefix(ingest._BOM)
+    want = ref_ingest.parse_edge_log(unmarked, cfg, malformed_threshold=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_BYTES", chunk)
+        if rows is not None:
+            mp.setattr(ingest, "_BLOCK_ROWS", rows)
+        seekable = io.BytesIO(skipped + data)
+        seekable.seek(len(skipped))
+        for source in (data, seekable, _Unseekable(data)):
+            assert parse_edge_log(source, cfg, malformed_threshold=1.0) == want
+
+
+def test_log_out_of_time_order_parses_to_the_sorted_stream():
+    # a log rotated at a day boundary: its later days come first
+    params = cn.HubCorpusParams(
+        nodes=40, days=12, hubs=4, hub_rate=20, background_rate=4, seed=3
+    )
+    sink = io.BytesIO()
+    write_edge_log(cn.generate_hub_corpus(params), sink)
+    lines = sink.getvalue().splitlines(keepends=True)
+    days = [int(line.rsplit(b",", 1)[1]) // 86_400 for line in lines]
+    cut = days.index(days[len(days) // 2])
+    rotated = b"".join(lines[cut:] + lines[:cut])
+    assert rotated != sink.getvalue()
+    for collapse in (False, True):
+        got = parse(rotated, collapse_duplicates=collapse)
+        assert got == parse(sink.getvalue(), collapse_duplicates=collapse)
+        assert got == ref_ingest.parse_edge_log(rotated, collapse_duplicates=collapse)
+        stream = got[0]
+        for column in (stream.senders, stream.recipients, stream.timestamps):
+            assert not column.flags.writeable
+
+
 # --- the word reads of the scanner at their boundaries ----------------------
 
 _NAME_BYTES = "abcxyz019_~!@#$%^&*()[]{}<>?/|.:"  # printable, no delimiter

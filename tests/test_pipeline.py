@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import sys
@@ -618,7 +619,14 @@ def test_output_bytes_pinned_under_compensated_sum(
     # Python 3.12 changed float sum() to a compensated sum; the pinned bytes
     # must not depend on which one the interpreter has
     assert compensated_sum([0.1] * 10) == 1.0  # a plain float sum gives 0.999...
+    # run loads the analysis modules itself; load them first, so that they
+    # are among the modules patched whichever test ran before
+    analysis = [
+        importlib.import_module(f"commnet.{name}")
+        for name in ("centrality", "dynamics", "powerlaw")
+    ]
     for name, module in list(sys.modules.items()):
         if name == "commnet" or name.startswith("commnet."):
             monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert all(module.sum is compensated_sum for module in analysis)
     assert output_digests(pinned_config(tmp_path, **overrides)) == pinned

@@ -1,5 +1,6 @@
 import datetime as dt
 import io
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
@@ -18,6 +19,7 @@ from commnet import (
     undirected_projection,
     write_edge_log,
 )
+from commnet import temporal
 from commnet.errors import OrderingError, WindowError
 from commnet.temporal import SECONDS_PER_DAY, date_to_day, day_date, day_number
 
@@ -41,7 +43,7 @@ def _stream(edges):
 
 def _day_edges(stream, window, t):
     """Message count per (sender, recipient) pair on window day t."""
-    on_day = window.day == t
+    on_day = slice(window.indptr[t], window.indptr[t + 1])
     pairs = zip(stream.senders[on_day].tolist(), stream.recipients[on_day].tolist())
     return dict(Counter(pairs))
 
@@ -59,7 +61,8 @@ def test_two_day_bucketing():
     assert window.message_counts().tolist() == [2, 1]
     assert _day_edges(stream, window, 0) == {(0, 1): 1, (0, 2): 1}
     assert _day_edges(stream, window, 1) == {(1, 0): 1}
-    assert window.day.tolist() == [0, 0, 1]
+    # messages 0 and 1 fall on day 0, message 2 on day 1
+    assert window.indptr.tolist() == [0, 2, 3]
     assert window.date(0) == dt.date(2001, 3, 5)
 
 
@@ -130,6 +133,84 @@ def test_tz_offset_shifts_bucketing():
     assert day_number(stream.timestamps[0], 2 * 3600) == D1 + 1
     window = slice_days(stream, tz_offset_seconds=2 * 3600)
     assert window.date(0) == day_date(D1 + 1)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-3 * SECONDS_PER_DAY, 3 * SECONDS_PER_DAY), min_size=1),
+    st.integers(-(SECONDS_PER_DAY - 1), SECONDS_PER_DAY - 1),
+    st.integers(0, 2),
+    st.booleans(),
+)
+@example([-1, 0, SECONDS_PER_DAY - 1, SECONDS_PER_DAY], 0, 0, False)
+@example([-3600, 0, 3600], 3600, 0, True)
+def test_window_offsets_match_day_numbers(stamps, offset, lead, explicit):
+    stamps.sort()
+    stream = _stream((0, 1, D1 * SECONDS_PER_DAY + ts) for ts in stamps)
+    first = day_number(int(stream.timestamps[0]), offset)
+    last = day_number(int(stream.timestamps[-1]), offset)
+    if explicit:  # an explicit window padded by `lead` days on either side
+        window = slice_days(
+            stream, day_date(first - lead), num_days=last - first + 1 + 2 * lead,
+            tz_offset_seconds=offset,
+        )
+    else:
+        window = slice_days(stream, tz_offset_seconds=offset)
+    assert window.indptr[0] == 0 and window.indptr[-1] == len(stream)
+    day = np.repeat(np.arange(window.length), window.message_counts())
+    assert (day + window.origin == day_number(stream.timestamps, offset)).all()
+
+
+def _traced_peak(fn, *args):
+    """The result of fn(*args) and the most memory tracemalloc saw it hold
+    beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_day_slicing_and_degree_table_allocate_nothing_per_message():
+    # 300,000 messages among 20 nodes over 10 days: the window is 11
+    # offsets and the table 10 x 20 degrees; a day index per message alone
+    # took 8 bytes a message
+    rng = np.random.default_rng(0)
+    n = 300_000
+    senders = rng.integers(0, 20, n)
+    recipients = (senders + rng.integers(1, 20, n)) % 20
+    stamps = np.sort(rng.integers(0, 10 * SECONDS_PER_DAY, n)) + D1 * SECONDS_PER_DAY
+    stream = TemporalEdgeStream(senders, recipients, stamps)
+    del senders, recipients, stamps
+    window, peak = _traced_peak(slice_days, stream)
+    assert window.length == 10 and peak < 1 << 12
+    for direction in ("out", "in", "total"):
+        table, peak = _traced_peak(degree_table, stream, window, direction)
+        assert table.values.sum() == n * (1 + (direction == "total"))
+        assert peak < table.values.nbytes + (1 << 16)
+
+
+def test_projection_holds_the_distinct_keys_and_one_block(monkeypatch):
+    # 100,000 messages over the 45 pairs of 10 nodes, 4,096 pairs a block:
+    # besides the graph, the peak is one block's keys and temporaries and
+    # the blocks' distinct keys; a key per message alone took 8 bytes each
+    monkeypatch.setattr(temporal, "_BLOCK_ROWS", 4096)
+    rng = np.random.default_rng(0)
+    n = 100_000
+    senders = rng.integers(0, 10, n)
+    recipients = (senders + rng.integers(1, 10, n)) % 10
+    stream = TemporalEdgeStream(senders, recipients, np.arange(n))
+    del senders, recipients
+    graph, peak = _traced_peak(undirected_projection, stream)
+    assert len(graph.edges) == 45
+    blocks = -(-n // 4096)
+    assert peak < 40 * 4096 + 8 * 45 * blocks + (1 << 16)
 
 
 def test_aggregate_sums_multiplicity():
@@ -234,7 +315,7 @@ def test_stream_columns_are_read_only():
     window = slice_days(stream)
     for column in (
         stream.senders, stream.recipients, stream.timestamps,
-        stream.node_registry, window.day,
+        stream.node_registry, window.indptr,
     ):
         with pytest.raises(ValueError):
             column[0] = 5
