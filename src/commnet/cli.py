@@ -12,11 +12,13 @@ an empty observation window). The default output directory can be set with
 the COMMNET_OUTPUT_DIR environment variable.
 
 The verbs and the pipeline share one implementation of each front-door
-step: the corpus flags are declared once, the default removal steps are
-``pipeline.DEFAULT_STEPS``, and logs are read, removal curves run and
-outputs staged by functions in ``pipeline``. A file named by --output is
-written beside its target (whose directory is made if missing) and renamed
-over it once complete, so a failed run leaves any previous file in place.
+step. A flag named for a field of ``PipelineConfig`` or of a generator's
+parameters sets that field and takes its default there, so analyze's
+settings and defaults are ``PipelineConfig``'s. The curve files are
+``pipeline.CURVE_FILES``, and logs are read, removal curves run and outputs
+staged by functions in ``pipeline``. A file named by --output is written
+beside its target (whose directory is made if missing) and renamed over it
+once complete, so a failed run leaves any previous file in place.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import datetime as dt
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -46,6 +49,7 @@ from .ingest import (
     write_edge_log,
 )
 from .pipeline import (
+    CURVE_FILES,
     DEFAULT_STEPS,
     REPORT_FILENAME,
     ROBUSTNESS_FILES,
@@ -56,7 +60,7 @@ from .pipeline import (
     run,
     staged,
 )
-from .robustness import RemovalStrategy, validate_steps
+from .robustness import REMOVAL_KINDS, RemovalStrategy, validate_steps
 from .temporal import UndirectedGraph, undirected_projection
 
 EXIT_OK = 0
@@ -95,7 +99,14 @@ def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--header", action="store_true", help="first line is a header row"
     )
-    parser.add_argument("--malformed-threshold", type=float, default=0.01)
+    _add_setting(parser, "--malformed-threshold", type=float)
+
+
+def _add_setting(parser: argparse.ArgumentParser, flag: str, **options) -> None:
+    """Add ``flag``, which sets the PipelineConfig field of its name, with
+    that field's default, so the CLI and the library cannot disagree."""
+    default = getattr(PipelineConfig, flag[2:].replace("-", "_"))
+    parser.add_argument(flag, default=default, **options)
 
 
 def _log_format(args: argparse.Namespace) -> LogFormatConfig:
@@ -142,16 +153,13 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=kind, default=default)
 
 
-def _hub_params(args: argparse.Namespace, **extra) -> HubCorpusParams:
-    return HubCorpusParams(
-        nodes=args.nodes,
-        days=args.days,
-        hubs=args.hubs,
-        hub_rate=args.hub_rate,
-        background_rate=args.background_rate,
-        seed=args.seed,
-        **extra,
-    )
+def _given(cls: type, args: argparse.Namespace) -> dict:
+    """The parsed value of each flag named for a field of the dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
+def _hub_params(args: argparse.Namespace) -> HubCorpusParams:
+    return HubCorpusParams(**_given(HubCorpusParams, args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="write the normalized (sorted, deduped) log here"
     )
     _add_format_args(p_ingest)
-    p_ingest.add_argument("--collapse-duplicates", action="store_true")
+    _add_setting(p_ingest, "--collapse-duplicates", action="store_true")
 
     p_analyze = sub.add_parser("analyze", help="run the full pipeline")
     src = p_analyze.add_mutually_exclusive_group(required=True)
@@ -178,21 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze a generated planted-hub corpus instead of a log",
     )
     _add_format_args(p_analyze)
-    p_analyze.add_argument("--collapse-duplicates", action="store_true")
+    _add_setting(p_analyze, "--collapse-duplicates", action="store_true")
     _add_corpus_args(p_analyze)
-    p_analyze.add_argument("--window-start", type=_date, default=None)
-    p_analyze.add_argument("--window-days", type=int, default=None)
-    p_analyze.add_argument("--tz-offset-seconds", type=int, default=0)
-    p_analyze.add_argument("--direction", choices=("out", "in", "total"), default="out")
-    p_analyze.add_argument("--k", type=int, default=10)
-    p_analyze.add_argument(
-        "--k-values", type=_int_list, default=(5, 10, 20), help="comma list, ascending"
-    )
-    p_analyze.add_argument("--cv-threshold", type=float, default=1.0)
-    p_analyze.add_argument("--fit-target", choices=("pdf", "ccdf"), default="ccdf")
-    p_analyze.add_argument("--fit-xmin", type=int, default=1)
-    p_analyze.add_argument("--robustness-steps", type=_float_list, default=DEFAULT_STEPS)
-    p_analyze.add_argument("--seed", type=int, default=0)
+    _add_setting(p_analyze, "--window-start", type=_date)
+    _add_setting(p_analyze, "--window-days", type=int)
+    _add_setting(p_analyze, "--tz-offset-seconds", type=int)
+    _add_setting(p_analyze, "--direction", choices=("out", "in", "total"))
+    _add_setting(p_analyze, "--k", type=int)
+    _add_setting(p_analyze, "--k-values", type=_int_list, help="comma list, ascending")
+    _add_setting(p_analyze, "--cv-threshold", type=float)
+    _add_setting(p_analyze, "--fit-target", choices=("pdf", "ccdf"))
+    _add_setting(p_analyze, "--fit-xmin", type=int)
+    _add_setting(p_analyze, "--robustness-steps", type=_float_list)
+    _add_setting(p_analyze, "--seed", type=int)
     p_analyze.add_argument("--output-dir", default=None)
     p_analyze.add_argument(
         "--enron-recipe",
@@ -206,21 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_hub = gen_sub.add_parser("hub-corpus", help="planted-hub message log")
     _add_corpus_args(g_hub)
-    g_hub.add_argument("--start-date", type=_date, default=dt.date(2000, 1, 1))
-    g_hub.add_argument("--seed", type=int, default=0)
+    g_hub.add_argument("--start-date", type=_date, default=HubCorpusParams.start_date)
+    g_hub.add_argument("--seed", type=int, default=HubCorpusParams.seed)
     g_hub.add_argument("--output", required=True)
 
     g_ba = gen_sub.add_parser("ba", help="preferential-attachment graph edge list")
     g_ba.add_argument("--n", type=int, required=True)
     g_ba.add_argument("--m", type=int, required=True)
-    g_ba.add_argument("--m0", type=int, default=None)
-    g_ba.add_argument("--seed", type=int, default=0)
+    g_ba.add_argument("--m0", type=int, default=BAParams.m0)
+    g_ba.add_argument("--seed", type=int, default=BAParams.seed)
     g_ba.add_argument("--output", required=True)
 
     g_er = gen_sub.add_parser("er", help="uniform random graph edge list")
     g_er.add_argument("--n", type=int, required=True)
     g_er.add_argument("--p", type=float, required=True)
-    g_er.add_argument("--seed", type=int, default=0)
+    g_er.add_argument("--seed", type=int, default=ERParams.seed)
     g_er.add_argument("--output", required=True)
 
     p_rob = sub.add_parser(
@@ -233,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format_args(p_rob)
     p_rob.add_argument(
-        "--strategies", default="random,targeted", help="comma list of strategies"
+        "--strategies", default=",".join(REMOVAL_KINDS), help="comma list of strategies"
     )
     p_rob.add_argument("--steps", type=_float_list, default=DEFAULT_STEPS)
     p_rob.add_argument("--static-targeted", action="store_true")
     p_rob.add_argument("--no-path-length", action="store_true")
-    p_rob.add_argument("--seed", type=int, default=0)
+    p_rob.add_argument("--seed", type=int, default=RemovalStrategy.seed)
     p_rob.add_argument("--output-dir", default=None)
 
     p_report = sub.add_parser("report", help="summarize a report.json")
@@ -271,25 +277,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.enron_recipe and args.window_days is None:
         args.window_days = ENRON_WINDOW_DAYS
-    cfg = PipelineConfig(
+    # each setting as its flag gave it; the four fields below are built here
+    settings = _given(PipelineConfig, args)
+    settings.update(
         output_dir=_output_dir(args),
         input_path=Path(args.input) if args.input else None,
         log_format=_log_format(args),
-        malformed_threshold=args.malformed_threshold,
-        collapse_duplicates=args.collapse_duplicates,
         hub_params=_hub_params(args) if args.synthetic_hubs else None,
-        window_start=args.window_start,
-        window_days=args.window_days,
-        tz_offset_seconds=args.tz_offset_seconds,
-        direction=args.direction,
-        k=args.k,
-        k_values=args.k_values,
-        cv_threshold=args.cv_threshold,
-        fit_target=args.fit_target,
-        fit_xmin=args.fit_xmin,
-        robustness_steps=tuple(args.robustness_steps),
-        seed=args.seed,
     )
+    cfg = PipelineConfig(**settings)
     report = run(cfg)
     if report.sections_empty:
         print("analysis window is empty; wrote an empty report", file=sys.stderr)
@@ -300,15 +296,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.model == "hub-corpus":
-        stream = generate_hub_corpus(_hub_params(args, start_date=args.start_date))
+        stream = generate_hub_corpus(_hub_params(args))
         with _replacing(args.output) as out:
             write_edge_log(stream, out)
         print(f"wrote {len(stream)} messages to {args.output}")
         return EXIT_OK
     if args.model == "ba":
-        graph = generate_ba(BAParams(n=args.n, m=args.m, m0=args.m0, seed=args.seed))
+        graph = generate_ba(BAParams(**_given(BAParams, args)))
     else:
-        graph = generate_er(ERParams(n=args.n, p=args.p, seed=args.seed))
+        graph = generate_er(ERParams(**_given(ERParams, args)))
     edges = graph.edges
     with _replacing(args.output) as out:
         write_edge_list(edges, out)
@@ -344,7 +340,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             raise InsufficientDataError("graph has no nodes")
         curves = robustness_stage(stage, graph, strategies, args.steps, not args.no_path_length)
     for kind in curves:
-        print(f"wrote {out_dir / f'robustness_{kind}.dat'}")
+        print(f"wrote {out_dir / CURVE_FILES[kind]}")
     return EXIT_OK
 
 

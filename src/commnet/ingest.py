@@ -48,7 +48,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import IngestError
-from .temporal import _BLOCK_ROWS, TemporalEdgeStream
+from .temporal import _BLOCK_ROWS, _DATED_SECONDS, SECONDS_PER_DAY, TemporalEdgeStream
 
 _COLUMNS = ("sender", "recipient", "timestamp")
 
@@ -114,11 +114,6 @@ _UNIX_SECONDS = re.compile(r"[+-]?[0-9]+")  # ASCII only; int() alone takes "1_0
 _INT64 = range(-(2**63), 2**63)  # node ids are int64
 _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _SECOND = dt.timedelta(seconds=1)
-# unix seconds that have a calendar date (0001-01-01 .. 9999-12-31 UTC)
-_DATED_SECONDS = range(
-    (dt.datetime.min.replace(tzinfo=dt.timezone.utc) - _EPOCH_UTC) // _SECOND,
-    (dt.datetime.max.replace(tzinfo=dt.timezone.utc) - _EPOCH_UTC) // _SECOND + 1,
-)
 
 
 def _parse_timestamp(raw: str, fmt: str) -> int:
@@ -700,7 +695,7 @@ def _iso_text(stamps: np.ndarray, out: np.ndarray) -> None:
     """Write the dated stamps as ISO 8601 UTC text (datetime.isoformat's
     form) into the (rows, 25) columns ``out``: the year as a 4-digit word,
     then each other field from a table of 2-digit words."""
-    days, seconds = np.divmod(stamps, 86_400)
+    days, seconds = np.divmod(stamps, SECONDS_PER_DAY)
     year, month, day = _civil_from_days(days)
     hour, seconds = np.divmod(seconds, 3600)
     minute, second = np.divmod(seconds, 60)

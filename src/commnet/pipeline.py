@@ -7,6 +7,10 @@ top-k frequency, per-day fits, robustness curves). Output is deterministic for
 a fixed config: any wall-clock information goes to run_info.json, which is the
 single file excluded from the byte-for-byte determinism contract.
 
+``PipelineConfig`` is the one list of analyze's settings and their defaults,
+which the CLI's flags take. The report's "config" records every setting but
+where the outputs go and how the log is read (``_config_echo``).
+
 ``run`` goes through its stages in this order, and each holds only what the
 stages after it read:
 
@@ -85,8 +89,9 @@ from .temporal import (
 REPORT_SCHEMA_VERSION = 1
 REPORT_FILENAME = "report.json"
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
-ROBUSTNESS_KINDS = ("random", "targeted")
-ROBUSTNESS_FILES = tuple(f"robustness_{kind}.dat" for kind in ROBUSTNESS_KINDS)
+# each removal kind's curve file; a run writes one per kind
+CURVE_FILES = {kind: f"robustness_{kind}.dat" for kind in robust.REMOVAL_KINDS}
+ROBUSTNESS_KINDS, ROBUSTNESS_FILES = tuple(CURVE_FILES), tuple(CURVE_FILES.values())
 DEFAULT_STEPS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)  # removal fractions of a curve
 _DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
 # the temporal files every run writes, an empty window's with the header alone
@@ -191,22 +196,28 @@ class Report:
         }
 
 
+# the fields report.json does not record: where the outputs go, how the log
+# is read, and hub_params, of which it records only "synthetic"
+_UNRECORDED = (
+    "output_dir", "log_format", "malformed_threshold", "collapse_duplicates", "hub_params"
+)
+
+
 def _config_echo(cfg: PipelineConfig) -> dict:
-    return {
-        "input_path": str(cfg.input_path) if cfg.input_path else None,
-        "synthetic": cfg.hub_params is not None,
-        "window_start": cfg.window_start.isoformat() if cfg.window_start else None,
-        "window_days": cfg.window_days,
-        "tz_offset_seconds": cfg.tz_offset_seconds,
-        "direction": cfg.direction,
-        "k": cfg.k,
-        "k_values": list(cfg.k_values),
-        "cv_threshold": cfg.cv_threshold,
-        "fit_target": cfg.fit_target,
-        "fit_xmin": cfg.fit_xmin,
-        "robustness_steps": list(cfg.robustness_steps),
-        "seed": cfg.seed,
-    }
+    """The report's "config": every PipelineConfig field but _UNRECORDED, a
+    path as text, a date in ISO form and a tuple as a list, plus "synthetic",
+    whether the corpus was generated rather than read from a log."""
+    echo = {"synthetic": cfg.hub_params is not None}
+    for name in (f.name for f in fields(cfg) if f.name not in _UNRECORDED):
+        value = getattr(cfg, name)
+        if isinstance(value, Path):
+            value = str(value)
+        elif isinstance(value, dt.date):
+            value = value.isoformat()
+        elif isinstance(value, tuple):
+            value = list(value)
+        echo[name] = value
+    return echo
 
 
 def _acquire_stream(
@@ -272,8 +283,8 @@ def robustness_stage(
     steps: Sequence[float],
     path_length: bool = True,
 ) -> dict:
-    """Run each removal strategy over ``graph``; write each curve's
-    robustness_<kind>.dat into ``out``, one row per point, and return the
+    """Run each removal strategy over ``graph``; write each curve's file
+    (CURVE_FILES) into ``out``, one row per point, and return the
     report.json robustness section, one entry per strategy kind."""
     curves = robust.robustness_curves(
         graph, strategies, steps, compute_path_length=path_length
@@ -282,7 +293,7 @@ def robustness_stage(
     for c in curves:
         points = [asdict(pt) for pt in c.points]
         _write(
-            out / f"robustness_{c.strategy.kind}.dat",
+            out / CURVE_FILES[c.strategy.kind],
             format_columns(_CURVE_HEADER, _pick(points, _CURVE_HEADER)),
         )
         section[c.strategy.kind] = {
@@ -492,21 +503,12 @@ def _temporal_stage(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else repr(value)
-    return str(value)
-
-
 def format_columns(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Columnar plot text: one header line, space-delimited numeric columns."""
-    lines = [" ".join(header)]
-    for row in rows:
-        lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("")
-    return "\n".join(lines)
+    """Columnar plot text: one header line, space-delimited numeric columns.
+    A cell is its value's str, the shortest text that reads back as the same
+    number (a numpy float too), and "nan" for None."""
+    lines = (" ".join("nan" if v is None else str(v) for v in row) for row in rows)
+    return "\n".join([" ".join(header), *lines, ""])
 
 
 def _write(path: Path, content: str) -> None:

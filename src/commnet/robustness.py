@@ -51,6 +51,7 @@ import numpy as np
 
 from .temporal import Adjacency, UndirectedGraph
 
+REMOVAL_KINDS = ("random", "targeted")  # analyze draws one curve of each
 EXACT_PATH_LENGTH_LIMIT = 50_000
 DEFAULT_PATH_SAMPLE = 1_024
 # bytes of the one gathered neighbour-frontier block that a BFS level holds
@@ -78,8 +79,9 @@ class RemovalStrategy:
     adaptive: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("random", "targeted"):
-            raise ValueError(f"kind must be 'random' or 'targeted', not {self.kind!r}")
+        if self.kind not in REMOVAL_KINDS:
+            kinds = " or ".join(map(repr, REMOVAL_KINDS))
+            raise ValueError(f"kind must be {kinds}, not {self.kind!r}")
 
 
 @dataclass(frozen=True)

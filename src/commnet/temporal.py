@@ -16,8 +16,11 @@ off the CSR's upper triangle when asked for. Distinct values come from a sort
 plus a neighbour mask (``sorted_unique``): numpy's hash-based unique is many
 times slower on large int64 inputs. Day boundaries are half-open intervals
 [00:00:00, 24:00:00) of the configured clock (UTC plus an optional fixed
-offset). Streams, windows and graphs are immutable after construction (their
-arrays are not writeable) and safe to share across concurrent readers.
+offset). The calendar is held here once: SECONDS_PER_DAY, the epoch days
+that have a date (0001-01-01 .. 9999-12-31) and the unix seconds within
+them (``_DATED_SECONDS``), the only stamps the ingest accepts. Streams,
+windows and graphs are immutable after construction (their arrays are not
+writeable) and safe to share across concurrent readers.
 """
 from __future__ import annotations
 
@@ -52,8 +55,9 @@ def date_to_day(d: dt.date) -> int:
     return (d - _EPOCH).days
 
 
-# epoch days that have a calendar date (0001-01-01 .. 9999-12-31)
+# epoch days that have a calendar date, and the unix seconds within them
 _MIN_DAY, _MAX_DAY = date_to_day(dt.date.min), date_to_day(dt.date.max)
+_DATED_SECONDS = range(_MIN_DAY * SECONDS_PER_DAY, (_MAX_DAY + 1) * SECONDS_PER_DAY)
 
 # the longest window, 100 years: a window holds a days x nodes degree table
 # and one report entry per day, so a log whose dates span the calendar would

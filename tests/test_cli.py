@@ -1,3 +1,5 @@
+import dataclasses
+import datetime as dt
 import hashlib
 import io
 import json
@@ -98,6 +100,68 @@ def test_enron_recipe_presets(tmp_path):
     assert report["config"]["window_days"] == 131
     assert report["config"]["k"] == 10
     assert report["config"]["direction"] == "out"
+
+
+def _analyze_config(monkeypatch, tmp_path, *argv: str) -> pipeline.PipelineConfig:
+    """The PipelineConfig that ``analyze`` builds from ``argv``; nothing runs."""
+    built = []
+
+    def capture(cfg):
+        built.append(cfg)
+        return pipeline.Report(config={}, window={}, corpus={}, labels=None, sections_empty=False)
+
+    monkeypatch.setattr(cli, "run", capture)
+    assert main(["analyze", *argv, "--output-dir", str(tmp_path)]) == 0
+    return built[0]
+
+
+def test_analyze_defaults_are_the_configs(monkeypatch, tmp_path):
+    cfg = _analyze_config(monkeypatch, tmp_path, "--input", "corpus.log")
+    assert cfg == pipeline.PipelineConfig(output_dir=tmp_path, input_path=Path("corpus.log"))
+
+
+def test_every_analyze_setting_reaches_its_field(monkeypatch, tmp_path):
+    # one flag per field but the four analyze builds itself; each value
+    # differs from the field's default
+    settings = {
+        "--malformed-threshold": ("0.25", 0.25),
+        "--collapse-duplicates": (None, True),
+        "--window-start": ("2001-02-03", dt.date(2001, 2, 3)),
+        "--window-days": ("7", 7),
+        "--tz-offset-seconds": ("-3600", -3600),
+        "--direction": ("total", "total"),
+        "--k": ("4", 4),
+        "--k-values": ("2,4,8", (2, 4, 8)),
+        "--cv-threshold": ("0.5", 0.5),
+        "--fit-target": ("pdf", "pdf"),
+        "--fit-xmin": ("3", 3),
+        "--robustness-steps": ("0,0.5", (0.0, 0.5)),
+        "--seed": ("9", 9),
+    }
+    expected = {flag[2:].replace("-", "_"): value for flag, (_, value) in settings.items()}
+    built_by_analyze = {"output_dir", "input_path", "log_format", "hub_params"}
+    fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    assert set(expected) == fields - built_by_analyze
+    argv = [part for flag, (text, _) in settings.items() for part in (flag, text) if part]
+    cfg = _analyze_config(monkeypatch, tmp_path, "--input", "corpus.log", *argv)
+    for name, value in expected.items():
+        assert getattr(cfg, name) == value != getattr(pipeline.PipelineConfig, name), name
+    assert cfg.input_path == Path("corpus.log") and cfg.hub_params is None
+
+
+@pytest.mark.parametrize("window_days", [None, "20"])
+def test_enron_recipe_window_gives_way_to_an_explicit_one(monkeypatch, tmp_path, window_days):
+    argv = ["--synthetic-hubs", "--nodes", "20", "--days", "5", "--hubs", "2", "--seed", "4"]
+    argv += ["--enron-recipe", *(["--window-days", window_days] if window_days else [])]
+    cfg = _analyze_config(monkeypatch, tmp_path, *argv)
+    assert cfg == pipeline.PipelineConfig(
+        output_dir=tmp_path,
+        hub_params=commnet.HubCorpusParams(
+            nodes=20, days=5, hubs=2, hub_rate=40.0, background_rate=1.0, seed=4
+        ),
+        window_days=int(window_days) if window_days else cli.ENRON_WINDOW_DAYS,
+        seed=4,
+    )
 
 
 def test_empty_window_exit_code(tmp_path):

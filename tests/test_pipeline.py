@@ -418,6 +418,22 @@ def test_format_columns_empty_section():
     assert text2 == "a\nnan\n1.5\n"
 
 
+def test_curve_file_of_numpy_steps_is_that_of_python_floats(tmp_path):
+    # a removal fraction given as a numpy float is written as its number,
+    # as report.json holds it, and not as its repr (np.float64(0.2))
+    g = cn.generate_ba(cn.BAParams(n=60, m=2, seed=1))
+    strategies = [cn.RemovalStrategy("random")]
+    steps = np.linspace(0, 0.4, 3)
+    section = pipeline.robustness_stage(tmp_path / "numpy", g, strategies, list(steps))
+    pipeline.robustness_stage(tmp_path / "python", g, strategies, steps.tolist())
+    name = "robustness_random.dat"
+    written = (tmp_path / "numpy" / name).read_bytes()
+    assert written == (tmp_path / "python" / name).read_bytes()
+    fractions = [line.split()[0] for line in written.decode().splitlines()[1:]]
+    assert fractions == ["0.0", "0.2", "0.4"]
+    assert [pt["fraction_removed"] for pt in section["random"]["points"]] == [0.0, 0.2, 0.4]
+
+
 def test_rerun_replaces_previous_outputs(tmp_path):
     out = tmp_path / "out"
     run(hub_config(out))
