@@ -12,9 +12,10 @@ an empty observation window). The default output directory can be set with
 the COMMNET_OUTPUT_DIR environment variable.
 
 The verbs and the pipeline share one implementation of each front-door
-step. A flag named for a field of ``PipelineConfig`` or of a generator's
-parameters sets that field and takes its default there, so analyze's
-settings and defaults are ``PipelineConfig``'s. The curve files are
+step. A flag named for a field of ``PipelineConfig``, ``LogFormatConfig``
+or a generator's parameters sets that field, takes its default there and
+is checked there: a bad --direction is refused by
+``PipelineConfig.validate`` before any input is read. The curve files are
 ``pipeline.CURVE_FILES``, and logs are read, removal curves run and outputs
 staged by functions in ``pipeline``. A file named by --output is written
 beside its target (whose directory is made if missing) and renamed over it
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
 from .ingest import (
+    TIMESTAMP_FORMATS,
     LogFormatConfig,
     read_edge_list,
     validate_malformed_threshold,
@@ -86,39 +88,32 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part)
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))  # skips no entry: LogFormatConfig refuses an empty name
+
+
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--columns",
-        default="sender,recipient,timestamp",
-        help="column order, comma-separated permutation of sender,recipient,timestamp",
-    )
-    parser.add_argument(
-        "--timestamp-format", choices=("unix", "iso8601"), default="unix"
-    )
-    parser.add_argument("--delimiter", default=",")
-    parser.add_argument(
-        "--header", action="store_true", help="first line is a header row"
-    )
+    order = ",".join(LogFormatConfig.columns)
+    help_columns = f"column order, a comma-separated permutation of {order}"
+    _add_setting(parser, "--columns", LogFormatConfig, type=_names, help=help_columns)
+    _add_setting(parser, "--timestamp-format", LogFormatConfig, choices=TIMESTAMP_FORMATS)
+    _add_setting(parser, "--delimiter", LogFormatConfig)
+    header = dict(dest="has_header", action="store_true", help="first line is a header row")
+    _add_setting(parser, "--header", LogFormatConfig, **header)
     _add_setting(parser, "--malformed-threshold", type=float)
 
 
-def _add_setting(parser: argparse.ArgumentParser, flag: str, **options) -> None:
-    """Add ``flag``, which sets the PipelineConfig field of its name, with
-    that field's default, so the CLI and the library cannot disagree."""
-    default = getattr(PipelineConfig, flag[2:].replace("-", "_"))
-    parser.add_argument(flag, default=default, **options)
+def _add_setting(
+    parser: argparse.ArgumentParser, flag: str, owner: type = PipelineConfig, **options
+) -> None:
+    """Add ``flag``, which sets the field of the dataclass ``owner`` named by
+    its dest and takes that field's default, so the two cannot disagree."""
+    name = options.setdefault("dest", flag[2:].replace("-", "_"))
+    parser.add_argument(flag, default=getattr(owner, name), **options)
 
 
 def _log_format(args: argparse.Namespace) -> LogFormatConfig:
-    columns = tuple(args.columns.split(","))
-    if len(columns) != 3:
-        raise ConfigError("--columns needs exactly 3 names")
-    return LogFormatConfig(
-        columns=columns,  # type: ignore[arg-type]
-        timestamp_format=args.timestamp_format,
-        delimiter=args.delimiter,
-        has_header=args.header,
-    )
+    return LogFormatConfig(**_given(LogFormatConfig, args))
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -191,11 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(p_analyze, "--window-start", type=_date)
     _add_setting(p_analyze, "--window-days", type=int)
     _add_setting(p_analyze, "--tz-offset-seconds", type=int)
-    _add_setting(p_analyze, "--direction", choices=("out", "in", "total"))
+    _add_setting(p_analyze, "--direction")
     _add_setting(p_analyze, "--k", type=int)
     _add_setting(p_analyze, "--k-values", type=_int_list, help="comma list, ascending")
     _add_setting(p_analyze, "--cv-threshold", type=float)
-    _add_setting(p_analyze, "--fit-target", choices=("pdf", "ccdf"))
+    _add_setting(p_analyze, "--fit-target")
     _add_setting(p_analyze, "--fit-xmin", type=int)
     _add_setting(p_analyze, "--robustness-steps", type=_float_list)
     _add_setting(p_analyze, "--seed", type=int)

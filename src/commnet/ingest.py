@@ -11,7 +11,7 @@ The source is read and parsed in chunks of whole lines, about _CHUNK_BYTES
 each, so that besides the stream's three int64 columns only one chunk's
 arrays are held: a first pass counts the lines to size the columns, and a
 line longer than a read spans several. A log in time order is handed over
-as parsed; any other is sorted with one permutation and one spare column.
+as parsed; any other is sorted by one permutation, a column at a time.
 In a chunk, numpy passes over the bytes take every line that is plainly well
 formed (see _fast_lines) and intern its names a chunk at a time: a name met
 in an earlier chunk is found at its hash's slot in a table, and only the
@@ -51,14 +51,16 @@ from .errors import IngestError
 from .temporal import _BLOCK_ROWS, _DATED_SECONDS, SECONDS_PER_DAY, TemporalEdgeStream
 
 _COLUMNS = ("sender", "recipient", "timestamp")
+TIMESTAMP_FORMATS = ("unix", "iso8601")  # integer seconds, or ISO-8601 text
 
 
 @dataclass(frozen=True)
 class LogFormatConfig:
-    """Shape of the delimited log: column order, timestamp format, delimiter, header."""
+    """Shape of the delimited log. Its fields and their defaults are the CLI's
+    format flags and theirs, and the checks below are the only ones they get."""
 
     columns: tuple[str, str, str] = _COLUMNS
-    timestamp_format: str = "unix"  # "unix" (integer seconds) or "iso8601"
+    timestamp_format: str = "unix"  # one of TIMESTAMP_FORMATS
     delimiter: str = ","
     has_header: bool = False
 
@@ -67,8 +69,8 @@ class LogFormatConfig:
             raise ValueError(f"columns must be a permutation of {_COLUMNS}")
         if len(self.delimiter.encode("utf-8")) != 1:
             raise ValueError("delimiter must be a single byte")
-        if self.timestamp_format not in ("unix", "iso8601"):
-            raise ValueError("timestamp_format must be 'unix' or 'iso8601'")
+        if self.timestamp_format not in TIMESTAMP_FORMATS:
+            raise ValueError(f"timestamp_format must be one of {TIMESTAMP_FORMATS}")
 
 
 @dataclass(frozen=True)
@@ -536,7 +538,7 @@ def parse_edge_log(
             column[filled : filled + len(values)] = values
         filled += block.shape[1]
         line_no += len(ends)
-        del run, chunk, block, stamps  # before the next run is read
+        del run, chunk, block, stamps, column, values  # before the next run is read
 
     if rows_read and len(malformed) / rows_read > malformed_threshold:
         preview = ", ".join(str(ln) for ln, _ in malformed[:5])
@@ -545,18 +547,16 @@ def parse_edge_log(
             f"(threshold {malformed_threshold:g}); first bad lines: {preview}"
         )
 
-    timestamps, senders, recipients = columns = [c[:filled] for c in columns]
+    columns = [c[:filled] for c in columns]
     if not ordered:
-        # one row per message; ties keep input order. Each column is
-        # gathered into a spare buffer, and its own buffer becomes the spare
-        # for the next, so one permutation and one extra column are live
-        order = np.argsort(timestamps, kind="stable")
-        spare = np.empty(filled, dtype=np.int64)
-        for i, column in enumerate(columns):
-            columns[i] = np.take(column, order, out=spare, mode="clip")
-            spare = column
-        del order, spare, column
-        timestamps, senders, recipients = columns
+        # one row per message; ties keep input order. No other name holds a
+        # column, so each is freed as its gather replaces it: one
+        # permutation and one extra column are live
+        order = np.argsort(columns[0], kind="stable")
+        for i in range(3):
+            columns[i] = columns[i][order]
+        del order
+    timestamps, senders, recipients = columns
     collapsed = 0
     if collapse_duplicates:
         kept = _first_occurrences(columns)

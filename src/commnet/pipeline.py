@@ -138,7 +138,7 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        from . import centrality, dynamics
+        from . import centrality, dynamics, powerlaw
 
         if (self.input_path is None) == (self.hub_params is None):
             raise ConfigError("exactly one of input_path or hub_params must be set")
@@ -146,8 +146,8 @@ class PipelineConfig:
             raise ConfigError(f"direction must be one of {centrality.VALID_DIRECTIONS}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.fit_target not in ("pdf", "ccdf"):
-            raise ConfigError("fit_target must be 'pdf' or 'ccdf'")
+        if self.fit_target not in powerlaw.FIT_TARGETS:
+            raise ConfigError(f"fit_target must be one of {powerlaw.FIT_TARGETS}")
         if self.fit_xmin < 1:
             raise ConfigError("fit_xmin must be >= 1")
         # a NaN or an infinity would also reach report.json, which JSON forbids

@@ -25,6 +25,8 @@ from numpy.typing import ArrayLike
 
 from .errors import EmptyHistogramError, InsufficientSupportError
 
+FIT_TARGETS = ("pdf", "ccdf")  # the curves fit_ols can regress
+
 
 @dataclass(frozen=True)
 class DegreeHistogram:
@@ -101,7 +103,7 @@ def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLaw
     Parameters
     ----------
     h : DegreeHistogram
-    target : "pdf" or "ccdf"
+    target : str, one of FIT_TARGETS
         Which curve to regress. The ccdf is the default: it is far less noisy
         in the tail. The pdf target mirrors direct log-log plot inspection.
     xmin : int
@@ -118,12 +120,9 @@ def fit_ols(h: DegreeHistogram, target: str = "ccdf", xmin: int = 1) -> PowerLaw
     InsufficientSupportError
         If fewer than 3 distinct support points lie at or above ``xmin``.
     """
-    if target == "pdf":
-        series = h.pdf
-    elif target == "ccdf":
-        series = h.ccdf
-    else:
-        raise ValueError("target must be 'pdf' or 'ccdf'")
+    if target not in FIT_TARGETS:
+        raise ValueError(f"target must be one of {FIT_TARGETS}")
+    series = h.pdf if target == "pdf" else h.ccdf
     pts = [
         (k, y)
         for k, y in zip(h.support, series)

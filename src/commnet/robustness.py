@@ -13,16 +13,16 @@ reads the graph's own representation, the symmetric CSR adjacency built once
 with the graph. Each strategy is an order of removal computed up front, as
 far as the last step reaches, and each step clears the next run of that
 order in an alive mask; adaptive targeting decrements the degrees of each
-removed node's neighbours, read off its CSR row. A run reads its edge list,
-one (u < v) pair of int32 positions per edge, off the CSR once for all its
-curves. Each point keeps the pairs whose ends both survive and labels
-components over the original positions by hooking plus pointer jumping
-(Shiloach & Vishkin 1982, J. Algorithms 3:57), a few vectorized numpy
-rounds per point; a removed node labels only itself. scipy's
-connected_components would do the same, but importing scipy.sparse.csgraph
-costs every process about 0.45 s, more than a whole growth-model curve at
-3,000 nodes. Only the giant component is induced as a CSR of its own, for
-the path-length BFS.
+removed node's neighbours, read off its CSR row. A run takes its edge
+list, one (u < v) pair of int32 positions per edge, from the adjacency
+(``Adjacency.edge_pairs``) once for all its curves. Each point keeps the
+pairs whose ends both survive and labels components over the original
+positions by hooking plus pointer jumping (Shiloach & Vishkin 1982,
+J. Algorithms 3:57), a few vectorized numpy rounds per point; a removed
+node labels only itself. scipy's connected_components would do the same,
+but importing scipy.sparse.csgraph costs every process about 0.45 s, more
+than a whole growth-model curve at 3,000 nodes. Only the giant component
+is induced as a CSR of its own, for the path-length BFS.
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
@@ -319,13 +319,9 @@ def robustness_curves(
 
     # nodes are addressed by position; positions ascend with node id
     adj = g.adjacency
-    # every edge once, as its (u < v) pair of positions; each point labels
-    # the pairs whose ends both survive. As int32, like the rows, they take
-    # half the memory, and so does every labelling's copy of them
-    rows = adj.rows()
-    upper = rows < adj.indices
-    eu, ev = rows[upper], adj.indices[upper].astype(np.int32)
-    del rows, upper
+    # each point labels the (u < v) pairs whose ends both survive; as int32
+    # they take half the memory, and so does every labelling's copy
+    eu, ev = adj.edge_pairs()
 
     def measure(alive: np.ndarray) -> tuple[float, float | None]:
         both = alive[eu] & alive[ev]

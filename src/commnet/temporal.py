@@ -200,12 +200,16 @@ class DayWindow:
 
     Window day ``t`` holds messages ``indptr[t] : indptr[t + 1]`` of the
     stream; window day 0 is epoch day ``origin``. Days without messages stay
-    in the window as empty slices, so the day index is contiguous.
+    in the window as empty slices, so the day index is contiguous and
+    ``length`` is read off the offsets.
     """
 
     indptr: np.ndarray  # int64, length + 1 message offsets, not writeable
     origin: int
-    length: int
+
+    @property
+    def length(self) -> int:
+        return len(self.indptr) - 1
 
     def date(self, day: int) -> dt.date:
         return day_date(self.origin + day)
@@ -244,11 +248,11 @@ def slice_days(
     stamps = stream.timestamps
     if not len(stamps):
         if num_days is None:
-            return DayWindow(_read_only(np.zeros(1, dtype=np.int64)), 0, 0)
+            return DayWindow(_read_only(np.zeros(1, dtype=np.int64)), 0)
         if day_origin is None:
             raise ValueError("day_origin is required to window an empty stream")
         empty = np.zeros(num_days + 1, dtype=np.int64)
-        return DayWindow(_read_only(empty), date_to_day(day_origin), num_days)
+        return DayWindow(_read_only(empty), date_to_day(day_origin))
 
     first_day = day_number(int(stamps[0]), tz_offset_seconds)
     last_day = day_number(int(stamps[-1]), tz_offset_seconds)
@@ -273,7 +277,7 @@ def slice_days(
     # inverse of day_number: the first stamp s with (s + offset) // 86400 == d
     starts = np.arange(origin, end_day + 2) * SECONDS_PER_DAY - tz_offset_seconds
     indptr = np.searchsorted(stamps, starts)
-    return DayWindow(_read_only(indptr), origin, end_day - origin + 1)
+    return DayWindow(_read_only(indptr), origin)
 
 
 class Adjacency(NamedTuple):
@@ -289,6 +293,13 @@ class Adjacency(NamedTuple):
         graph here holds 2**31 nodes, and the rows are half the size."""
         rows = np.arange(len(self.indptr) - 1, dtype=np.int32)
         return np.repeat(rows, np.diff(self.indptr))
+
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once, as its (u < v) pair of positions off the upper
+        triangle, in row-then-column order: two int32 arrays, like the rows."""
+        rows = self.rows()
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper].astype(np.int32)
 
 
 class UndirectedGraph:
@@ -327,9 +338,7 @@ class UndirectedGraph:
     @property
     def edges(self) -> np.ndarray:
         """The distinct pairs as node ids: (m, 2) int64, u < v, ascending."""
-        rows, cols = self.adjacency.rows(), self.adjacency.indices
-        upper = rows < cols
-        return _read_only(self.nodes[np.column_stack([rows[upper], cols[upper]])])
+        return _read_only(self.nodes[np.column_stack(self.adjacency.edge_pairs())])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):

@@ -149,6 +149,23 @@ def test_every_analyze_setting_reaches_its_field(monkeypatch, tmp_path):
     assert cfg.input_path == Path("corpus.log") and cfg.hub_params is None
 
 
+def test_every_log_format_flag_reaches_its_field(monkeypatch, tmp_path):
+    # field: (flag, text, value); each value differs from the field's default
+    settings = {
+        "columns": (
+            "--columns", "timestamp,sender,recipient", ("timestamp", "sender", "recipient")
+        ),
+        "timestamp_format": ("--timestamp-format", "iso8601", "iso8601"),
+        "delimiter": ("--delimiter", ";", ";"),
+        "has_header": ("--header", None, True),
+    }
+    assert set(settings) == {f.name for f in dataclasses.fields(LogFormatConfig)}
+    argv = [part for flag, text, _ in settings.values() for part in (flag, text) if part]
+    cfg = _analyze_config(monkeypatch, tmp_path, "--input", "corpus.log", *argv).log_format
+    for name, (_, _, value) in settings.items():
+        assert getattr(cfg, name) == value != getattr(LogFormatConfig, name), name
+
+
 @pytest.mark.parametrize("window_days", [None, "20"])
 def test_enron_recipe_window_gives_way_to_an_explicit_one(monkeypatch, tmp_path, window_days):
     argv = ["--synthetic-hubs", "--nodes", "20", "--days", "5", "--hubs", "2", "--seed", "4"]
@@ -164,7 +181,7 @@ def test_enron_recipe_window_gives_way_to_an_explicit_one(monkeypatch, tmp_path,
     )
 
 
-def test_empty_window_exit_code(tmp_path):
+def test_empty_window_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.log"
     empty.write_text("")
     rc = main(
@@ -178,6 +195,10 @@ def test_empty_window_exit_code(tmp_path):
     )
     assert rc == 4
     assert (tmp_path / "out" / "report.json").exists()
+    # the summary of an empty report says so and succeeds
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out" / "report.json")]) == 0
+    assert "all analysis sections are empty" in capsys.readouterr().out
 
 
 def test_config_error_exit_code(tmp_path):
@@ -190,6 +211,8 @@ def test_config_error_exit_code(tmp_path):
         ]
     )
     assert rc == 2
+    # each bad setting is refused before the output directory is made
+    out = tmp_path / "out"
     for flag, value in (
         ("--tz-offset-seconds", "9223372036854775000"),
         ("--k-values", ""),
@@ -198,11 +221,14 @@ def test_config_error_exit_code(tmp_path):
         ("--cv-threshold", "nan"),
         ("--cv-threshold", "inf"),
         ("--cv-threshold", "-1"),
+        ("--direction", "sideways"),
+        ("--fit-target", "log"),
+        ("--columns", "sender,recipient"),
+        ("--columns", "sender,,recipient,timestamp"),
     ):
-        rc = main(
-            ["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(tmp_path)]
-        )
+        rc = main(["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(out)])
         assert rc == 2, flag
+        assert not out.exists(), flag
     # bad removal fractions and strategies are refused before the input is
     # even opened
     missing = str(tmp_path / "missing.log")
@@ -483,6 +509,14 @@ def test_robustness_from_message_log(tmp_path):
     assert main(["analyze", "--input", str(hub), "--output-dir", str(pipeline)]) == 0
     for name in ("robustness_random.dat", "robustness_targeted.dat"):
         assert (verb / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+def test_robustness_on_a_log_of_blank_lines(tmp_path, capsys):
+    log = tmp_path / "blank.log"
+    log.write_text("\n\n\n")
+    argv = ["robustness", "--input", str(log), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 4
+    assert "message log is empty" in capsys.readouterr().err
 
 
 def test_report_summarizer(tmp_path, capsys):
