@@ -1,6 +1,6 @@
 """Communication-network prominence and robustness analytics.
 
-Holds a timestamped message log as int64 columns sliced into calendar days,
+Holds a timestamped message log as columns sliced into calendar days,
 measures message-weighted degree prominence and its day-to-day stability
 from one days x nodes degree table, fits power-law degree distributions,
 generates synthetic reference networks, and runs failure/attack tolerance

@@ -3,8 +3,9 @@ ranking rule behind every top-k list.
 
 Degrees are int64 vectors indexed by node position, aligned with the
 ascending int64 node-id array: a table row is one day, the column sum is the
-aggregate. Nodes rank by descending degree, then ascending id, and only
-positive degrees rank."""
+aggregate. They are counted from the stream's columns (int32 positions,
+int64 stamps: 16 bytes a message) a day's slice at a time. Nodes rank by
+descending degree, then ascending id, and only positive degrees rank."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -17,6 +18,7 @@ from .errors import UnknownNodeError
 from .temporal import DayWindow, TemporalEdgeStream
 
 VALID_DIRECTIONS = ("out", "in", "total")
+_COUNT_ROWS = 1 << 12  # message rows counted by one np.add.at call
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,12 @@ def degree_table(
     values = np.zeros((window.length, len(nodes)), dtype=np.int64)
     bounds = window.indptr.tolist()
     for t in np.flatnonzero(window.message_counts()).tolist():
-        day = slice(bounds[t], bounds[t + 1])
-        for column in ends:  # senders and recipients are node positions
-            np.add.at(values[t], column[day], 1)
+        # np.add.at casts the int32 positions to intp in a buffer of up to
+        # 8,192 entries; _COUNT_ROWS rows at a time hold it to 32 KiB
+        for lo in range(bounds[t], bounds[t + 1], _COUNT_ROWS):
+            rows = slice(lo, min(lo + _COUNT_ROWS, bounds[t + 1]))
+            for column in ends:  # senders and recipients are node positions
+                np.add.at(values[t], column[rows], 1)
     return DegreeTable(nodes, values, direction)
 
 

@@ -317,7 +317,8 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     adaptive = not args.static_targeted
     strategies = [RemovalStrategy(kind, seed=args.seed, adaptive=adaptive) for kind in kinds]
     validate_malformed_threshold(args.malformed_threshold)
-    fmt = _log_format(args) if args.input else None
+    # for both inputs, so a bad format flag fails before the output is staged
+    fmt = _log_format(args)
     out_dir = _output_dir(args)
     # staged before the input is read, as in analyze. A rerun replaces both
     # curve files, so no old curve survives beside a new run of the other

@@ -3,7 +3,8 @@
 The growth-with-preferential-attachment model produces heavy-tailed degree
 distributions with a known exponent; the uniform random-pair model is the
 Poisson-degree baseline; the planted-hub corpus is a temporal message stream
-with a controlled prominence hierarchy for end-to-end pipeline checks.
+(int32 positions, int64 stamps: 16 bytes a message) with a controlled
+prominence hierarchy for end-to-end pipeline checks.
 
 All generators draw from numpy's PCG64 generator seeded with the given
 integer, so a given seed reproduces the same object bit for bit across runs
@@ -215,15 +216,12 @@ def generate_hub_corpus(p: HubCorpusParams) -> TemporalEdgeStream:
         columns.append(np.concatenate(part))
         part.clear()
     senders, recipients, stamps = columns
-    # ids are 0..nodes-1, so one lookup table maps each to its position among
-    # the ids that take part
+    # ids are 0..nodes-1, so one lookup table maps each to its int32 position
+    # among the ids that take part
     present = np.zeros(p.nodes, dtype=bool)
     present[senders] = True
     present[recipients] = True
-    position = np.cumsum(present) - 1
-    for column in (senders, recipients):
-        # in place: entry i is read before it is overwritten
-        np.take(position, column, out=column, mode="clip")
+    position = np.cumsum(present, dtype=np.int32) - 1
     return TemporalEdgeStream.from_positions(
-        senders, recipients, stamps, np.flatnonzero(present)
+        position[senders], position[recipients], stamps, np.flatnonzero(present)
     )

@@ -8,9 +8,9 @@ input is ignored. Node ids are dense integers assigned in timestamp order of
 first appearance; the original identifiers are kept as labels on the stream.
 
 The source is read and parsed in chunks of whole lines, about _CHUNK_BYTES
-each, so that besides the stream's three int64 columns only one chunk's
-arrays are held: a first pass counts the lines to size the columns, and a
-line longer than a read spans several. A log in time order is handed over
+each, so that besides the stream's columns (int32 positions, int64 stamps:
+16 bytes a message) only one chunk's arrays are held: a first pass counts
+the lines to size the columns, and a line longer than a read spans several. A log in time order is handed over
 as parsed; any other is sorted by one permutation, a column at a time.
 In a chunk, numpy passes over the bytes take every line that is plainly well
 formed (see _fast_lines) and intern its names a chunk at a time: a name met
@@ -473,11 +473,11 @@ def parse_edge_log(
     validate_malformed_threshold(malformed_threshold)
     cfg = cfg or LogFormatConfig()
     reader = _reader(source)
-    # accepted rows in input order as timestamp, sender and recipient
-    # columns, with provisional ids for the names; every line but the
-    # header may hold a row
+    # accepted rows in input order as int64 timestamp and int32 sender and
+    # recipient columns, with provisional ids for the names; every line but
+    # the header may hold a row
     capacity = max(_line_count(reader) + 1 - cfg.has_header, 0)
-    columns = [np.empty(capacity, dtype=np.int64) for _ in range(3)]
+    columns = [np.empty(capacity, dtype=t) for t in (np.int64, np.int32, np.int32)]
     head = reader.read(len(_BOM))
     runs = _line_runs(reader, b"" if head == _BOM else head)
     header = cfg.has_header
@@ -580,11 +580,14 @@ def parse_edge_log(
             break
     seen = np.flatnonzero(first < unseen)
     appearance = seen[np.argsort(first[seen])]
-    dense = np.empty(len(names), dtype=np.int64)
+    dense = np.empty(len(names), dtype=np.int32)
     dense[appearance] = np.arange(len(appearance))
     for column in (senders, recipients):
-        # in place: entry i is read before it is overwritten
-        np.take(dense, column, out=column, mode="clip")
+        # in place, a block at a time: take turns an int32 index into an
+        # intp copy first, which for the whole column would be 8 bytes a row
+        for lo in range(0, len(column), _BLOCK_ROWS):
+            block = column[lo : lo + _BLOCK_ROWS]
+            np.take(dense, block, out=block, mode="clip")
     keys = list(names)
     # the dense ids are 0..n-1, so each id is its own position in the registry
     stream = TemporalEdgeStream.from_positions(

@@ -1,9 +1,10 @@
 """Temporal communication-graph model.
 
-A message stream is held as three aligned int64 columns sorted by timestamp:
-sender and recipient are positions into the stream's node registry, the
-ascending int64 external ids of every node that sends or receives, and the
-third column is the timestamp. Positions ascend with id, so sorting or
+A message stream is held as three aligned columns sorted by timestamp:
+sender and recipient are int32 positions into the stream's node registry,
+the ascending int64 external ids of every node that sends or receives, and
+the third column is the int64 timestamp, so a message costs 16 bytes: int32
+positions, int64 stamps. Positions ascend with id, so sorting or
 breaking ties by position is sorting by id, and every per-node quantity is an
 array indexed by position; external ids are looked up (``node_registry[pos]``)
 only where output names a node. Slicing the stream into calendar days gives
@@ -92,10 +93,11 @@ class TemporalEdgeStream:
 
     Message ``i`` goes from node ``node_registry[senders[i]]`` to node
     ``node_registry[recipients[i]]`` at ``timestamps[i]`` (unix seconds):
-    ``senders`` and ``recipients`` hold int64 positions into
+    ``senders`` and ``recipients`` hold int32 positions into
     ``node_registry``, the ascending int64 ids of every node that sends or
-    receives. ``labels`` optionally maps node ids to the source identifiers
-    they were assigned from.
+    receives, and ``timestamps`` is int64: 16 bytes a message. ``labels``
+    optionally maps node ids to the source identifiers they were assigned
+    from.
 
     The constructor takes the columns as node ids and maps them to positions
     once; ``from_positions`` adopts columns that are positions already.
@@ -116,8 +118,8 @@ class TemporalEdgeStream:
         _check_lengths(senders, recipients, timestamps)
         registry = sorted_unique(np.concatenate([senders, recipients]))
         self._adopt(
-            np.searchsorted(registry, senders),
-            np.searchsorted(registry, recipients),
+            np.searchsorted(registry, senders).astype(np.int32),
+            np.searchsorted(registry, recipients).astype(np.int32),
             timestamps,
             registry,
             labels,
@@ -133,20 +135,28 @@ class TemporalEdgeStream:
         labels: Mapping[int, str] | None = None,
     ) -> TemporalEdgeStream:
         """A stream over columns that already hold positions into the
-        ascending ``node_registry``. int64 arrays are taken over, not copied:
-        they are marked read-only in place."""
-        senders, recipients, timestamps, node_registry = (
-            np.asarray(c, dtype=np.int64)
-            for c in (senders, recipients, timestamps, node_registry)
+        ascending ``node_registry``. int32 positions and int64 stamps and
+        ids are taken over, not copied: they are marked read-only in place.
+        Positions of another integer type are narrowed to int32 once."""
+        senders, recipients = np.asarray(senders), np.asarray(recipients)
+        timestamps, node_registry = (
+            np.asarray(c, dtype=np.int64) for c in (timestamps, node_registry)
         )
         _check_lengths(senders, recipients, timestamps)
         if np.any(node_registry[1:] <= node_registry[:-1]):
             raise ValueError("node_registry must be strictly ascending")
+        # checked before they are narrowed, so no position wraps into range
         for end in (senders, recipients):
             if len(end) and not 0 <= end.min() <= end.max() < len(node_registry):
                 raise ValueError("a position lies outside the node registry")
         stream = cls.__new__(cls)
-        stream._adopt(senders, recipients, timestamps, node_registry, labels)
+        stream._adopt(
+            senders.astype(np.int32, copy=False),
+            recipients.astype(np.int32, copy=False),
+            timestamps,
+            node_registry,
+            labels,
+        )
         return stream
 
     def _adopt(self, senders, recipients, timestamps, node_registry, labels) -> None:
@@ -359,14 +369,19 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> Adjacency:
     Entry (row, col) is the key ``row * width + col``. The distinct keys
     ``lo * width + hi`` of the pairs are found one block of _BLOCK_ROWS
     pairs at a time, then once more over the blocks' distinct keys, so no
-    per-pair key array is made. They and their mirrors sort in place once
-    into row-then-column order; no (m, 2) array is made.
+    per-pair key array is made. The positions may be int32: each key is
+    widened to int64 inside the ufuncs, before it is multiplied, since an
+    int32 key overflows past 46,341 nodes. The keys and their mirrors sort
+    in place once into row-then-column order; no (m, 2) array is made.
     """
     width = max(n, 1)  # n = 0 has no pairs and must not divide by zero
     blocks = [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(u), _BLOCK_ROWS):
         a, b = u[lo : lo + _BLOCK_ROWS], v[lo : lo + _BLOCK_ROWS]
-        blocks.append(sorted_unique(np.minimum(a, b) * width + np.maximum(a, b)))
+        key = np.minimum(a, b, dtype=np.int64)
+        key *= width
+        key += np.maximum(a, b, dtype=np.int64)
+        blocks.append(sorted_unique(key))
     upper = sorted_unique(np.concatenate(blocks))
     del blocks
     keys = np.concatenate([upper, upper % width * width + upper // width])

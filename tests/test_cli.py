@@ -257,6 +257,18 @@ def test_malformed_threshold_outside_unit_interval(tmp_path, capsys, verb, thres
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--columns", "x"), ("--delimiter", "ab")])
+def test_robustness_on_edges_checks_the_log_format_flags(tmp_path, flag, value):
+    # an edge list reads no log format, but a bad flag is still refused
+    # before the output directory is made, as for a log
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n0 2\n")
+    out = tmp_path / "out"
+    argv = ["robustness", "--edges", str(edges), flag, value, "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_missing_output_dir_is_config_error(tmp_path, monkeypatch):
     monkeypatch.delenv("COMMNET_OUTPUT_DIR", raising=False)
     rc = main(["analyze", "--synthetic-hubs"])

@@ -408,6 +408,32 @@ def test_later_chunk_name_sharing_a_known_hash_gets_its_own_id(monkeypatch):
     assert (stream, report) == ref_ingest.parse_edge_log(data)
 
 
+def test_renumbering_across_blocks_matches_reference(monkeypatch):
+    # 5 rows a block: the names of a generated corpus first appear in many
+    # blocks, and each keeps its id by first appearance in every block after
+    params = cn.HubCorpusParams(
+        nodes=30, days=4, hubs=3, hub_rate=6, background_rate=2, seed=2
+    )
+    sink = io.BytesIO()
+    write_edge_log(cn.generate_hub_corpus(params), sink)
+    data = sink.getvalue()
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 5)
+    stream, report = parse(data)
+    want, want_report = ref_ingest.parse_edge_log(data)
+    assert report == want_report
+    for got, expected in (
+        (stream.senders, want.senders),
+        (stream.recipients, want.recipients),
+        (stream.timestamps, want.timestamps),
+    ):
+        assert got.tolist() == expected.tolist()
+    assert stream.labels == want.labels
+    # a name is new in a row of each of several blocks
+    ends = np.stack([stream.senders, stream.recipients], axis=1).ravel()
+    _, first = np.unique(ends, return_index=True)
+    assert len(np.unique(first // 2 // 5)) > 5
+
+
 def _name_words(names: list[bytes], width: int) -> np.ndarray:
     padded = b"".join(name.ljust(8 * width, b"\0") for name in names)
     return np.frombuffer(padded, dtype="<u8").reshape(-1, width)
@@ -469,16 +495,21 @@ def test_parse_holds_the_rows_about_once():
             tracemalloc.stop()
     assert report.accepted == 62_176
     assert peak / report.accepted <= 115
-    for column in (
-        stream.senders, stream.recipients, stream.timestamps, stream.node_registry
+    # int32 positions, int64 stamps and ids: 16 bytes a message
+    for column, dtype in (
+        (stream.senders, np.int32),
+        (stream.recipients, np.int32),
+        (stream.timestamps, np.int64),
+        (stream.node_registry, np.int64),
     ):
-        assert column.dtype == np.int64 and not column.flags.writeable
+        assert column.dtype == dtype and not column.flags.writeable
 
 
 def test_parse_from_a_file_holds_the_columns_and_one_chunk(tmp_path, monkeypatch):
     # 311,640 rows, 4.8 MB, read 16 KiB at a time: the traced peak stays
-    # within the stream's three int64 columns and a fixed allowance for a
-    # chunk's arrays; reading the whole file first took the file's size more
+    # within the stream's columns, 16 bytes a row, and a fixed allowance for
+    # a chunk's arrays; reading the whole file first took the file's size
+    # more, and renumbering a whole int32 column at once 8 bytes a row more
     params = cn.HubCorpusParams(
         nodes=151, days=100, hubs=10, hub_rate=100, background_rate=15, seed=1
     )
@@ -500,7 +531,7 @@ def test_parse_from_a_file_holds_the_columns_and_one_chunk(tmp_path, monkeypatch
             tracemalloc.stop()
     assert report.accepted == len(stream) == 311_640
     assert path.stat().st_size > 4 << 20
-    assert peak < 24 * len(stream) + (3 << 19)
+    assert peak < 16 * len(stream) + (3 << 19)
 
 
 class _Unseekable(io.RawIOBase):

@@ -404,12 +404,35 @@ def test_gapped_ids_match_brute_and_networkx(ids):
 
 
 def test_stream_from_positions_adopts_its_columns():
-    senders, recipients = np.array([0, 2, 1]), np.array([1, 0, 2])
+    senders = np.array([0, 2, 1], dtype=np.int32)
+    recipients = np.array([1, 0, 2], dtype=np.int32)
     stamps, registry = np.array([5, 5, 9]), np.array([-4, 10, 2**50])
     stream = TemporalEdgeStream.from_positions(senders, recipients, stamps, registry)
-    assert stream.senders is senders and stream.node_registry is registry
+    assert stream.senders is senders and stream.recipients is recipients
+    assert stream.timestamps is stamps and stream.node_registry is registry
     assert not senders.flags.writeable and not stamps.flags.writeable
     assert stream == TemporalEdgeStream([-4, 2**50, 10], [10, -4, 2**50], [5, 5, 9])
+    # the constructor maps ids to positions and narrows them once
+    assert TemporalEdgeStream([1], [2], [3]).senders.dtype == np.int32
+
+
+def test_projection_keys_past_int32():
+    # 70,000 nodes: the key lo * n + hi of the last positions passes 2**31,
+    # so the int32 positions must be widened before they are multiplied
+    n = 70_000
+    registry = np.arange(n, dtype=np.int64) * 3 - 7
+    senders = np.array([n - 1, n - 3, 0, n - 2, n - 1], dtype=np.int32)
+    recipients = np.array([n - 2, n - 1, n - 1, n - 1, 1], dtype=np.int32)
+    assert (n - 2) * n + (n - 1) > 2**31
+    stream = TemporalEdgeStream.from_positions(
+        senders, recipients, np.arange(5), registry
+    )
+    graph = undirected_projection(stream)
+    # UndirectedGraph maps ids to int64 positions
+    ids = np.column_stack([registry[senders], registry[recipients]])
+    assert graph == UndirectedGraph(ids, nodes=registry)
+    last = graph.adjacency.indptr[n - 1]
+    assert graph.adjacency.indices[last:].tolist() == [0, 1, n - 3, n - 2]
 
 
 @pytest.mark.parametrize(
