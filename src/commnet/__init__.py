@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "centrality": "DegreeTable RankList degree_share degree_table top_k",
+        "centrality": "DegreeTable degree_share degree_table top_k",
         "dynamics": "CorrelationSeries DegreeSeries OverlapResult PairCorrelation"
         " Stability classify_stability consecutive_day_correlation"
         " daily_vs_aggregate_consistency node_series overlap_vs_k",

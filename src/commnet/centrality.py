@@ -5,7 +5,10 @@ Degrees are int64 vectors indexed by node position, aligned with the
 ascending int64 node-id array: a table row is one day, the column sum is the
 aggregate. They are counted from the stream's columns (int32 positions,
 int64 stamps: 16 bytes a message) a day's slice at a time. Nodes rank by
-descending degree, then ascending id, and only positive degrees rank."""
+descending degree, then ascending id, and only positive degrees rank:
+``ranked_positions`` sorts a vector's positive cells alone, so each day's
+ranking holds that day's active nodes and nothing of days x nodes size. A
+top-k list is a tuple of (node id, degree) pairs."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -22,25 +25,6 @@ _COUNT_ROWS = 1 << 12  # message rows counted by one np.add.at call
 
 
 @dataclass(frozen=True)
-class RankList:
-    """Top-k nodes by degree; ties broken by ascending node id.
-
-    ``k`` is the requested size; ``entries`` may be shorter when fewer nodes
-    have a positive degree.
-    """
-
-    k: int
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def node_ids(self) -> frozenset[int]:
-        return frozenset(node for node, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class DegreeTable:
     """Degree of every registered node on every day.
 
@@ -54,9 +38,10 @@ class DegreeTable:
 
     @cached_property
     def daily_ranking(self) -> list[np.ndarray]:
-        """Each day's ranked positions (``ranked_positions`` of every row),
-        computed on first use and shared by every reader of the table."""
-        return ranked_positions(self.values)
+        """Each day's ranked positions (``ranked_positions`` of its row; an
+        empty day's is empty), computed on first use and shared by every
+        reader of the table."""
+        return [ranked_positions(row) for row in self.values]
 
     def column(self, node: int) -> np.ndarray:
         """One node's per-day degrees; UnknownNodeError if it is not registered."""
@@ -96,41 +81,33 @@ def degree_table(
     return DegreeTable(nodes, values, direction)
 
 
-def ranked_positions(degrees: np.ndarray) -> list[np.ndarray]:
-    """The ranking rule, once per row of ``degrees`` (one vector indexed by
-    node position, or a days x nodes table): the positions of the positive
-    degrees, by descending degree then ascending position. Positions ascend
-    with node id, so the stable sort breaks ties by id."""
-    degrees = np.atleast_2d(degrees)
-    order = np.argsort(-degrees, axis=1, kind="stable")
-    # positive degrees sort first, so each row's ranking is a prefix
-    return [row[:n] for row, n in zip(order, np.count_nonzero(degrees > 0, axis=1))]
+def ranked_positions(degrees: np.ndarray) -> np.ndarray:
+    """The ranking rule on one degree vector indexed by node position: the
+    positions of the positive degrees, by descending degree then ascending
+    position. Positions ascend with node id, so the stable sort breaks ties
+    by id."""
+    positive = np.flatnonzero(degrees > 0)
+    return positive[np.argsort(-degrees[positive], kind="stable")]
 
 
-def _entries(
+def top_k(
     nodes: np.ndarray, degrees: np.ndarray, k: int
 ) -> tuple[tuple[int, int], ...]:
+    """The k highest-degree nodes of a degree vector aligned with ``nodes``,
+    as (node id, degree) pairs; fewer when fewer than k degrees are positive."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     # nodes may come in any order: rank them in id order
     by_id = np.argsort(nodes, kind="stable")
-    top = by_id[ranked_positions(degrees[by_id])[0][:k]]
+    top = by_id[ranked_positions(degrees[by_id])[:k]]
     return tuple(zip(nodes[top].tolist(), degrees[top].tolist()))
 
 
-def top_k(nodes: np.ndarray, degrees: np.ndarray, k: int) -> RankList:
-    """The k highest-degree nodes of a degree vector aligned with ``nodes``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return RankList(k, _entries(nodes, degrees, k))
-
-
-def degree_share(nodes: np.ndarray, degrees: np.ndarray, top: RankList) -> float:
-    """Fraction of the total degree mass held by the ranked nodes.
+def degree_share(nodes: np.ndarray, degrees: np.ndarray, k: int) -> float:
+    """Fraction of the total degree mass held by the top k nodes.
 
     Returns 0 when the total degree is 0.
     """
-    if top.entries != _entries(nodes, degrees, top.k):
-        raise ValueError("rank list was not derived from these degrees")
+    top = top_k(nodes, degrees, k)
     total = int(degrees.sum())
-    if total == 0:
-        return 0.0
-    return sum(deg for _, deg in top.entries) / total
+    return sum(deg for _, deg in top) / total if total else 0.0

@@ -344,28 +344,41 @@ def _cmd_report(args: argparse.Namespace) -> int:
     data = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
     if not isinstance(data, dict):  # exits as a file that is not JSON does
         raise ConfigError(f"{args.report_file}: top level is not a JSON object")
-    print(f"schema version: {data.get('schema_version')}")
+    try:  # every line is made before any is printed
+        lines = list(_report_lines(data))
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{args.report_file}: a section has the wrong shape"
+            f" ({type(exc).__name__}: {exc})"
+        ) from None
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report_lines(data: dict) -> Iterator[str]:
+    """The summary of a report.json object, a line at a time."""
+    yield f"schema version: {data.get('schema_version')}"
     window = data.get("window") or {}
-    print(
+    yield (
         f"window: {window.get('days')} days from {window.get('start')} "
         f"({window.get('non_empty_days')} with messages)"
     )
     corpus = data.get("corpus") or {}
-    print(f"corpus: {corpus.get('nodes')} nodes, {corpus.get('messages')} messages")
+    yield f"corpus: {corpus.get('nodes')} nodes, {corpus.get('messages')} messages"
     if data.get("sections_empty"):
-        print("all analysis sections are empty")
-        return EXIT_OK
+        yield "all analysis sections are empty"
+        return
     correlation = data.get("correlation") or {}
-    print(f"median consecutive-day r: {correlation.get('median_r')}")
+    yield f"median consecutive-day r: {correlation.get('median_r')}"
     consistency = data.get("consistency") or {}
-    print(
+    yield (
         f"daily vs aggregate top-{consistency.get('k')}: "
         f"{consistency.get('count')}/{consistency.get('k')} shared"
     )
     concentration = data.get("concentration") or {}
     share = concentration.get("share")
     if share is not None:
-        print(
+        yield (
             f"top-{concentration.get('k')} degree share: {share:.3f} "
             f"({concentration.get('direction')}-degree)"
         )
@@ -378,17 +391,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 if method == "ols"
                 else f"ks={fit['ks_statistic']:.4f}, xmin={fit['xmin']}"
             )
-            print(f"aggregate {method} fit: gamma={fit['gamma']:.3f} ({extras})")
+            yield f"aggregate {method} fit: gamma={fit['gamma']:.3f} ({extras})"
     for kind, section in (data.get("robustness") or {}).items():
         points = section.get("points") or []
         if points:
             last = points[-1]
-            print(
+            yield (
                 f"robustness {kind}: giant fraction "
                 f"{last['giant_component_fraction']:.3f} at "
                 f"{last['fraction_removed']:.0%} removed"
             )
-    return EXIT_OK
 
 
 _HANDLERS = {

@@ -5,8 +5,11 @@ coefficient-of-variation stability classification, and top-k overlap
 statistics (the mean pairwise overlap across days, and daily versus
 aggregate), counted from how many days each node ranks in the top k.
 Every analysis reads the same node x day degree table (centrality.DegreeTable),
-and every ranking follows centrality's one ranking rule. The statistics come
-from exact integer sums, so no result depends on how Python adds floats.
+and every ranking follows centrality's one ranking rule: a day's top k is a
+prefix of the table's ``daily_ranking``, which ranks each day's positive
+cells once per table, and the aggregate's is the (node id, degree) tuple of
+``centrality.top_k``. The statistics come from exact integer sums, so no
+result depends on how Python adds floats.
 """
 from __future__ import annotations
 
@@ -86,7 +89,7 @@ class CorrelationSeries:
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Shared membership between two rank lists of the same requested size."""
+    """Shared membership between two top-k lists of the same requested size."""
 
     k: int
     count: int
@@ -190,8 +193,8 @@ def daily_vs_aggregate_consistency(
     if k < 1:
         raise ValueError("k must be >= 1")
     (freq,) = _top_k_day_counts(table, [k])
-    ranked = ranked_positions(freq)[0]
+    ranked = ranked_positions(freq)
     ordered = dict(zip(table.nodes[ranked].tolist(), freq[ranked].tolist()))
     daily_ids = set(table.nodes[ranked[:k]].tolist())
-    agg_ids = top_k(table.nodes, table.values.sum(axis=0), k).node_ids
+    agg_ids = {node for node, _ in top_k(table.nodes, table.values.sum(axis=0), k)}
     return OverlapResult(k, len(daily_ids & agg_ids)), ordered

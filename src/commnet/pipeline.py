@@ -477,11 +477,11 @@ def _temporal_stage(
     report.concentration = {
         "k": cfg.k,
         "direction": cfg.direction,
-        "share": centrality.degree_share(table.nodes, aggregate, top),
-        "top": [{"node": node, "degree": deg} for node, deg in top.entries],
+        "share": centrality.degree_share(table.nodes, aggregate, cfg.k),
+        "top": [{"node": node, "degree": deg} for node, deg in top],
     }
 
-    for node, _ in top.entries:
+    for node, _ in top:
         ns = dynamics.node_series(table, node)
         _write(
             out / _HUB_SERIES / f"node_{node}.dat",

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -71,37 +72,57 @@ def test_bad_direction():
 
 def test_top_k_tie_break():
     d = arrays({0: 5, 1: 5, 2: 1})
-    assert top_k(*d, 2).entries == ((0, 5), (1, 5))
+    assert top_k(*d, 2) == ((0, 5), (1, 5))
 
 
 def test_top_k_larger_than_node_count():
     d = arrays({0: 5, 1: 3})
-    assert top_k(*d, 10).entries == ((0, 5), (1, 3))
+    assert top_k(*d, 10) == ((0, 5), (1, 3))
 
 
 def test_top_k_zero_handling():
     d = arrays({0: 0, 1: 0})
-    assert top_k(*d, 2).entries == ()
+    assert top_k(*d, 2) == ()
     with pytest.raises(ValueError):
         top_k(*d, 0)
 
 
 def test_degree_share_basic():
     d = arrays({0: 8, 1: 1, 2: 1})
-    assert degree_share(*d, top_k(*d, 1)) == pytest.approx(0.8)
-    assert degree_share(*d, top_k(*d, 3)) == pytest.approx(1.0)
+    assert degree_share(*d, 1) == pytest.approx(0.8)
+    assert degree_share(*d, 3) == pytest.approx(1.0)
+
+
+def test_ranked_positions_ranks_positive_cells():
+    # descending degree, ties by ascending position, zeros left out
+    ranked = ranked_positions(np.array([0, 3, 5, 3, 0, 1], dtype=np.int64))
+    assert ranked.tolist() == [2, 1, 3, 5]
+    assert ranked_positions(np.zeros(4, dtype=np.int64)).tolist() == []
+
+
+def test_daily_ranking_holds_only_positive_cells():
+    # 400 days x 5,000 nodes (a 16 MB table) with about 20 active nodes a day:
+    # ranking the days allocates per positive cell, not per table cell
+    days, size = 400, 5_000
+    rng = np.random.default_rng(7)
+    values = np.zeros((days, size), dtype=np.int64)
+    for row in values:
+        row[rng.choice(size, 20, replace=False)] = rng.integers(1, 50, 20)
+    table = DegreeTable(np.arange(size, dtype=np.int64), values, "out")
+    tracemalloc.start()
+    try:
+        ranking = table.daily_ranking
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert len(ranking) == days
+    assert all(len(r) == 20 for r in ranking)
 
 
 def test_degree_share_zero_total():
     d = arrays({0: 0})
-    assert degree_share(*d, top_k(*d, 1)) == 0.0
-
-
-def test_degree_share_rejects_foreign_rank_list():
-    d = arrays({0: 8, 1: 1})
-    other = arrays({0: 7, 1: 1})
-    with pytest.raises(ValueError):
-        degree_share(*d, top_k(*other, 1))
+    assert degree_share(*d, 1) == 0.0
 
 
 def test_degree_conservation(micro_stream, micro_window):
@@ -126,15 +147,13 @@ def test_scaling_leaves_ranking_unchanged(values, factor):
     d = arrays(values)
     scaled = arrays({k: v * factor for k, v in values.items()})
     k = max(1, len(values) // 2)
-    assert [n for n, _ in top_k(*d, k).entries] == [
-        n for n, _ in top_k(*scaled, k).entries
-    ]
+    assert [n for n, _ in top_k(*d, k)] == [n for n, _ in top_k(*scaled, k)]
 
 
 @given(degree_maps)
 def test_degree_share_monotone_in_k(values):
     d = arrays(values)
-    shares = [degree_share(*d, top_k(*d, k)) for k in range(1, len(values) + 1)]
+    shares = [degree_share(*d, k) for k in range(1, len(values) + 1)]
     assert all(a <= b + 1e-12 for a, b in zip(shares, shares[1:]))
 
 
@@ -190,9 +209,8 @@ def degree_rows(draw):
 def test_top_k_and_share_match_oracle(values):
     nodes, degrees = arrays(values)
     for k in range(1, len(values) + 2):
-        top = top_k(nodes, degrees, k)
-        assert list(top.entries) == brute.top_k(values, k)
-        assert degree_share(nodes, degrees, top) == brute.degree_share(values, k)
+        assert list(top_k(nodes, degrees, k)) == brute.top_k(values, k)
+        assert degree_share(nodes, degrees, k) == brute.degree_share(values, k)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=40))
@@ -224,9 +242,5 @@ def test_daily_orderings_match_oracle(case):
         [node for node, _ in brute.top_k(dict(zip(ids, row)), len(ids))]
         for row in rows
     ]
-    orderings = [
-        table.nodes[ranked].tolist()
-        for ranked in ranked_positions(table.values)
-        if len(ranked)
-    ]
-    assert orderings == [order for order in expected if order]
+    # an empty day keeps its place, with an empty ranking
+    assert [table.nodes[ranked].tolist() for ranked in table.daily_ranking] == expected

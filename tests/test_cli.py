@@ -568,6 +568,27 @@ def test_report_on_json_that_is_not_an_object(tmp_path, capsys):
     assert err.count("\n") == 1 and "not a JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"corpus": 5}',
+        '{"robustness": {"random": []}}',
+        '{"robustness": {"random": {"points": [{}]}}}',
+        '{"aggregate_fit": {"ols": {"gamma": 2}}}',
+        '{"concentration": {"share": "x"}}',
+    ],
+)
+def test_report_on_a_section_of_the_wrong_shape(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text + "\n")
+    rc = main(["report", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"configuration error: {path}: ")
+
+
 def test_generate_ba_and_er_edge_lists(tmp_path):
     ba_path = tmp_path / "ba.edges"
     rc = main(["generate", "ba", "--n", "20", "--m", "2", "--output", str(ba_path)])

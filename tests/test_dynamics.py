@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import commnet as cn
 from commnet import (
     DegreeTable,
-    RankList,
     Stability,
     classify_stability,
     consecutive_day_correlation,
@@ -172,6 +171,12 @@ def test_absent_node_series():
     assert classify_stability(series) is Stability.INACTIVE
 
 
+def test_node_series_needs_a_day():
+    no_days = DegreeTable(np.array([9]), np.zeros((0, 1), dtype=np.int64), "out")
+    with pytest.raises(ValueError, match="^need at least 1 day$"):
+        node_series(no_days, 9)
+
+
 def test_constant_series_cv_zero():
     nodes = {0, 1}
     snaps = [snap(i, {(0, 1): 5}, nodes) for i in range(10)]
@@ -232,31 +237,32 @@ def test_stability_scale_invariant(values, factor):
 
 
 # ---------------------------------------------------------------------------
-# rank overlap: shared node ids of two rank lists of one k
+# rank overlap: shared node ids of two top-k lists of one k
 # ---------------------------------------------------------------------------
 
 
-def rl(ids, k):
-    return RankList(k, tuple((i, 10 - j) for j, i in enumerate(ids)))
+def rl(ids):
+    """A top-k list of ``ids``, as top_k returns one: (node id, degree) pairs."""
+    return tuple((i, 10 - j) for j, i in enumerate(ids))
 
 
-def rank_overlap(a: RankList, b: RankList) -> OverlapResult:
-    return OverlapResult(a.k, len(a.node_ids & b.node_ids))
+def rank_overlap(a, b, k: int) -> OverlapResult:
+    return OverlapResult(k, len({n for n, _ in a} & {n for n, _ in b}))
 
 
 def test_rank_overlap_examples():
-    res = rank_overlap(rl([1, 2, 3], 3), rl([2, 3, 4], 3))
+    res = rank_overlap(rl([1, 2, 3]), rl([2, 3, 4]), 3)
     assert res.count == 2
     assert res.percentage == pytest.approx(2 / 3)
-    assert rank_overlap(rl([2, 3, 4], 3), rl([1, 2, 3], 3)).percentage == res.percentage
-    assert rank_overlap(rl([1, 2, 3], 3), rl([1, 2, 3], 3)).percentage == 1.0
-    assert rank_overlap(rl([1, 2], 2), rl([3, 4], 2)).count == 0
+    assert rank_overlap(rl([2, 3, 4]), rl([1, 2, 3]), 3).percentage == res.percentage
+    assert rank_overlap(rl([1, 2, 3]), rl([1, 2, 3]), 3).percentage == 1.0
+    assert rank_overlap(rl([1, 2]), rl([3, 4]), 2).count == 0
 
 
 @given(st.sets(st.integers(min_value=0, max_value=30), min_size=1, max_size=8))
 def test_rank_overlap_self_is_k_sized(ids):
-    lst = rl(sorted(ids), len(ids))
-    assert rank_overlap(lst, lst).count == len(ids)
+    lst = rl(sorted(ids))
+    assert rank_overlap(lst, lst, len(ids)).count == len(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +411,23 @@ def test_day_table_statistics_match_oracles(case, k_max):
 
 
 def test_days_are_ranked_once_per_table(micro_stream, micro_window, monkeypatch):
-    tables = []
+    ranked = []
     original = cn.centrality.ranked_positions
 
     def counting(degrees):
-        if np.ndim(degrees) == 2:
-            tables.append(degrees)
+        ranked.append(degrees)
         return original(degrees)
 
     monkeypatch.setattr(cn.centrality, "ranked_positions", counting)
     table = degree_table(micro_stream, micro_window, "out")
     overlap_vs_k(table, [1, 2, 3])
     daily_vs_aggregate_consistency(table, 2)
-    assert len(tables) == 1
+    # the rows of the table that were ranked, in call order
+    days = [
+        t
+        for degrees in ranked
+        for t, row in enumerate(table.values)
+        if np.shares_memory(degrees, row)
+    ]
+    assert len(table.values) > 1
+    assert days == list(range(len(table.values)))

@@ -148,6 +148,8 @@ def test_hub_corpus_param_validation():
         HubCorpusParams(nodes=1, days=1, hubs=1, hub_rate=1.0, background_rate=1.0)
     with pytest.raises(ValueError):
         HubCorpusParams(nodes=5, days=1, hubs=9, hub_rate=1.0, background_rate=1.0)
+    with pytest.raises(ValueError, match="^days must be >= 0$"):
+        HubCorpusParams(nodes=5, days=-1, hubs=1, hub_rate=1.0, background_rate=1.0)
     with pytest.raises(ValueError):
         HubCorpusParams(nodes=5, days=1, hubs=1, hub_rate=0.0, background_rate=1.0)
     for rate in (float("nan"), float("inf")):

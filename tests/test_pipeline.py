@@ -312,6 +312,8 @@ def test_config_validation(tmp_path):
         hub_config(tmp_path, fit_target="cdf").validate()
     with pytest.raises(ConfigError):
         hub_config(tmp_path, window_days=0).validate()
+    with pytest.raises(ConfigError, match="^fit_xmin must be >= 1$"):
+        hub_config(tmp_path, fit_xmin=0).validate()
 
 
 def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):

@@ -74,6 +74,8 @@ def test_ccdf_values():
 def test_histogram_all_zero():
     with pytest.raises(EmptyHistogramError):
         histogram(np.array([0, 0]))
+    with pytest.raises(EmptyHistogramError, match="^pdf has no positive mass$"):
+        DegreeHistogram.from_pdf({1: 0.0, 2: 0.0})
 
 
 def test_histogram_zero_accounting():

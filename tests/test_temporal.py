@@ -21,7 +21,13 @@ from commnet import (
 )
 from commnet import temporal
 from commnet.errors import OrderingError, WindowError
-from commnet.temporal import SECONDS_PER_DAY, date_to_day, day_date, day_number
+from commnet.temporal import (
+    MAX_WINDOW_DAYS,
+    SECONDS_PER_DAY,
+    date_to_day,
+    day_date,
+    day_number,
+)
 
 from . import brute
 from .test_robustness import _nx_curve, _same
@@ -108,6 +114,21 @@ def test_window_too_short():
     stream = _stream([_edge(0, 1, D1, 0), _edge(0, 1, D1 + 5, 0)])
     with pytest.raises(WindowError):
         slice_days(stream, day_date(D1), num_days=3)
+
+
+def test_window_length_out_of_range():
+    stream = _stream([_edge(0, 1, D1, 0)])
+    with pytest.raises(ValueError, match="^num_days must be >= 1$"):
+        slice_days(stream, day_date(D1), num_days=0)
+    with pytest.raises(WindowError, match=f"span {MAX_WINDOW_DAYS + 1} days, more than"):
+        slice_days(stream, day_date(D1), num_days=MAX_WINDOW_DAYS + 1)
+
+
+def test_degree_table_rejects_a_window_of_another_stream():
+    stream = _stream([_edge(0, 1, D1, 0), _edge(0, 1, D1, 1)])
+    other = _stream([_edge(0, 1, D1, 0)])
+    with pytest.raises(ValueError, match="^window was not sliced from this stream$"):
+        degree_table(stream, slice_days(other))
 
 
 def test_day_without_calendar_date():
