@@ -341,7 +341,11 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
+    raw = Path(args.report_file).read_bytes()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ConfigError(f"{args.report_file}: not a UTF-8 JSON report") from None
     if not isinstance(data, dict):  # exits as a file that is not JSON does
         raise ConfigError(f"{args.report_file}: top level is not a JSON object")
     try:  # every line is made before any is printed

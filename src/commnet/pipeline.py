@@ -9,7 +9,7 @@ single file excluded from the byte-for-byte determinism contract.
 
 ``PipelineConfig`` is the one list of analyze's settings and their defaults,
 which the CLI's flags take. The report's "config" records every setting but
-where the outputs go and how the log is read (``_config_echo``).
+where the outputs go (``_config_echo``).
 
 ``run`` goes through its stages in this order, and each holds only what the
 stages after it read:
@@ -162,6 +162,7 @@ class PipelineConfig:
             dynamics.validate_k_values(self.k_values)
             validate_malformed_threshold(self.malformed_threshold)
             robust.validate_steps(self.robustness_steps)
+            robust.validate_seed(self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -196,21 +197,23 @@ class Report:
         }
 
 
-# the fields report.json does not record: where the outputs go, how the log
-# is read, and hub_params, of which it records only "synthetic"
-_UNRECORDED = (
-    "output_dir", "log_format", "malformed_threshold", "collapse_duplicates", "hub_params"
-)
+# the fields report.json does not record: where the outputs go, and
+# hub_params, of which it records only "synthetic"
+_UNRECORDED = ("output_dir", "hub_params")
 
 
 def _config_echo(cfg: PipelineConfig) -> dict:
     """The report's "config": every PipelineConfig field but _UNRECORDED, a
     path as text, a date in ISO form and a tuple as a list, plus "synthetic",
-    whether the corpus was generated rather than read from a log."""
-    echo = {"synthetic": cfg.hub_params is not None}
+    whether the corpus was generated rather than read from a log. The log
+    format is its fields, or None for a generated corpus, which reads no log."""
+    synthetic = cfg.hub_params is not None
+    echo = {"synthetic": synthetic}
     for name in (f.name for f in fields(cfg) if f.name not in _UNRECORDED):
         value = getattr(cfg, name)
-        if isinstance(value, Path):
+        if isinstance(value, LogFormatConfig):
+            value = None if synthetic else {**asdict(value), "columns": list(value.columns)}
+        elif isinstance(value, Path):
             value = str(value)
         elif isinstance(value, dt.date):
             value = value.isoformat()

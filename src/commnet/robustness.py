@@ -24,6 +24,20 @@ but importing scipy.sparse.csgraph costs every process about 0.45 s, more
 than a whole growth-model curve at 3,000 nodes. Only the giant component
 is induced as a CSR of its own, for the path-length BFS.
 
+The seeded random order of n positions is the stable argsort of the first
+n outputs of SplitMix64 (Steele, Lea & Flood 2014, OOPSLA, "Fast splittable
+pseudorandom number generators") seeded with the mixed seed. With the
+finalizer mix(z): z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
+z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2**64, position i's key
+is mix(mix(seed) + (i + 1)·0x9E3779B97F4A7C15). mix is a bijection and the
+increment is odd, so the n keys are distinct and the sort meets no tie. A
+random removal follows the seed's order, and a sampled path length takes
+as sources the first DEFAULT_PATH_SAMPLE positions of seed 0's order over
+the component. The order is 64-bit integer arithmetic alone, so it depends
+on no numpy version, and this module never loads numpy's random module,
+which with the secrets, hashlib and OpenSSL it imports costs a process
+about 5.5 MB. A seed is an integer in [0, 2**64).
+
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
 each source owns one bit of a row of uint64 words per node. Level 1 is a
@@ -62,6 +76,35 @@ DEFAULT_PATH_SAMPLE = 1_024
 # to the shared cache makes each level wait on memory traffic, slower and far
 # less steady from run to run
 _BFS_BLOCK_BYTES = 256 << 10
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment
+
+
+def validate_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, 2**64)."""
+    if not (isinstance(seed, int) and 0 <= seed <= _MASK64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+
+
+def _mix64(z):
+    """SplitMix64's finalizer, on a Python int below 2**64 or, wrapping
+    silently, on a uint64 array."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _seeded_order(seed: int, n: int) -> np.ndarray:
+    """The positions 0 .. n - 1 in the order of their SplitMix64 keys under
+    ``seed`` (see the module docstring)."""
+    # the seed is mixed as a Python int: a uint64 scalar product that wraps
+    # warns, where an array's wraps silently
+    keys = np.arange(1, n + 1, dtype=np.uint64)
+    keys *= _GOLDEN_GAMMA
+    keys += _mix64(seed)
+    return np.argsort(_mix64(keys), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -82,6 +125,7 @@ class RemovalStrategy:
         if self.kind not in REMOVAL_KINDS:
             kinds = " or ".join(map(repr, REMOVAL_KINDS))
             raise ValueError(f"kind must be {kinds}, not {self.kind!r}")
+        validate_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -198,9 +242,7 @@ def _mean_distance(graph: Adjacency) -> float:
     if size <= EXACT_PATH_LENGTH_LIMIT:
         sources = np.arange(size)
     else:
-        rng = np.random.default_rng(0)
-        sample = min(DEFAULT_PATH_SAMPLE, size)
-        sources = np.sort(rng.choice(size, size=sample, replace=False))
+        sources = np.sort(_seeded_order(0, size)[:DEFAULT_PATH_SAMPLE])
     indptr, indices = graph
     degrees = np.diff(indptr)
     label, layout = _buckets(graph)
@@ -269,7 +311,7 @@ def _removal_order(strategy: RemovalStrategy, adj: Adjacency, count: int) -> np.
     removal order: all of them, or the adaptive attack's first ``count``."""
     n = len(adj.indptr) - 1
     if strategy.kind == "random":
-        return np.random.default_rng(strategy.seed).permutation(n)
+        return _seeded_order(strategy.seed, n)
     degrees = np.diff(adj.indptr)
     if not strategy.adaptive:
         return np.argsort(-degrees, kind="stable")

@@ -6,6 +6,9 @@ against an implementation-free path.
 
 Node ids follow first appearance in timestamp order, matching the ingest
 contract: alice=0, bob=1, carol=2, dave=3, erin=4.
+
+``seeded_order`` is the seeded random order of the robustness module, one
+SplitMix64 step at a time on Python ints.
 """
 from __future__ import annotations
 
@@ -139,3 +142,20 @@ def consistency_count(k: int, direction: str = "out") -> int:
     daily = {node for node, _ in ordered[:k]}
     agg = {node for node, _ in top_k(degrees(None, direction), k)}
     return len(daily & agg)
+
+
+def _splitmix64_mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def seeded_order(seed: int, n: int) -> list[int]:
+    """0 .. n - 1 sorted by their keys: SplitMix64 seeded with the mixed
+    ``seed``, whose state steps by 0x9E3779B97F4A7C15 before each output."""
+    state = _splitmix64_mix(seed)
+    keys = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        keys.append(_splitmix64_mix(state))
+    return sorted(range(n), key=lambda i: (keys[i], i))

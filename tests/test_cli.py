@@ -225,6 +225,8 @@ def test_config_error_exit_code(tmp_path):
         ("--fit-target", "log"),
         ("--columns", "sender,recipient"),
         ("--columns", "sender,,recipient,timestamp"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
     ):
         rc = main(["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(out)])
         assert rc == 2, flag
@@ -241,6 +243,19 @@ def test_config_error_exit_code(tmp_path):
     for source in ("--input", "--edges"):
         argv = ["robustness", source, missing, "--strategies", "random,bogus"]
         assert main([*argv, "--output-dir", str(tmp_path)]) == 2, source
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("verb", ["analyze", "robustness"])
+def test_seed_outside_the_range_is_refused_before_any_work(tmp_path, capsys, verb, seed):
+    # a missing input would exit 3 if it were opened; the seed is refused
+    # first, by name, and no output directory is made
+    out = tmp_path / "out"
+    argv = [verb, "--input", str(tmp_path / "missing.log"), "--seed", seed]
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: seed must be an integer in [0, 2**64), not {seed}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threshold", ["nan", "-1", "1.5"])
@@ -569,6 +584,20 @@ def test_report_on_json_that_is_not_an_object(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"not json\n", b"\xff{}\n", '{"window": {}}'.encode("utf-16")],
+    ids=["not-json", "not-utf8", "utf16-json"],
+)
+def test_report_on_a_file_that_is_not_a_utf8_json_report(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {path}: not a UTF-8 JSON report\n"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"corpus": 5}',
@@ -700,10 +729,12 @@ print(json.dumps([rc, at_parse[0] if at_parse else None, loaded()]))
 """
 
 
-def _modules_loaded(*args: str) -> tuple[list[str] | None, list[str]]:
+def _modules_loaded(
+    *args: str, modules: tuple[str, ...] = ANALYSIS_MODULES
+) -> tuple[list[str] | None, list[str]]:
     src = str(Path(commnet.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _MODULES_RUN.format(modules=ANALYSIS_MODULES), *args],
+        [sys.executable, "-c", _MODULES_RUN.format(modules=modules), *args],
         capture_output=True,
         text=True,
         check=True,
@@ -737,6 +768,26 @@ def test_verb_leaves_the_analysis_modules_unloaded(verb, small_inputs, tmp_path)
     log, edges = small_inputs
     args = [a.format(log=log, edges=edges, out=tmp_path) for a in verb]
     assert _modules_loaded(*args)[1] == []
+
+
+# numpy's random module, which imports secrets, hashlib and OpenSSL: about
+# 5.5 MB and 10 ms of a process. Only generate draws from numpy's Generator
+RANDOM_MODULES = ("numpy.random", "secrets")
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("robustness", "--edges", "{edges}", "--output-dir", "{out}"),
+        ("robustness", "--input", "{log}", "--output-dir", "{out}"),
+        ("analyze", "--input", "{log}", "--output-dir", "{out}"),
+    ],
+    ids=["robustness-edges", "robustness-input", "analyze"],
+)
+def test_verb_leaves_numpy_random_unloaded(verb, small_inputs, tmp_path):
+    log, edges = small_inputs
+    args = [a.format(log=log, edges=edges, out=tmp_path) for a in verb]
+    assert _modules_loaded(*args, modules=RANDOM_MODULES)[1] == []
 
 
 def test_analyze_loads_the_analysis_modules_before_the_parse(small_inputs, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -314,6 +315,35 @@ def test_config_validation(tmp_path):
         hub_config(tmp_path, window_days=0).validate()
     with pytest.raises(ConfigError, match="^fit_xmin must be >= 1$"):
         hub_config(tmp_path, fit_xmin=0).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            hub_config(tmp_path, seed=seed).validate()
+    hub_config(tmp_path, seed=2**64 - 1).validate()
+
+
+def test_config_records_how_the_log_is_read(tmp_path):
+    # every setting but the output directory and the generator's parameters,
+    # so two runs that read one log differently tell apart by config alone
+    path = tmp_path / "micro.log"
+    path.write_bytes(brute.log_bytes())
+    common = dict(input_path=path, k=2, k_values=(1, 2), robustness_steps=(0.0,))
+    configs = [
+        run(PipelineConfig(output_dir=tmp_path / str(collapse), collapse_duplicates=collapse,
+                           malformed_threshold=0.5, **common)).config
+        for collapse in (False, True)
+    ]
+    recorded = {f.name for f in dataclasses.fields(PipelineConfig)} - {"output_dir", "hub_params"}
+    assert set(configs[0]) == recorded | {"synthetic"}
+    assert [c["collapse_duplicates"] for c in configs] == [False, True]
+    assert configs[0]["malformed_threshold"] == 0.5
+    assert configs[0]["log_format"] == {
+        "columns": ["sender", "recipient", "timestamp"],
+        "timestamp_format": "unix",
+        "delimiter": ",",
+        "has_header": False,
+    }
+    # a generated corpus reads no log, so it records no format
+    assert run(hub_config(tmp_path / "synthetic")).config["log_format"] is None
 
 
 def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
@@ -472,7 +502,11 @@ def test_rerun_replaces_previous_outputs(tmp_path):
     assert {"notes.txt", "plots", "report.json"} <= names
 
 
-# SHA-256 of every deterministic output of the acceptance-criterion-8 config
+# SHA-256 of every deterministic output of the acceptance-criterion-8 config.
+# report.json and robustness_random.dat were re-recorded when the random
+# order moved from numpy's Generator to SplitMix64 keys, report.json also
+# when its "config" began to record the log format, malformed_threshold and
+# collapse_duplicates
 PINNED_DIGESTS = {
     "correlation_series.dat": "b634ffa23cc2025bd7cdc97ed57d93d13575abb67a9b09fbf589d8881f305be6",
     "day_distributions/day_0000.dat": "3cd706ed8a6e8b910e6a202835e56fcc4563a19f2df50dd794d770eb598797e6",
@@ -509,8 +543,8 @@ PINNED_DIGESTS = {
     "hub_series/node_5.dat": "a02fe79cf1c75930a79b997b157aee66962ab3938de2cddad0f4bf640fbda611",
     "overlap_vs_k.dat": "15dd8d05e0fab8c69f5a18ecd2c414765790f223dd52a544b85578b37e89e245",
     "per_day_fits.dat": "c0c86646c8c3c61c86b76251298215719e440827aff1b7864923e4d57ea429a2",
-    "report.json": "4b4e035fbbae1b9b76316de2980c307e17032e1627b90d1256e825622c6e8849",
-    "robustness_random.dat": "4f9dd0bfebcfcdc57394116cc1a50becc4173ea0dfa1e2540bf7534a29baee7b",
+    "report.json": "730d77f373ce83b39dbc96b8e5f03737d740a6675258341ee177661bfcde4d1f",
+    "robustness_random.dat": "25a21000f48c490721b1ef5429f2586d5e323c1e3e83518e6a2b967f21722553",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
 }
@@ -545,7 +579,8 @@ def test_output_bytes_pinned(tmp_path):
 
 
 # the same corpus as above, ranked and fitted on total degree with the pdf
-# target above a cutoff of 2: guards the in/total histogram and top-k paths
+# target above a cutoff of 2: guards the in/total histogram and top-k paths.
+# Its report.json and random curve were re-recorded for the same two causes
 PINNED_TOTAL_PDF_DIGESTS = {
     "correlation_series.dat": "5e1faffbfa12bf192e992dd18f7e578a5adb75b22ecd5ecf907b71a949144675",
     "day_distributions/day_0000.dat": "452afb1984a7ab6cfd64dfad485742f94ec870feabc1afea495fed21c722d728",
@@ -582,8 +617,8 @@ PINNED_TOTAL_PDF_DIGESTS = {
     "hub_series/node_5.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
     "overlap_vs_k.dat": "c100969d7070a4bfca64abab439e06bccc886ef47a4f4dd0710aa1b8e0b4b2e7",
     "per_day_fits.dat": "212f98bd7b2b67d9b50d325ce23ab26c0288c77d15134f3179d46998ec990c90",
-    "report.json": "df3b6714b716a632ff86aaad637e8e5036e48961668678545ef03df307dc7b9f",
-    "robustness_random.dat": "4f9dd0bfebcfcdc57394116cc1a50becc4173ea0dfa1e2540bf7534a29baee7b",
+    "report.json": "548e7caf998cd194b2c0091a9d8b2dfc00a3f8cf5b3044a11c53af4911504d44",
+    "robustness_random.dat": "25a21000f48c490721b1ef5429f2586d5e323c1e3e83518e6a2b967f21722553",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
 }
