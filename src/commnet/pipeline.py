@@ -91,7 +91,7 @@ REPORT_FILENAME = "report.json"
 RUN_INFO_FILENAME = "run_info.json"  # excluded from the determinism contract
 # each removal kind's curve file; a run writes one per kind
 CURVE_FILES = {kind: f"robustness_{kind}.dat" for kind in robust.REMOVAL_KINDS}
-ROBUSTNESS_KINDS, ROBUSTNESS_FILES = tuple(CURVE_FILES), tuple(CURVE_FILES.values())
+ROBUSTNESS_FILES = tuple(CURVE_FILES.values())
 DEFAULT_STEPS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)  # removal fractions of a curve
 _DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
 # the temporal files every run writes, an empty window's with the header alone
@@ -288,7 +288,16 @@ def robustness_stage(
 ) -> dict:
     """Run each removal strategy over ``graph``; write each curve's file
     (CURVE_FILES) into ``out``, one row per point, and return the
-    report.json robustness section, one entry per strategy kind."""
+    report.json robustness section, one entry per strategy kind.
+
+    Raises ValueError, before any curve runs, if two strategies share a
+    kind, whose one file and entry could hold only one of their curves.
+    """
+    strategies = list(strategies)
+    kinds = [s.kind for s in strategies]
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ValueError(f"more than one strategy of kind {kind!r}")
     curves = robust.robustness_curves(
         graph, strategies, steps, compute_path_length=path_length
     )
@@ -356,7 +365,7 @@ def run(cfg: PipelineConfig) -> Report:
         if not report.sections_empty:
             graph = undirected_projection(stream)
             del stream  # the curves read only the projection
-            strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in ROBUSTNESS_KINDS]
+            strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in robust.REMOVAL_KINDS]
             report.robustness = robustness_stage(new, graph, strategies, cfg.robustness_steps)
         _write(
             new / REPORT_FILENAME,

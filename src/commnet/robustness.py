@@ -21,8 +21,8 @@ positions by hooking plus pointer jumping (Shiloach & Vishkin 1982,
 J. Algorithms 3:57), a few vectorized numpy rounds per point; a removed
 node labels only itself. scipy's connected_components would do the same,
 but importing scipy.sparse.csgraph costs every process about 0.45 s, more
-than a whole growth-model curve at 3,000 nodes. Only the giant component
-is induced as a CSR of its own, for the path-length BFS.
+than a whole growth-model curve at 3,000 nodes. The path-length BFS reads
+the same CSR through the giant's mask, with no second copy of the graph.
 
 The seeded random order of n positions is the stable argsort of the first
 n outputs of SplitMix64 (Steele, Lea & Flood 2014, OOPSLA, "Fast splittable
@@ -32,29 +32,32 @@ z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2**64, position i's key
 is mix(mix(seed) + (i + 1)·0x9E3779B97F4A7C15). mix is a bijection and the
 increment is odd, so the n keys are distinct and the sort meets no tie. A
 random removal follows the seed's order, and a sampled path length takes
-as sources the first DEFAULT_PATH_SAMPLE positions of seed 0's order over
-the component. The order is 64-bit integer arithmetic alone, so it depends
-on no numpy version, and this module never loads numpy's random module,
-which with the secrets, hashlib and OpenSSL it imports costs a process
-about 5.5 MB. A seed is an integer in [0, 2**64).
+as sources the members at the first DEFAULT_PATH_SAMPLE positions of seed
+0's order over the component. The order is 64-bit integer arithmetic
+alone, so it depends on no numpy version, and this module never loads
+numpy's random module, which with the secrets, hashlib and OpenSSL it
+imports costs a process about 5.5 MB. A seed is an integer in [0, 2**64).
 
 Average path length comes from a level-synchronous, bit-parallel BFS from
 many sources at once (multi-source BFS, Then et al. 2014, PVLDB 8(4):449):
-each source owns one bit of a row of uint64 words per node. Level 1 is a
-push: each source's bit is ORed into its neighbours' rows, Σ deg(sources)
-bits. Every later level is a pull (the push/pull split of Beamer, Asanović &
-Patterson 2012, SC'12): each node ORs its neighbours' frontier words. For
-the pull, nodes are relabelled by degree bucket ⌈log₂ degree⌉, and each
-bucket holds its neighbour labels as a (largest degree × nodes) block, short
-rows padded with a label that reads an always-zero frontier row; a level is
-one gather and one column-wise OR per block. The graph is one connected
-component, so a sweep stops on the level that finds the last of its
-sources' size − 1 others, with no empty level after. The blocks are gathered
-one at a time into one reused buffer, so a sweep carries as many 64-source
-words as fit the widest block in _BFS_BLOCK_BYTES. Distances are summed
-as exact integers. Every node is a source up to EXACT_PATH_LENGTH_LIMIT
-nodes; larger components use a seeded sample of sources (DEFAULT_PATH_SAMPLE
-of them), trading a standard sampling error for tractability.
+each source owns one bit of a row of uint64 words per giant member. Level
+1 is a push: each source's bit is ORed into its member neighbours' rows.
+Every later level is a pull (the push/pull split of Beamer, Asanović &
+Patterson 2012, SC'12): each member ORs its neighbours' frontier words.
+For the pull, members are relabelled by degree bucket ⌈log₂ degree⌉, and
+every other position maps to a sentinel label that reads an always-zero
+frontier row. Each bucket holds its members' CSR rows, relabelled, as a
+(largest degree × members) block; a stable partition moves each column's
+sentinels, its removed neighbours and padding, below its members, and the
+rows of sentinels alone are cut. A level is one gather and one column-wise
+OR per block. The giant is connected, so a sweep stops on the level that
+finds the last of its sources' size − 1 others, with no empty level
+after. The blocks are gathered one at a time into one reused buffer, so a
+sweep carries as many 64-source words as fit the widest block in
+_BFS_BLOCK_BYTES. Distances are summed as exact integers. Every member is
+a source up to EXACT_PATH_LENGTH_LIMIT members; larger components use a
+seeded sample of sources (DEFAULT_PATH_SAMPLE of them), trading a standard
+sampling error for tractability.
 """
 from __future__ import annotations
 
@@ -142,26 +145,6 @@ class RobustnessCurve:
     points: tuple[RobustnessPoint, ...]
 
 
-def _induced(adj: Adjacency, keep: np.ndarray) -> Adjacency:
-    """The subgraph on the positions where the mask ``keep`` holds, renumbered
-    in ascending order."""
-    indptr, indices = adj
-    kept = np.repeat(keep, np.diff(indptr))
-    kept &= keep[indices]
-    # a row's kept count is the difference of the mask's running count at
-    # its ends; a uint32 count may wrap, but a row holds fewer than 2**32
-    # entries, so the wrapped difference is exact
-    running = np.zeros(len(indices) + 1, dtype=np.uint32)
-    np.cumsum(kept, dtype=np.uint32, out=running[1:])
-    counts = np.diff(running[indptr])[keep]
-    del running
-    sub_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=sub_indptr[1:])
-    position = np.cumsum(keep) - 1
-    # the renumbering keeps order, so each row's columns stay ascending
-    return Adjacency(sub_indptr, position[indices[kept]])
-
-
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each of ``n`` positions' component under the edges ``(u[i], v[i])``,
     labelled by its smallest position; a position on no edge labels itself.
@@ -187,25 +170,30 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-def _buckets(graph: Adjacency) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """The neighbour rows of a connected graph, relabelled and padded into
-    degree buckets.
+def _buckets(
+    adj: Adjacency, giant: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The neighbour rows of the connected component of ``adj`` where the
+    mask ``giant`` holds, relabelled and padded into degree buckets.
 
-    Nodes get new labels in a stable order of ⌈log₂ degree⌉, and ``label``
-    maps a position to its label, so a bucket's nodes hold consecutive
-    labels. Each bucket is cut into ``(D, c)`` blocks of neighbour labels,
-    one column per node and D rows, D being the bucket's largest degree; a
-    shorter column is padded with the sentinel label ``size``. A block has
-    at most ``_BFS_BLOCK_BYTES // (8 * D)`` columns, and at least one.
-    Returns ``label`` and every block with the label of its first column.
+    Members get new labels in a stable order of ⌈log₂ degree⌉, the degree
+    in ``adj``, so a bucket's members hold consecutive labels; ``label``
+    maps a member's position to its label and any other to the sentinel
+    ``size``. Each bucket is cut into ``(D, c)`` blocks of neighbour labels,
+    one column per member, D at most the bucket's largest degree, and at
+    most ``_BFS_BLOCK_BYTES // (8 * D)`` columns, at least one. A column
+    holds its member's member neighbours in row order, then the sentinel,
+    which stands for a removed neighbour or pads a short row. Returns
+    ``label`` and every block with the label of its first column.
     """
-    indptr, indices = graph
-    size = len(indptr) - 1
+    indptr, indices = adj
+    members = np.flatnonzero(giant)
+    size = len(members)
     degrees = np.diff(indptr)
     # frexp's exponent of d - 1 is its bit length, ⌈log₂ d⌉ for every d >= 1
-    bucket = np.frexp(degrees - 1)[1]
-    order = np.argsort(bucket, kind="stable")
-    label = np.empty(size, dtype=np.int64)
+    bucket = np.frexp(degrees[members] - 1)[1]
+    order = members[np.argsort(bucket, kind="stable")]
+    label = np.full(len(giant), size)
     label[order] = np.arange(size)
     blocks = []
     start = 0
@@ -219,7 +207,12 @@ def _buckets(graph: Adjacency) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]
                 # the last entry, and is overwritten with the sentinel
                 block = label[indices.take(indptr[rows] + depth, mode="clip")]
                 block[depth >= degrees[rows]] = size
-                blocks.append((first, block))
+                # a stable partition moves each column's sentinels below its
+                # members, in row order, and the rows of sentinels alone go
+                sentinel = block == size
+                kept = len(depth) - int(sentinel.sum(axis=0).min())
+                moved = np.argsort(sentinel, axis=0, kind="stable")[:kept]
+                blocks.append((first, np.take_along_axis(block, moved, axis=0)))
         start = end
     return label, blocks
 
@@ -227,7 +220,7 @@ def _buckets(graph: Adjacency) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]
 def _pull(frontier: np.ndarray, blocks: list[tuple[np.ndarray, ...]]) -> None:
     """One pulled BFS level. Each of ``blocks`` is a ``(block, gathered,
     reach)`` triple: the frontier rows of the block's labels are gathered,
-    then ORed down each column into the block's nodes' rows of ``reach``."""
+    then ORed down each column into the block's members' rows of ``reach``."""
     for block, gathered, reach in blocks:
         # every label is in range, the sentinel included, so mode "clip"
         # writes straight into gathered, where the default "raise" would copy
@@ -236,16 +229,16 @@ def _pull(frontier: np.ndarray, blocks: list[tuple[np.ndarray, ...]]) -> None:
         np.bitwise_or.reduce(gathered, axis=0, out=reach)
 
 
-def _mean_distance(graph: Adjacency) -> float:
-    """Mean distance from the sources to every other node of a connected graph."""
-    size = len(graph.indptr) - 1
-    if size <= EXACT_PATH_LENGTH_LIMIT:
-        sources = np.arange(size)
-    else:
-        sources = np.sort(_seeded_order(0, size)[:DEFAULT_PATH_SAMPLE])
-    indptr, indices = graph
+def _mean_distance(adj: Adjacency, giant: np.ndarray) -> float:
+    """Mean distance from the sources to every other member of the connected
+    component of ``adj`` where the mask ``giant`` holds."""
+    sources = np.flatnonzero(giant)
+    size = len(sources)
+    if size > EXACT_PATH_LENGTH_LIMIT:
+        sources = sources[np.sort(_seeded_order(0, size)[:DEFAULT_PATH_SAMPLE])]
+    indptr, indices = adj
     degrees = np.diff(indptr)
-    label, layout = _buckets(graph)
+    label, layout = _buckets(adj, giant)
     # the blocks are gathered one after another into one reused buffer, so
     # the widest block alone sets how many words fit the budget
     widest = max(block.size for _, block in layout)
@@ -263,7 +256,7 @@ def _mean_distance(graph: Adjacency) -> float:
         for first, block in layout
     ]
     counts = np.empty((size, words), dtype=np.uint8)
-    # the padding's sentinel reads frontier's extra last row, which stays zero
+    # the sentinel reads frontier's extra last row, which stays zero
     frontier = np.zeros((size + 1, words), dtype=np.uint64)
     new = frontier[:size]
     total = 0
@@ -273,24 +266,27 @@ def _mean_distance(graph: Adjacency) -> float:
         word, one = (bit // 64).astype(np.int64), np.uint64(1) << (bit % 64)
         seen.fill(0)
         seen[label[batch], word] = one
-        # level 1 is a push of each source's bit into its neighbours' rows;
-        # every (source, neighbour) pair is a new bit, Σ deg(batch) of them.
-        # No bit is pushed twice into one word, so adding the bits ORs them,
-        # and add.at has a fast indexed loop that bitwise_or.at lacks
+        # level 1 is a push of each source's bit into its member neighbours'
+        # rows, dropping the removed ones, whose label is the sentinel; every
+        # (source, member neighbour) pair is a new bit. No bit is pushed twice
+        # into one word, so adding the bits ORs them, and add.at has a fast
+        # indexed loop that bitwise_or.at lacks
         fanout = degrees[batch]
-        pushed = int(fanout.sum())
         entries = np.repeat(indptr[batch] + fanout - np.cumsum(fanout), fanout)
-        entries += np.arange(pushed)
+        entries += np.arange(len(entries))
+        targets = label[indices[entries]]
+        member = targets < size
+        pushed = int(np.count_nonzero(member))
         new.fill(0)
         np.add.at(
             frontier.reshape(-1),
-            label[indices[entries]] * words + np.repeat(word, fanout),
-            np.repeat(one, fanout),
+            (targets * words + np.repeat(word, fanout))[member],
+            np.repeat(one, fanout)[member],
         )
         seen |= new
         total += pushed
-        # the graph is connected, so every source finds the other size - 1
-        # nodes within size - 1 levels, and the sweep ends on the level that
+        # the component is connected, so every source finds the other size - 1
+        # members within size - 1 levels, and the sweep ends on the level that
         # finds the last of them, with no empty level after
         remaining = len(batch) * (size - 1) - pushed
         for level in range(2, size):
@@ -375,7 +371,7 @@ def robustness_curves(
         size = int(np.count_nonzero(giant))
         apl = None
         if compute_path_length and size >= 2:
-            apl = _mean_distance(_induced(adj, giant))
+            apl = _mean_distance(adj, giant)
         return size / n, apl
 
     # a step's count is the largest t with t / n <= step; t / n ascends with t

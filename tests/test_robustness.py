@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import networkx as nx
@@ -126,7 +127,8 @@ def _words_per_sweep(monkeypatch, g: UndirectedGraph, words: int | None) -> list
     gather buffer every block reuses; returns the words of every pulled
     level as the kernel runs them."""
     if words is not None:
-        widest = max(block.size for _, block in robustness._buckets(g.adjacency)[1])
+        everyone = np.ones(len(g.nodes), dtype=bool)
+        widest = max(block.size for _, block in robustness._buckets(g.adjacency, everyone)[1])
         monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", words * 8 * widest)
     ran = []
     pull = robustness._pull
@@ -229,32 +231,123 @@ def test_apl_exact_at_bucket_edges(name, budget, monkeypatch):
     assert intact(g).average_path_length == _nx_exact_apl(g)
 
 
-@pytest.mark.parametrize("name", BUCKET_EDGE_GRAPHS)
-def test_buckets_hold_each_nodes_neighbours(name, monkeypatch):
-    g = BUCKET_EDGE_GRAPHS[name]
-    monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", 8 * 8)
+def _giant(g: UndirectedGraph, strategy: RemovalStrategy, fraction: float):
+    """The point of the curve of ``strategy`` at ``fraction`` and the
+    giant-component mask it hands to the path-length BFS, which is stubbed
+    out; the mask is None when the giant has one node and no BFS runs."""
+    handed = []
+
+    def spy(adj, giant):
+        handed.append(giant.copy())
+        return 0.0
+
+    with patch.object(robustness, "_mean_distance", spy):
+        (point,) = robustness_curves(g, [strategy], [fraction])[0].points
+    return point, handed[0] if handed else None
+
+
+# removals that leave a giant with removed neighbours in its members' rows,
+# and graphs they damage so
+DAMAGE = {
+    "random-3": (RemovalStrategy("random", seed=3), 0.3),
+    "random-4": (RemovalStrategy("random", seed=4), 0.3),
+    "targeted": (RemovalStrategy("targeted"), 0.1),
+}
+DAMAGED_GRAPHS = {
+    "caterpillar": BUCKET_EDGE_GRAPHS["caterpillar"],
+    "caterpillar-reversed": BUCKET_EDGE_GRAPHS["caterpillar-reversed"],
+    "growth-300": cn.generate_ba(cn.BAParams(n=300, m=2, seed=5)),
+}
+BUCKET_CASES = [pytest.param(name, None, id=name) for name in BUCKET_EDGE_GRAPHS] + [
+    pytest.param(name, damage, id=f"{name}-{damage}")
+    for name in DAMAGED_GRAPHS
+    for damage in DAMAGE
+]
+
+
+@pytest.mark.parametrize("name, damage", BUCKET_CASES)
+def test_buckets_hold_each_nodes_neighbours(name, damage, monkeypatch):
+    if damage is None:
+        g = BUCKET_EDGE_GRAPHS[name]
+        giant = np.ones(len(g.nodes), dtype=bool)
+    else:
+        g = DAMAGED_GRAPHS[name]
+        _, giant = _giant(g, *DAMAGE[damage])
     adj = g.adjacency
-    size = len(g.nodes)
-    degrees = np.diff(adj.indptr)
-    label, blocks = robustness._buckets(adj)
-    assert sorted(label.tolist()) == list(range(size))
+    members = np.flatnonzero(giant)
+    size = len(members)
+    monkeypatch.setattr(robustness, "_BFS_BLOCK_BYTES", 8 * 8)
+    label, blocks = robustness._buckets(adj, giant)
+    assert sorted(label[members].tolist()) == list(range(size))
+    # a removed node, and so a removed neighbour, reads as the sentinel
+    assert (label[~giant] == size).all()
+    rows = [adj.indices[adj.indptr[u] : adj.indptr[u + 1]] for u in range(len(g.nodes))]
+    if damage is not None:
+        assert size >= 2 and any((~giant[rows[u]]).any() for u in members)
     covered = []
     for first, block in blocks:
         depth, width = block.shape
         assert width <= max(1, 8 // depth)
+        held, buckets = [], set()
         for column in range(width):
-            node = int(np.flatnonzero(label == first + column)[0])
+            (node,) = np.flatnonzero(label == first + column)
             covered.append(first + column)
-            row = adj.indices[adj.indptr[node] : adj.indptr[node + 1]]
-            # the block's depth is the largest degree of the row's bucket
-            assert depth >= len(row)
-            assert (depth - 1).bit_length() == (len(row) - 1).bit_length()
-            assert block[: len(row), column].tolist() == label[row].tolist()
-            assert (block[len(row) :, column] == size).all()
+            row = rows[node]
+            # the block is cut from the largest degree of the row's bucket,
+            # ⌈log₂ degree⌉, which is at most 2 ** bucket
+            bucket = (len(row) - 1).bit_length()
+            assert depth <= 1 << bucket
+            buckets.add(bucket)
+            # member neighbours in row order, then only the sentinel
+            neighbours = label[row[giant[row]]].tolist()
+            held.append(len(neighbours))
+            assert block[: len(neighbours), column].tolist() == neighbours
+            assert (block[len(neighbours) :, column] == size).all()
+        assert len(buckets) == 1
+        # no row of sentinels alone is kept
+        assert depth == max(held)
     assert covered == list(range(size))
-    # labels run in a stable order of ⌈log₂ degree⌉
-    buckets = np.frexp(degrees - 1)[1]
-    assert label.tolist() == np.argsort(np.argsort(buckets, kind="stable")).tolist()
+    # members' labels run in a stable order of ⌈log₂ degree⌉
+    buckets = np.frexp(np.diff(adj.indptr)[members] - 1)[1]
+    assert label[members].tolist() == np.argsort(np.argsort(buckets, kind="stable")).tolist()
+
+
+def test_intact_path_length_holds_no_second_csr(monkeypatch):
+    # the path length reads the graph's own CSR through the giant's mask.
+    # Past the labelling, the intact point holds the blocks and the sweep's
+    # buffers, and besides them only arrays of one entry a node or a pushed
+    # bit and one block's temporaries: less than half of what a copy of the
+    # CSR's indices would take. 64 sampled sources, one word, keep the
+    # level-1 push, Σ deg(sources) entries, small
+    g = cn.generate_ba(cn.BAParams(n=4_000, m=10, seed=1))
+    adj = g.adjacency
+    n = len(g.nodes)
+    _, layout = robustness._buckets(adj, np.ones(n, dtype=bool))
+    widest = max(block.size for _, block in layout)
+    # gathered, seen, reach and frontier hold uint64 words; counts a byte each
+    buffers = 8 * (widest + 3 * n + 1) + n
+    held = sum(block.nbytes for _, block in layout) + buffers
+    slack = adj.indices.nbytes // 2
+    labels = robustness._component_labels
+    start = []
+
+    def labelled(k, u, v):
+        out = labels(k, u, v)
+        # the path length follows; the edges handed in are freed as this
+        # returns
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0] - u.nbytes - v.nbytes)
+        return out
+
+    monkeypatch.setattr(robustness, "_component_labels", labelled)
+    tracemalloc.start()
+    try:
+        with sampled_apl(n - 1, 64):
+            assert intact(g).average_path_length is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start[0] < held + slack
 
 
 # one sweep (at most 64 nodes) of graphs with their diameter
@@ -515,7 +608,7 @@ def test_curve_and_apl_match_networkx(g, strategy):
 
 
 # ---------------------------------------------------------------------------
-# induced subgraph and component labelling
+# component labelling and the giant
 # ---------------------------------------------------------------------------
 
 
@@ -527,9 +620,9 @@ def _relabelled(edges: np.ndarray, n: int, rng: np.random.Generator) -> Undirect
 
 
 def _check_helpers(g: UndirectedGraph, seed: int, removed: int) -> np.ndarray | None:
-    """``_induced`` and ``_component_labels`` on the nodes a seeded random
-    removal of ``removed`` nodes leaves, against a rebuilt graph and
-    networkx, and the giant component the curve picks at that point.
+    """``_component_labels`` on the nodes a seeded random removal of
+    ``removed`` nodes leaves, against networkx, and the giant component the
+    curve picks at that point.
 
     Returns the ids of the giant the curve hands to the path-length BFS, or
     None when it has one node and no BFS runs.
@@ -539,12 +632,8 @@ def _check_helpers(g: UndirectedGraph, seed: int, removed: int) -> np.ndarray | 
     keep = np.ones(n, dtype=bool)
     keep[brute.seeded_order(seed, n)[:removed]] = False
     adj = g.adjacency
-    sub = robustness._induced(adj, keep)
     kept = g.nodes[keep]
     surviving = g.edges[keep[np.searchsorted(g.nodes, g.edges)].all(axis=1)]
-    rebuilt = UndirectedGraph(surviving, nodes=kept).adjacency
-    assert sub.indptr.tolist() == rebuilt.indptr.tolist()
-    assert sub.indices.tolist() == rebuilt.indices.tolist()
 
     ref = nx.Graph()
     ref.add_nodes_from(kept.tolist())
@@ -558,23 +647,13 @@ def _check_helpers(g: UndirectedGraph, seed: int, removed: int) -> np.ndarray | 
     labels = robustness._component_labels(n, rows[live], adj.indices[live])
     assert labels.tolist() == expected.tolist()
 
-    # the curve's giant at the same point, read off the mask it induces for
-    # the BFS, which is stubbed out
-    handed = []
-    induced = robustness._induced
-
-    def spy(adj, keep):
-        handed.append(keep.copy())
-        return induced(adj, keep)
-
-    with patch.multiple(robustness, _induced=spy, _mean_distance=lambda graph: 0.0):
-        point = robustness_curves(g, [strategy], [removed / n])[0].points[0]
+    # the curve's giant at the same point, read off the mask it hands the BFS
+    point, giant = _giant(g, strategy, removed / n)
     ref_giant = max(nx.connected_components(ref), key=lambda c: (len(c), -min(c)))
     assert point.giant_component_fraction == len(ref_giant) / n
     if len(ref_giant) < 2:
-        assert not handed
+        assert giant is None
         return None
-    (giant,) = handed
     assert g.nodes[giant].tolist() == sorted(ref_giant)
     return g.nodes[giant]
 
@@ -676,7 +755,7 @@ def test_rows_read_once_per_curve(monkeypatch):
     random, targeted = RemovalStrategy("random"), RemovalStrategy("targeted")
     # a run reads its rows once for all its curves
     for strategies in ([random], [targeted], [random, targeted]):
-        # inducing the giant for the path length reads no rows either
+        # the path length reads no rows either
         for path_length in (False, True):
             calls.clear()
             steps = [0.0, 0.1, 0.2, 0.4, 0.6]
@@ -692,20 +771,37 @@ def test_intact_point_measured_once_per_run(adaptive, monkeypatch, tmp_path):
     sizes = []
     mean_distance = robustness._mean_distance
 
-    def spy(graph):
-        sizes.append(len(graph.indptr) - 1)
-        return mean_distance(graph)
+    def spy(adj, giant):
+        sizes.append(int(np.count_nonzero(giant)))
+        return mean_distance(adj, giant)
 
     monkeypatch.setattr(robustness, "_mean_distance", spy)
     strategies = [
-        RemovalStrategy(kind, adaptive=adaptive) for kind in pipeline.ROBUSTNESS_KINDS
+        RemovalStrategy(kind, adaptive=adaptive) for kind in robustness.REMOVAL_KINDS
     ]
     section = pipeline.robustness_stage(tmp_path, g, strategies, pipeline.DEFAULT_STEPS)
     assert sizes.count(len(g.nodes)) == 1
-    random, targeted = (section[kind]["points"] for kind in pipeline.ROBUSTNESS_KINDS)
+    random, targeted = (section[kind]["points"] for kind in robustness.REMOVAL_KINDS)
     assert random[0]["fraction_removed"] == 0.0
     assert random[0] == targeted[0]
     assert random[0]["average_path_length"] is not None
+
+
+def test_strategies_sharing_a_kind_are_refused(monkeypatch, tmp_path):
+    # each kind writes one file and one report entry, so a second curve of
+    # the kind would be computed and then lost; none runs
+    def unreached(*args, **kwargs):
+        raise AssertionError("a curve ran")
+
+    monkeypatch.setattr(robustness, "robustness_curves", unreached)
+    strategies = [
+        RemovalStrategy("targeted"),
+        RemovalStrategy("random", seed=1),
+        RemovalStrategy("random", seed=2),
+    ]
+    with pytest.raises(ValueError, match="more than one strategy of kind 'random'"):
+        pipeline.robustness_stage(tmp_path, star(4), strategies, [0.0])
+    assert not any(tmp_path.iterdir())
 
 
 # SHA-256 of both curve files for `robustness` on generate_ba(n=300, m=3,
