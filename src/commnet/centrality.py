@@ -2,13 +2,14 @@
 ranking rule behind every top-k list.
 
 Degrees are int64 vectors indexed by node position, aligned with the
-ascending int64 node-id array: a table row is one day, the column sum is the
-aggregate. They are counted from the stream's columns (int32 positions,
-int64 stamps: 16 bytes a message) a day's slice at a time. Nodes rank by
-descending degree, then ascending id, and only positive degrees rank:
-``ranked_positions`` sorts a vector's positive cells alone, so each day's
-ranking holds that day's active nodes and nothing of days x nodes size. A
-top-k list is a tuple of (node id, degree) pairs."""
+ascending int64 node-id array: a table row is one day, and the column sum,
+summed once per table as ``DegreeTable.aggregate``, is the aggregate. They
+are counted from the stream's columns (int32 positions, int64 stamps: 16
+bytes a message) a day's slice at a time. Nodes rank by descending degree,
+then ascending id, and only positive degrees rank: ``ranked_positions``
+sorts a vector's positive cells alone, so each day's ranking holds that
+day's active nodes and nothing of days x nodes size. A top-k list is a tuple
+of (node id, degree) pairs."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -35,6 +36,14 @@ class DegreeTable:
     nodes: np.ndarray  # int64, ascending
     values: np.ndarray  # int64, shape (days, nodes)
     direction: str
+
+    @cached_property
+    def aggregate(self) -> np.ndarray:
+        """The column sum, computed on first use and shared, read-only, by
+        every reader."""
+        aggregate = self.values.sum(axis=0)
+        aggregate.flags.writeable = False
+        return aggregate
 
     @cached_property
     def daily_ranking(self) -> list[np.ndarray]:

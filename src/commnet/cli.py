@@ -71,10 +71,6 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_INSUFFICIENT = 4
 
-# conventional window for the Enron email corpus; its daily top-10 out-degree
-# ranking is the default
-ENRON_WINDOW_DAYS = 131
-
 
 def _date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
@@ -195,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(p_analyze, "--robustness-steps", type=_float_list)
     _add_setting(p_analyze, "--seed", type=int)
     p_analyze.add_argument("--output-dir", default=None)
-    p_analyze.add_argument(
-        "--enron-recipe",
-        action="store_true",
-        help="preset for the Enron email corpus: a 131-day window (an explicit "
-        "--window-days still wins); daily top-10 out-degree is the default",
-    )
 
     p_generate = sub.add_parser("generate", help="write synthetic data to disk")
     gen_sub = p_generate.add_subparsers(dest="model", required=True)
@@ -270,8 +260,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.enron_recipe and args.window_days is None:
-        args.window_days = ENRON_WINDOW_DAYS
     # each setting as its flag gave it; the four fields below are built here
     settings = _given(PipelineConfig, args)
     settings.update(

@@ -7,9 +7,10 @@ aggregate), counted from how many days each node ranks in the top k.
 Every analysis reads the same node x day degree table (centrality.DegreeTable),
 and every ranking follows centrality's one ranking rule: a day's top k is a
 prefix of the table's ``daily_ranking``, which ranks each day's positive
-cells once per table, and the aggregate's is the (node id, degree) tuple of
-``centrality.top_k``. The statistics come from exact integer sums, so no
-result depends on how Python adds floats.
+cells once per table, and the aggregate's is ``centrality.top_k`` of the
+table's ``aggregate``, its column sum taken once per table. The statistics
+come from exact integer sums, so no result depends on how Python adds
+floats.
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ class DegreeSeries:
     None (undefined) when the mean is zero.
     """
 
-    node: int
-    direction: str
     values: tuple[int, ...]
 
     @property
@@ -76,11 +75,6 @@ class PairCorrelation:
 class CorrelationSeries:
     pairs: tuple[PairCorrelation, ...]
     policy: str
-
-    @property
-    def values(self) -> tuple[float | None, ...]:
-        """r per non-excluded pair (None where undefined)."""
-        return tuple(p.r for p in self.pairs if not p.excluded)
 
     @property
     def defined_values(self) -> tuple[float, ...]:
@@ -129,7 +123,7 @@ def node_series(table: DegreeTable, node: int) -> DegreeSeries:
     """Per-day degree values of one node, zeros for inactive and empty days."""
     if len(table.values) == 0:
         raise ValueError("need at least 1 day")
-    return DegreeSeries(node, table.direction, tuple(table.column(node).tolist()))
+    return DegreeSeries(tuple(table.column(node).tolist()))
 
 
 def classify_stability(s: DegreeSeries, cv_threshold: float = 1.0) -> Stability:
@@ -170,9 +164,10 @@ def overlap_vs_k(
     A node in the top k on f of the D non-empty days is shared by C(f, 2)
     day pairs, so the mean is Σ C(f, 2) / (k · C(D, 2)), one int/int
     division. Returns None for a k when fewer than two non-empty days exist.
+    A day is non-empty when its ranking is.
     """
     validate_k_values(k_values)
-    days = int(np.count_nonzero(table.values.any(axis=1)))
+    days = sum(1 for ranked in table.daily_ranking if len(ranked))
     if days < 2:
         return dict.fromkeys(k_values)
     return {
@@ -196,5 +191,5 @@ def daily_vs_aggregate_consistency(
     ranked = ranked_positions(freq)
     ordered = dict(zip(table.nodes[ranked].tolist(), freq[ranked].tolist()))
     daily_ids = set(table.nodes[ranked[:k]].tolist())
-    agg_ids = {node for node, _ in top_k(table.nodes, table.values.sum(axis=0), k)}
+    agg_ids = {node for node, _ in top_k(table.nodes, table.aggregate, k)}
     return OverlapResult(k, len(daily_ids & agg_ids)), ordered

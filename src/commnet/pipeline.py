@@ -455,7 +455,7 @@ def _temporal_stage(
         )
     emit("per_day_fits.dat", map(_fit_row, report.daily_fits))
 
-    aggregate = table.values.sum(axis=0)
+    aggregate = table.aggregate
     agg_hist = powerlaw.histogram(aggregate)
     report.aggregate_fit = _fit_dicts(aggregate, agg_hist, cfg.fit_target, cfg.fit_xmin)
     emit("degree_distribution_aggregate.dat", _distribution_rows(agg_hist))

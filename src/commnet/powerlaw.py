@@ -11,8 +11,8 @@ sec. 3.3). Only the exponents loop over cutoffs, one tail sum each; the KS
 distances of all cutoffs come from one masked (cutoffs x distinct values)
 array, built a block of rows at a time under a fixed cell budget.
 
-Zero-degree nodes are excluded from distributions (log 0 is undefined) but
-reported as a count.
+Zero-degree nodes are excluded from distributions (log 0 is undefined);
+``DegreeHistogram.zeros_dropped`` counts them.
 """
 from __future__ import annotations
 

@@ -141,7 +141,6 @@ class RobustnessPoint:
 @dataclass(frozen=True)
 class RobustnessCurve:
     strategy: RemovalStrategy
-    original_n: int
     points: tuple[RobustnessPoint, ...]
 
 
@@ -344,7 +343,7 @@ def robustness_curves(
     one curve per strategy, in the order given.
 
     At each step, nodes are removed until the largest count t with
-    t / original_n <= step are gone, then the giant-component fraction (of
+    t / n <= step are gone, then the giant-component fraction (of
     the original n) and the surviving giant component's average path length
     are recorded. A step that removes no node measures the intact graph,
     which no strategy changes, so it is measured once for every curve.
@@ -392,5 +391,5 @@ def robustness_curves(
                 # no strategy changes the intact graph: measure it once
                 measured = intact = intact or measure(alive)
             points.append(RobustnessPoint(fraction, *measured))
-        curves.append(RobustnessCurve(strategy, n, tuple(points)))
+        curves.append(RobustnessCurve(strategy, tuple(points)))
     return curves

@@ -134,6 +134,15 @@ def test_degree_conservation(micro_stream, micro_window):
         assert out.sum() == inn.sum() == message_count
 
 
+@pytest.mark.parametrize("direction", ["out", "in", "total"])
+def test_aggregate_matches_oracle(micro_stream, micro_window, direction):
+    table = degree_table(micro_stream, micro_window, direction)
+    aggregate = dict(zip(table.nodes.tolist(), table.aggregate.tolist()))
+    assert aggregate == brute.degrees(None, direction)
+    assert table.aggregate is table.aggregate  # summed once per table
+    assert not table.aggregate.flags.writeable
+
+
 degree_maps = st.dictionaries(
     st.integers(min_value=0, max_value=20),
     st.integers(min_value=0, max_value=50),

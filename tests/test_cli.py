@@ -80,7 +80,7 @@ def test_analyze_synthetic_mode(tmp_path):
     assert (out_dir / "report.json").exists()
 
 
-def test_enron_recipe_presets(tmp_path):
+def test_explicit_window_days_is_recorded(tmp_path):
     out_dir = tmp_path / "out"
     rc = main(
         [
@@ -91,13 +91,14 @@ def test_enron_recipe_presets(tmp_path):
             "--hubs", "2",
             "--hub-rate", "5",
             "--robustness-steps", "0.0",
-            "--enron-recipe",
+            "--window-days", "131",
             "--output-dir", str(out_dir),
         ]
     )
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["config"]["window_days"] == 131
+    assert report["window"]["days"] == 131
     assert report["config"]["k"] == 10
     assert report["config"]["direction"] == "out"
 
@@ -164,21 +165,6 @@ def test_every_log_format_flag_reaches_its_field(monkeypatch, tmp_path):
     cfg = _analyze_config(monkeypatch, tmp_path, "--input", "corpus.log", *argv).log_format
     for name, (_, _, value) in settings.items():
         assert getattr(cfg, name) == value != getattr(LogFormatConfig, name), name
-
-
-@pytest.mark.parametrize("window_days", [None, "20"])
-def test_enron_recipe_window_gives_way_to_an_explicit_one(monkeypatch, tmp_path, window_days):
-    argv = ["--synthetic-hubs", "--nodes", "20", "--days", "5", "--hubs", "2", "--seed", "4"]
-    argv += ["--enron-recipe", *(["--window-days", window_days] if window_days else [])]
-    cfg = _analyze_config(monkeypatch, tmp_path, *argv)
-    assert cfg == pipeline.PipelineConfig(
-        output_dir=tmp_path,
-        hub_params=commnet.HubCorpusParams(
-            nodes=20, days=5, hubs=2, hub_rate=40.0, background_rate=1.0, seed=4
-        ),
-        window_days=int(window_days) if window_days else cli.ENRON_WINDOW_DAYS,
-        seed=4,
-    )
 
 
 def test_empty_window_exit_code(tmp_path, capsys):

@@ -13,6 +13,7 @@ import commnet as cn
 from commnet import (
     DegreeTable,
     Stability,
+    TemporalEdgeStream,
     classify_stability,
     consecutive_day_correlation,
     daily_vs_aggregate_consistency,
@@ -23,6 +24,7 @@ from commnet import (
 )
 from commnet.dynamics import DegreeSeries, OverlapResult
 from commnet.errors import UnknownNodeError
+from commnet.temporal import day_date
 
 from . import brute
 
@@ -121,7 +123,7 @@ def test_empty_day_excluded():
     s2 = snap(2, {(0, 1): 3}, nodes)
     series = consecutive_day_correlation(days_table([s0, s1, s2]))
     assert [p.excluded for p in series.pairs] == [True, True]
-    assert series.values == ()
+    assert [p.r for p in series.pairs] == [None, None]
     with pytest.raises(ValueError):
         consecutive_day_correlation(days_table([s0]))
 
@@ -210,7 +212,7 @@ def test_unknown_node():
 def test_one_hot_series_is_fluctuating():
     values = [0] * 131
     values[40] = 50
-    series = DegreeSeries(0, "out", tuple(values))
+    series = DegreeSeries(tuple(values))
     assert series.cv == pytest.approx(math.sqrt(130), abs=1e-9)
     assert classify_stability(series, 1.0) is Stability.FLUCTUATING
 
@@ -222,7 +224,7 @@ def test_one_hot_series_is_fluctuating():
 def test_one_hot_cv_closed_form(n, v):
     values = [0] * n
     values[n // 2] = v
-    series = DegreeSeries(0, "out", tuple(values))
+    series = DegreeSeries(tuple(values))
     assert series.cv == pytest.approx(math.sqrt(n - 1), rel=1e-9)
 
 
@@ -231,8 +233,8 @@ def test_one_hot_cv_closed_form(n, v):
     st.integers(min_value=1, max_value=9),
 )
 def test_stability_scale_invariant(values, factor):
-    a = DegreeSeries(0, "out", tuple(values))
-    b = DegreeSeries(0, "out", tuple(v * factor for v in values))
+    a = DegreeSeries(tuple(values))
+    b = DegreeSeries(tuple(v * factor for v in values))
     assert classify_stability(a) is classify_stability(b)
 
 
@@ -299,6 +301,25 @@ def test_overlap_vs_k_validation():
         overlap_vs_k(days_table(snaps), [0, 2])
     with pytest.raises(ValueError):
         overlap_vs_k(days_table(snaps), [5, 5, 10])
+
+
+def test_overlap_vs_k_counts_only_non_empty_days():
+    # days 0, 2 and 5 of a six-day window are empty: first, middle and last
+    by_day = {1: [(0, 1), (0, 1), (2, 1)], 3: [(0, 1), (2, 0)], 4: [(2, 1), (2, 0), (1, 0)]}
+    rows = [(u, v, day * brute.DAY) for day, pairs in by_day.items() for u, v in pairs]
+    stream = TemporalEdgeStream(*map(list, zip(*rows)))
+    table = degree_table(stream, cn.slice_days(stream, day_date(0), num_days=6))
+    non_empty = table.values.any(axis=1)
+    assert non_empty.tolist() == [False, True, False, True, True, False]
+    days = [dict(zip(table.nodes.tolist(), row)) for row in table.values[non_empty].tolist()]
+    k_values = [1, 2, 3]
+    expected = {}
+    for k in k_values:
+        tops = [{node for node, _ in brute.top_k(d, k)} for d in days]
+        shared = sum(len(a & b) for a, b in combinations(tops, 2))
+        # D = 3 non-empty days, so C(D, 2) = 3 pairs
+        expected[k] = float(Fraction(shared, k * 3))
+    assert overlap_vs_k(table, k_values) == expected
 
 
 def test_overlap_nested_prefix_corpus_non_decreasing():

@@ -174,6 +174,39 @@ def test_file_mode_reports_ingest(tmp_path, micro_stream):
     assert report.labels == {str(i): name for i, name in enumerate(brute.NAMES)}
 
 
+@pytest.mark.parametrize("direction", ["out", "in", "total"])
+def test_consistency_and_concentration_rank_one_aggregate(tmp_path, monkeypatch, direction):
+    ranked = []
+
+    def recording(fn):
+        def wrapped(nodes, degrees, k):
+            ranked.append(degrees)
+            return fn(nodes, degrees, k)
+
+        return wrapped
+
+    # the consistency's top k, the concentration's top list and its share
+    monkeypatch.setattr(cn.dynamics, "top_k", recording(cn.dynamics.top_k))
+    monkeypatch.setattr(centrality, "top_k", recording(centrality.top_k))
+    path = tmp_path / "micro.log"
+    path.write_bytes(brute.log_bytes())
+    cfg = PipelineConfig(
+        output_dir=tmp_path / "out",
+        input_path=path,
+        direction=direction,
+        k=2,
+        k_values=(1, 2),
+        robustness_steps=(0.0,),
+    )
+    report = run(cfg)
+    assert len(ranked) == 3 and all(degrees is ranked[0] for degrees in ranked)
+    aggregate = brute.degrees(None, direction)
+    assert ranked[0].tolist() == [aggregate[node] for node in sorted(aggregate)]
+    top = [{"node": node, "degree": deg} for node, deg in brute.top_k(aggregate, 2)]
+    assert report.concentration["top"] == top
+    assert report.consistency["count"] == brute.consistency_count(2, direction)
+
+
 # each single-table plot file's columns, as (report entry key, ...) paths
 FIT_COLUMNS = (
     ("day",),
