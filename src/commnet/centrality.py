@@ -35,7 +35,6 @@ class DegreeTable:
 
     nodes: np.ndarray  # int64, ascending
     values: np.ndarray  # int64, shape (days, nodes)
-    direction: str
 
     @cached_property
     def aggregate(self) -> np.ndarray:
@@ -87,7 +86,7 @@ def degree_table(
             rows = slice(lo, min(lo + _COUNT_ROWS, bounds[t + 1]))
             for column in ends:  # senders and recipients are node positions
                 np.add.at(values[t], column[rows], 1)
-    return DegreeTable(nodes, values, direction)
+    return DegreeTable(nodes, values)
 
 
 def ranked_positions(degrees: np.ndarray) -> np.ndarray:

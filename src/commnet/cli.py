@@ -1,8 +1,10 @@
 """Command-line front door.
 
-Verbs: ingest (parse and validate a message log), analyze (full pipeline),
-generate (synthetic corpora and graphs), robustness (standalone removal
-curves), report (summarize an existing report.json).
+Verbs: ingest (parse and validate a message log), analyze (full pipeline
+on a message log), generate (synthetic corpora and graphs, written to
+disk), robustness (standalone removal curves), report (summarize an
+existing report.json). A generated corpus is analyzed as any log is:
+``generate hub-corpus`` writes it and ``analyze --input`` reads it.
 
 Exit codes: 0 success, 1 standard output closed by its reader (as in
 ``commnet ingest ... | head``), 2 configuration error, 3 ingest error or an
@@ -132,25 +134,9 @@ def _replacing(path: str) -> Iterator[BinaryIO]:
         yield fh
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
-    """The planted-hub corpus shape, shared by analyze and generate."""
-    for flag, kind, default in (
-        ("--nodes", int, 151),
-        ("--days", int, 131),
-        ("--hubs", int, 10),
-        ("--hub-rate", float, 40.0),
-        ("--background-rate", float, 1.0),
-    ):
-        parser.add_argument(flag, type=kind, default=default)
-
-
 def _given(cls: type, args: argparse.Namespace) -> dict:
     """The parsed value of each flag named for a field of the dataclass ``cls``."""
     return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
-
-
-def _hub_params(args: argparse.Namespace) -> HubCorpusParams:
-    return HubCorpusParams(**_given(HubCorpusParams, args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,16 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(p_ingest, "--collapse-duplicates", action="store_true")
 
     p_analyze = sub.add_parser("analyze", help="run the full pipeline")
-    src = p_analyze.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="message log to ingest")
-    src.add_argument(
-        "--synthetic-hubs",
-        action="store_true",
-        help="analyze a generated planted-hub corpus instead of a log",
-    )
+    p_analyze.add_argument("--input", required=True, help="message log to ingest")
     _add_format_args(p_analyze)
     _add_setting(p_analyze, "--collapse-duplicates", action="store_true")
-    _add_corpus_args(p_analyze)
     _add_setting(p_analyze, "--window-start", type=_date)
     _add_setting(p_analyze, "--window-days", type=int)
     _add_setting(p_analyze, "--tz-offset-seconds", type=int)
@@ -196,22 +175,26 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_generate.add_subparsers(dest="model", required=True)
 
     g_hub = gen_sub.add_parser("hub-corpus", help="planted-hub message log")
-    _add_corpus_args(g_hub)
-    g_hub.add_argument("--start-date", type=_date, default=HubCorpusParams.start_date)
-    g_hub.add_argument("--seed", type=int, default=HubCorpusParams.seed)
+    _add_setting(g_hub, "--nodes", HubCorpusParams, type=int)
+    _add_setting(g_hub, "--days", HubCorpusParams, type=int)
+    _add_setting(g_hub, "--hubs", HubCorpusParams, type=int)
+    _add_setting(g_hub, "--hub-rate", HubCorpusParams, type=float)
+    _add_setting(g_hub, "--background-rate", HubCorpusParams, type=float)
+    _add_setting(g_hub, "--start-date", HubCorpusParams, type=_date)
+    _add_setting(g_hub, "--seed", HubCorpusParams, type=int)
     g_hub.add_argument("--output", required=True)
 
     g_ba = gen_sub.add_parser("ba", help="preferential-attachment graph edge list")
     g_ba.add_argument("--n", type=int, required=True)
     g_ba.add_argument("--m", type=int, required=True)
-    g_ba.add_argument("--m0", type=int, default=BAParams.m0)
-    g_ba.add_argument("--seed", type=int, default=BAParams.seed)
+    _add_setting(g_ba, "--m0", BAParams, type=int)
+    _add_setting(g_ba, "--seed", BAParams, type=int)
     g_ba.add_argument("--output", required=True)
 
     g_er = gen_sub.add_parser("er", help="uniform random graph edge list")
     g_er.add_argument("--n", type=int, required=True)
     g_er.add_argument("--p", type=float, required=True)
-    g_er.add_argument("--seed", type=int, default=ERParams.seed)
+    _add_setting(g_er, "--seed", ERParams, type=int)
     g_er.add_argument("--output", required=True)
 
     p_rob = sub.add_parser(
@@ -260,13 +243,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # each setting as its flag gave it; the four fields below are built here
+    # each setting as its flag gave it; the three fields below are built here
     settings = _given(PipelineConfig, args)
     settings.update(
         output_dir=_output_dir(args),
-        input_path=Path(args.input) if args.input else None,
+        input_path=Path(args.input),
         log_format=_log_format(args),
-        hub_params=_hub_params(args) if args.synthetic_hubs else None,
     )
     cfg = PipelineConfig(**settings)
     report = run(cfg)
@@ -279,7 +261,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.model == "hub-corpus":
-        stream = generate_hub_corpus(_hub_params(args))
+        stream = generate_hub_corpus(HubCorpusParams(**_given(HubCorpusParams, args)))
         with _replacing(args.output) as out:
             write_edge_log(stream, out)
         print(f"wrote {len(stream)} messages to {args.output}")

@@ -70,11 +70,11 @@ class HubCorpusParams:
     uniformly among the other nodes. Hubs are nodes 0..hubs-1.
     """
 
-    nodes: int
-    days: int
-    hubs: int
-    hub_rate: float
-    background_rate: float
+    nodes: int = 151
+    days: int = 131
+    hubs: int = 10
+    hub_rate: float = 40.0
+    background_rate: float = 1.0
     seed: int = 0
     start_date: dt.date = dt.date(2000, 1, 1)
 

@@ -322,6 +322,18 @@ _EIGHT_DIGITS = (
 )
 
 
+def _word_view(data: np.ndarray, size: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` copied into a ``size``-byte text between ``pad`` (>= 24) zero
+    bytes on each side, and that buffer's unaligned little-endian 8-byte
+    words, where ``words[p + 24]`` is the word at text byte p, as
+    _integers reads them; the text's bytes past ``data`` are zero."""
+    padded = np.zeros(size + 2 * pad, dtype=np.uint8)
+    text = padded[pad : pad + size]
+    text[: len(data)] = data
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    return text, words[pad - 24 :]
+
+
 def _integers(
     text: np.ndarray, words: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,11 +341,10 @@ def _integers(
     that are [+-]?[0-9]{1,18}: every such integer fits in int64, and the
     other fields' values mean nothing.
 
-    ``words[p + 24]`` is the unaligned little-endian 8-byte word at text
-    byte p, so the buffer under ``text`` needs 24 bytes before it. Row j of
-    the digit matrix is the word that ends 8j bytes before the field's end,
-    less '0' in every byte; the bytes before the first digit become 0, as
-    if '0'.
+    ``text`` and ``words`` are a _word_view, so the 24 bytes before the
+    text are there to read. Row j of the digit matrix is the word that ends
+    8j bytes before the field's end, less '0' in every byte; the bytes
+    before the first digit become 0, as if '0'.
     """
     sign = text[lo]
     digits = hi - lo - ((sign == ord("+")) | (sign == ord("-")))
@@ -369,16 +380,12 @@ def _fast_lines(
     uint64 matrix holding the sender names and then the recipient names,
     NUL-padded (no qualifying name contains a NUL).
 
-    Fields are read as unaligned little-endian 8-byte words, which zero
-    bytes on both sides of the chunk keep inside the buffer.
+    Fields are read as unaligned little-endian 8-byte words (_word_view),
+    which zero bytes on both sides of the chunk keep inside the buffer.
     """
     size = len(chunk) + (chunk[-1] != 0x0A)  # a last line without LF gets one
-    padded = np.zeros(size + 2 * _FAST_NAME_BYTES, dtype=np.uint8)
-    text = padded[_FAST_NAME_BYTES : _FAST_NAME_BYTES + size]
-    text[: len(chunk)] = chunk
+    text, words = _word_view(chunk, size, _FAST_NAME_BYTES)
     text[-1] = 0x0A
-    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
-    words = words[_FAST_NAME_BYTES - 24 :]  # the word at text byte p is words[p + 24]
 
     # the delimiters, and every byte outside printable non-space ASCII; each
     # LF is one, so line i's marks lie between its LF and line i-1's
@@ -774,10 +781,7 @@ def _edge_pairs(data: bytes) -> np.ndarray | None:
     line is a self-edge; None for any other input, an empty one included."""
     if not data.endswith(b"\n"):
         return None
-    padded = np.zeros(24 + len(data), dtype=np.uint8)
-    text = padded[24:]
-    text[:] = np.frombuffer(data, dtype=np.uint8)
-    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    text, words = _word_view(np.frombuffer(data, dtype=np.uint8), len(data), 24)
     # the field ends: a space, an LF, a space ..., so each line holds one space
     ends = np.flatnonzero((text == ord(" ")) | (text == ord("\n")))
     marks = text[ends]

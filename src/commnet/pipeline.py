@@ -1,4 +1,4 @@
-"""Batch pipeline: ingest or generate a corpus, run every analysis, emit files.
+"""Batch pipeline: ingest a message log, run every analysis, emit files.
 
 Given a config the pipeline produces a versioned JSON report plus one columnar
 plot-data file per result family (consecutive-day correlation, per-day
@@ -14,10 +14,9 @@ where the outputs go (``_config_echo``).
 ``run`` goes through its stages in this order, and each holds only what the
 stages after it read:
 
-1. Acquire: parse the log, read from its file a chunk at a time, or
-   generate the corpus. Alive: the stream's columns and one chunk's arrays;
-   while a log out of time order is sorted, one permutation and one spare
-   column too.
+1. Acquire: parse the log, read from its file a chunk at a time. Alive:
+   the stream's columns and one chunk's arrays; while a log out of time
+   order is sorted, one permutation and one spare column too.
 2. Temporal half (``_temporal_stage``): slice the stream into days, build
    the degree table, and from it the fits, correlation, overlap, consistency,
    concentration and stability. Each plot file is written as soon as its
@@ -70,7 +69,6 @@ import numpy as np
 
 from . import robustness as robust
 from .errors import ConfigError, InsufficientSupportError
-from .generators import HubCorpusParams, generate_hub_corpus
 from .ingest import (
     IngestReport,
     LogFormatConfig,
@@ -117,14 +115,14 @@ OWNED_NAMES = (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one run needs; exactly one of input_path / hub_params is set."""
+    """Everything one run needs: the log to read, how to read it, the
+    analysis settings and where the outputs go."""
 
     output_dir: Path
-    input_path: Path | None = None
+    input_path: Path
     log_format: LogFormatConfig = field(default_factory=LogFormatConfig)
     malformed_threshold: float = 0.01
     collapse_duplicates: bool = False
-    hub_params: HubCorpusParams | None = None
     window_start: dt.date | None = None
     window_days: int | None = None
     tz_offset_seconds: int = 0
@@ -140,8 +138,6 @@ class PipelineConfig:
     def validate(self) -> None:
         from . import centrality, dynamics, powerlaw
 
-        if (self.input_path is None) == (self.hub_params is None):
-            raise ConfigError("exactly one of input_path or hub_params must be set")
         if self.direction not in centrality.VALID_DIRECTIONS:
             raise ConfigError(f"direction must be one of {centrality.VALID_DIRECTIONS}")
         if self.k < 1:
@@ -197,22 +193,15 @@ class Report:
         }
 
 
-# the fields report.json does not record: where the outputs go, and
-# hub_params, of which it records only "synthetic"
-_UNRECORDED = ("output_dir", "hub_params")
-
-
 def _config_echo(cfg: PipelineConfig) -> dict:
-    """The report's "config": every PipelineConfig field but _UNRECORDED, a
-    path as text, a date in ISO form and a tuple as a list, plus "synthetic",
-    whether the corpus was generated rather than read from a log. The log
-    format is its fields, or None for a generated corpus, which reads no log."""
-    synthetic = cfg.hub_params is not None
-    echo = {"synthetic": synthetic}
-    for name in (f.name for f in fields(cfg) if f.name not in _UNRECORDED):
+    """The report's "config": every PipelineConfig field but output_dir, a
+    path as text, a date in ISO form, a tuple as a list and the log format
+    as its fields."""
+    echo = {}
+    for name in (f.name for f in fields(cfg) if f.name != "output_dir"):
         value = getattr(cfg, name)
         if isinstance(value, LogFormatConfig):
-            value = None if synthetic else {**asdict(value), "columns": list(value.columns)}
+            value = {**asdict(value), "columns": list(value.columns)}
         elif isinstance(value, Path):
             value = str(value)
         elif isinstance(value, dt.date):
@@ -227,15 +216,6 @@ def _acquire_stream(
     cfg: PipelineConfig,
 ) -> tuple[TemporalEdgeStream, dict, dict]:
     """The stream, its report.json source entry and its run_info.json entries."""
-    if cfg.hub_params is not None:
-        stream = generate_hub_corpus(cfg.hub_params)
-        source = {
-            **asdict(cfg.hub_params),
-            "kind": "synthetic-hub-corpus",
-            "start_date": cfg.hub_params.start_date.isoformat(),
-        }
-        return stream, source, {}
-    assert cfg.input_path is not None
     started = time.perf_counter()
     stream, ingest_report = read_log(
         cfg.input_path,
@@ -245,7 +225,6 @@ def _acquire_stream(
     )
     malformed_lines = [list(row) for row in ingest_report.malformed_rows[:50]]
     source = {
-        "kind": "log",
         "path": str(cfg.input_path),
         "ingest": {**ingest_counts(ingest_report), "malformed_lines": malformed_lines},
     }

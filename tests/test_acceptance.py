@@ -17,6 +17,7 @@ from commnet.pipeline import RUN_INFO_FILENAME, PipelineConfig, run
 from commnet.temporal import SECONDS_PER_DAY, date_to_day
 
 from . import brute
+from .hub_log import write_hub_log
 
 
 def _ok(label: str) -> None:
@@ -272,17 +273,20 @@ def test_criterion_7_closed_form_spot_checks():
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):
+    log = write_hub_log(
+        tmp_path / "hub.log",
+        nodes=80,
+        days=25,
+        hubs=6,
+        hub_rate=15.0,
+        background_rate=1.0,
+        seed=7,
+    )
+
     def config(out):
         return PipelineConfig(
             output_dir=out,
-            hub_params=cn.HubCorpusParams(
-                nodes=80,
-                days=25,
-                hubs=6,
-                hub_rate=15.0,
-                background_rate=1.0,
-                seed=7,
-            ),
+            input_path=log,
             k=6,
             k_values=(3, 6, 12),
             robustness_steps=(0.0, 0.1, 0.2),

@@ -108,7 +108,7 @@ def test_daily_ranking_holds_only_positive_cells():
     values = np.zeros((days, size), dtype=np.int64)
     for row in values:
         row[rng.choice(size, 20, replace=False)] = rng.integers(1, 50, 20)
-    table = DegreeTable(np.arange(size, dtype=np.int64), values, "out")
+    table = DegreeTable(np.arange(size, dtype=np.int64), values)
     tracemalloc.start()
     try:
         ranking = table.daily_ranking
@@ -246,7 +246,7 @@ def test_sorted_unique_matches_numpy(values):
 @given(degree_rows())
 def test_daily_orderings_match_oracle(case):
     ids, rows = case
-    table = DegreeTable(np.array(ids, dtype=np.int64), np.array(rows), "out")
+    table = DegreeTable(np.array(ids, dtype=np.int64), np.array(rows))
     expected = [
         [node for node, _ in brute.top_k(dict(zip(ids, row)), len(ids))]
         for row in rows

@@ -16,6 +16,7 @@ from commnet.cli import main
 from commnet.ingest import LogFormatConfig, parse_edge_log
 
 from . import brute, ref_write
+from .hub_log import write_hub_log
 
 
 def test_generate_then_ingest_then_analyze(tmp_path, capsys):
@@ -60,36 +61,58 @@ def test_generate_then_ingest_then_analyze(tmp_path, capsys):
     assert not report["sections_empty"]
 
 
-def test_analyze_synthetic_mode(tmp_path):
-    out_dir = tmp_path / "out"
-    rc = main(
-        [
-            "analyze",
-            "--synthetic-hubs",
-            "--nodes", "30",
-            "--days", "6",
-            "--hubs", "2",
-            "--hub-rate", "8",
-            "--k", "2",
-            "--k-values", "2",
-            "--robustness-steps", "0.0",
-            "--output-dir", str(out_dir),
-        ]
-    )
-    assert rc == 0
-    assert (out_dir / "report.json").exists()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--synthetic-hubs"],
+        ["--input", "LOG", "--synthetic-hubs"],
+        *(["--input", "LOG", flag, "3"] for flag in (
+            "--nodes", "--days", "--hubs", "--hub-rate", "--background-rate"
+        )),
+        [],
+    ],
+    ids=["synthetic-hubs", "synthetic-hubs-and-input", "nodes", "days", "hubs",
+         "hub-rate", "background-rate", "no-input"],
+)
+def test_analyze_reads_only_a_log(tmp_path, capsys, argv):
+    # a generated corpus is analyzed from the log generate writes: the
+    # corpus flags are generate's alone, and analyze needs --input
+    log = write_hub_log(tmp_path / "hub.log", nodes=10, days=2, hubs=1)
+    out = tmp_path / "out"
+    argv = [str(log) if a == "LOG" else a for a in argv]
+    with pytest.raises(SystemExit) as exited:
+        main(["analyze", *argv, "--output-dir", str(out)])
+    assert exited.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["hub-corpus"], commnet.HubCorpusParams),
+        (["ba", "--n", "10", "--m", "2"], commnet.BAParams),
+        (["er", "--n", "10", "--p", "0.5"], commnet.ERParams),
+    ],
+    ids=["hub-corpus", "ba", "er"],
+)
+def test_generate_defaults_are_the_params(argv, params):
+    # every generator parameter with a default has a flag that takes it
+    args = cli.build_parser().parse_args(["generate", *argv, "--output", "x"])
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(params)
+        if f.default is not dataclasses.MISSING
+    }
+    assert defaults and {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_explicit_window_days_is_recorded(tmp_path):
+    log = write_hub_log(tmp_path / "hub.log", nodes=20, days=131, hubs=2, hub_rate=5.0)
     out_dir = tmp_path / "out"
     rc = main(
         [
             "analyze",
-            "--synthetic-hubs",
-            "--nodes", "20",
-            "--days", "131",
-            "--hubs", "2",
-            "--hub-rate", "5",
+            "--input", str(log),
             "--robustness-steps", "0.0",
             "--window-days", "131",
             "--output-dir", str(out_dir),
@@ -140,14 +163,14 @@ def test_every_analyze_setting_reaches_its_field(monkeypatch, tmp_path):
         "--seed": ("9", 9),
     }
     expected = {flag[2:].replace("-", "_"): value for flag, (_, value) in settings.items()}
-    built_by_analyze = {"output_dir", "input_path", "log_format", "hub_params"}
+    built_by_analyze = {"output_dir", "input_path", "log_format"}
     fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
     assert set(expected) == fields - built_by_analyze
     argv = [part for flag, (text, _) in settings.items() for part in (flag, text) if part]
     cfg = _analyze_config(monkeypatch, tmp_path, "--input", "corpus.log", *argv)
     for name, value in expected.items():
         assert getattr(cfg, name) == value != getattr(pipeline.PipelineConfig, name), name
-    assert cfg.input_path == Path("corpus.log") and cfg.hub_params is None
+    assert cfg.input_path == Path("corpus.log")
 
 
 def test_every_log_format_flag_reaches_its_field(monkeypatch, tmp_path):
@@ -188,18 +211,12 @@ def test_empty_window_exit_code(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path):
-    rc = main(
-        [
-            "analyze",
-            "--synthetic-hubs",
-            "--k", "0",
-            "--output-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert rc == 2
-    # each bad setting is refused before the output directory is made
+    # each bad setting is refused before the output directory is made and
+    # before the log is opened: a missing one would exit 3
+    missing = str(tmp_path / "missing.log")
     out = tmp_path / "out"
     for flag, value in (
+        ("--k", "0"),
         ("--tz-offset-seconds", "9223372036854775000"),
         ("--k-values", ""),
         ("--window-days", "36526"),
@@ -214,12 +231,10 @@ def test_config_error_exit_code(tmp_path):
         ("--seed", "-1"),
         ("--seed", str(2**64)),
     ):
-        rc = main(["analyze", "--synthetic-hubs", flag, value, "--output-dir", str(out)])
+        rc = main(["analyze", "--input", missing, flag, value, "--output-dir", str(out)])
         assert rc == 2, flag
         assert not out.exists(), flag
-    # bad removal fractions and strategies are refused before the input is
-    # even opened
-    missing = str(tmp_path / "missing.log")
+    # and so are bad removal fractions and strategies
     for steps in ("0.5,0.2", "1.0"):
         for argv in (
             ["analyze", "--input", missing, "--robustness-steps", steps],
@@ -272,21 +287,18 @@ def test_robustness_on_edges_checks_the_log_format_flags(tmp_path, flag, value):
 
 def test_missing_output_dir_is_config_error(tmp_path, monkeypatch):
     monkeypatch.delenv("COMMNET_OUTPUT_DIR", raising=False)
-    rc = main(["analyze", "--synthetic-hubs"])
+    rc = main(["analyze", "--input", str(tmp_path / "corpus.log")])
     assert rc == 2
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):
+    log = write_hub_log(tmp_path / "hub.log", nodes=10, days=4, hubs=1, hub_rate=4.0)
     out_dir = tmp_path / "env_out"
     monkeypatch.setenv("COMMNET_OUTPUT_DIR", str(out_dir))
     rc = main(
         [
             "analyze",
-            "--synthetic-hubs",
-            "--nodes", "10",
-            "--days", "4",
-            "--hubs", "1",
-            "--hub-rate", "4",
+            "--input", str(log),
             "--k", "1",
             "--k-values", "1",
             "--robustness-steps", "0.0",
@@ -533,15 +545,12 @@ def test_robustness_on_a_log_of_blank_lines(tmp_path, capsys):
 
 
 def test_report_summarizer(tmp_path, capsys):
+    log = write_hub_log(tmp_path / "hub.log", nodes=30, days=6, hubs=2, hub_rate=8.0)
     out_dir = tmp_path / "out"
     main(
         [
             "analyze",
-            "--synthetic-hubs",
-            "--nodes", "30",
-            "--days", "6",
-            "--hubs", "2",
-            "--hub-rate", "8",
+            "--input", str(log),
             "--k", "2",
             "--k-values", "2",
             "--robustness-steps", "0.0,0.2",
@@ -862,7 +871,7 @@ def test_failed_write_leaves_the_target(tmp_path, monkeypatch, capsys, verb):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "--synthetic-hubs", "--nodes", "10", "--days", "2", "--output-dir", "FILE"],
+        ["analyze", "--input", "LOG", "--output-dir", "FILE"],
         ["robustness", "--edges", "EDGES", "--output-dir", "FILE"],
         ["ingest", "--input", "DIR"],
         [*HUB_ARGS, "--output", "DIR"],
@@ -872,10 +881,12 @@ def test_failed_write_leaves_the_target(tmp_path, monkeypatch, capsys, verb):
 def test_os_error_on_a_named_path_is_one_line(tmp_path, capsys, argv):
     (tmp_path / "FILE").write_text("kept\n")
     (tmp_path / "EDGES").write_text("0 1\n")
+    (tmp_path / "LOG").write_text("a,b,1\n")
     (tmp_path / "DIR").mkdir()
     (tmp_path / "DIR" / "kept").write_text("kept\n")
     capsys.readouterr()
-    assert main([str(tmp_path / a) if a in ("FILE", "EDGES", "DIR") else a for a in argv]) == 3
+    named = ("FILE", "EDGES", "LOG", "DIR")
+    assert main([str(tmp_path / a) if a in named else a for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
     assert (tmp_path / "FILE").read_text() == "kept\n"

@@ -34,16 +34,12 @@ def snap(i, edges, nodes):
     directly: these registries include nodes that send and receive nothing."""
     nodes = sorted(nodes)
     row = [sum(m for (u, _), m in edges.items() if u == node) for node in nodes]
-    return DegreeTable(
-        np.array(nodes, dtype=np.int64), np.array([row], dtype=np.int64), "out"
-    )
+    return DegreeTable(np.array(nodes, dtype=np.int64), np.array([row], dtype=np.int64))
 
 
 def days_table(snaps):
     """Stack one-row day tables, in order, into one window's table."""
-    return DegreeTable(
-        snaps[0].nodes, np.concatenate([s.values for s in snaps]), "out"
-    )
+    return DegreeTable(snaps[0].nodes, np.concatenate([s.values for s in snaps]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def test_absent_node_series():
 
 
 def test_node_series_needs_a_day():
-    no_days = DegreeTable(np.array([9]), np.zeros((0, 1), dtype=np.int64), "out")
+    no_days = DegreeTable(np.array([9]), np.zeros((0, 1), dtype=np.int64))
     with pytest.raises(ValueError, match="^need at least 1 day$"):
         node_series(no_days, 9)
 
@@ -391,7 +387,6 @@ def test_day_table_statistics_match_oracles(case, k_max):
     table = DegreeTable(
         np.array(ids, dtype=np.int64),
         np.array(rows, dtype=np.int64).reshape(len(rows), len(ids)),
-        "out",
     )
     days = [dict(zip(ids, row)) for row in rows]
 

@@ -22,14 +22,17 @@ from commnet.pipeline import (
 )
 
 from . import brute
+from .hub_log import write_hub_log
+
+HUB_CORPUS = dict(nodes=60, days=20, hubs=5, hub_rate=20.0, background_rate=1.0, seed=0)
 
 
-def hub_config(out_dir: Path, **overrides) -> PipelineConfig:
+def hub_config(tmp_path: Path, corpus: dict = HUB_CORPUS, **overrides) -> PipelineConfig:
+    """A run over the planted-hub ``corpus``, written to tmp_path/hub.log,
+    with its outputs in tmp_path/out."""
     params = dict(
-        output_dir=out_dir,
-        hub_params=cn.HubCorpusParams(
-            nodes=60, days=20, hubs=5, hub_rate=20.0, background_rate=1.0, seed=0
-        ),
+        output_dir=tmp_path / "out",
+        input_path=write_hub_log(tmp_path / "hub.log", **corpus),
         k=5,
         k_values=(2, 5, 10),
         robustness_steps=(0.0, 0.1, 0.3),
@@ -48,7 +51,7 @@ def test_synthetic_run_report_contents(tmp_path):
     report = run(hub_config(tmp_path))
     assert not report.sections_empty
     assert report.window["days"] == 20
-    assert report.corpus["source"]["kind"] == "synthetic-hub-corpus"
+    assert report.corpus["source"]["path"] == str(tmp_path / "hub.log")
     assert report.consistency["k"] == 5
     assert report.consistency["count"] == 5  # hubs dominate daily and aggregate
     assert report.concentration["share"] >= 0.5
@@ -61,25 +64,26 @@ def test_synthetic_run_report_contents(tmp_path):
     }
     assert set(report.robustness) == {"random", "targeted"}
 
-    written = json.loads((tmp_path / "report.json").read_text())
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
     assert written["schema_version"] == 1
     assert written["consistency"]["count"] == 5
 
 
 def test_plot_files_shapes(tmp_path):
     report = run(hub_config(tmp_path))
-    corr_rows = read_data_rows(tmp_path / "correlation_series.dat")
+    out = tmp_path / "out"
+    corr_rows = read_data_rows(out / "correlation_series.dat")
     assert len(corr_rows) == report.window["days"] - 1
-    day_files = sorted((tmp_path / "day_distributions").glob("day_*.dat"))
+    day_files = sorted((out / "day_distributions").glob("day_*.dat"))
     assert len(day_files) == report.window["non_empty_days"]
-    hub_files = sorted((tmp_path / "hub_series").glob("node_*.dat"))
+    hub_files = sorted((out / "hub_series").glob("node_*.dat"))
     assert len(hub_files) == 5
     for f in hub_files:
         assert len(read_data_rows(f)) == report.window["days"]
-    fit_rows = read_data_rows(tmp_path / "per_day_fits.dat")
+    fit_rows = read_data_rows(out / "per_day_fits.dat")
     assert len(fit_rows) == report.window["non_empty_days"]
     for kind in ("random", "targeted"):
-        rows = read_data_rows(tmp_path / f"robustness_{kind}.dat")
+        rows = read_data_rows(out / f"robustness_{kind}.dat")
         assert len(rows) == 3
 
 
@@ -271,7 +275,7 @@ def test_plot_files_equal_the_report_entries_they_mirror(tmp_path, case):
         log.write_text("")
         argv += ["--window-start", "2000-01-01", "--window-days", "3"]
     elif case == "synthetic":
-        argv = ["analyze", "--synthetic-hubs", "--nodes", "40", "--days", "12", "--hubs", "4"]
+        write_hub_log(log, nodes=40, days=12, hubs=4)
     out = tmp_path / "out"
     assert cli.main([*argv, "--output-dir", str(out)]) == (4 if case == "empty-window" else 0)
     report = json.loads((out / "report.json").read_text())
@@ -315,8 +319,8 @@ def test_non_empty_day_histograms_have_positive_support(
 def test_determinism_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    run(hub_config(out_a))
-    run(hub_config(out_b))
+    run(hub_config(tmp_path, output_dir=out_a))
+    run(hub_config(tmp_path, output_dir=out_b))
     files_a = sorted(
         p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file()
     )
@@ -334,10 +338,8 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        PipelineConfig(output_dir=tmp_path).validate()
-    with pytest.raises(ConfigError):
-        hub_config(tmp_path, input_path=Path("x")).validate()
+    with pytest.raises(TypeError, match="input_path"):
+        PipelineConfig(output_dir=tmp_path)  # a run reads a log
     with pytest.raises(ConfigError):
         hub_config(tmp_path, k=0).validate()
     with pytest.raises(ConfigError):
@@ -355,8 +357,8 @@ def test_config_validation(tmp_path):
 
 
 def test_config_records_how_the_log_is_read(tmp_path):
-    # every setting but the output directory and the generator's parameters,
-    # so two runs that read one log differently tell apart by config alone
+    # every setting but the output directory, so two runs that read one log
+    # differently tell apart by config alone
     path = tmp_path / "micro.log"
     path.write_bytes(brute.log_bytes())
     common = dict(input_path=path, k=2, k_values=(1, 2), robustness_steps=(0.0,))
@@ -365,8 +367,8 @@ def test_config_records_how_the_log_is_read(tmp_path):
                            malformed_threshold=0.5, **common)).config
         for collapse in (False, True)
     ]
-    recorded = {f.name for f in dataclasses.fields(PipelineConfig)} - {"output_dir", "hub_params"}
-    assert set(configs[0]) == recorded | {"synthetic"}
+    recorded = {f.name for f in dataclasses.fields(PipelineConfig)} - {"output_dir"}
+    assert set(configs[0]) == recorded
     assert [c["collapse_duplicates"] for c in configs] == [False, True]
     assert configs[0]["malformed_threshold"] == 0.5
     assert configs[0]["log_format"] == {
@@ -375,8 +377,6 @@ def test_config_records_how_the_log_is_read(tmp_path):
         "delimiter": ",",
         "has_header": False,
     }
-    # a generated corpus reads no log, so it records no format
-    assert run(hub_config(tmp_path / "synthetic")).config["log_format"] is None
 
 
 def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
@@ -394,7 +394,7 @@ def test_partial_outputs_removed_on_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline_mod, "format_columns", failing)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError):
-        run(hub_config(out))
+        run(hub_config(tmp_path))
     leftovers = [p for p in out.rglob("*") if p.is_file()]
     assert leftovers == []
 
@@ -421,21 +421,15 @@ def test_output_dir_naming_a_file_fails_before_reading(tmp_path, monkeypatch):
     "argv",
     [
         ["analyze", "--input", "hub.log", "--robustness-steps", "0.0,0.2"],
-        ["analyze", "--synthetic-hubs", "--nodes", "60", "--days", "20", "--hubs", "5",
-         "--robustness-steps", "0.0,0.2"],
         ["robustness", "--input", "hub.log", "--steps", "0.0,0.2"],
     ],
-    ids=["analyze-input", "analyze-synthetic", "robustness-input"],
+    ids=["analyze-input", "robustness-input"],
 )
 def test_temporal_data_freed_before_robustness(tmp_path, monkeypatch, argv):
     # the curves read only the projection: the stream's columns and the
     # degree table must be gone when the robustness stage starts (the node
     # registry is shared with the graph by design, so it is not checked)
-    params = cn.HubCorpusParams(
-        nodes=60, days=20, hubs=5, hub_rate=20.0, background_rate=1.0, seed=0
-    )
-    with open(tmp_path / "hub.log", "wb") as fh:
-        cn.write_edge_log(cn.generate_hub_corpus(params), fh)
+    write_hub_log(tmp_path / "hub.log", **HUB_CORPUS)
     monkeypatch.chdir(tmp_path)
     refs: list[weakref.ref] = []
 
@@ -501,14 +495,12 @@ def test_curve_file_of_numpy_steps_is_that_of_python_floats(tmp_path):
 
 def test_rerun_replaces_previous_outputs(tmp_path):
     out = tmp_path / "out"
-    run(hub_config(out))
+    run(hub_config(tmp_path))
     (out / "notes.txt").write_text("kept")
     (out / "plots").mkdir()
     (out / "plots" / "mine.dat").write_text("kept")
-    small = cn.HubCorpusParams(
-        nodes=30, days=5, hubs=3, hub_rate=20.0, background_rate=1.0, seed=7
-    )
-    report = run(hub_config(out, hub_params=small, k=3))
+    small = dict(nodes=30, days=5, hubs=3, hub_rate=20.0, background_rate=1.0, seed=7)
+    report = run(hub_config(tmp_path, small, k=3))
     day_files = list((out / "day_distributions").glob("*.dat"))
     assert len(day_files) == report.window["non_empty_days"] <= 5
     hubs = {f"node_{row['node']}.dat" for row in report.concentration["top"]}
@@ -539,7 +531,15 @@ def test_rerun_replaces_previous_outputs(tmp_path):
 # report.json and robustness_random.dat were re-recorded when the random
 # order moved from numpy's Generator to SplitMix64 keys, report.json also
 # when its "config" began to record the log format, malformed_threshold and
-# collapse_duplicates
+# collapse_duplicates. Since the corpus is read from its log rather than
+# generated in the run, node ids come from the parse, by order of first
+# appearance: the hub_series names, the files that break ties by id
+# (top_frequency, overlap_vs_k, node_0), the MLE tail sums of per_day_fits
+# (taken in position order), the random curve (an order of positions) and
+# report.json were re-recorded then; the day distributions, the aggregate
+# distribution, the correlation series and the targeted curve did not
+# change. Each is the output that analyze --input already gave on the same
+# log (report.json less its "config.synthetic" and "corpus.source.kind")
 PINNED_DIGESTS = {
     "correlation_series.dat": "b634ffa23cc2025bd7cdc97ed57d93d13575abb67a9b09fbf589d8881f305be6",
     "day_distributions/day_0000.dat": "3cd706ed8a6e8b910e6a202835e56fcc4563a19f2df50dd794d770eb598797e6",
@@ -568,27 +568,29 @@ PINNED_DIGESTS = {
     "day_distributions/day_0023.dat": "99a3bd19086d69603d266990109f4717b7aca34b0a1e3f78b10b5622e7129ca1",
     "day_distributions/day_0024.dat": "6280ed5a776923cada42c892e48ea0582ad3845977528e175ac0c2fbdef3650e",
     "degree_distribution_aggregate.dat": "bb9012fb38729fab9137e893353e36964f20d93223a1af849e5b729472d0ef3f",
-    "hub_series/node_0.dat": "17354ef99244fc63090dd3ab4f0d62b79da604e246630fc8ccf2be3d02e56073",
-    "hub_series/node_1.dat": "4ca132b40970eb452f37b41dc84fb2fec155df159a3eb85245f03e8b02e3da64",
-    "hub_series/node_2.dat": "995c6f3780f835f5bc3fd08b96027b9e265bf6401c928bca9affdbb257fcdc70",
-    "hub_series/node_3.dat": "f1b1e18630fba89c1e3044400568f41e7dfa45792de850975eb765d842cfa2d0",
-    "hub_series/node_4.dat": "9f4002a2b567161ed7f735d94f1e8206fc70d1dd220deb4033e1bb1cdd9f00c7",
-    "hub_series/node_5.dat": "a02fe79cf1c75930a79b997b157aee66962ab3938de2cddad0f4bf640fbda611",
-    "overlap_vs_k.dat": "15dd8d05e0fab8c69f5a18ecd2c414765790f223dd52a544b85578b37e89e245",
-    "per_day_fits.dat": "c0c86646c8c3c61c86b76251298215719e440827aff1b7864923e4d57ea429a2",
-    "report.json": "730d77f373ce83b39dbc96b8e5f03737d740a6675258341ee177661bfcde4d1f",
-    "robustness_random.dat": "25a21000f48c490721b1ef5429f2586d5e323c1e3e83518e6a2b967f21722553",
+    "hub_series/node_0.dat": "4ca132b40970eb452f37b41dc84fb2fec155df159a3eb85245f03e8b02e3da64",
+    "hub_series/node_12.dat": "f1b1e18630fba89c1e3044400568f41e7dfa45792de850975eb765d842cfa2d0",
+    "hub_series/node_16.dat": "995c6f3780f835f5bc3fd08b96027b9e265bf6401c928bca9affdbb257fcdc70",
+    "hub_series/node_21.dat": "17354ef99244fc63090dd3ab4f0d62b79da604e246630fc8ccf2be3d02e56073",
+    "hub_series/node_24.dat": "9f4002a2b567161ed7f735d94f1e8206fc70d1dd220deb4033e1bb1cdd9f00c7",
+    "hub_series/node_46.dat": "a02fe79cf1c75930a79b997b157aee66962ab3938de2cddad0f4bf640fbda611",
+    "overlap_vs_k.dat": "6020ed42240f4e654455f7aa45333c50c7923f162901fc3d8b34a3d91cb7b2f4",
+    "per_day_fits.dat": "8b0912102ab2d21728b5e1423b0f93da107bd993eef46ecaee8744f5e9e01811",
+    "report.json": "b207e368eb02c324225d6ac214d8f2a42acf30575b86fe5509d33a5f7d7f8a3a",
+    "robustness_random.dat": "964cacab978c5d525379fcf4b9799f84a401a857b351f241632a901891099290",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
-    "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
+    "top_frequency.dat": "30066f7e0dc70427b9f09a53036d7befdcab901bef949d3aff2fd6c499df5737",
 }
 
 
-def pinned_config(out_dir: Path, **overrides) -> PipelineConfig:
+def pinned_config(**overrides) -> PipelineConfig:
+    """The acceptance-criterion-8 run, over its corpus written to pinned.log
+    in the working directory. report.json records that relative path, so
+    the pinned bytes do not depend on where the test runs."""
+    corpus = dict(nodes=80, days=25, hubs=6, hub_rate=15.0, background_rate=1.0, seed=7)
     return PipelineConfig(
-        output_dir=out_dir,
-        hub_params=cn.HubCorpusParams(
-            nodes=80, days=25, hubs=6, hub_rate=15.0, background_rate=1.0, seed=7
-        ),
+        output_dir=Path("out"),
+        input_path=write_hub_log(Path("pinned.log"), **corpus),
         k=6,
         k_values=(3, 6, 12),
         robustness_steps=(0.0, 0.1, 0.2),
@@ -607,13 +609,14 @@ def output_digests(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-def test_output_bytes_pinned(tmp_path):
-    assert output_digests(pinned_config(tmp_path)) == PINNED_DIGESTS
+def test_output_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert output_digests(pinned_config()) == PINNED_DIGESTS
 
 
 # the same corpus as above, ranked and fitted on total degree with the pdf
 # target above a cutoff of 2: guards the in/total histogram and top-k paths.
-# Its report.json and random curve were re-recorded for the same two causes
+# It was re-recorded for the same three causes
 PINNED_TOTAL_PDF_DIGESTS = {
     "correlation_series.dat": "5e1faffbfa12bf192e992dd18f7e578a5adb75b22ecd5ecf907b71a949144675",
     "day_distributions/day_0000.dat": "452afb1984a7ab6cfd64dfad485742f94ec870feabc1afea495fed21c722d728",
@@ -642,27 +645,27 @@ PINNED_TOTAL_PDF_DIGESTS = {
     "day_distributions/day_0023.dat": "bf98f1317cbd592b74afc8b0d4f5efd03b03b6750ead13671c94ceeb5bbb04b7",
     "day_distributions/day_0024.dat": "eeaaa692cfd472cb1cb25dc4b83aff813cd6d0460f71cda61278fa990ea6a8c0",
     "degree_distribution_aggregate.dat": "6f5f4fae4b0a41efa6d2fc12c9d41d218907ef494309187506e86aad0a6c905a",
-    "hub_series/node_0.dat": "1616e32b18d96d911416284041d5cd988d92c6c5d406a11d8fca585208fa0851",
-    "hub_series/node_1.dat": "3a8d15f8742b06ea40736cf11f0f12153a0b8dd4f548948fda9dfd1e363a0145",
-    "hub_series/node_2.dat": "d065189cee18f5974b60d9d04784242477d01baa4f10dab32feb46707fb3b37a",
-    "hub_series/node_3.dat": "e9166e253c1444530d236e6c0252cd6b17cad5fea9471800300ab25d6f550336",
-    "hub_series/node_4.dat": "b49dcdbfc3eb56a0bf3b2e3630dcd7ba796b06eccd788fa9c50ba91c96aaa43e",
-    "hub_series/node_5.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
-    "overlap_vs_k.dat": "c100969d7070a4bfca64abab439e06bccc886ef47a4f4dd0710aa1b8e0b4b2e7",
-    "per_day_fits.dat": "212f98bd7b2b67d9b50d325ce23ab26c0288c77d15134f3179d46998ec990c90",
-    "report.json": "548e7caf998cd194b2c0091a9d8b2dfc00a3f8cf5b3044a11c53af4911504d44",
-    "robustness_random.dat": "25a21000f48c490721b1ef5429f2586d5e323c1e3e83518e6a2b967f21722553",
+    "hub_series/node_0.dat": "3a8d15f8742b06ea40736cf11f0f12153a0b8dd4f548948fda9dfd1e363a0145",
+    "hub_series/node_12.dat": "e9166e253c1444530d236e6c0252cd6b17cad5fea9471800300ab25d6f550336",
+    "hub_series/node_16.dat": "d065189cee18f5974b60d9d04784242477d01baa4f10dab32feb46707fb3b37a",
+    "hub_series/node_21.dat": "1616e32b18d96d911416284041d5cd988d92c6c5d406a11d8fca585208fa0851",
+    "hub_series/node_24.dat": "b49dcdbfc3eb56a0bf3b2e3630dcd7ba796b06eccd788fa9c50ba91c96aaa43e",
+    "hub_series/node_46.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
+    "overlap_vs_k.dat": "3a27e95d5159750762b0d4b581aadce45d357aa017299075ae7a541c78a903a3",
+    "per_day_fits.dat": "05faca79ca1be00ee1769248e37a5360a9bb162aa52630de1861fb9a7e702a6f",
+    "report.json": "52279171fafd4cb83cbac0a7eb3c7cdb617289f03939d44c93985f9c563e0415",
+    "robustness_random.dat": "964cacab978c5d525379fcf4b9799f84a401a857b351f241632a901891099290",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
-    "top_frequency.dat": "43054bab181d13ea9e493ce3d6630c842e120260007c8c16691993e4003ec82b",
+    "top_frequency.dat": "30066f7e0dc70427b9f09a53036d7befdcab901bef949d3aff2fd6c499df5737",
 }
 
 
 TOTAL_PDF = dict(direction="total", fit_target="pdf", fit_xmin=2)
 
 
-def test_output_bytes_pinned_total_pdf(tmp_path):
-    cfg = pinned_config(tmp_path, **TOTAL_PDF)
-    assert output_digests(cfg) == PINNED_TOTAL_PDF_DIGESTS
+def test_output_bytes_pinned_total_pdf(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert output_digests(pinned_config(**TOTAL_PDF)) == PINNED_TOTAL_PDF_DIGESTS
 
 
 def compensated_sum(iterable, /, start=0):
@@ -715,4 +718,5 @@ def test_output_bytes_pinned_under_compensated_sum(
         if name == "commnet" or name.startswith("commnet."):
             monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     assert all(module.sum is compensated_sum for module in analysis)
-    assert output_digests(pinned_config(tmp_path, **overrides)) == pinned
+    monkeypatch.chdir(tmp_path)
+    assert output_digests(pinned_config(**overrides)) == pinned
