@@ -45,7 +45,6 @@ from .errors import (
 )
 from .generators import BAParams, ERParams, HubCorpusParams, generate_ba, generate_er, generate_hub_corpus
 from .ingest import (
-    TIMESTAMP_FORMATS,
     LogFormatConfig,
     read_edge_list,
     validate_malformed_threshold,
@@ -94,7 +93,6 @@ def _add_format_args(parser: argparse.ArgumentParser) -> None:
     order = ",".join(LogFormatConfig.columns)
     help_columns = f"column order, a comma-separated permutation of {order}"
     _add_setting(parser, "--columns", LogFormatConfig, type=_names, help=help_columns)
-    _add_setting(parser, "--timestamp-format", LogFormatConfig, choices=TIMESTAMP_FORMATS)
     _add_setting(parser, "--delimiter", LogFormatConfig)
     header = dict(dest="has_header", action="store_true", help="first line is a header row")
     _add_setting(parser, "--header", LogFormatConfig, **header)

@@ -4,38 +4,40 @@ Input is one message-recipient event per line with three logical columns
 (sender, recipient, timestamp); multi-recipient messages must arrive
 pre-exploded to one row per recipient. Text is UTF-8, lines end with LF, a
 trailing CR is stripped, and one UTF-8 byte-order mark at the start of the
-input is ignored. Node ids are dense integers assigned in timestamp order of
+input is ignored. A stamp says its own form, row by row: [+-]?[0-9]+ is
+unix seconds, and any other stamp is read as ISO-8601 (a trailing Z or no
+offset is UTC). Node ids are dense integers assigned in timestamp order of
 first appearance; the original identifiers are kept as labels on the stream.
 
 The source is read and parsed in chunks of whole lines, about _CHUNK_BYTES
 each, so that besides the stream's columns (int32 positions, int64 stamps:
 16 bytes a message) only one chunk's arrays are held: a first pass counts
-the lines to size the columns, and a line longer than a read spans several. A log in time order is handed over
-as parsed; any other is sorted by one permutation, a column at a time.
-In a chunk, numpy passes over the bytes take every line that is plainly well
-formed (see _fast_lines) and intern its names a chunk at a time: a name met
-in an earlier chunk is found at its hash's slot in a table, and only the
-others are sorted and looked up. The passes read each field as unaligned
-little-endian 8-byte words: a name is its words less the bytes past its
-end, an integer at most three words, each turned from eight digits into a
-number by multiply-shift-mask steps (_integers).
-Every other line goes, in line order, through _parse_row, the one
-definition of the row rules and the malformed reasons. A line takes the
-fast path only where _parse_row would accept it with the same fields, so
-the result does not depend on which path a line took;
-IngestReport.fallback_lines counts the lines left to _parse_row.
+the lines to size the columns, and a line longer than a read spans several.
+A log in time order is handed over as parsed; any other is sorted by one
+permutation, a column at a time. In a chunk, numpy passes over the bytes
+take every line that is plainly well formed (see _fast_lines) and intern
+its names a chunk at a time: a name met in an earlier chunk is found at its
+hash's slot in a table, and only the others are sorted and looked up. The
+passes read each field as unaligned little-endian 8-byte words: a name is
+its words less the bytes past its end, an integer at most three words, each
+turned from eight digits into a number by multiply-shift-mask steps
+(_integers). Every other line, an ISO-8601 stamp's among them, goes, in
+line order, through _parse_row, the one definition of the row rules and the
+malformed reasons. A line takes the fast path only where _parse_row would
+accept it with the same fields, so the result does not depend on which path
+a line took; IngestReport.fallback_lines counts the lines left to
+_parse_row.
 
-The writer is the parser's inverse, _WRITE_ROWS rows at a time. A chunk is
-one uint8 matrix with a row per line and fixed columns per field: names
-gathered from a per-node table of UTF-8 bytes, unix stamps as a sign column
-and right-aligned digits (four at a time from a table of 4-byte words),
-iso8601 stamps from each stamp's integer calendar date and time of day (the
-year from the same table, every other field from a table of 2-byte words),
-and the delimiters and LF. Every field is padded with _BLANK, a byte no
-UTF-8 text holds, so the matrix less its _BLANK bytes, read row-major, is
-the chunk's lines. write_edge_list writes "u v" edge lists the same way.
-read_edge_list reads a list in the writer's form back with the same integer
-passes, in one go, and leaves any other list, whole, to its per-line rules.
+The writer is the parser's inverse, _WRITE_ROWS rows at a time, and writes
+unix seconds, the form the numpy passes read. A chunk is one uint8 matrix
+with a row per line and fixed columns per field: names gathered from a
+per-node table of UTF-8 bytes, stamps as a sign column and right-aligned
+digits (four at a time from a table of 4-byte words), and the delimiters
+and LF. Every field is padded with _BLANK, a byte no UTF-8 text holds, so
+the matrix less its _BLANK bytes, read row-major, is the chunk's lines.
+write_edge_list writes "u v" edge lists the same way. read_edge_list reads
+a list in the writer's form back with the same integer passes, in one go,
+and leaves any other list, whole, to its per-line rules.
 """
 from __future__ import annotations
 
@@ -48,29 +50,28 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import IngestError
-from .temporal import _BLOCK_ROWS, _DATED_SECONDS, SECONDS_PER_DAY, TemporalEdgeStream
+from .temporal import _BLOCK_ROWS, _DATED_SECONDS, TemporalEdgeStream
 
 _COLUMNS = ("sender", "recipient", "timestamp")
-TIMESTAMP_FORMATS = ("unix", "iso8601")  # integer seconds, or ISO-8601 text
 
 
 @dataclass(frozen=True)
 class LogFormatConfig:
     """Shape of the delimited log. Its fields and their defaults are the CLI's
-    format flags and theirs, and the checks below are the only ones they get."""
+    format flags and theirs, and the checks below are the only ones they get.
+    No field names the stamps' form: each stamp says its own. The delimiter
+    is one byte other than CR or LF, which end a line and so cannot part two
+    of its fields."""
 
     columns: tuple[str, str, str] = _COLUMNS
-    timestamp_format: str = "unix"  # one of TIMESTAMP_FORMATS
     delimiter: str = ","
     has_header: bool = False
 
     def __post_init__(self) -> None:
         if sorted(self.columns) != sorted(_COLUMNS):
             raise ValueError(f"columns must be a permutation of {_COLUMNS}")
-        if len(self.delimiter.encode("utf-8")) != 1:
-            raise ValueError("delimiter must be a single byte")
-        if self.timestamp_format not in TIMESTAMP_FORMATS:
-            raise ValueError(f"timestamp_format must be one of {TIMESTAMP_FORMATS}")
+        if len(self.delimiter.encode("utf-8")) != 1 or self.delimiter in "\r\n":
+            raise ValueError("delimiter must be a single byte other than CR or LF")
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,10 @@ _EPOCH_UTC = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _SECOND = dt.timedelta(seconds=1)
 
 
-def _parse_timestamp(raw: str, fmt: str) -> int:
-    if fmt == "unix":
-        if not _UNIX_SECONDS.fullmatch(raw):
-            raise ValueError(f"not unix seconds: {raw!r}")
+def _parse_timestamp(raw: str) -> int:
+    """The unix seconds of a stamp, read by its own form: [+-]?[0-9]+ is
+    unix seconds, and any other stamp ISO-8601 text."""
+    if _UNIX_SECONDS.fullmatch(raw):
         value = int(raw)
     else:
         text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
@@ -226,7 +227,7 @@ class _Names(dict):
 
 
 def _parse_row(
-    raw: bytes, delimiter: str, fmt: str, where: tuple[int, int, int]
+    raw: bytes, delimiter: str, where: tuple[int, int, int]
 ) -> tuple[int, str, str] | str | None:
     """The row rules, applied to one line without its LF.
 
@@ -251,7 +252,7 @@ def _parse_row(
     if not sender or not recipient:
         return "empty sender or recipient"
     try:
-        return _parse_timestamp(ts_raw, fmt), sender, recipient
+        return _parse_timestamp(ts_raw), sender, recipient
     except ValueError:
         return f"bad timestamp {ts_raw!r}"
 
@@ -295,13 +296,6 @@ def _line_runs(reader: BinaryIO, carry: bytes) -> Iterator[bytes]:
         parts = [block[cut:]]
     if rest := b"".join(parts):
         yield rest
-
-
-def _line_ends(chunk: np.ndarray) -> np.ndarray:
-    """Where each line of a chunk ends: its LF, or the chunk's end for a last
-    line without one."""
-    ends = np.flatnonzero(chunk == 0x0A)
-    return ends if chunk[-1] == 0x0A else np.append(ends, len(chunk))
 
 
 def _u64(byte: int) -> np.uint64:
@@ -375,10 +369,12 @@ def _fast_lines(
     A line qualifies when it holds exactly two delimiters, every other byte
     (less one trailing CR) is printable non-space ASCII, both names are
     1.._FAST_NAME_BYTES bytes long and the timestamp is [+-]?[0-9]{1,18}
-    with a calendar date. Returns every line's end (as _line_ends), the
-    qualifying line indices, their timestamps, and a (2 * lines, words)
-    uint64 matrix holding the sender names and then the recipient names,
-    NUL-padded (no qualifying name contains a NUL).
+    with a calendar date. Returns where every line ends (its LF, or the
+    chunk's end for a last line without one), the qualifying line indices,
+    their timestamps, and a (2 * lines, words) uint64 matrix holding the
+    sender names and then the recipient names, NUL-padded (no qualifying
+    name contains a NUL). The delimiter is neither CR nor LF
+    (LogFormatConfig refuses both), so it cannot pass for a line's end.
 
     Fields are read as unaligned little-endian 8-byte words (_word_view),
     which zero bytes on both sides of the chunk keep inside the buffer.
@@ -489,9 +485,6 @@ def parse_edge_log(
     runs = _line_runs(reader, b"" if head == _BOM else head)
     header = cfg.has_header
     line_no = 2 if header else 1  # of the first line of the next run
-    # numpy takes the lines it can vouch for; iso8601 stamps and a CR or LF
-    # delimiter leave every line to _parse_row
-    vectorized = cfg.timestamp_format == "unix" and cfg.delimiter not in "\r\n"
     where = tuple(cfg.columns.index(c) for c in _COLUMNS)
 
     rows_read = self_loops = fallback = filled = 0
@@ -506,11 +499,8 @@ def parse_edge_log(
             if not run:
                 continue
         chunk = np.frombuffer(run, dtype=np.uint8)
-        if vectorized:
-            ends, lines, order, block = _fast_rows(chunk, cfg, names)
-        else:
-            ends, lines = _line_ends(chunk), np.empty(0, dtype=np.int64)
-            order, block = lines, np.empty((3, 0), dtype=np.int64)
+        # numpy takes the lines it can vouch for, _parse_row the rest
+        ends, lines, order, block = _fast_rows(chunk, cfg, names)
         slow = np.ones(len(ends), dtype=bool)
         slow[lines] = False
         rows_read += len(lines)
@@ -522,7 +512,7 @@ def parse_edge_log(
         fallback += len(left)
         slow_order, slow_cells = [], []
         for i, a, b in zip(left.tolist(), starts[left].tolist(), ends[left].tolist()):
-            row = _parse_row(run[a:b], cfg.delimiter, cfg.timestamp_format, where)
+            row = _parse_row(run[a:b], cfg.delimiter, where)
             if row is None:
                 continue
             rows_read += 1
@@ -674,73 +664,19 @@ def _unix_text(stamps: np.ndarray, out: np.ndarray) -> None:
     _put(out[:, 1:-1], words.view(np.uint8))
 
 
-def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(year, month, day) of each count of days since 1970-01-01 in the
-    proleptic Gregorian calendar: Hinnant's integer algorithm, which counts
-    400-year eras from 0000-03-01 so that a leap day ends each year."""
-    days = days + 719_468  # days since 0000-03-01
-    era = days // 146_097
-    day_of_era = days - era * 146_097
-    year_of_era = (
-        day_of_era - day_of_era // 1460 + day_of_era // 36_524 - day_of_era // 146_096
-    ) // 365
-    day_of_year = day_of_era - (
-        365 * year_of_era + year_of_era // 4 - year_of_era // 100
-    )
-    month = (5 * day_of_year + 2) // 153  # 0 is March
-    day = day_of_year - (153 * month + 2) // 5 + 1
-    month = np.where(month < 10, month + 3, month - 9)
-    year = year_of_era + era * 400 + (month <= 2)
-    return year, month, day
-
-
-# "00" .. "99" as 2-byte words
-_TWO_DIGITS = np.ascontiguousarray(
-    _DIGIT_WORDS[:100].view(np.uint8).reshape(-1, 4)[:, 2:]
-).view(np.uint16).ravel()
-_ISO_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00+00:00", dtype=np.uint8)
-
-
-def _iso_text(stamps: np.ndarray, out: np.ndarray) -> None:
-    """Write the dated stamps as ISO 8601 UTC text (datetime.isoformat's
-    form) into the (rows, 25) columns ``out``: the year as a 4-digit word,
-    then each other field from a table of 2-digit words."""
-    days, seconds = np.divmod(stamps, SECONDS_PER_DAY)
-    year, month, day = _civil_from_days(days)
-    hour, seconds = np.divmod(seconds, 3600)
-    minute, second = np.divmod(seconds, 60)
-    out[:] = _ISO_TEMPLATE
-    _put(out[:, :4], _DIGIT_WORDS[year].view(np.uint8).reshape(-1, 4))
-    for at, value in ((5, month), (8, day), (11, hour), (14, minute), (17, second)):
-        _put(out[:, at : at + 2], _TWO_DIGITS[value].view(np.uint8).reshape(-1, 2))
-
-
 def write_edge_log(
     stream: TemporalEdgeStream,
     sink: BinaryIO,
     cfg: LogFormatConfig | None = None,
 ) -> None:
-    """Serialize a stream back to the delimited log format (inverse of parse).
-
-    Raises ValueError before writing anything if an iso8601 stamp has no
-    calendar date.
-    """
+    """Serialize a stream back to the delimited log format (inverse of parse),
+    its stamps as unix seconds."""
     cfg = cfg or LogFormatConfig()
     stamps = stream.timestamps
-    if cfg.timestamp_format == "unix":
-        text, stamp_width = _unix_text, _unix_width(stamps)
-    else:
-        outside = (stamps < _DATED_SECONDS.start) | (stamps >= _DATED_SECONDS.stop)
-        if outside.any():
-            raise ValueError(
-                f"timestamp {stamps[outside.argmax()]} is outside "
-                "0001-01-01 .. 9999-12-31 UTC, which iso8601 cannot write"
-            )
-        text, stamp_width = _iso_text, 25
     names = _name_table(stream)
     ends = {"sender": stream.senders, "recipient": stream.recipients}
     widths = {"sender": names.shape[1], "recipient": names.shape[1]}
-    widths["timestamp"] = stamp_width
+    widths["timestamp"] = _unix_width(stamps)
     at, spans = 0, {}
     for column in cfg.columns:
         spans[column] = slice(at, at + widths[column])
@@ -755,7 +691,7 @@ def write_edge_log(
         rows = slice(lo, lo + len(block))
         for column, positions in ends.items():
             _put(block[:, spans[column]], names.take(positions[rows], axis=0))
-        text(stamps[rows], block[:, spans["timestamp"]])
+        _unix_text(stamps[rows], block[:, spans["timestamp"]])
         # row-major, so the kept bytes come out as the lines in order
         sink.write(block[block != _BLANK])
 

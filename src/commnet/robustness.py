@@ -269,19 +269,24 @@ def _mean_distance(adj: Adjacency, giant: np.ndarray) -> float:
         # rows, dropping the removed ones, whose label is the sentinel; every
         # (source, member neighbour) pair is a new bit. No bit is pushed twice
         # into one word, so adding the bits ORs them, and add.at has a fast
-        # indexed loop that bitwise_or.at lacks
+        # indexed loop that bitwise_or.at lacks. The push index is built in
+        # place from the batch's CSR entries, and each temporary is dropped
+        # once read, so about two arrays of Σ deg(batch) entries are live
         fanout = degrees[batch]
-        entries = np.repeat(indptr[batch] + fanout - np.cumsum(fanout), fanout)
-        entries += np.arange(len(entries))
-        targets = label[indices[entries]]
+        targets = np.repeat(indptr[batch] + fanout - np.cumsum(fanout), fanout)
+        targets += np.arange(len(targets))
+        np.take(indices, targets, out=targets, mode="clip")
+        np.take(label, targets, out=targets, mode="clip")
         member = targets < size
         pushed = int(np.count_nonzero(member))
+        targets *= words
+        targets += np.repeat(word, fanout)
+        targets = targets[member]
+        bits = np.repeat(one, fanout)[member]
+        del member
         new.fill(0)
-        np.add.at(
-            frontier.reshape(-1),
-            (targets * words + np.repeat(word, fanout))[member],
-            np.repeat(one, fanout)[member],
-        )
+        np.add.at(frontier.reshape(-1), targets, bits)
+        del targets, bits
         seen |= new
         total += pushed
         # the component is connected, so every source finds the other size - 1

@@ -19,6 +19,38 @@ from . import brute, ref_write
 from .hub_log import write_hub_log
 
 
+def test_an_iso_log_reads_as_its_unix_log(tmp_path, capsys):
+    # the same rows with ISO-8601 stamps need no flag: analyze writes the
+    # same outputs, report.json apart from the input path, and ingest
+    # --output writes them back as unix seconds
+    unix = write_hub_log(tmp_path / "hub.log", nodes=20, days=5, hubs=2, hub_rate=6.0)
+    stream, _ = parse_edge_log(unix.read_bytes())
+    iso = tmp_path / "hub.iso.log"
+    with open(iso, "wb") as fh:
+        ref_write.write_edge_log(stream, fh, iso=True)
+    assert b"T" in iso.read_bytes()
+    assert main(["ingest", "--input", str(iso), "--output", str(tmp_path / "back.log")]) == 0
+    assert (tmp_path / "back.log").read_bytes() == unix.read_bytes()
+    outputs, reports = [], []
+    for log in (unix, iso):
+        out = tmp_path / f"{log.name}.out"
+        assert main(["analyze", "--input", str(log), "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["config"]["input_path"], report["corpus"]["source"]["path"]
+        outputs.append(out)
+        reports.append(report)
+    assert reports[0] == reports[1]
+    names = [
+        path.relative_to(outputs[0])
+        for path in outputs[0].rglob("*")
+        if path.is_file() and path.name not in ("report.json", "run_info.json")
+    ]
+    assert names
+    for name in names:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+    capsys.readouterr()
+
+
 def test_generate_then_ingest_then_analyze(tmp_path, capsys):
     corpus = tmp_path / "corpus.log"
     rc = main(
@@ -179,7 +211,6 @@ def test_every_log_format_flag_reaches_its_field(monkeypatch, tmp_path):
         "columns": (
             "--columns", "timestamp,sender,recipient", ("timestamp", "sender", "recipient")
         ),
-        "timestamp_format": ("--timestamp-format", "iso8601", "iso8601"),
         "delimiter": ("--delimiter", ";", ";"),
         "has_header": ("--header", None, True),
     }
@@ -228,6 +259,8 @@ def test_config_error_exit_code(tmp_path):
         ("--fit-target", "log"),
         ("--columns", "sender,recipient"),
         ("--columns", "sender,,recipient,timestamp"),
+        ("--delimiter", "\r"),
+        ("--delimiter", "\n"),
         ("--seed", "-1"),
         ("--seed", str(2**64)),
     ):
@@ -803,10 +836,7 @@ HUB_ARGS = (
     "generate", "hub-corpus", "--nodes", "40", "--days", "12", "--hubs", "4",
     "--hub-rate", "20", "--background-rate", "4",
 )
-ISO_FORMAT = (
-    "--columns", "timestamp,recipient,sender", "--timestamp-format", "iso8601",
-    "--delimiter", "\t", "--header",
-)
+ISO_FORMAT = ("--columns", "timestamp,recipient,sender", "--delimiter", "\t", "--header")
 # SHA-256 of the files the per-row writer wrote, recorded before the
 # vectorized writer; 1969-12-25 puts the stamps on both sides of the epoch
 PINNED_GENERATED = {
@@ -827,15 +857,24 @@ def test_generated_bytes_pinned(tmp_path, capsys):
     assert main(["generate", "ba", *args]) == 0
     # ingest --output sorts: feed it the 1969 corpus in the iso format with
     # its rows reversed
-    cfg = LogFormatConfig(("timestamp", "recipient", "sender"), "iso8601", "\t", True)
+    cfg = LogFormatConfig(("timestamp", "recipient", "sender"), "\t", True)
     stream, _ = parse_edge_log(hub1969.read_bytes())
     sink = io.BytesIO()
-    ref_write.write_edge_log(stream, sink, cfg)
+    ref_write.write_edge_log(stream, sink, cfg, iso=True)
     header, *rows = sink.getvalue().splitlines(keepends=True)
     (tmp_path / "iso.in").write_bytes(header + b"".join(rows[::-1]))
-    args = ["--input", str(tmp_path / "iso.in"), "--output", str(tmp_path / "iso.out")]
+    normalized = tmp_path / "normalized.log"
+    args = ["--input", str(tmp_path / "iso.in"), "--output", str(normalized)]
     assert main(["ingest", *args, *ISO_FORMAT]) == 0
     capsys.readouterr()
+    # it writes unix seconds; its rows in the iso format are the bytes that
+    # ingest wrote when it still wrote that format
+    stream, _ = parse_edge_log(normalized.read_bytes(), cfg)
+    unix, iso = io.BytesIO(), io.BytesIO()
+    ref_write.write_edge_log(stream, unix, cfg)
+    ref_write.write_edge_log(stream, iso, cfg, iso=True)
+    assert normalized.read_bytes() == unix.getvalue()
+    (tmp_path / "iso.out").write_bytes(iso.getvalue())
     assert {name: _sha256(tmp_path / name) for name in PINNED_GENERATED} == (
         PINNED_GENERATED
     )

@@ -1,3 +1,4 @@
+import datetime as dt
 import io
 import re
 import tracemalloc
@@ -89,16 +90,11 @@ def test_column_order_and_delimiter():
 
 
 def test_iso8601_timestamps():
-    cfg = LogFormatConfig(timestamp_format="iso8601")
-    stream, _ = parse(
-        b"a,b,1970-01-01T00:01:00Z\nb,a,1970-01-01T02:01:00+02:00\n", cfg
-    )
+    stream, _ = parse(b"a,b,1970-01-01T00:01:00Z\nb,a,1970-01-01T02:01:00+02:00\n")
     # both instants are 60 seconds past midnight UTC
     assert stream.timestamps.tolist() == [60, 60]
     # fractional seconds floor, also before the epoch
-    stream, _ = parse(
-        b"a,b,1969-12-31T23:59:59.5Z\nb,a,1970-01-01T00:00:00.5Z\n", cfg
-    )
+    stream, _ = parse(b"a,b,1969-12-31T23:59:59.5Z\nb,a,1970-01-01T00:00:00.5Z\n")
     assert stream.timestamps.tolist() == [-1, 0]
     assert cn.slice_days(stream).date(0).isoformat() == "1969-12-31"
 
@@ -140,10 +136,12 @@ def test_round_trip_identity():
 
 
 def test_round_trip_with_header_and_iso():
-    cfg = LogFormatConfig(has_header=True, timestamp_format="iso8601")
+    # the writer normalizes an ISO-8601 stamp to unix seconds
+    cfg = LogFormatConfig(has_header=True)
     stream, _ = parse(b"sender,recipient,timestamp\na,b,1979-05-27T07:32:00Z\n", cfg)
     buf = io.BytesIO()
     write_edge_log(stream, buf, cfg)
+    assert buf.getvalue() == b"sender,recipient,timestamp\na,b,296638320\n"
     reparsed, _ = parse(buf.getvalue(), cfg)
     assert reparsed == stream
 
@@ -164,8 +162,19 @@ def test_config_validation():
         LogFormatConfig(columns=("sender", "sender", "timestamp"))
     with pytest.raises(ValueError):
         LogFormatConfig(delimiter="::")
-    with pytest.raises(ValueError):
-        LogFormatConfig(timestamp_format="rfc822")
+    # an LF ends every line and a CR before it is stripped, so neither parts
+    # two fields of a line
+    for delimiter in ("\r", "\n"):
+        with pytest.raises(ValueError, match="other than CR or LF"):
+            LogFormatConfig(delimiter=delimiter)
+
+
+def test_a_stamp_of_digits_alone_is_unix_seconds():
+    # 20010514 is an ISO-8601 basic date to fromisoformat on Python >= 3.11;
+    # as digits alone it is unix seconds, and takes the numpy passes
+    stream, report = parse(b"a,b,20010514\nb,a,2001-05-14\n")
+    assert stream.timestamps.tolist() == [20_010_514, 989_798_400]
+    assert report.fallback_lines == 1
 
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
@@ -261,7 +270,6 @@ def mixed_logs(draw):
     kind of line the per-line rules have to judge."""
     cfg = LogFormatConfig(
         columns=tuple(draw(st.permutations(list(ingest._COLUMNS)))),
-        timestamp_format=draw(st.sampled_from(["unix", "unix", "unix", "iso8601"])),
         delimiter=draw(st.sampled_from([",", "\t", ";"])),
         has_header=draw(st.booleans()),
     )
@@ -328,6 +336,60 @@ def test_matches_reference_parser(log, collapse, threshold, chunk, collide):
     unmarked = data.removeprefix(ingest._BOM)
     want = _outcome(ref_ingest.parse_edge_log, unmarked, cfg, **kwargs)
     assert got == want
+
+
+_EPOCH = dt.datetime(1970, 1, 1)
+STAMP_FORMS = ("digits", "T", "space", "Z", "offset")
+
+
+def _stamp_text(seconds: int, form: str, offset_minutes: int) -> str:
+    """The instant ``seconds`` past the epoch as unix seconds, or as ISO-8601
+    text with a T or a space, with no zone, a Z, or a ±HH:MM offset."""
+    if form == "digits":
+        return str(seconds)
+    instant = _EPOCH + dt.timedelta(seconds=seconds)
+    if form == "offset":
+        zone = dt.timezone(dt.timedelta(minutes=offset_minutes))
+        return instant.replace(tzinfo=dt.timezone.utc).astimezone(zone).isoformat()
+    return instant.isoformat(sep=" " if form == "space" else "T") + "Z" * (form == "Z")
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            plain_names,
+            plain_names,
+            # 1653 .. 2286, so every offset keeps the local time dated
+            st.one_of(st.integers(0, 3), st.integers(-(10**10), 10**10)),
+            st.sampled_from(STAMP_FORMS),
+            st.integers(-(24 * 60 - 1), 24 * 60 - 1),
+        ),
+        max_size=40,
+    ),
+    st.permutations(list(ingest._COLUMNS)),
+    st.sampled_from([1, 64, None]),
+)
+def test_each_row_stamp_is_read_by_its_own_form(rows, columns, chunk):
+    # one log mixes unix seconds and ISO-8601 forms row by row; every form
+    # of an instant reads as that instant, as in the reference
+    cfg = LogFormatConfig(columns=tuple(columns))
+    lines = []
+    for sender, recipient, seconds, form, offset in rows:
+        named = {"sender": sender, "recipient": recipient}
+        named["timestamp"] = _stamp_text(seconds, form, offset)
+        lines.append(",".join(named[c] for c in cfg.columns) + "\n")
+    data = "".join(lines).encode()
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(ingest, "_CHUNK_BYTES", chunk)
+        got = parse(data, cfg)
+    assert got == ref_ingest.parse_edge_log(data, cfg)
+    stream, report = got
+    kept = [seconds for sender, recipient, seconds, _, _ in rows if sender != recipient]
+    assert stream.timestamps.tolist() == sorted(kept)
+    assert report.malformed == 0
+    assert report.fallback_lines == sum(form != "digits" for *_, form, _ in rows)
 
 
 @pytest.mark.parametrize("chunk", [1, 8, None])
@@ -464,8 +526,7 @@ def test_fallback_lines_counted():
     _, report = parse(b"a,b,1\n\nb,c,2\r\n b,c,3\nc,a,x\n", malformed_threshold=0.5)
     # the blank line, the padded row and the bad stamp; CRLF stays vectorized
     assert report.fallback_lines == 3
-    cfg = LogFormatConfig(timestamp_format="iso8601")
-    _, report = parse(b"a,b,1970-01-01T00:01:00Z\nb,a,1970-01-01T00:02:00Z\n", cfg)
+    _, report = parse(b"a,b,1970-01-01T00:01:00Z\nb,a,1970-01-01T00:02:00Z\n")
     assert report.fallback_lines == 2
     # fallback_lines says how rows were parsed, not what they hold
     assert report == IngestReport(2, 2, 0, ())
@@ -709,11 +770,6 @@ unix_stamps = st.one_of(
     st.integers(-20, 20),
     st.sampled_from([_DATED.start, _DATED.stop - 1, -(2**63), 2**63 - 1, 10**4]),
 )
-iso_stamps = st.one_of(
-    st.integers(_DATED.start, _DATED.stop - 1),
-    st.integers(-(10**6), 10**6),
-    st.sampled_from([_DATED.start, _DATED.stop - 1, -1, 0]),
-)
 
 
 @st.composite
@@ -721,7 +777,6 @@ def written_streams(draw):
     """A stream over arbitrary ids, labelled or not, and a format to write."""
     cfg = LogFormatConfig(
         columns=tuple(draw(st.permutations(list(ingest._COLUMNS)))),
-        timestamp_format=draw(st.sampled_from(["unix", "iso8601"])),
         delimiter=draw(st.sampled_from([",", "\t"])),
         has_header=draw(st.booleans()),
     )
@@ -730,8 +785,7 @@ def written_streams(draw):
             st.tuples(node_ids, node_ids).filter(lambda t: t[0] != t[1]), max_size=40
         )
     )
-    stamps = unix_stamps if cfg.timestamp_format == "unix" else iso_stamps
-    times = sorted(draw(st.lists(stamps, min_size=len(ends), max_size=len(ends))))
+    times = sorted(draw(st.lists(unix_stamps, min_size=len(ends), max_size=len(ends))))
     labels = None
     if draw(st.booleans()):
         ids = sorted({u for pair in ends for u in pair})
@@ -758,10 +812,9 @@ def test_writer_matches_reference(case, chunk):
     assert got == _written(ref_write.write_edge_log, stream, cfg)
 
 
-@pytest.mark.parametrize("fmt", ["unix", "iso8601"])
 @pytest.mark.parametrize("header", [False, True])
-def test_writer_matches_reference_on_the_empty_stream(fmt, header):
-    cfg = LogFormatConfig(timestamp_format=fmt, has_header=header)
+def test_writer_matches_reference_on_the_empty_stream(header):
+    cfg = LogFormatConfig(has_header=header)
     empty = TemporalEdgeStream([], [], [])
     got = _written(write_edge_log, empty, cfg)
     assert got == _written(ref_write.write_edge_log, empty, cfg)
@@ -872,17 +925,6 @@ def test_edge_list_in_the_writers_form_takes_the_numpy_passes():
         assert _read_outcome(ingest.read_edge_list, other) == _read_outcome(
             ref_edges.read_edge_list, other
         )
-
-
-def test_writer_rejects_an_undated_iso_stamp_before_writing():
-    stream = TemporalEdgeStream([1, 2], [2, 1], [0, _DATED.stop])
-    sink = io.BytesIO()
-    with pytest.raises(ValueError, match="0001-01-01 .. 9999-12-31"):
-        write_edge_log(stream, sink, LogFormatConfig(timestamp_format="iso8601"))
-    assert sink.getvalue() == b""
-    # unix seconds have no such bound
-    write_edge_log(stream, sink)
-    assert sink.getvalue() == f"1,2,0\n2,1,{_DATED.stop}\n".encode()
 
 
 class _Discard:

@@ -373,7 +373,6 @@ def test_config_records_how_the_log_is_read(tmp_path):
     assert configs[0]["malformed_threshold"] == 0.5
     assert configs[0]["log_format"] == {
         "columns": ["sender", "recipient", "timestamp"],
-        "timestamp_format": "unix",
         "delimiter": ",",
         "has_header": False,
     }
@@ -539,7 +538,10 @@ def test_rerun_replaces_previous_outputs(tmp_path):
 # report.json were re-recorded then; the day distributions, the aggregate
 # distribution, the correlation series and the targeted curve did not
 # change. Each is the output that analyze --input already gave on the same
-# log (report.json less its "config.synthetic" and "corpus.source.kind")
+# log (report.json less its "config.synthetic" and "corpus.source.kind").
+# report.json was re-recorded once more when the log format lost its
+# timestamp_format field, as each stamp now says its own form: the file is
+# the one before, less "config.log_format.timestamp_format"
 PINNED_DIGESTS = {
     "correlation_series.dat": "b634ffa23cc2025bd7cdc97ed57d93d13575abb67a9b09fbf589d8881f305be6",
     "day_distributions/day_0000.dat": "3cd706ed8a6e8b910e6a202835e56fcc4563a19f2df50dd794d770eb598797e6",
@@ -576,7 +578,7 @@ PINNED_DIGESTS = {
     "hub_series/node_46.dat": "a02fe79cf1c75930a79b997b157aee66962ab3938de2cddad0f4bf640fbda611",
     "overlap_vs_k.dat": "6020ed42240f4e654455f7aa45333c50c7923f162901fc3d8b34a3d91cb7b2f4",
     "per_day_fits.dat": "8b0912102ab2d21728b5e1423b0f93da107bd993eef46ecaee8744f5e9e01811",
-    "report.json": "b207e368eb02c324225d6ac214d8f2a42acf30575b86fe5509d33a5f7d7f8a3a",
+    "report.json": "dda740983963c96884290ac906bf0a3ed16f002cd850037b79f28f64a4cc08c0",
     "robustness_random.dat": "964cacab978c5d525379fcf4b9799f84a401a857b351f241632a901891099290",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "30066f7e0dc70427b9f09a53036d7befdcab901bef949d3aff2fd6c499df5737",
@@ -616,7 +618,7 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
 
 # the same corpus as above, ranked and fitted on total degree with the pdf
 # target above a cutoff of 2: guards the in/total histogram and top-k paths.
-# It was re-recorded for the same three causes
+# It was re-recorded for the same causes, the dropped timestamp_format too
 PINNED_TOTAL_PDF_DIGESTS = {
     "correlation_series.dat": "5e1faffbfa12bf192e992dd18f7e578a5adb75b22ecd5ecf907b71a949144675",
     "day_distributions/day_0000.dat": "452afb1984a7ab6cfd64dfad485742f94ec870feabc1afea495fed21c722d728",
@@ -653,7 +655,7 @@ PINNED_TOTAL_PDF_DIGESTS = {
     "hub_series/node_46.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
     "overlap_vs_k.dat": "3a27e95d5159750762b0d4b581aadce45d357aa017299075ae7a541c78a903a3",
     "per_day_fits.dat": "05faca79ca1be00ee1769248e37a5360a9bb162aa52630de1861fb9a7e702a6f",
-    "report.json": "52279171fafd4cb83cbac0a7eb3c7cdb617289f03939d44c93985f9c563e0415",
+    "report.json": "0bf67db7492c7f257798e8bf5ca15fb22075716c539bf88ac35676066c460ca6",
     "robustness_random.dat": "964cacab978c5d525379fcf4b9799f84a401a857b351f241632a901891099290",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "30066f7e0dc70427b9f09a53036d7befdcab901bef949d3aff2fd6c499df5737",

@@ -312,13 +312,10 @@ def test_buckets_hold_each_nodes_neighbours(name, damage, monkeypatch):
     assert label[members].tolist() == np.argsort(np.argsort(buckets, kind="stable")).tolist()
 
 
-def test_intact_path_length_holds_no_second_csr(monkeypatch):
-    # the path length reads the graph's own CSR through the giant's mask.
-    # Past the labelling, the intact point holds the blocks and the sweep's
-    # buffers, and besides them only arrays of one entry a node or a pushed
-    # bit and one block's temporaries: less than half of what a copy of the
-    # CSR's indices would take. 64 sampled sources, one word, keep the
-    # level-1 push, Σ deg(sources) entries, small
+def _intact_path_length_excess(monkeypatch, sample: int | None) -> float:
+    """What the intact point's path length on BA(4000, m=10) allocates past
+    the labelling beyond its blocks and sweep buffers, as a share of the
+    CSR's indices: exact, or over ``sample`` sampled sources."""
     g = cn.generate_ba(cn.BAParams(n=4_000, m=10, seed=1))
     adj = g.adjacency
     n = len(g.nodes)
@@ -327,7 +324,6 @@ def test_intact_path_length_holds_no_second_csr(monkeypatch):
     # gathered, seen, reach and frontier hold uint64 words; counts a byte each
     buffers = 8 * (widest + 3 * n + 1) + n
     held = sum(block.nbytes for _, block in layout) + buffers
-    slack = adj.indices.nbytes // 2
     labels = robustness._component_labels
     start = []
 
@@ -340,14 +336,35 @@ def test_intact_path_length_holds_no_second_csr(monkeypatch):
         return out
 
     monkeypatch.setattr(robustness, "_component_labels", labelled)
+    if sample is not None:
+        monkeypatch.setattr(robustness, "EXACT_PATH_LENGTH_LIMIT", n - 1)
+        monkeypatch.setattr(robustness, "DEFAULT_PATH_SAMPLE", sample)
     tracemalloc.start()
     try:
-        with sampled_apl(n - 1, 64):
-            assert intact(g).average_path_length is not None
+        assert intact(g).average_path_length is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start[0] < held + slack
+    return (peak - start[0] - held) / adj.indices.nbytes
+
+
+def test_intact_path_length_holds_no_second_csr(monkeypatch):
+    # the path length reads the graph's own CSR through the giant's mask.
+    # Past the labelling, the intact point holds the blocks and the sweep's
+    # buffers, and besides them only arrays of one entry a node or a pushed
+    # bit and one block's temporaries: less than half of what a copy of the
+    # CSR's indices would take. 64 sampled sources, one word, keep the
+    # level-1 push, Σ deg(sources) entries, small
+    assert _intact_path_length_excess(monkeypatch, 64) < 0.5
+
+
+def test_exact_level_one_push_holds_few_temporaries(monkeypatch):
+    # in exact mode the first batch is the 64 lowest positions, the growth
+    # graph's oldest hubs: 12% of the CSR's entries. The push index is built
+    # in place and each temporary dropped once read, so the intact point
+    # allocates 0.56x the indices' bytes past its buffers; the push's six
+    # live arrays of Σ deg(batch) entries took 0.80x
+    assert _intact_path_length_excess(monkeypatch, None) < 0.6
 
 
 # one sweep (at most 64 nodes) of graphs with their diameter
