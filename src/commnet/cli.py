@@ -9,19 +9,19 @@ existing report.json). A generated corpus is analyzed as any log is:
 Exit codes: 0 success, 1 standard output closed by its reader (as in
 ``commnet ingest ... | head``), 2 configuration error, 3 ingest error or an
 operating-system error, in one line (a missing input, a directory where a
-file belongs or the reverse, a full disk), 4 insufficient data (for example
-an empty observation window). The default output directory can be set with
-the COMMNET_OUTPUT_DIR environment variable.
+file belongs or the reverse, a full disk), 4 insufficient data (a log that
+leaves no message, or an empty graph), after which no output is written.
 
 The verbs and the pipeline share one implementation of each front-door
 step. A flag named for a field of ``PipelineConfig``, ``LogFormatConfig``
 or a generator's parameters sets that field, takes its default there and
 is checked there: a bad --direction is refused by
 ``PipelineConfig.validate`` before any input is read. The curve files are
-``pipeline.CURVE_FILES``, and logs are read, removal curves run and outputs
-staged by functions in ``pipeline``. A file named by --output is written
-beside its target (whose directory is made if missing) and renamed over it
-once complete, so a failed run leaves any previous file in place.
+``pipeline.CURVE_FILES``, and logs are read (and a log with no message
+refused), removal curves run and outputs staged by functions in
+``pipeline``. A file named by --output is written beside its target (whose
+directory is made if missing) and renamed over it once complete, so a
+failed run leaves any previous file in place.
 """
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ from .pipeline import (
     PipelineConfig,
     ingest_counts,
     read_log,
+    read_messages,
     robustness_stage,
     run,
     staged,
@@ -112,15 +113,6 @@ def _log_format(args: argparse.Namespace) -> LogFormatConfig:
     return LogFormatConfig(**_given(LogFormatConfig, args))
 
 
-def _output_dir(args: argparse.Namespace) -> Path:
-    if args.output_dir:
-        return Path(args.output_dir)
-    env = os.environ.get("COMMNET_OUTPUT_DIR")
-    if env:
-        return Path(env)
-    raise ConfigError("--output-dir is required (or set COMMNET_OUTPUT_DIR)")
-
-
 @contextlib.contextmanager
 def _replacing(path: str) -> Iterator[BinaryIO]:
     """A binary file, staged beside ``path``, that replaces it once the block
@@ -167,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(p_analyze, "--fit-xmin", type=int)
     _add_setting(p_analyze, "--robustness-steps", type=_float_list)
     _add_setting(p_analyze, "--seed", type=int)
-    p_analyze.add_argument("--output-dir", default=None)
+    p_analyze.add_argument("--output-dir", required=True, type=Path)
 
     p_generate = sub.add_parser("generate", help="write synthetic data to disk")
     gen_sub = p_generate.add_subparsers(dest="model", required=True)
@@ -211,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob.add_argument("--static-targeted", action="store_true")
     p_rob.add_argument("--no-path-length", action="store_true")
     p_rob.add_argument("--seed", type=int, default=RemovalStrategy.seed)
-    p_rob.add_argument("--output-dir", default=None)
+    p_rob.add_argument("--output-dir", required=True, type=Path)
 
     p_report = sub.add_parser("report", help="summarize a report.json")
     p_report.add_argument("report_file")
@@ -241,18 +233,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # each setting as its flag gave it; the three fields below are built here
+    # each setting as its flag gave it; the two fields below are built here
     settings = _given(PipelineConfig, args)
-    settings.update(
-        output_dir=_output_dir(args),
-        input_path=Path(args.input),
-        log_format=_log_format(args),
-    )
+    settings.update(input_path=Path(args.input), log_format=_log_format(args))
     cfg = PipelineConfig(**settings)
-    report = run(cfg)
-    if report.sections_empty:
-        print("analysis window is empty; wrote an empty report", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+    run(cfg)
     print(f"report written to {cfg.output_dir / REPORT_FILENAME}")
     return EXIT_OK
 
@@ -287,24 +272,23 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     validate_malformed_threshold(args.malformed_threshold)
     # for both inputs, so a bad format flag fails before the output is staged
     fmt = _log_format(args)
-    out_dir = _output_dir(args)
     # staged before the input is read, as in analyze. A rerun replaces both
     # curve files, so no old curve survives beside a new run of the other
-    with staged(out_dir, ROBUSTNESS_FILES) as stage:
+    with staged(args.output_dir, ROBUSTNESS_FILES) as stage:
         if args.edges:
             with open(args.edges, "rb") as fh:
                 graph = UndirectedGraph(read_edge_list(fh))
         else:
-            stream, _ = read_log(args.input, fmt, malformed_threshold=args.malformed_threshold)
-            if not len(stream):
-                raise InsufficientDataError("message log is empty")
+            stream, _ = read_messages(
+                args.input, fmt, malformed_threshold=args.malformed_threshold
+            )
             graph = undirected_projection(stream)
             del stream  # the curves read only the projection
         if not len(graph.nodes):
             raise InsufficientDataError("graph has no nodes")
         curves = robustness_stage(stage, graph, strategies, args.steps, not args.no_path_length)
     for kind in curves:
-        print(f"wrote {out_dir / CURVE_FILES[kind]}")
+        print(f"wrote {args.output_dir / CURVE_FILES[kind]}")
     return EXIT_OK
 
 
@@ -337,9 +321,6 @@ def _report_lines(data: dict) -> Iterator[str]:
     )
     corpus = data.get("corpus") or {}
     yield f"corpus: {corpus.get('nodes')} nodes, {corpus.get('messages')} messages"
-    if data.get("sections_empty"):
-        yield "all analysis sections are empty"
-        return
     correlation = data.get("correlation") or {}
     yield f"median consecutive-day r: {correlation.get('median_r')}"
     consistency = data.get("consistency") or {}

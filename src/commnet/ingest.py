@@ -280,12 +280,12 @@ def _line_count(reader: BinaryIO) -> int:
     return count
 
 
-def _line_runs(reader: BinaryIO, carry: bytes) -> Iterator[bytes]:
-    """``carry`` and the rest of the reader as consecutive runs of whole
-    lines, read _CHUNK_BYTES at a time: a run ends at the last LF of a read,
-    and a partial line goes on to the next run. Only the last line may lack
-    its LF."""
-    parts = [carry]
+def _line_runs(reader: BinaryIO) -> Iterator[bytes]:
+    """The rest of the reader as consecutive runs of whole lines, read
+    _CHUNK_BYTES at a time: a run ends at the last LF of a read, and a
+    partial line goes on to the next run. Only the last line may lack its
+    LF."""
+    parts = []
     while block := reader.read(_CHUNK_BYTES):
         cut = block.rfind(b"\n") + 1
         if not cut:  # a line longer than a read
@@ -476,15 +476,18 @@ def parse_edge_log(
     validate_malformed_threshold(malformed_threshold)
     cfg = cfg or LogFormatConfig()
     reader = _reader(source)
-    # accepted rows in input order as int64 timestamp and int32 sender and
-    # recipient columns, with provisional ids for the names; every line but
-    # the header may hold a row
-    capacity = max(_line_count(reader) + 1 - cfg.has_header, 0)
-    columns = [np.empty(capacity, dtype=t) for t in (np.int64, np.int32, np.int32)]
+    # the preamble, read once: a byte-order mark, then any header line
     head = reader.read(len(_BOM))
-    runs = _line_runs(reader, b"" if head == _BOM else head)
-    header = cfg.has_header
-    line_no = 2 if header else 1  # of the first line of the next run
+    if head != _BOM:
+        reader.seek(-len(head), io.SEEK_CUR)
+    if cfg.has_header:
+        reader.readline()
+    # accepted rows in input order as int64 timestamp and int32 sender and
+    # recipient columns, with provisional ids for the names; every line
+    # left may hold a row
+    capacity = _line_count(reader) + 1
+    columns = [np.empty(capacity, dtype=t) for t in (np.int64, np.int32, np.int32)]
+    line_no = 2 if cfg.has_header else 1  # of the first line of the next run
     where = tuple(cfg.columns.index(c) for c in _COLUMNS)
 
     rows_read = self_loops = fallback = filled = 0
@@ -492,12 +495,7 @@ def parse_edge_log(
     names = _Names()
     # whether the rows so far are in time order, and the last stamp
     ordered, last = True, _DATED_SECONDS.start
-    for run in runs:
-        if header:  # the first line of the first run
-            header = False
-            run = run[run.find(b"\n") + 1 or len(run) :]
-            if not run:
-                continue
+    for run in _line_runs(reader):
         chunk = np.frombuffer(run, dtype=np.uint8)
         # numpy takes the lines it can vouch for, _parse_row the rest
         ends, lines, order, block = _fast_rows(chunk, cfg, names)

@@ -33,15 +33,17 @@ stages after it read:
    ``robustness_stage`` writes each curve's file from its report section.
 4. Write report.json and run_info.json.
 
-An empty window ends after the temporal half: its single-file results are
-header-only, and no curve runs.
+A log that leaves no message has nothing to analyze: ``read_messages``
+raises InsufficientDataError, naming the parse's counts, before any day is
+sliced, and the run writes no file.
 
-The CLI verbs share the steps here: ``read_log``, ``ingest_counts``,
-``robustness_stage`` and ``staged``. Importing this module loads none of
-the analysis modules (centrality, dynamics, powerlaw and the standard
-library's statistics): the functions that call them import them, and ``run``
-loads them all before it reads the input, so the other verbs never pay for
-them and analyze allocates them below the parse's memory peak.
+The CLI verbs share the steps here: ``read_log``, ``read_messages``,
+``ingest_counts``, ``robustness_stage`` and ``staged``. Importing this
+module loads none of the analysis modules (centrality, dynamics, powerlaw
+and the standard library's statistics): the functions that call them import
+them, and ``run`` loads them all before it reads the input, so the other
+verbs never pay for them and analyze allocates them below the parse's memory
+peak.
 
 Every file of a run is first written to a staging directory inside the
 output directory, made before the input is read. Only when every file is
@@ -68,7 +70,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import robustness as robust
-from .errors import ConfigError, InsufficientSupportError
+from .errors import ConfigError, InsufficientDataError, InsufficientSupportError
 from .ingest import (
     IngestReport,
     LogFormatConfig,
@@ -92,7 +94,7 @@ CURVE_FILES = {kind: f"robustness_{kind}.dat" for kind in robust.REMOVAL_KINDS}
 ROBUSTNESS_FILES = tuple(CURVE_FILES.values())
 DEFAULT_STEPS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)  # removal fractions of a curve
 _DIST_HEADER = ("k", "pdf", "ccdf", "log10_k", "log10_pdf", "log10_ccdf")
-# the temporal files every run writes, an empty window's with the header alone
+# the temporal files every run writes
 _TEMPORAL_HEADERS = {
     "correlation_series.dat": ("day_a", "day_b", "r"),
     "degree_distribution_aggregate.dat": _DIST_HEADER,
@@ -165,16 +167,12 @@ class PipelineConfig:
 
 @dataclass
 class Report:
-    """Assembled analysis results, JSON-serializable via to_dict().
-
-    The analysis sections default to their empty values, so a report built
-    from the four header fields alone is the empty-window report.
-    """
+    """Assembled analysis results, JSON-serializable via to_dict()."""
 
     config: dict
     window: dict
     corpus: dict
-    labels: dict | None
+    labels: dict
     daily_fits: list[dict] = field(default_factory=list)
     aggregate_fit: dict | None = None
     correlation: dict | None = None
@@ -184,7 +182,6 @@ class Report:
     concentration: dict | None = None
     stability: list[dict] = field(default_factory=list)
     robustness: dict = field(default_factory=dict)
-    sections_empty: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -217,7 +214,7 @@ def _acquire_stream(
 ) -> tuple[TemporalEdgeStream, dict, dict]:
     """The stream, its report.json source entry and its run_info.json entries."""
     started = time.perf_counter()
-    stream, ingest_report = read_log(
+    stream, ingest_report = read_messages(
         cfg.input_path,
         cfg.log_format,
         malformed_threshold=cfg.malformed_threshold,
@@ -245,6 +242,18 @@ def read_log(
     """Parse the message log at ``path``; ``options`` go to ``parse_edge_log``."""
     with open(path, "rb") as fh:
         return parse_edge_log(fh, log_format, **options)
+
+
+def read_messages(
+    path: str | Path, log_format: LogFormatConfig, **options
+) -> tuple[TemporalEdgeStream, IngestReport]:
+    """``read_log`` for a verb that analyzes the messages: raises
+    InsufficientDataError, naming the parse's counts, if none is left."""
+    stream, report = read_log(path, log_format, **options)
+    if not len(stream):
+        counts = ", ".join(f"{name} {n}" for name, n in ingest_counts(report).items())
+        raise InsufficientDataError(f"message log is empty ({counts})")
+    return stream, report
 
 
 def ingest_counts(report: IngestReport) -> dict:
@@ -341,11 +350,10 @@ def run(cfg: PipelineConfig) -> Report:
     with staged(cfg.output_dir, OWNED_NAMES) as new:
         stream, source, info = _acquire_stream(cfg)
         report = _temporal_stage(cfg, stream, source, new)
-        if not report.sections_empty:
-            graph = undirected_projection(stream)
-            del stream  # the curves read only the projection
-            strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in robust.REMOVAL_KINDS]
-            report.robustness = robustness_stage(new, graph, strategies, cfg.robustness_steps)
+        graph = undirected_projection(stream)
+        del stream  # the curves read only the projection
+        strategies = [robust.RemovalStrategy(kind, seed=cfg.seed) for kind in robust.REMOVAL_KINDS]
+        report.robustness = robustness_stage(new, graph, strategies, cfg.robustness_steps)
         _write(
             new / REPORT_FILENAME,
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -384,7 +392,7 @@ def _temporal_stage(
     report = Report(
         config=_config_echo(cfg),
         window={
-            "start": window.date(0).isoformat() if window.length else None,
+            "start": window.date(0).isoformat(),
             "days": window.length,
             "non_empty_days": len(non_empty),
             "tz_offset_seconds": cfg.tz_offset_seconds,
@@ -394,28 +402,20 @@ def _temporal_stage(
             "messages": len(stream),
             "source": source,
         },
-        labels=(
-            {str(k): v for k, v in sorted(stream.labels.items())}
-            if stream.labels
-            else None
-        ),
+        labels={str(k): v for k, v in sorted(stream.labels.items())},
     )
 
     def emit(name: str, rows: Iterable[Sequence]) -> None:
         _write(out / name, format_columns(_TEMPORAL_HEADERS[name], rows))
-
-    if not non_empty:
-        for name in _TEMPORAL_HEADERS:
-            emit(name, [])
-        return report
-    report.sections_empty = False
 
     table = centrality.degree_table(stream, window, cfg.direction)
 
     # one histogram per non-empty day and one for the aggregate feed both the
     # OLS fits and the distribution files. A non-empty day's out- or
     # in-degrees sum to its message count and its total degrees to twice
-    # that, and the aggregate sums such days, so no histogram here is empty
+    # that, and the aggregate sums such days, so no histogram here is empty.
+    # The stream holds a message and slice_days refuses one outside the
+    # window, so some day is non-empty
     for t in non_empty:
         degrees = table.values[t]
         hist = powerlaw.histogram(degrees)

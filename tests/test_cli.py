@@ -90,7 +90,6 @@ def test_generate_then_ingest_then_analyze(tmp_path, capsys):
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["consistency"]["k"] == 3
-    assert not report["sections_empty"]
 
 
 @pytest.mark.parametrize(
@@ -164,7 +163,7 @@ def _analyze_config(monkeypatch, tmp_path, *argv: str) -> pipeline.PipelineConfi
 
     def capture(cfg):
         built.append(cfg)
-        return pipeline.Report(config={}, window={}, corpus={}, labels=None, sections_empty=False)
+        return pipeline.Report(config={}, window={}, corpus={}, labels={})
 
     monkeypatch.setattr(cli, "run", capture)
     assert main(["analyze", *argv, "--output-dir", str(tmp_path)]) == 0
@@ -221,24 +220,50 @@ def test_every_log_format_flag_reaches_its_field(monkeypatch, tmp_path):
         assert getattr(cfg, name) == value != getattr(LogFormatConfig, name), name
 
 
-def test_empty_window_exit_code(tmp_path, capsys):
-    empty = tmp_path / "empty.log"
-    empty.write_text("")
-    rc = main(
-        [
-            "analyze",
-            "--input", str(empty),
-            "--window-start", "2001-05-01",
-            "--window-days", "2",
-            "--output-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert rc == 4
-    assert (tmp_path / "out" / "report.json").exists()
-    # the summary of an empty report says so and succeeds
-    capsys.readouterr()
-    assert main(["report", str(tmp_path / "out" / "report.json")]) == 0
-    assert "all analysis sections are empty" in capsys.readouterr().out
+NO_MESSAGE_LOGS = {
+    # name: (log, flags, the parse's counts)
+    "empty": (b"", (), (0, 0, 0, 0, 0)),
+    "blank-lines": (b"\n\n\n", (), (0, 0, 0, 0, 0)),
+    "header-only": (b"sender,recipient,timestamp\n", ("--header",), (0, 0, 0, 0, 0)),
+    "self-loops": (b"a,a,100\nb,b,200\n", (), (2, 0, 2, 0, 0)),
+    "malformed": (b"a,b\nnot a row\n", ("--malformed-threshold", "1"), (2, 0, 0, 2, 0)),
+}
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every entry under ``root``: a file's bytes, None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("case", NO_MESSAGE_LOGS)
+@pytest.mark.parametrize(
+    "verb, flags",
+    [("analyze", ("--robustness-steps", "0.0")), ("robustness", ("--steps", "0.0"))],
+    ids=["analyze", "robustness"],
+)
+def test_a_log_with_no_message_is_insufficient_data(tmp_path, capsys, verb, flags, case):
+    # every claim is read off the messages: a log that leaves none stops the
+    # run before any file is written, and a previous run's outputs stay
+    data, format_flags, counts = NO_MESSAGE_LOGS[case]
+    log = tmp_path / "none.log"
+    log.write_bytes(data)
+    fresh, previous = tmp_path / "fresh", tmp_path / "previous"
+    hub = write_hub_log(tmp_path / "hub.log", nodes=10, days=3, hubs=1)
+    assert main([verb, "--input", str(hub), *flags, "--output-dir", str(previous)]) == 0
+    before = _tree(previous)
+    names = ("rows_read", "accepted", "self_loops_dropped", "malformed", "duplicates_collapsed")
+    named = ", ".join(f"{name} {n}" for name, n in zip(names, counts))
+    for out in (fresh, previous):
+        capsys.readouterr()
+        argv = [verb, "--input", str(log), *flags, *format_flags, "--output-dir", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"insufficient data: message log is empty ({named})\n"
+    assert _tree(fresh) == {}
+    assert _tree(previous) == before
 
 
 def test_config_error_exit_code(tmp_path):
@@ -318,27 +343,16 @@ def test_robustness_on_edges_checks_the_log_format_flags(tmp_path, flag, value):
     assert not out.exists()
 
 
-def test_missing_output_dir_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.delenv("COMMNET_OUTPUT_DIR", raising=False)
-    rc = main(["analyze", "--input", str(tmp_path / "corpus.log")])
-    assert rc == 2
-
-
-def test_output_dir_env_var(tmp_path, monkeypatch):
-    log = write_hub_log(tmp_path / "hub.log", nodes=10, days=4, hubs=1, hub_rate=4.0)
-    out_dir = tmp_path / "env_out"
-    monkeypatch.setenv("COMMNET_OUTPUT_DIR", str(out_dir))
-    rc = main(
-        [
-            "analyze",
-            "--input", str(log),
-            "--k", "1",
-            "--k-values", "1",
-            "--robustness-steps", "0.0",
-        ]
-    )
-    assert rc == 0
-    assert (out_dir / "report.json").exists()
+def test_missing_output_dir_is_config_error(tmp_path, monkeypatch, capsys):
+    # argparse refuses it, before any directory is made
+    log = write_hub_log(tmp_path / "hub.log", nodes=10, days=2, hubs=1)
+    monkeypatch.chdir(tmp_path)
+    for verb in ("analyze", "robustness"):
+        with pytest.raises(SystemExit) as exited:
+            main([verb, "--input", str(log)])
+        assert exited.value.code == 2
+        assert "--output-dir" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["hub.log"]
 
 
 def test_ingest_error_exit_code(tmp_path, capsys):
@@ -449,7 +463,7 @@ def test_robustness_output_dir_naming_a_file_fails_before_reading(
     def never(*args, **kwargs):
         raise AssertionError("the input was read")
 
-    monkeypatch.setattr(cli, "read_log", never)
+    monkeypatch.setattr(cli, "read_messages", never)
     monkeypatch.setattr(cli, "read_edge_list", never)
     target = tmp_path / "taken"
     target.write_bytes(b"0 1\n")
@@ -838,11 +852,13 @@ HUB_ARGS = (
 )
 ISO_FORMAT = ("--columns", "timestamp,recipient,sender", "--delimiter", "\t", "--header")
 # SHA-256 of the files the per-row writer wrote, recorded before the
-# vectorized writer; 1969-12-25 puts the stamps on both sides of the epoch
+# vectorized writer; 1969-12-25 puts the stamps on both sides of the epoch.
+# er.edges was recorded before the pair unranking became exact integers
 PINNED_GENERATED = {
     "hub.log": "2af971a24afe40c92f12fc1c9fb6c95862b641f62de77b562f690806e33f3e34",
     "hub1969.log": "8b5d9f62dd3e7095e20e555e1973cabe38d0ed1a1be6504c389424690edaa63f",
     "ba.edges": "a90408730a94df977659126f0d22241d4dcda1e40872638da2fbf9feb99bdebf",
+    "er.edges": "0ace4643f43bd16c93f9c26b0eeebbffe59a66a284fb96d8a0d718a3bba6bb69",
     "iso.in": "a6ddbe1e9cec7c39f85914d96da6a41f775a361bfa75839697657686df5c159a",
     "iso.out": "14e224b09dd8cfae7472eb9a3434f107fec3691285b952adcc98a8a2167bc47b",
 }
@@ -855,6 +871,8 @@ def test_generated_bytes_pinned(tmp_path, capsys):
     assert main([*HUB_ARGS, *args]) == 0
     args = ["--n", "300", "--m", "3", "--output", str(tmp_path / "ba.edges")]
     assert main(["generate", "ba", *args]) == 0
+    args = ["--n", "300", "--p", "0.02", "--output", str(tmp_path / "er.edges")]
+    assert main(["generate", "er", *args]) == 0
     # ingest --output sorts: feed it the 1969 corpus in the iso format with
     # its rows reversed
     cfg = LogFormatConfig(("timestamp", "recipient", "sender"), "\t", True)

@@ -12,7 +12,7 @@ import pytest
 
 import commnet as cn
 from commnet import centrality, cli, pipeline
-from commnet.errors import ConfigError
+from commnet.errors import ConfigError, InsufficientDataError
 from commnet.pipeline import (
     OWNED_NAMES,
     RUN_INFO_FILENAME,
@@ -49,7 +49,6 @@ def read_data_rows(path: Path) -> list[list[str]]:
 
 def test_synthetic_run_report_contents(tmp_path):
     report = run(hub_config(tmp_path))
-    assert not report.sections_empty
     assert report.window["days"] == 20
     assert report.corpus["source"]["path"] == str(tmp_path / "hub.log")
     assert report.consistency["k"] == 5
@@ -121,37 +120,21 @@ def test_log10_columns_in_distribution_file(tmp_path):
     assert float(by_k["4"][4]) == pytest.approx(math.log10(0.2), abs=1e-9)
 
 
-def test_empty_corpus_flags_sections(tmp_path):
-    path = tmp_path / "empty.log"
-    path.write_text("")
+def test_run_refuses_a_log_with_no_message(tmp_path):
+    # an explicit window makes no difference: slice_days refuses a message
+    # outside it, so only a log with no message has no non-empty day
+    path = tmp_path / "loops.log"
+    path.write_text("a,a,100\nb,b,200\n")
     cfg = PipelineConfig(
         output_dir=tmp_path / "out",
         input_path=path,
         window_start=brute.BASE_DATE,
         window_days=3,
     )
-    report = run(cfg)
-    assert report.sections_empty
-    assert report.window["days"] == 3
-    written = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert written["sections_empty"] is True
-    # the single-file temporal results exist as header-only files; no curve
-    # runs and no per-day or per-hub file is written
-    headers = {
-        "correlation_series.dat": "day_a day_b r",
-        "degree_distribution_aggregate.dat": "k pdf ccdf log10_k log10_pdf log10_ccdf",
-        "overlap_vs_k.dat": "k mean_overlap",
-        "top_frequency.dat": "node days_in_top_k",
-        "per_day_fits.dat": "day gamma_ols r_squared gamma_mle ks xmin n_tail",
-    }
-    out = tmp_path / "out"
-    assert {p.name for p in out.iterdir()} == {
-        "report.json",
-        RUN_INFO_FILENAME,
-        *headers,
-    }
-    for name, header in headers.items():
-        assert (out / name).read_text() == header + "\n", name
+    counts = "rows_read 2, accepted 0, self_loops_dropped 2, malformed 0, duplicates_collapsed 0"
+    with pytest.raises(InsufficientDataError, match=rf"^message log is empty \({counts}\)$"):
+        run(cfg)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_file_mode_reports_ingest(tmp_path, micro_stream):
@@ -261,7 +244,7 @@ def read_plot_values(path: Path) -> list[list]:
 
 @pytest.mark.parametrize(
     "case",
-    ["micro", "micro-total-pdf", "one-day", "empty-window", "synthetic"],
+    ["micro", "micro-total-pdf", "one-day", "synthetic"],
 )
 def test_plot_files_equal_the_report_entries_they_mirror(tmp_path, case):
     log = tmp_path / "in.log"
@@ -271,25 +254,19 @@ def test_plot_files_equal_the_report_entries_they_mirror(tmp_path, case):
         argv += ["--direction", "total", "--fit-target", "pdf", "--fit-xmin", "2"]
     elif case == "one-day":
         log.write_text("1,2,86400\n2,3,86500\n3,1,90000\n")
-    elif case == "empty-window":
-        log.write_text("")
-        argv += ["--window-start", "2000-01-01", "--window-days", "3"]
     elif case == "synthetic":
         write_hub_log(log, nodes=40, days=12, hubs=4)
     out = tmp_path / "out"
-    assert cli.main([*argv, "--output-dir", str(out)]) == (4 if case == "empty-window" else 0)
+    assert cli.main([*argv, "--output-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     expected = mirrored_rows(report)
-    assert len(expected) == (4 if case == "empty-window" else 6)
+    assert len(expected) == 6
     for name, rows in expected.items():
         want = [[None if v is None else float(v) for v in row] for row in rows]
         assert read_plot_values(out / name) == want, name
-    if case in ("one-day", "empty-window"):
+    if case == "one-day":
         assert report["correlation"] is None
         assert (out / "correlation_series.dat").read_text() == "day_a day_b r\n"
-    if case == "empty-window":
-        assert report["daily_fits"] == report["top_frequency"] == []
-        assert (out / "per_day_fits.dat").read_text().count("\n") == 1
     if case.startswith("micro"):
         # the micro corpus is too small for any fit: every fit cell is nan
         assert all(e["ols"] is None and e["mle"] is None for e in report["daily_fits"])
@@ -461,7 +438,7 @@ def test_temporal_data_freed_before_robustness(tmp_path, monkeypatch, argv):
         return wrapped
 
     monkeypatch.setattr(pipeline, "_acquire_stream", keeping_stream_refs(pipeline._acquire_stream))
-    monkeypatch.setattr(cli, "read_log", keeping_stream_refs(cli.read_log))
+    monkeypatch.setattr(cli, "read_messages", keeping_stream_refs(cli.read_messages))
     monkeypatch.setattr(centrality, "degree_table", table_keeping_ref)
     monkeypatch.setattr(pipeline, "robustness_stage", checking_freed(pipeline.robustness_stage))
     monkeypatch.setattr(cli, "robustness_stage", checking_freed(cli.robustness_stage))
@@ -509,22 +486,6 @@ def test_rerun_replaces_previous_outputs(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert names == set(OWNED_NAMES) | {"notes.txt", "plots"}
 
-    # an empty window writes no robustness curves, so the old ones must go
-    empty = tmp_path / "empty.log"
-    empty.write_text("")
-    run(
-        PipelineConfig(
-            output_dir=out,
-            input_path=empty,
-            window_start=brute.BASE_DATE,
-            window_days=2,
-        )
-    )
-    names = {p.name for p in out.iterdir()}
-    assert not any(n.startswith("robustness_") for n in names)
-    assert "day_distributions" not in names and "hub_series" not in names
-    assert {"notes.txt", "plots", "report.json"} <= names
-
 
 # SHA-256 of every deterministic output of the acceptance-criterion-8 config.
 # report.json and robustness_random.dat were re-recorded when the random
@@ -541,7 +502,9 @@ def test_rerun_replaces_previous_outputs(tmp_path):
 # log (report.json less its "config.synthetic" and "corpus.source.kind").
 # report.json was re-recorded once more when the log format lost its
 # timestamp_format field, as each stamp now says its own form: the file is
-# the one before, less "config.log_format.timestamp_format"
+# the one before, less "config.log_format.timestamp_format", and again when
+# a log with no message stopped writing an empty report: the file is the
+# one before, less the flag that marked such a report
 PINNED_DIGESTS = {
     "correlation_series.dat": "b634ffa23cc2025bd7cdc97ed57d93d13575abb67a9b09fbf589d8881f305be6",
     "day_distributions/day_0000.dat": "3cd706ed8a6e8b910e6a202835e56fcc4563a19f2df50dd794d770eb598797e6",
@@ -578,7 +541,7 @@ PINNED_DIGESTS = {
     "hub_series/node_46.dat": "a02fe79cf1c75930a79b997b157aee66962ab3938de2cddad0f4bf640fbda611",
     "overlap_vs_k.dat": "6020ed42240f4e654455f7aa45333c50c7923f162901fc3d8b34a3d91cb7b2f4",
     "per_day_fits.dat": "8b0912102ab2d21728b5e1423b0f93da107bd993eef46ecaee8744f5e9e01811",
-    "report.json": "dda740983963c96884290ac906bf0a3ed16f002cd850037b79f28f64a4cc08c0",
+    "report.json": "49b1c7d087c9e9a32846140d0336b472c543f20ad38f4dccbaa2271e85c903b9",
     "robustness_random.dat": "964cacab978c5d525379fcf4b9799f84a401a857b351f241632a901891099290",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "30066f7e0dc70427b9f09a53036d7befdcab901bef949d3aff2fd6c499df5737",
@@ -618,7 +581,8 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
 
 # the same corpus as above, ranked and fitted on total degree with the pdf
 # target above a cutoff of 2: guards the in/total histogram and top-k paths.
-# It was re-recorded for the same causes, the dropped timestamp_format too
+# It was re-recorded for the same causes, the dropped timestamp_format and
+# empty-report flag too
 PINNED_TOTAL_PDF_DIGESTS = {
     "correlation_series.dat": "5e1faffbfa12bf192e992dd18f7e578a5adb75b22ecd5ecf907b71a949144675",
     "day_distributions/day_0000.dat": "452afb1984a7ab6cfd64dfad485742f94ec870feabc1afea495fed21c722d728",
@@ -655,7 +619,7 @@ PINNED_TOTAL_PDF_DIGESTS = {
     "hub_series/node_46.dat": "6293fe3ab95a42c0b270ff98b16264ce431441b1ac8f05948dfe44186c5abb6f",
     "overlap_vs_k.dat": "3a27e95d5159750762b0d4b581aadce45d357aa017299075ae7a541c78a903a3",
     "per_day_fits.dat": "05faca79ca1be00ee1769248e37a5360a9bb162aa52630de1861fb9a7e702a6f",
-    "report.json": "0bf67db7492c7f257798e8bf5ca15fb22075716c539bf88ac35676066c460ca6",
+    "report.json": "e806941b350a8eefee8e601cc7454890589d2a0fe5b26515c864bf6b636eddd3",
     "robustness_random.dat": "964cacab978c5d525379fcf4b9799f84a401a857b351f241632a901891099290",
     "robustness_targeted.dat": "180fa0261fbd1720bfcd50fd61b1b683abf288b3367d53d5e2750c003223915a",
     "top_frequency.dat": "30066f7e0dc70427b9f09a53036d7befdcab901bef949d3aff2fd6c499df5737",
