@@ -266,6 +266,25 @@ def test_a_log_with_no_message_is_insufficient_data(tmp_path, capsys, verb, flag
     assert _tree(previous) == before
 
 
+def test_empty_window_exit_code(tmp_path, capsys):
+    # an explicit window over a log with no message is insufficient data too:
+    # the run exits 4 before it writes any file
+    empty = tmp_path / "empty.log"
+    empty.write_text("")
+    rc = main(
+        [
+            "analyze",
+            "--input", str(empty),
+            "--window-start", "2001-05-01",
+            "--window-days", "2",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 4
+    assert "message log is empty" in capsys.readouterr().err
+    assert _tree(tmp_path / "out") == {}
+
+
 def test_config_error_exit_code(tmp_path):
     # each bad setting is refused before the output directory is made and
     # before the log is opened: a missing one would exit 3

@@ -244,7 +244,7 @@ def read_plot_values(path: Path) -> list[list]:
 
 @pytest.mark.parametrize(
     "case",
-    ["micro", "micro-total-pdf", "one-day", "synthetic"],
+    ["micro", "micro-total-pdf", "one-day", "empty-window", "synthetic"],
 )
 def test_plot_files_equal_the_report_entries_they_mirror(tmp_path, case):
     log = tmp_path / "in.log"
@@ -254,9 +254,18 @@ def test_plot_files_equal_the_report_entries_they_mirror(tmp_path, case):
         argv += ["--direction", "total", "--fit-target", "pdf", "--fit-xmin", "2"]
     elif case == "one-day":
         log.write_text("1,2,86400\n2,3,86500\n3,1,90000\n")
+    elif case == "empty-window":
+        log.write_text("")
+        argv += ["--window-start", "2000-01-01", "--window-days", "3"]
     elif case == "synthetic":
         write_hub_log(log, nodes=40, days=12, hubs=4)
     out = tmp_path / "out"
+    if case == "empty-window":
+        # a log with no message has no report, so no plot file mirrors one
+        assert cli.main([*argv, "--output-dir", str(out)]) == 4
+        assert not (out / "report.json").exists()
+        assert not [p for p in out.rglob("*") if p.is_file()]
+        return
     assert cli.main([*argv, "--output-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     expected = mirrored_rows(report)
